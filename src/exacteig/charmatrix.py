@@ -4,7 +4,7 @@ For a square A with eigenvalue λ, write κ_λ = A − λI. The central fact
 this module exploits: a product of the κ_μ over the *other* eigenvalues
 μ ≠ λ (with multiplicities) maps everything into the λ-eigenspace, so
 its nonzero columns are eigenvectors of A for λ — no linear system is
-solved. Left eigenvectors fall out of the rows of the same product.
+solved. Left eigenvectors are the right eigenvectors of Aᵀ, transposed.
 The matching rank identity pins down exactly how many independent
 columns the product can deliver; when the eigenspace is bigger than
 that (a defective-adjacent situation), the remainder is topped up from
@@ -209,70 +209,14 @@ def product_eigenvectors(a, s, target, counter=None):
 def left_product_eigenvectors(a, s, target, counter=None):
     """Row-vector basis of the left eigenspace for ``target``.
 
-    Mirror image of :func:`product_eigenvectors`: rows of the leftmost
-    factor are pushed right through the remaining factors, and the
-    top-up (when needed) comes from the null space of the transpose.
+    The left eigenvectors of A are the transposed right eigenvectors of
+    Aᵀ, and Aᵀ has the same spectrum. The shifted factors are
+    polynomials in A and commute, so row i of the product for A is
+    column i of the product for Aᵀ, transposed: this reads the same
+    vectors, in the same order, as pushing rows through the product.
     """
-    s = _as_spectrum(s)
-    target = to_scalar(target)
-    if not a.is_square:
-        raise NotSquare("eigenvector extraction needs a square matrix")
-    alg = s.multiplicity(target)
-    if not alg:
-        raise TargetNotInSpectrum(
-            f"{format_scalar(target)} is not in the given spectrum")
-    n = a.rows
-    factors = _product_factors(a, s, target, with_multiplicity=True)
-    kept = []
-    saw_dirty_row = False
-    if factors:
-        leftmost = factors[0]
-        rights = factors[1:]
-        for i in range(n):
-            w = leftmost.row(i)
-            if w.is_zero():
-                continue
-            for f in rights:
-                w = matvec(f, w, counter)
-                if w.is_zero():
-                    break
-            if w.is_zero():
-                continue
-            if not _residual_ok(a, target, w, counter):
-                saw_dirty_row = True
-                continue
-            if is_independent(kept, w, counter):
-                kept.append(normalize_eigenvector(w))
-                if len(kept) == alg:
-                    break
-    else:
-        for i in range(n):
-            w = Matrix.identity(n).row(i)
-            if not _residual_ok(a, target, w, counter):
-                saw_dirty_row = True
-                continue
-            if is_independent(kept, w, counter):
-                kept.append(w)
-                if len(kept) == alg:
-                    break
-    if len(kept) < alg:
-        shifted_t = subtract_scalar_diag(a, target).transpose()
-        geom = n - rank(shifted_t, counter)
-        if geom > 0 and not kept and saw_dirty_row:
-            raise InternalInconsistency(
-                "product rows failed the residual check although the "
-                "left eigenspace is nonempty")
-        if len(kept) < geom:
-            for w in nullspace_basis(shifted_t, counter):
-                w = w.transposed()
-                if is_independent(kept, w, counter):
-                    kept.append(w)
-                if len(kept) == geom:
-                    break
-        if len(kept) != geom:
-            raise InternalInconsistency(
-                "assembled left eigenbasis has the wrong dimension")
-    return kept
+    return [w.transposed()
+            for w in product_eigenvectors(a.transpose(), s, target, counter)]
 
 
 def two_spectrum_eigenvectors(a, lam1, lam2, counter=None):

@@ -170,7 +170,6 @@ def _build_parser():
     p = add("power", "exact matrix power")
     p.add_argument("--n", type=int, required=True,
                    help="nonnegative integer exponent")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
     p.set_defaults(handler=_cmd_power)
 
     p = add("ode", "general solution of x' = Ax")
@@ -392,10 +391,7 @@ def _cmd_power(args):
     a = _load_matrix(args)
     if args.n < 0:
         return _fail(2, "--n must be nonnegative")
-    s = None
-    if args.spectrum:
-        s = verify_spectrum(a, parse_spectrum_json(_read_text(args.spectrum)))
-    result = matrix_power(a, args.n, s)
+    result = matrix_power(a, args.n)
     if args.json:
         _emit_json(matrix_to_json(result))
         return 0

@@ -2,37 +2,30 @@
 general solution of x′ = Ax.
 
 Everything is exact. Diagonalization uses the product-extraction
-eigenbasis; powers route through the factorization when possible and
-fall back to binary exponentiation; ODE solutions are returned as
-structured symbolic terms (vector polynomial × exponential, optionally
-realified into cosine/sine pairs) together with an exact checker that
-verifies a term satisfies the system by comparing coefficients of the
-basis functions.
+eigenbasis; powers come from binary exponentiation alone, which needs
+no spectrum and works for every square matrix; ODE solutions are
+returned as structured symbolic terms (vector polynomial ×
+exponential, optionally realified into cosine/sine pairs) together
+with an exact checker that verifies a term satisfies the system by
+comparing coefficients of the basis functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .charmatrix import is_diagonalizable, product_eigenvectors
 from .errors import (
     InternalInconsistency,
-    IrrationalSpectrum,
     NotDiagonalizable,
     NotSquare,
     RealifyOnComplexMatrix,
 )
 from .jordan import build_chains
 from .matrices import Matrix, Vector, inverse, matmul, matvec
-from .scalars import (
-    ZERO,
-    GaussianRational,
-    Rational,
-    to_scalar,
-)
-from .spectra import Spectrum, charpoly, find_spectrum, verify_spectrum
+from .scalars import ZERO, GaussianRational, Rational
+from .spectra import charpoly, find_spectrum, verify_spectrum
 
 __all__ = [
     "Diagonalization",
@@ -98,8 +91,12 @@ def diagonalize(a, s=None, counter=None):
     return Diagonalization(p, d, p_inv, tuple(order))
 
 
-def matrix_power_direct(a, exponent):
-    """Aᵏ by binary exponentiation (exact, works for any square A)."""
+def matrix_power(a, exponent, s=None):
+    """Aᵏ by binary exponentiation (exact, works for any square A).
+
+    ``s`` is accepted for call compatibility and ignored: the power
+    needs no spectrum.
+    """
     if not a.is_square:
         raise NotSquare("matrix power needs a square matrix")
     if not isinstance(exponent, int) or exponent < 0:
@@ -116,41 +113,7 @@ def matrix_power_direct(a, exponent):
     return result
 
 
-@lru_cache(maxsize=128)
-def _power_basis(a, s):
-    """Diagonalization attempt shared across power calls.
-
-    Matrices and spectra are immutable, so repeated powers of the same
-    matrix can reuse one factorization; None records that the matrix
-    resists the eigendecomposition route.
-    """
-    try:
-        return diagonalize(a, s)
-    except (IrrationalSpectrum, NotDiagonalizable):
-        return None
-
-
-def matrix_power(a, exponent, s=None):
-    """Aᵏ, preferring the eigendecomposition route P·Dᵏ·P⁻¹.
-
-    When the matrix resists that route (irrational spectrum or a
-    defective eigenvalue) the computation silently falls back to binary
-    exponentiation — the result is identical either way. The
-    factorization is cached, so asking for several powers of one matrix
-    costs one eigendecomposition.
-    """
-    if not a.is_square:
-        raise NotSquare("matrix power needs a square matrix")
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    if exponent == 0:
-        return Matrix.identity(a.rows)
-    decomposition = _power_basis(a, s)
-    if decomposition is None:
-        return matrix_power_direct(a, exponent)
-    powered = Matrix.diagonal(
-        [v ** exponent for v in decomposition.eigen_order])
-    return matmul(matmul(decomposition.p, powered), decomposition.p_inv)
+matrix_power_direct = matrix_power
 
 
 @dataclass(frozen=True)

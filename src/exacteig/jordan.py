@@ -35,7 +35,7 @@ from .matrices import (
     subtract_scalar_diag,
 )
 from .scalars import ONE, ZERO, GaussianRational, Rational, to_scalar
-from .spectra import charpoly, multiplicity_of, verify_spectrum
+from .spectra import verify_spectrum
 
 __all__ = [
     "JordanChain",
@@ -72,29 +72,31 @@ class JordanForm:
 def shifted_power_ranks(a, lam, counter=None):
     """Powers of the shifted matrix κ = A − λI with their exact ranks.
 
-    Returns [(κ, r₁), (κ², r₂), …] up to the index of λ — the first
-    power whose rank reaches n − alg_mult(λ). Raises NotInSpectrum when
-    λ is not an eigenvalue.
+    Returns [(κ, r₁), (κ², r₂), …] up to the index of λ: the ranks fall
+    strictly, and the sequence ends at the last power before the rank
+    stops falling (the power that shows the stop is not included).
+    Raises NotInSpectrum when λ is not an eigenvalue, i.e. when κ has
+    full rank.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
-    lam = to_scalar(lam)
-    mult = multiplicity_of(charpoly(a), lam)
-    if not mult:
-        raise NotInSpectrum("not an eigenvalue of the matrix")
-    floor_rank = a.rows - mult
+    n = a.rows
     shifted = subtract_scalar_diag(a, lam)
-    sequence = []
     current = shifted
+    r = rank(current, counter)
+    if r == n:
+        raise NotInSpectrum("not an eigenvalue of the matrix")
+    sequence = []
     while True:
-        r = rank(current, counter)
         sequence.append((current, r))
-        if r == floor_rank:
-            return sequence
-        if len(sequence) > mult:
+        if len(sequence) > n:
             raise InternalInconsistency(
-                "rank sequence failed to stabilize within the multiplicity")
+                "rank sequence failed to stabilize within the dimension")
         current = matmul(current, shifted, counter)
+        next_rank = rank(current, counter)
+        if next_rank == r:
+            return sequence
+        r = next_rank
 
 
 def generalized_eigenvectors(a, lam, level, counter=None):

@@ -11,6 +11,7 @@ from exacteig import (
     SpanBasis,
     TargetNotInSpectrum,
     SpectrumTooLarge,
+    Vector,
     WrongSpectrum,
     characteristic_matrix,
     column_space_intersection,
@@ -19,11 +20,13 @@ from exacteig import (
     cross_eigenvector_3x3,
     eigensystem,
     eigenvectors_2x2,
+    format_scalar,
     is_diagonalizable,
     matmul,
     matvec,
     normalize_eigenvector,
     oracle_eigenvectors,
+    parse_scalar,
     product_eigenvectors,
     left_product_eigenvectors,
     residual_check,
@@ -84,6 +87,93 @@ def assert_same_span(vectors, expected, dim):
     __tracebackhide__ = True
     assert span_equal(SpanBasis(tuple(vectors), dim),
                       SpanBasis(tuple(expected), dim))
+
+
+# Exact left_product_eigenvectors output (rows, space-separated canonical
+# scalars) on the worked fixtures and corpus seeds 0-39. Span checks cannot
+# see a change of a vector's scale or of the order; these tables can.
+FROZEN_LEFT_WORKED = [
+    (SHORTCUT, SHORTCUT_SPECTRUM, {
+        "2": ["2 -1"],
+        "5": ["1 1"],
+    }),
+    (FOUR_BY_FOUR_MIXED, FOUR_BY_FOUR_MIXED_SPECTRUM, {
+        "0": ["1 1 3 -3"],
+        "1": ["1 -2 1 0", "0 2 0 -1"],
+        "2": ["1 1 2 -2"],
+    }),
+]
+FROZEN_LEFT_CORPUS = {
+    0: {"-4": ["0 1"], "-3": ["1 0"]},
+    1: {"-2": ["1 -4 -1"], "-1": ["2 -2 1"], "3": ["1 -1 -1"]},
+    2: {"-4": ["1 2 -1"], "1": ["1 1 0", "1 0 -2"]},
+    3: {"-1": ["4 2 2 3"]},
+    4: {"0": ["1 0", "0 1"]},
+    5: {"-2": ["1 -1 1"], "3": ["1 0 -1"], "4": ["1 1 -1"]},
+    6: {"-1": ["2 4 -4 -3"], "1": ["1 2 0 0", "0 0 0 1"], "2": ["2 2 0 -3"]},
+    7: {"-4": ["1 -1"], "2": ["1 0"]},
+    8: {"-2": ["1 -1 0", "2 0 -1"], "0": ["2 1 2"]},
+    9: {
+        "0": ["1 4 1 0 0", "1 1 0 1 0", "2 4 0 0 1"],
+        "2": ["12 -4 10 3 0", "3 -1 3 0 1"],
+    },
+    10: {"1": ["1 0", "0 1"]},
+    11: {"0": ["2 3 2"]},
+    12: {"2": ["1 0 0", "0 1 0", "0 0 1"]},
+    13: {"2": ["1 4 -1 0", "2 5 0 -1"], "3": ["1 1 -1 0", "0 1 0 -1"]},
+    14: {"2": ["1 0", "0 1"]},
+    15: {"-2": ["2 -3 1"], "0": ["4 1 2"], "3": ["3 -1 5"]},
+    16: {
+        "-3": ["5 -3 -4 -8"],
+        "0": ["2 3 4 -6"],
+        "3": ["1 1 0 0", "1 0 3 -1"],
+    },
+    17: {"-3": ["1 2"], "4": ["1 -1"]},
+    18: {"-1": ["1 -1 0", "1 0 -2"], "3": ["2 5 1"]},
+    19: {"1": ["3 10 6 4 -12"]},
+    20: {"4": ["1 0", "0 1"]},
+    21: {"1": ["1 2 0", "1 0 1"], "4": ["2 0 1"]},
+    22: {"-3": ["2 -1 -1"], "2": ["4 -1 -3"], "4": ["0 1 1"]},
+    23: {"-3": ["0 1 -2 0"], "-1": ["0 1 2 0", "2 -5 0 -4"]},
+    24: {"-3": ["1 0", "0 1"]},
+    25: {"-2": ["1 0 0", "0 1 0", "0 0 1"]},
+    26: {"-4": ["0 1 0 0", "1 0 1 0", "1 0 0 1"], "1": ["3 -2 2 -1"]},
+    27: {"-3": ["2 1"]},
+    28: {"-3": ["1 -1 0", "2 0 -1"], "-2": ["0 1 0"]},
+    29: {
+        "-3": ["2 -4 0 2 3"],
+        "3": ["7 2 5 -3 0", "2 -5 1 0 3"],
+        "4": ["2 -2 -3 -4 0", "2 -8 -1 0 2"],
+    },
+    30: {"-4": ["1 0", "0 1"]},
+    31: {"0": ["6 -2 -5"]},
+    32: {"-4": ["1 -2 0", "1 0 -2"], "4": ["3 1 1"]},
+    33: {"1": ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]},
+    34: {"-3": ["1 0"], "-1": ["0 1"]},
+    35: {"-3": ["5 4 -3"]},
+    36: {
+        "-1": ["1 0 -3 -4"],
+        "1": ["1 -1 -1 -2"],
+        "4": ["0 1 0 0", "1 0 -1 0"],
+    },
+    37: {"2": ["1 0"], "3": ["2 1"]},
+    38: {"-4": ["1 0 0", "0 1 0", "0 0 1"]},
+    39: {
+        "-2": ["4 -4 -5 1 -2"],
+        "-1": ["4 -4 -5 9 -2"],
+        "4": ["0 2 1 1 0", "2 -1 -1 0 1"],
+    },
+}
+
+
+def assert_frozen_left(matrix, spec, table):
+    __tracebackhide__ = True
+    assert sorted(table) == sorted(format_scalar(v) for v in spec.values())
+    for value, rows in table.items():
+        expected = [Vector([parse_scalar(x) for x in row.split()], "row")
+                    for row in rows]
+        assert left_product_eigenvectors(
+            matrix, spec, parse_scalar(value)) == expected
 
 
 class TestCharacteristicMatrix:
@@ -196,6 +286,15 @@ class TestLeftEigenvectors:
                     SHORTCUT, SHORTCUT_SPECTRUM, value):
                 assert w.orientation == "row"
                 assert residual_check(SHORTCUT, value, w, side="left")
+
+    @pytest.mark.parametrize("matrix,spec,table", FROZEN_LEFT_WORKED)
+    def test_exact_rows_on_worked_fixtures(self, matrix, spec, table):
+        assert_frozen_left(matrix, spec, table)
+
+    def test_exact_rows_on_corpus(self, corpus):
+        for seed, table in FROZEN_LEFT_CORPUS.items():
+            entry = corpus[seed]
+            assert_frozen_left(entry.matrix, entry.spectrum, table)
 
     def test_left_equals_right_of_transpose(self):
         a = FOUR_BY_FOUR_MIXED

@@ -162,6 +162,13 @@ class TestFactorizationCommands:
         assert code == 0
         assert json.loads(out)["entries"] == [["11", "7"], ["14", "18"]]
 
+    def test_power_takes_no_spectrum(self, run, write_json):
+        path = write_json(matrix_to_json(SHORTCUT))
+        spec = write_json(spectrum_to_json(SHORTCUT_SPECTRUM))
+        code, _, err = run("power", path, "--n", "2", "--spectrum", spec)
+        assert code == 2
+        assert "--spectrum" in err
+
     def test_ode_text(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))
         code, out, _ = run("ode", path)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import exacteig.factorizations
+import exacteig.spectra
 from exacteig import (
     GaussianRational,
     IrrationalSpectrum,
@@ -114,10 +116,32 @@ class TestMatrixPower:
         assert matrix_power(SHORTCUT, 1) == SHORTCUT
 
     def test_both_routes_agree(self):
+        # the eigendecomposition P·Dᵏ·P⁻¹ is an independent second route
         for matrix, spec in DIAGONALIZABLE:
+            decomposition = diagonalize(matrix, spec)
             for exponent in range(9):
-                assert matrix_power(matrix, exponent, spec) == \
-                    matrix_power_direct(matrix, exponent)
+                powered = Matrix.diagonal(
+                    [v ** exponent for v in decomposition.eigen_order])
+                via_eigen = matmul(matmul(decomposition.p, powered),
+                                   decomposition.p_inv)
+                assert matrix_power(matrix, exponent) == via_eigen
+
+    def test_needs_no_spectrum(self, monkeypatch):
+        class Forbidden(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Forbidden("matrix_power must not analyse the spectrum")
+
+        for module in (exacteig.factorizations, exacteig.spectra):
+            for name in ("diagonalize", "charpoly", "find_spectrum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for matrix in (IRRATIONAL_PAIR, DEFECTIVE_TRIO, THREE_DISTINCT):
+            running = Matrix.identity(matrix.rows)
+            for exponent in range(7):
+                assert matrix_power(matrix, exponent) == running
+                running = matmul(running, matrix)
 
     def test_defective_falls_back(self):
         for exponent in range(6):
@@ -129,7 +153,6 @@ class TestMatrixPower:
         assert matrix_power(IRRATIONAL_PAIR, 2) == m([[2, 0], [0, 2]])
 
     def test_repeated_calls_stay_exact(self):
-        # the factorization cache must not leak state between calls
         first = matrix_power(THREE_DISTINCT, 5, THREE_DISTINCT_SPECTRUM)
         second = matrix_power(THREE_DISTINCT, 5, THREE_DISTINCT_SPECTRUM)
         assert first == second == matrix_power_direct(THREE_DISTINCT, 5)

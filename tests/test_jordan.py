@@ -3,6 +3,7 @@ decomposition."""
 
 import pytest
 
+import exacteig
 from exacteig import (
     Matrix,
     NotInSpectrum,
@@ -90,6 +91,48 @@ class TestPowerRanks:
     def test_non_eigenvalue_rejected(self):
         with pytest.raises(NotInSpectrum):
             shifted_power_ranks(DEFECTIVE_TRIO, to_scalar(7))
+
+
+class TestCharpolyCount:
+    """Rank sequences need no characteristic polynomial: the only one a
+    Jordan decomposition computes is the spectrum check's."""
+
+    CASES = [
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM),
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM),
+    ]
+
+    @pytest.fixture
+    def charpoly_calls(self, monkeypatch):
+        original = exacteig.spectra.charpoly
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # count through every module that binds it, so that a module
+        # importing charpoly for itself is counted too
+        for module in vars(exacteig).values():
+            if (getattr(module, "__name__", "").startswith("exacteig.")
+                    and getattr(module, "charpoly", None) is original):
+                monkeypatch.setattr(module, "charpoly", counting)
+        monkeypatch.setattr(exacteig, "charpoly", counting)
+        return calls
+
+    @pytest.mark.parametrize("matrix,spec", CASES)
+    def test_jordan_form_computes_one(self, charpoly_calls, matrix, spec):
+        jordan_form(matrix, spec)
+        assert len(charpoly_calls) == 1
+
+    @pytest.mark.parametrize("matrix,spec", CASES)
+    def test_chains_and_ranks_compute_none(self, charpoly_calls, matrix,
+                                           spec):
+        for value, _ in spec.pairs:
+            build_chains(matrix, value)
+            shifted_power_ranks(matrix, value)
+        assert charpoly_calls == []
 
 
 class TestGeneralizedEigenvectors:

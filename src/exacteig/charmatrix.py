@@ -125,11 +125,17 @@ def complementary_product(a, s, target, with_multiplicity=False,
 
 
 def _residual_ok(a, lam, v, counter=None):
-    """Exact check A·v = λ·v (or v·A = λ·v for a row vector)."""
-    image = matvec(a, v, counter)
+    """Exact check A·v = λ·v (or v·A = λ·v for a row vector), on the
+    integer planes of v as an n×1 (or 1×n) matrix."""
+    if v.orientation == "column":
+        carrier = Matrix.from_columns([v.entries])
+        image = matmul(a, carrier, counter)
+    else:
+        carrier = Matrix.from_rows([v.entries])
+        image = matmul(carrier, a, counter)
     if counter is not None:
         counter.tally(mults=len(v))
-    return image == v.scaled(lam)
+    return image == carrier.scaled(lam)
 
 
 def product_eigenvectors(a, s, target, counter=None):
@@ -137,12 +143,12 @@ def product_eigenvectors(a, s, target, counter=None):
 
     Columns of the full-multiplicity complementary product are formed
     lazily (one column of the rightmost factor, pushed left through the
-    others) and kept while they are nonzero, residual-clean, and extend
-    the independent set. The product can produce at most
-    Σ_{μ≠target} max(0, geom(μ) − (alg(target) − 1)) independent
-    columns, so when the eigenspace is larger the basis is completed
-    from an exact null-space basis of A − target·I. The result has
-    exactly geometric-multiplicity many vectors, each normalized.
+    others as an n×1 matrix) and kept while they are nonzero,
+    residual-clean, and extend the independent set. The product can
+    produce at most Σ_{μ≠target} max(0, geom(μ) − (alg(target) − 1))
+    independent columns, so when the eigenspace is larger the basis is
+    completed from an exact null-space basis of A − target·I. The result
+    has exactly geometric-multiplicity many vectors, each normalized.
     """
     s = _as_spectrum(s)
     target = to_scalar(target)
@@ -160,15 +166,14 @@ def product_eigenvectors(a, s, target, counter=None):
         rightmost = factors[-1]
         lefts = factors[:-1]
         for j in range(n):
-            v = rightmost.column(j)
-            if v.is_zero():
-                continue
+            pushed = Matrix.from_columns([rightmost.column(j)])
             for f in reversed(lefts):
-                v = matvec(f, v, counter)
-                if v.is_zero():
+                if pushed.is_zero():
                     break
-            if v.is_zero():
+                pushed = matmul(f, pushed, counter)
+            if pushed.is_zero():
                 continue
+            v = pushed.column(0)
             if not _residual_ok(a, target, v, counter):
                 saw_dirty_column = True
                 continue

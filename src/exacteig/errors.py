@@ -18,6 +18,11 @@ class ParseError(ExactEigError, ValueError):
     """A scalar string does not match the exact-number grammar."""
 
 
+class DigitLimitExceeded(ExactEigError, ValueError):
+    """An exact result holds an integer with more digits than Python's
+    int-to-text conversion limit allows, so it cannot be written out."""
+
+
 class SchemaError(ExactEigError, ValueError):
     """A JSON document does not match the matrix/spectrum schema."""
 

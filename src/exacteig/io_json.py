@@ -29,7 +29,7 @@ __all__ = [
 def _loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or a number past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
@@ -42,8 +42,8 @@ def parse_matrix_json(text):
         if key not in data:
             raise SchemaError(f"matrix document is missing {key!r}")
     rows, cols, entries = data["rows"], data["cols"], data["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) \
-            or rows < 1 or cols < 1:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+               for n in (rows, cols)):
         raise SchemaError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"entries must be a list of {rows} rows")
@@ -96,7 +96,7 @@ def parse_spectrum_json(text):
         value, mult = item["value"], item["multiplicity"]
         if not isinstance(value, str):
             raise SchemaError(f"eigenvalue {idx}: value must be a string")
-        if not isinstance(mult, int) or mult < 1:
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise SchemaError(
                 f"eigenvalue {idx}: multiplicity must be a positive integer")
         try:

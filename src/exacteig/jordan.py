@@ -25,7 +25,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
-    _denominator_lcm,
+    _planes,
     inverse,
     is_independent,
     matmul,
@@ -129,15 +129,8 @@ def _scale_chain_uniformly(vectors):
     positive imaginary part when purely imaginary). A uniform scale is
     the only cosmetic freedom a chain has — scaling the vectors
     individually would break the descent relation."""
-    flat = [e for v in vectors for e in v.entries]
-    scale_up = _denominator_lcm(flat)
-    numerators = []
-    for e in flat:
-        numerators.append(e.re.numerator * (scale_up // e.re.denominator))
-        numerators.append(e.im.numerator * (scale_up // e.im.denominator))
-    content = 0
-    for m in numerators:
-        content = gcd(content, abs(m))
+    scale_up, re, im = _planes([e for v in vectors for e in v.entries])
+    content = gcd(*re, *im)
     factor = GaussianRational(Rational(scale_up, content))
     bottom = vectors[0]
     lead = bottom[bottom.first_nonzero_index()] * factor

@@ -1,25 +1,49 @@
 """Dense exact matrices and vectors over the Gaussian rationals.
 
 Everything here is immutable and pure: operations return new values and
-never mutate their inputs. The :class:`OpCounter` instruments the scalar
-field operations (multiplications, additions/subtractions, divisions)
-actually performed by the algorithms that accept one — the benchmark
-compares extraction methods by these machine-independent counts.
+never mutate their inputs.
 
-Counting conventions (documented so the reported numbers are meaningful):
+Storage. A :class:`Matrix` holds only Python ints: one positive common
+denominator and two row-major tuples of numerators, a real plane and an
+imaginary plane, so entry (i, j) is (re[k] + im[k]·i) / den with
+k = i·cols + j. The storage is canonical — the gcd of the denominator
+and all numerators is 1 — so ``==`` and ``hash`` are tuple compares.
+Scalars (:class:`GaussianRational`) are built on demand by ``entry``,
+``row_entries``, ``row`` and ``column``; a :class:`Vector` keeps its
+scalars.
+
+Products and sums run on the planes as integer dot products, followed
+by one gcd pass per result, and skip the imaginary products when an
+imaginary plane is zero. Rank, RREF, null space, determinant and inverse
+use fraction-free (Bareiss) elimination over ℤ[i] on the numerators:
+each update is exact division by the previous pivot, and the division by
+the pivot happens once, at the end, to reach the same unique RREF.
+
+The :class:`OpCounter` instruments the scalar operations actually
+performed by the algorithms that accept one — the benchmark compares
+extraction methods by these machine-independent counts. Counting
+conventions (documented so the reported numbers are meaningful):
 
 * products count one multiplication per scalar pair and one addition per
-  accumulation step;
-* row reduction counts the divisions used to scale a pivot row and the
-  multiply/subtract pairs of each elimination step it actually performs
-  (entries already zero are skipped and not counted);
-* negations and the cosmetic rescaling of output vectors are not counted.
+  accumulation step, whether or not a plane is zero;
+* elimination counts each multiplication, subtraction and exact division
+  of Gaussian integers it performs on the rows it updates: two
+  multiplications and a subtraction per entry of a row with a nonzero
+  entry in the pivot column, one multiplication per entry of a row
+  merely rescaled by the new pivot, and one exact division per updated
+  entry whenever the previous pivot is not 1; the closing division by
+  the last pivot counts one division per entry of the pivot rows (RREF,
+  null space, inverse) or one for the determinant;
+* negations, gcd passes, denominator bookkeeping and the cosmetic
+  rescaling of output vectors are not counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +51,7 @@ from .errors import (
     Singular,
     ZeroVector,
 )
-from .scalars import ONE, ZERO, GaussianRational, Rational, format_scalar, to_scalar
+from .scalars import ZERO, GaussianRational, Rational, format_scalar, to_scalar
 
 __all__ = [
     "Matrix",
@@ -169,50 +193,118 @@ class Vector:
         return f"[{body}]{tag}"
 
 
-class Matrix:
-    """Immutable dense matrix of GaussianRational entries (row-major)."""
+# -- integer planes ---------------------------------------------------------
 
-    __slots__ = ("rows", "cols", "_data")
+
+def _planes(scalars):
+    """(den, re, im) of scalars over their least common denominator, the
+    planes as lists.
+
+    Each part is reduced, so no prime of the denominator divides every
+    numerator: the triple is already canonical."""
+    parts = [(e.re, e.im) for e in scalars]
+    den = lcm(*[x.denominator for pair in parts for x in pair])
+    re = [r.numerator * (den // r.denominator) for r, _ in parts]
+    im = [i.numerator * (den // i.denominator) for _, i in parts]
+    return den, re, im
+
+
+def _scalar(re, im, den):
+    """The scalar (re + im·i) / den."""
+    if den == 1:
+        return GaussianRational(re, im)
+    return GaussianRational(Rational(re, den), Rational(im, den) if im else 0)
+
+
+def _quotient(re, im, d_re, d_im):
+    """(den, re, im) of the entries re + im·i divided by the nonzero
+    Gaussian integer d_re + d_im·i, with a positive denominator."""
+    if d_im:
+        norm = d_re * d_re + d_im * d_im
+        return (norm, [x * d_re + y * d_im for x, y in zip(re, im)],
+                [y * d_re - x * d_im for x, y in zip(re, im)])
+    if d_re < 0:
+        return -d_re, [-x for x in re], [-y for y in im]
+    return d_re, re, im
+
+
+def _rows_of(plane, cols):
+    return [plane[k:k + cols] for k in range(0, len(plane), cols)]
+
+
+def _columns_of(plane, cols):
+    return [plane[j::cols] for j in range(cols)]
+
+
+def _product(left, right):
+    """Row-major plane of all dot products of ``left`` rows with
+    ``right`` rows (sequences of equal length)."""
+    return [sum(map(mul, u, v)) for u in left for v in right]
+
+
+def _complex_product(left_re, left_im, right_re, right_im):
+    """(re, im) planes of the dot products of complex rows, leaving out
+    the products with a zero imaginary side (``None``)."""
+    re = _product(left_re, right_re)
+    im = None
+    if left_im is not None:
+        im = _product(left_im, right_re)
+        if right_im is not None:
+            re = [x - y for x, y in zip(re, _product(left_im, right_im))]
+    if right_im is not None:
+        extra = _product(left_re, right_im)
+        im = extra if im is None else [x + y for x, y in zip(im, extra)]
+    return re, im if im is not None else [0] * len(re)
+
+
+class Matrix:
+    """Immutable dense matrix of Gaussian-rational entries, stored as a
+    common denominator over integer real and imaginary planes."""
+
+    __slots__ = ("rows", "cols", "_den", "_re", "_im")
 
     def __init__(self, entries):
-        data = tuple(tuple(to_scalar(e) for e in row) for row in entries)
+        data = [[to_scalar(e) for e in row] for row in entries]
         if not data or not data[0]:
             raise DimensionMismatch("matrix needs at least one row and column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_data", data)
+        den, re, im = _planes([e for row in data for e in row])
+        _init(self, len(data), width, den, re, im)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _wrap(cls, data):
+    def _make(cls, rows, cols, den, re, im):
+        """Matrix (re + im·i) / den with den > 0, reduced by one gcd pass
+        to the canonical form."""
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [y // g for y in im]
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-        object.__setattr__(self, "_data", data)
+        _init(self, rows, cols, den, re, im)
         return self
 
     @classmethod
     def identity(cls, n):
-        return cls._wrap(tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._wrap(tuple(tuple(ZERO for _ in range(cols))
-                               for _ in range(rows)))
+        return cls._make(rows, cols, 1, (0,) * (rows * cols),
+                         (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values):
-        vals = [to_scalar(v) for v in values]
-        n = len(vals)
-        return cls._wrap(tuple(
-            tuple(vals[i] if i == j else ZERO for j in range(n))
-            for i in range(n)))
+        den, vre, vim = _planes([to_scalar(v) for v in values])
+        n = len(vre)
+        re, im = [0] * (n * n), [0] * (n * n)
+        re[::n + 1], im[::n + 1] = vre, vim
+        return cls._make(n, n, den, re, im)
 
     @classmethod
     def from_columns(cls, columns):
@@ -232,54 +324,81 @@ class Matrix:
     def is_square(self):
         return self.rows == self.cols
 
+    def _is_real(self):
+        return not self._im
+
+    def _imag(self):
+        """The imaginary plane, which is stored empty when it is zero."""
+        return self._im or (0,) * len(self._re)
+
+    def _scalars(self, part):
+        """Scalars of the entries that the slice ``part`` of the planes
+        selects."""
+        im = self._im[part] if self._im else repeat(0)
+        return [_scalar(x, y, self._den) for x, y in zip(self._re[part], im)]
+
     def entry(self, i, j):
-        return self._data[i][j]
-
-    def row(self, i):
-        return Vector(self._data[i], "row")
-
-    def column(self, j):
-        return Vector((r[j] for r in self._data), "column")
+        k = range(self.rows)[i] * self.cols + range(self.cols)[j]
+        return self._scalars(slice(k, k + 1))[0]
 
     def row_entries(self, i):
-        return self._data[i]
+        start = range(self.rows)[i] * self.cols
+        return tuple(self._scalars(slice(start, start + self.cols)))
+
+    def row(self, i):
+        return Vector(self.row_entries(i), "row")
+
+    def column(self, j):
+        j = range(self.cols)[j]
+        return Vector(self._scalars(slice(j, None, self.cols)), "column")
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return Matrix._wrap(tuple(
-            tuple(self._data[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        def flip(plane):
+            return [x for col in _columns_of(plane, self.cols) for x in col]
+        return Matrix._make(self.cols, self.rows, self._den,
+                            flip(self._re), flip(self._imag()))
 
     def is_zero(self):
-        return all(not e for row in self._data for e in row)
+        return not any(self._re) and not self._im
 
     def scaled(self, c):
-        c = to_scalar(c)
-        return Matrix._wrap(tuple(tuple(e * c for e in row)
-                                  for row in self._data))
+        den, (c_re,), (c_im,) = _planes([to_scalar(c)])
+        re, im = self._re, self._imag()
+        if c_im:
+            new_re = [x * c_re - y * c_im for x, y in zip(re, im)]
+            new_im = [x * c_im + y * c_re for x, y in zip(re, im)]
+        else:
+            new_re = [x * c_re for x in re]
+            new_im = [y * c_re for y in im]
+        return Matrix._make(self.rows, self.cols, self._den * den,
+                            new_re, new_im)
+
+    def _combine(self, other, sign):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix shapes differ")
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, sign * (den // other._den)
+        return Matrix._make(
+            self.rows, self.cols, den,
+            [f * x + g * y for x, y in zip(self._re, other._re)],
+            [f * x + g * y for x, y in zip(self._imag(), other._imag())])
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._wrap(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self._data, other._data)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix._wrap(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self._data, other._data)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix._wrap(tuple(tuple(-e for e in row) for row in self._data))
+        return Matrix._make(self.rows, self.cols, self._den,
+                            [-x for x in self._re], [-y for y in self._im])
 
     def __mul__(self, c):
         if isinstance(c, Matrix):
@@ -293,19 +412,30 @@ class Matrix:
             return NotImplemented
         return matmul(self, other)
 
+    def _key(self):
+        return (self.rows, self.cols, self._den, self._re, self._im)
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._data == other._data
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._data)
+        return hash(self._key())
 
     def __repr__(self):
         rows = ", ".join(
-            "[" + ", ".join(format_scalar(e) for e in row) + "]"
-            for row in self._data)
+            "[" + ", ".join(format_scalar(e) for e in self.row_entries(i))
+            + "]" for i in range(self.rows))
         return f"Matrix([{rows}])"
+
+
+def _init(matrix, rows, cols, den, re, im):
+    object.__setattr__(matrix, "rows", rows)
+    object.__setattr__(matrix, "cols", cols)
+    object.__setattr__(matrix, "_den", den)
+    object.__setattr__(matrix, "_re", tuple(re))
+    object.__setattr__(matrix, "_im", tuple(im) if any(im) else ())
 
 
 def _require_square(a):
@@ -313,24 +443,22 @@ def _require_square(a):
         raise NotSquare(f"{a.rows}x{a.cols} matrix where square is required")
 
 
+def _complex_side(matrix, split):
+    """``split`` of the imaginary plane, or None when it is zero."""
+    return None if matrix._is_real() else split(matrix._im, matrix.cols)
+
+
 def matmul(a, b, counter=None):
     """Exact matrix product A·B."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = b.transpose()
-    out = []
-    for arow in a._data:
-        out_row = []
-        for bcol in bt._data:
-            acc = arow[0] * bcol[0]
-            for k in range(1, a.cols):
-                acc = acc + arow[k] * bcol[k]
-            out_row.append(acc)
-        out.append(tuple(out_row))
+    re, im = _complex_product(
+        _rows_of(a._re, a.cols), _complex_side(a, _rows_of),
+        _columns_of(b._re, b.cols), _complex_side(b, _columns_of))
     if counter is not None:
         counter.tally(mults=a.rows * a.cols * b.cols,
                       adds=a.rows * (a.cols - 1) * b.cols)
-    return Matrix._wrap(tuple(out))
+    return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
 
 
 def matvec(a, v, counter=None):
@@ -338,54 +466,162 @@ def matvec(a, v, counter=None):
     if v.orientation == "column":
         if len(v) != a.cols:
             raise DimensionMismatch(f"{a.rows}x{a.cols} @ column of {len(v)}")
-        ve = v.entries
-        result = []
-        for arow in a._data:
-            acc = arow[0] * ve[0]
-            for k in range(1, a.cols):
-                acc = acc + arow[k] * ve[k]
-            result.append(acc)
-        if counter is not None:
-            counter.tally(mults=a.rows * a.cols, adds=a.rows * (a.cols - 1))
-        return Vector(result, "column")
-    if len(v) != a.rows:
-        raise DimensionMismatch(f"row of {len(v)} @ {a.rows}x{a.cols}")
-    ve = v.entries
-    result = []
-    for j in range(a.cols):
-        acc = ve[0] * a._data[0][j]
-        for i in range(1, a.rows):
-            acc = acc + ve[i] * a._data[i][j]
-        result.append(acc)
-    if counter is not None:
-        counter.tally(mults=a.rows * a.cols, adds=(a.rows - 1) * a.cols)
-    return Vector(result, "row")
+        split = _rows_of
+    else:
+        if len(v) != a.rows:
+            raise DimensionMismatch(f"row of {len(v)} @ {a.rows}x{a.cols}")
+        split = _columns_of
+    den, v_re, v_im = _planes(v.entries)
+    re, im = _complex_product(split(a._re, a.cols), _complex_side(a, split),
+                              [v_re], [v_im] if any(v_im) else None)
+    if counter is not None:  # one addition fewer than terms per output
+        counter.tally(mults=a.rows * a.cols,
+                      adds=a.rows * a.cols - len(re))
+    den *= a._den
+    return Vector((_scalar(x, y, den) for x, y in zip(re, im)),
+                  v.orientation)
 
 
 def trace(a, counter=None):
     _require_square(a)
-    acc = a._data[0][0]
-    for i in range(1, a.rows):
-        acc = acc + a._data[i][i]
+    step = a.cols + 1
     if counter is not None:
         counter.tally(adds=a.rows - 1)
-    return acc
+    return _scalar(sum(a._re[::step]), sum(a._im[::step]), a._den)
 
 
 def subtract_scalar_diag(a, lam):
     """The characteristic (shifted) matrix A − λI."""
     _require_square(a)
-    lam = to_scalar(lam)
-    return Matrix._wrap(tuple(
-        tuple(e - lam if i == j else e for j, e in enumerate(row))
-        for i, row in enumerate(a._data)))
+    lam_den, (lam_re,), (lam_im,) = _planes([to_scalar(lam)])
+    den = lcm(a._den, lam_den)
+    f, g = den // a._den, den // lam_den
+    re = [f * x for x in a._re]
+    im = [f * y for y in a._imag()]
+    for k in range(0, len(re), a.cols + 1):
+        re[k] -= g * lam_re
+        im[k] -= g * lam_im
+    return Matrix._make(a.rows, a.cols, den, re, im)
 
 
 def hstack(a, b):
     """[A | B] with equal row counts."""
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    return Matrix._wrap(tuple(ra + rb for ra, rb in zip(a._data, b._data)))
+    den = lcm(a._den, b._den)
+    f, g = den // a._den, den // b._den
+
+    def joined(left, right):
+        return [x for u, v in zip(_rows_of(left, a.cols),
+                                  _rows_of(right, b.cols))
+                for x in [f * y for y in u] + [g * y for y in v]]
+    return Matrix._make(a.rows, a.cols + b.cols, den,
+                        joined(a._re, b._re), joined(a._imag(), b._imag()))
+
+
+# -- fraction-free elimination ------------------------------------------------
+
+
+def _integer_rows(a):
+    """Mutable numerator rows of ``a``: (re rows, im rows or None)."""
+    im = None if a._is_real() else [list(r) for r in _rows_of(a._im, a.cols)]
+    return [list(r) for r in _rows_of(a._re, a.cols)], im
+
+
+def _eliminate(re_rows, im_rows, ncols, full, counter):
+    """Fraction-free (Bareiss) elimination of Gaussian-integer rows, in
+    place; ``im_rows`` is None for real rows.
+
+    Pivots are the first nonzero entry down each column, as in
+    Gauss–Jordan elimination over the field. After each pivot every row
+    equals that pivot (a minor of the input on the pivot rows and
+    columns) times the corresponding row of the field elimination, so
+    the division by the previous pivot is exact and all entries stay
+    Gaussian integers. ``full`` clears the rows above each pivot too,
+    which ends at d·RREF with d the last pivot; otherwise only the rows
+    below are cleared (echelon form). Returns ``(pivots, d, sign)``,
+    with d as a (re, im) pair (1 when there is no pivot) and sign the
+    parity of the row swaps.
+    """
+    nrows = len(re_rows)
+    pivots = []
+    prev_re, prev_im = 1, 0
+    sign = 1
+    mults = adds = divs = 0
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, nrows) if re_rows[i][c]
+                      or (im_rows is not None and im_rows[i][c])), None)
+        if found is None:
+            continue
+        if found != r:
+            sign = -sign
+            re_rows[r], re_rows[found] = re_rows[found], re_rows[r]
+            if im_rows is not None:
+                im_rows[r], im_rows[found] = im_rows[found], im_rows[r]
+        p_re = re_rows[r][c]
+        p_im = 0 if im_rows is None else im_rows[r][c]
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            start = pivots[i] if i < r else c
+            f_re = re_rows[i][c]
+            f_im = 0 if im_rows is None else im_rows[i][c]
+            if not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im):
+                continue  # the update would leave the row as it is
+            width = ncols - start
+            mults += 2 * width if f_re or f_im else width
+            adds += width if f_re or f_im else 0
+            if im_rows is None:
+                x, y = re_rows[i][start:], re_rows[r][start:]
+                new_re = ([p_re * u - f_re * v for u, v in zip(x, y)]
+                          if f_re else [p_re * u for u in x])
+                new_im = []
+            else:
+                new_re, new_im = _pivot_update(
+                    re_rows[i][start:], im_rows[i][start:],
+                    re_rows[r][start:], im_rows[r][start:],
+                    p_re, p_im, f_re, f_im)
+            if (prev_re, prev_im) != (1, 0):
+                divs += width
+                new_re, new_im = _exact_division(new_re, new_im,
+                                                 prev_re, prev_im)
+            re_rows[i][start:] = new_re
+            if im_rows is not None:
+                im_rows[i][start:] = new_im
+        pivots.append(c)
+        prev_re, prev_im = p_re, p_im
+        if len(pivots) == nrows:
+            break
+    if counter is not None:
+        counter.tally(mults=mults, adds=adds, divs=divs)
+    return tuple(pivots), (prev_re, prev_im), sign
+
+
+def _pivot_update(x_re, x_im, y_re, y_im, p_re, p_im, f_re, f_im):
+    """p·x − f·y entrywise over ℤ[i] (before the division)."""
+    new_re = [p_re * a - p_im * b - f_re * c + f_im * d
+              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
+    new_im = [p_re * b + p_im * a - f_re * d - f_im * c
+              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
+    return new_re, new_im
+
+
+def _exact_division(re, im, d_re, d_im):
+    """Entries re + im·i divided by d_re + d_im·i, known to be exact."""
+    if not d_im:
+        return [x // d_re for x in re], [y // d_re for y in im]
+    norm = d_re * d_re + d_im * d_im
+    return ([(x * d_re + y * d_im) // norm for x, y in zip(re, im)],
+            [(y * d_re - x * d_im) // norm for x, y in zip(re, im)])
+
+
+def _reduced(a, counter):
+    """d·RREF of the numerators of ``a`` as (re rows, im rows or None,
+    pivots, d); the common denominator changes neither."""
+    re_rows, im_rows = _integer_rows(a)
+    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols, True, counter)
+    return re_rows, im_rows, pivots, d
 
 
 def rref(a, counter=None):
@@ -393,121 +629,85 @@ def rref(a, counter=None):
 
     Returns ``(R, pivots)`` with pivot column indices ascending. Pivot
     choice is the first nonzero entry down each column — the only
-    deterministic rule that makes sense in exact arithmetic.
+    deterministic rule that makes sense in exact arithmetic; the RREF
+    itself is unique.
     """
-    m = [list(row) for row in a._data]
-    nrows, ncols = a.rows, a.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = m[r][c]
-        if p != ONE:
-            divs = 0
-            for j in range(c, ncols):
-                if m[r][j]:
-                    m[r][j] = m[r][j] / p
-                    divs += 1
-            if counter is not None:
-                counter.tally(divs=divs)
-        for i in range(nrows):
-            if i == r or not m[i][c]:
-                continue
-            f = m[i][c]
-            m[i][c] = ZERO
-            ops = 0
-            for j in range(c + 1, ncols):
-                if m[r][j]:
-                    m[i][j] = m[i][j] - f * m[r][j]
-                    ops += 1
-            if counter is not None:
-                counter.tally(mults=ops, adds=ops)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix._wrap(tuple(tuple(row) for row in m)), tuple(pivots)
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a, counter)
+    if counter is not None:
+        counter.tally(divs=len(pivots) * a.cols)
+    re = [x for row in re_rows for x in row]
+    im = ([0] * len(re) if im_rows is None
+          else [y for row in im_rows for y in row])
+    den, re, im = _quotient(re, im, d_re, d_im)
+    return Matrix._make(a.rows, a.cols, den, re, im), pivots
 
 
 def rank(a, counter=None):
-    return len(rref(a, counter)[1])
+    re_rows, im_rows = _integer_rows(a)
+    return len(_eliminate(re_rows, im_rows, a.cols, False, counter)[0])
 
 
 def nullspace_basis(a, counter=None):
     """Exact basis of the null space from the free-variable
     parameterization of the RREF, each vector in canonical normalized
-    form. Empty list when the matrix is injective."""
-    reduced, pivots = rref(a, counter)
-    pivot_set = set(pivots)
+    form. Empty list when the matrix is injective.
+
+    With d·RREF in hand, the vector for a free column f has d at f and
+    minus column f of d·RREF at the pivot columns: d times the RREF's
+    vector, which normalizes to the same line."""
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a, counter)
     basis = []
     for free_col in range(a.cols):
-        if free_col in pivot_set:
+        if free_col in pivots:
             continue
-        v = [ZERO] * a.cols
-        v[free_col] = ONE
+        re, im = [0] * a.cols, [0] * a.cols
+        re[free_col], im[free_col] = d_re, d_im
         for k, pivot_col in enumerate(pivots):
-            v[pivot_col] = -reduced._data[k][free_col]
-        basis.append(normalize_eigenvector(Vector(v)))
+            re[pivot_col] = -re_rows[k][free_col]
+            if im_rows is not None:
+                im[pivot_col] = -im_rows[k][free_col]
+        basis.append(_primitive(re, im, "column"))
     return basis
 
 
 def det(a, counter=None):
-    """Exact determinant via fraction-tracked forward elimination."""
+    """Exact determinant by fraction-free forward elimination: the last
+    Bareiss pivot is the determinant of the numerators."""
     _require_square(a)
     n = a.rows
-    m = [list(row) for row in a._data]
-    sign = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c]:
-                continue
-            f = m[i][c] / p
-            m[i][c] = ZERO
-            ops = 0
-            for j in range(c + 1, n):
-                if m[c][j]:
-                    m[i][j] = m[i][j] - f * m[c][j]
-                    ops += 1
-            if counter is not None:
-                counter.tally(mults=ops, adds=ops, divs=1)
-    result = m[0][0]
-    for i in range(1, n):
-        result = result * m[i][i]
+    re_rows, im_rows = _integer_rows(a)
+    pivots, (d_re, d_im), sign = _eliminate(re_rows, im_rows, n, False,
+                                            counter)
+    if len(pivots) < n:
+        return ZERO
     if counter is not None:
-        counter.tally(mults=n - 1)
-    if sign < 0:
-        result = -result
-    return result
+        counter.tally(divs=1)
+    return _scalar(sign * d_re, sign * d_im, a._den ** n)
 
 
 def inverse(a, counter=None):
-    """Exact inverse via Gauss–Jordan on [A | I]; raises Singular."""
+    """Exact inverse by fraction-free Gauss–Jordan on [N | I], where N
+    holds the numerators of A = N/den: it ends at [d·I | d·N⁻¹], so
+    A⁻¹ = den·(d·N⁻¹)/d. Raises Singular."""
     _require_square(a)
     n = a.rows
-    reduced, pivots = rref(hstack(a, Matrix.identity(n)), counter)
+    re_rows, im_rows = _integer_rows(a)
+    for i in range(n):
+        re_rows[i].extend(int(i == j) for j in range(n))
+        if im_rows is not None:
+            im_rows[i].extend([0] * n)
+    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n, True,
+                                         counter)
     if pivots != tuple(range(n)):
         # a singular left block pushes pivots into the identity half
         raise Singular("matrix is singular")
-    return Matrix._wrap(tuple(row[n:] for row in reduced._data))
+    if counter is not None:
+        counter.tally(divs=n * n)
+    re = [a._den * x for row in re_rows for x in row[n:]]
+    im = ([0] * len(re) if im_rows is None
+          else [a._den * y for row in im_rows for y in row[n:]])
+    den, re, im = _quotient(re, im, d_re, d_im)
+    return Matrix._make(n, n, den, re, im)
 
 
 def cross3(u, v, counter=None):
@@ -538,37 +738,30 @@ def is_independent(vectors, candidate, counter=None):
     return rank(stacked, counter) == len(vectors) + 1
 
 
-def _denominator_lcm(entries):
-    result = 1
-    for e in entries:
-        result = lcm(result, e.re.denominator, e.im.denominator)
-    return result
-
-
-def _numerator_gcd(entries):
-    result = 0
-    for e in entries:
-        result = gcd(result, abs(e.re.numerator), abs(e.im.numerator))
-    return result
+def _primitive(re, im, orientation):
+    """The Gaussian-integer vector re + im·i (not zero) scaled to its
+    canonical form: multiplying by the conjugate of the first nonzero
+    component makes that component a positive integer, and dividing by
+    the gcd of all integer parts makes the vector primitive."""
+    k = next(i for i, (x, y) in enumerate(zip(re, im)) if x or y)
+    if im[k] or re[k] < 0:
+        _, re, im = _quotient(re, im, re[k], im[k])
+    g = gcd(*re, *im)
+    return Vector((GaussianRational(x // g, y // g) for x, y in zip(re, im)),
+                  orientation)
 
 
 def normalize_eigenvector(v):
     """Canonical representative of the line (or scaled family) through v.
 
-    Divides by the first nonzero component, clears denominators by their
-    LCM, and divides out the GCD of the integer numerators. The result is
-    a primitive Gaussian-integer vector whose first nonzero component is a
-    positive integer. Idempotent, and invariant under scaling by any
-    nonzero Gaussian-rational factor — so equal inputs-up-to-scale yield
-    the identical output.
+    The result is the primitive Gaussian-integer vector on the line
+    whose first nonzero component is a positive integer: the numerators
+    of v over a common denominator, times the conjugate of their first
+    nonzero component, with their content removed. Idempotent, and
+    invariant under scaling by any nonzero Gaussian-rational factor — so
+    equal inputs-up-to-scale yield the identical output.
     """
-    idx = v.first_nonzero_index()
-    if idx is None:
+    _, re, im = _planes(v.entries)
+    if not any(re) and not any(im):
         raise ZeroVector("cannot normalize the zero vector")
-    pivot = v[idx]
-    directed = [e / pivot for e in v.entries]
-    scale_up = _denominator_lcm(directed)
-    scaled = [e * scale_up for e in directed]
-    common = _numerator_gcd(scaled)
-    factor = GaussianRational(Rational(1, common))
-    return Vector((e * factor for e in scaled), v.orientation)
+    return _primitive(re, im, v.orientation)

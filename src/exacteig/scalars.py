@@ -10,6 +10,7 @@ Scalar grammar (no whitespace anywhere)::
     scalar := real | imag | real imag
     real   := ['-'] digits ['/' digits]
     imag   := sign [digits ['/' digits]] 'i'
+    digits := one or more of the ASCII digits 0-9
 
 where ``sign`` is mandatory between a real and an imaginary part and
 optional on a standalone imaginary part. ``"i"`` and ``"-i"`` mean ±1i,
@@ -20,9 +21,10 @@ and ``"3/2i"`` means (3/2)i. Examples: ``3``, ``-3/2``, ``i``, ``2i``,
 from __future__ import annotations
 
 import re
+import sys
 
 from ._backend import BACKEND_NAME, GaussianRational, Rational, active_backend
-from .errors import ParseError
+from .errors import DigitLimitExceeded, ParseError
 
 __all__ = [
     "BACKEND_NAME",
@@ -40,19 +42,29 @@ __all__ = [
 ]
 
 _SCALAR_RE = re.compile(
-    r"""(?:(?P<re>-?\d+(?:/\d+)?)          # real part
-          (?:(?P<im1>[+-](?:\d+(?:/\d+)?)?)i)?  # signed imaginary part
-        |(?P<im2>-?(?:\d+(?:/\d+)?)?)i     # standalone imaginary part
+    r"""(?:(?P<re>-?[0-9]+(?:/[0-9]+)?)          # real part
+          (?:(?P<im1>[+-](?:[0-9]+(?:/[0-9]+)?)?)i)?  # signed imaginary part
+        |(?P<im2>-?(?:[0-9]+(?:/[0-9]+)?)?)i     # standalone imaginary part
        )\Z""",
     re.VERBOSE,
 )
 
 
+def _int_from_digits(text):
+    try:
+        return int(text)
+    except ValueError as exc:  # the grammar admits only the digit limit
+        raise ParseError(
+            f"integer of {len(text.lstrip('-'))} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit of int "
+            "conversion") from exc
+
+
 def _rational_from_text(text):
     if "/" in text:
         num, den = text.split("/")
-        return Rational(int(num), int(den))
-    return Rational(int(text))
+        return Rational(_int_from_digits(num), _int_from_digits(den))
+    return Rational(_int_from_digits(text))
 
 
 def parse_scalar(text):
@@ -91,10 +103,19 @@ def _signed_magnitude(text):
 
 
 def format_rational(r):
-    """Canonical text of a Rational: ``"3"``, ``"-3/2"``."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    """Canonical text of a Rational: ``"3"``, ``"-3/2"``.
+
+    Raises DigitLimitExceeded when a part has more digits than Python
+    converts to text."""
+    try:
+        if r.denominator == 1:
+            return str(r.numerator)
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError as exc:
+        raise DigitLimitExceeded(
+            "result has an integer beyond the "
+            f"{sys.get_int_max_str_digits()}-digit limit of int-to-text "
+            "conversion") from exc
 
 
 def format_scalar(z):

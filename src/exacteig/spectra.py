@@ -223,7 +223,8 @@ class Spectrum:
         cleaned = []
         for value, mult in pairs:
             value = to_scalar(value)
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(mult, int) or isinstance(mult, bool) \
+                    or mult < 1:
                 raise InvalidSpectrum(
                     f"multiplicity of {format_scalar(value)} must be a "
                     f"positive integer, got {mult!r}")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -259,6 +260,43 @@ class TestExitCodes:
         ]})
         code, _, err = run("eigenvectors", matrix, "--spectrum", spec)
         assert code == 5 and "error:" in err
+
+    def test_entry_past_digit_limit_is_2_with_location(self, run,
+                                                        write_json):
+        path = write_json({"rows": 1, "cols": 1,
+                           "entries": [["1" + "0" * 5000]]})
+        code, _, err = run("charpoly", path)
+        assert code == 2 and "entry (0,0)" in err and "digit" in err
+
+    def test_output_past_digit_limit_is_1_naming_it(self, run, write_json):
+        path = write_json({"rows": 2, "cols": 2,
+                           "entries": [["2", "0"], ["0", "1"]]})
+        code, out, err = run("power", path, "--n", "20000")
+        assert code == 1 and out == ""
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+    def test_non_ascii_digit_is_2(self, run, write_json):
+        path = write_json({"rows": 1, "cols": 1, "entries": [["\u0663"]]})
+        code, _, err = run("charpoly", path)
+        assert code == 2 and "entry (0,0)" in err
+
+    def test_boolean_rows_is_2(self, run, write_json):
+        path = write_json({"rows": True, "cols": 1, "entries": [["1"]]})
+        code, _, err = run("charpoly", path)
+        assert code == 2
+        assert err == "error: rows and cols must be positive integers\n"
+
+    def test_boolean_multiplicity_is_2(self, run, write_json):
+        matrix = write_json(matrix_to_json(SHORTCUT))
+        spec = write_json({"eigenvalues": [
+            {"value": "2", "multiplicity": True},
+            {"value": "5", "multiplicity": 1},
+        ]})
+        code, out, err = run("eigenvectors", matrix, "--spectrum", spec,
+                             "--json")
+        assert code == 2 and out == ""
+        assert err == ("error: eigenvalue 0: multiplicity must be a "
+                       "positive integer\n")
 
     def test_target_not_in_spectrum_is_5(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))

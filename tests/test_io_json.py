@@ -55,6 +55,14 @@ class TestMatrixErrors:
          "entry (1,1)"),
         ('{"rows": 2, "cols": 2, "entries": [["1","2"],["3","1/0"]]}',
          "entry (1,1)"),
+        pytest.param(
+            '{"rows": 1, "cols": 1, "entries": [["1' + "0" * 5000 + '"]]}',
+            "entry (0,0)", id="entry-past-digit-limit"),
+        ('{"rows": true, "cols": 1, "entries": [["1"]]}', "positive"),
+        ('{"rows": 1, "cols": true, "entries": [["1"]]}', "positive"),
+        pytest.param(
+            '{"rows": 1' + "0" * 5000 + ', "cols": 1, "entries": []}',
+            "invalid JSON", id="json-number-past-digit-limit"),
     ])
     def test_locating_messages(self, text, needle):
         with pytest.raises(SchemaError) as excinfo:
@@ -94,6 +102,8 @@ class TestSpectrumErrors:
          "positive integer"),
         ({"eigenvalues": [{"value": "2+i"}]}, "'multiplicity'"),
         ({}, "eigenvalues"),
+        ({"eigenvalues": [{"value": "1", "multiplicity": True}]},
+         "positive integer"),
     ])
     def test_schema_violations(self, payload, needle):
         with pytest.raises(SchemaError) as excinfo:

@@ -45,7 +45,8 @@ class TestParsing:
         assert z.im.numerator == im_num and z.im.denominator == im_den
 
     @pytest.mark.parametrize("text", ["", "garbage!", "1+", "i2", "1//2",
-                                      "2 + 3", "+-1", "1.5"])
+                                      "2 + 3", "+-1", "1.5", "\u0663",
+                                      "1+\u0663i", "\uff13/2"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_scalar(text)
@@ -53,6 +54,10 @@ class TestParsing:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             parse_scalar("1/0")
+
+    def test_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="digit"):
+            parse_scalar("1/" + "9" * 5000)
 
     def test_whitespace_rejected(self):
         with pytest.raises(ParseError):

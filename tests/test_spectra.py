@@ -219,6 +219,10 @@ class TestSpectrumContainer:
         with pytest.raises(InvalidSpectrum):
             spectrum([(1, 0)])
 
+    def test_boolean_multiplicity_rejected(self):
+        with pytest.raises(InvalidSpectrum):
+            Spectrum([(1, True)])
+
     def test_membership_and_multiplicity(self):
         s = spectrum([(1, 2), (3, 1)])
         assert to_scalar(1) in s and to_scalar(2) not in s

@@ -66,7 +66,7 @@ from .spectra import (
     charpoly,
     find_spectrum,
     format_polynomial,
-    verify_spectrum,
+    resolve_spectrum,
 )
 from .verification import (
     GeneratorConfig,
@@ -199,12 +199,12 @@ def _load_matrix(args):
     return parse_matrix_json(_read_text(args.matrix))
 
 
-def _load_spectrum(a, args):
-    """Spectrum from --spectrum (validated against the matrix) or
-    computed exactly from the characteristic polynomial."""
+def _parsed_spectrum(args):
+    """The --spectrum document, not yet checked against the matrix, or
+    None when the option is absent."""
     if getattr(args, "spectrum", None):
-        return verify_spectrum(a, parse_spectrum_json(_read_text(args.spectrum)))
-    return find_spectrum(charpoly(a))
+        return parse_spectrum_json(_read_text(args.spectrum))
+    return None
 
 
 def _print_matrix(m, indent=""):
@@ -227,7 +227,7 @@ def _run_eigenvectors(args, left, method):
         return _fail(2, "--method cross only applies to 3x3 matrices")
     if left and method not in ("kappa", "oracle"):
         return _fail(2, f"--method {method} does not support --left")
-    s = _load_spectrum(a, args)
+    s = resolve_spectrum(a, _parsed_spectrum(args))
     if args.target is not None:
         lam = parse_scalar(args.target)
         if lam not in s:
@@ -306,8 +306,7 @@ def _intersect_method(a, s, lam):
 
 def _cmd_diagonalize(args):
     a = _load_matrix(args)
-    s = _load_spectrum(a, args)
-    result = diagonalize(a, s)
+    result = diagonalize(a, _parsed_spectrum(args))
     if args.json:
         _emit_json({
             "P": matrix_to_json(result.p),
@@ -326,8 +325,7 @@ def _cmd_diagonalize(args):
 
 def _cmd_jordan(args):
     a = _load_matrix(args)
-    s = _load_spectrum(a, args)
-    result = jordan_form(a, s)
+    result = jordan_form(a, _parsed_spectrum(args))
     if args.json:
         _emit_json({
             "P": matrix_to_json(result.p),
@@ -370,7 +368,7 @@ def _cmd_charpoly(args):
 
 def _cmd_check(args):
     a = _load_matrix(args)
-    s = _load_spectrum(a, args)
+    s = resolve_spectrum(a, _parsed_spectrum(args))
     ok, witness = is_diagonalizable(a, s)
     if args.json:
         _emit_json({
@@ -401,11 +399,8 @@ def _cmd_power(args):
 
 def _cmd_ode(args):
     a = _load_matrix(args)
-    s = None
-    if args.spectrum:
-        s = verify_spectrum(a, parse_spectrum_json(_read_text(args.spectrum)))
     realify = False if args.no_realify else None
-    terms = ode_general_solution(a, s, realify)
+    terms = ode_general_solution(a, _parsed_spectrum(args), realify)
     if args.json:
         _emit_json({"terms": [_term_to_json(t) for t in terms]})
         return 0
@@ -497,7 +492,7 @@ def render_ode_term(term):
 def _cmd_bench(args):
     if args.matrix is not None:
         a = _load_matrix(args)
-        s = _load_spectrum(a, args)
+        s = resolve_spectrum(a, _parsed_spectrum(args))
     else:
         if args.dim is None:
             return _fail(2, "bench needs a matrix file or --dim")

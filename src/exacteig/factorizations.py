@@ -25,7 +25,7 @@ from .errors import (
 from .jordan import build_chains
 from .matrices import Matrix, Vector, inverse, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
-from .spectra import charpoly, find_spectrum, verify_spectrum
+from .spectra import resolve_spectrum
 
 __all__ = [
     "Diagonalization",
@@ -50,13 +50,6 @@ class Diagonalization:
     eigen_order: tuple
 
 
-def _resolve_spectrum(a, s):
-    """Find the spectrum when none is given, validate it when one is."""
-    if s is None:
-        return find_spectrum(charpoly(a))
-    return verify_spectrum(a, s)
-
-
 def diagonalize(a, s=None, counter=None):
     """Exact eigendecomposition A = P·D·P⁻¹.
 
@@ -68,7 +61,7 @@ def diagonalize(a, s=None, counter=None):
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
-    s = _resolve_spectrum(a, s)
+    s = resolve_spectrum(a, s)
     ok, witness = is_diagonalizable(a, s, counter)
     if not ok:
         raise NotDiagonalizable(
@@ -179,7 +172,7 @@ def ode_general_solution(a, s=None, realify=None):
     elif realify and not all_real:
         raise RealifyOnComplexMatrix(
             "cannot realify solutions of a matrix with nonreal entries")
-    s = _resolve_spectrum(a, s)
+    s = resolve_spectrum(a, s)
     terms = []
 
     def next_label():

@@ -35,7 +35,7 @@ from .matrices import (
     subtract_scalar_diag,
 )
 from .scalars import ONE, ZERO, GaussianRational, Rational, to_scalar
-from .spectra import verify_spectrum
+from .spectra import resolve_spectrum
 
 __all__ = [
     "JordanChain",
@@ -187,15 +187,17 @@ def build_chains(a, lam, counter=None):
     return chains
 
 
-def jordan_form(a, s):
+def jordan_form(a, s=None):
     """Exact Jordan decomposition A = P·J·P⁻¹.
 
+    The spectrum ``s`` is verified when given and found exactly when not
+    (raising IrrationalSpectrum when it escapes exact representation).
     Eigenvalues appear along J in ascending order; within one eigenvalue
     the blocks come largest first, with ones on the superdiagonal. The
     columns of P are the chain vectors x₁…x_m per block. The identity
     P·J·P⁻¹ = A is verified exactly before returning.
     """
-    s = verify_spectrum(a, s)
+    s = resolve_spectrum(a, s)
     n = a.rows
     columns = []
     j_rows = [[ZERO] * n for _ in range(n)]

@@ -112,7 +112,9 @@ class Vector:
     __slots__ = ("entries", "orientation")
 
     def __init__(self, entries, orientation="column"):
-        data = tuple(to_scalar(e) for e in entries)
+        # from a list: tuple(generator) over-allocates and shrinks, which
+        # leaves dead vectors' tuples on a free list no new vector reuses
+        data = tuple([to_scalar(e) for e in entries])
         if not data:
             raise DimensionMismatch("empty vector")
         if orientation not in ("column", "row"):

@@ -1,9 +1,11 @@
-"""Exact scalars: construction helpers, text parsing, and formatting.
+"""Exact scalars: the number types, text parsing, and formatting.
 
-The scalar types themselves (:class:`Rational`, :class:`GaussianRational`)
-come from the selected arithmetic backend (see ``exacteig._backend``);
-this module adds the canonical text form used across the CLI and JSON
-interfaces.
+:class:`Rational` and :class:`GaussianRational` compose
+:class:`fractions.Fraction`, which keeps the reduced,
+positive-denominator normal form; :class:`GaussianRational` pairs two of
+them. Matrices do not store these objects (see ``exacteig.matrices``);
+they build them on demand when entries are read out. This module also
+defines the canonical text form used across the CLI and JSON interfaces.
 
 Scalar grammar (no whitespace anywhere)::
 
@@ -16,30 +18,320 @@ where ``sign`` is mandatory between a real and an imaginary part and
 optional on a standalone imaginary part. ``"i"`` and ``"-i"`` mean ±1i,
 and ``"3/2i"`` means (3/2)i. Examples: ``3``, ``-3/2``, ``i``, ``2i``,
 ``1-1/2i``, ``-1/2+3/4i``.
+
+Every value has exactly one text form, the one :func:`format_scalar`
+writes: fractions in lowest terms with no denominator 1, no leading
+zeros, no ``-0``, no zero part beside a nonzero one, and no coefficient
+1 on ``i``. :func:`parse_scalar` rejects any other spelling of a value
+(``"01"``, ``"2/4"``, ``"1/1"``, ``"0i"``, ``"1i"``, ``"1+0i"``).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 
-from ._backend import BACKEND_NAME, GaussianRational, Rational, active_backend
-from .errors import DigitLimitExceeded, ParseError
+from .errors import DigitLimitExceeded, DivisionByZero, ParseError
 
 __all__ = [
-    "BACKEND_NAME",
     "GaussianRational",
     "IMAG_UNIT",
     "ONE",
     "Rational",
     "ZERO",
-    "active_backend",
     "format_rational",
     "format_scalar",
     "parse_scalar",
     "scalar_key",
     "to_scalar",
 ]
+
+
+class Rational:
+    """Exact rational number, always reduced with positive denominator."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, numerator=0, denominator=1):
+        if isinstance(numerator, Rational):
+            numerator = numerator._f
+        elif not isinstance(numerator, int):
+            raise TypeError(f"numerator must be int, not {type(numerator).__name__}")
+        if not isinstance(denominator, int):
+            raise TypeError(f"denominator must be int, not {type(denominator).__name__}")
+        if denominator == 0:
+            raise DivisionByZero("rational with zero denominator")
+        self._f = Fraction(numerator, denominator)
+
+    @classmethod
+    def _wrap(cls, frac):
+        self = object.__new__(cls)
+        self._f = frac
+        return self
+
+    @property
+    def numerator(self):
+        return self._f.numerator
+
+    @property
+    def denominator(self):
+        return self._f.denominator
+
+    def __add__(self, other):
+        if isinstance(other, Rational):
+            return Rational._wrap(self._f + other._f)
+        if isinstance(other, int):
+            return Rational._wrap(self._f + other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Rational):
+            return Rational._wrap(self._f - other._f)
+        if isinstance(other, int):
+            return Rational._wrap(self._f - other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return Rational._wrap(other - self._f)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Rational):
+            return Rational._wrap(self._f * other._f)
+        if isinstance(other, int):
+            return Rational._wrap(self._f * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Rational):
+            if not other._f:
+                raise DivisionByZero("division by zero rational")
+            return Rational._wrap(self._f / other._f)
+        if isinstance(other, int):
+            if other == 0:
+                raise DivisionByZero("division by zero")
+            return Rational._wrap(self._f / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, int):
+            if not self._f:
+                raise DivisionByZero("division by zero rational")
+            return Rational._wrap(other / self._f)
+        return NotImplemented
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0 and not self._f:
+            raise DivisionByZero("zero raised to a negative power")
+        return Rational._wrap(self._f ** exponent)
+
+    def __neg__(self):
+        return Rational._wrap(-self._f)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return Rational._wrap(abs(self._f))
+
+    def __bool__(self):
+        return bool(self._f)
+
+    def _cmp_value(self, other):
+        if isinstance(other, Rational):
+            return other._f
+        if isinstance(other, int):
+            return other
+        return None
+
+    def __eq__(self, other):
+        value = self._cmp_value(other)
+        if value is None:
+            return NotImplemented
+        return self._f == value
+
+    def __lt__(self, other):
+        value = self._cmp_value(other)
+        if value is None:
+            return NotImplemented
+        return self._f < value
+
+    def __le__(self, other):
+        value = self._cmp_value(other)
+        if value is None:
+            return NotImplemented
+        return self._f <= value
+
+    def __gt__(self, other):
+        value = self._cmp_value(other)
+        if value is None:
+            return NotImplemented
+        return self._f > value
+
+    def __ge__(self, other):
+        value = self._cmp_value(other)
+        if value is None:
+            return NotImplemented
+        return self._f >= value
+
+    def __hash__(self):
+        # Consistent with equality against plain ints.
+        if self._f.denominator == 1:
+            return hash(self._f.numerator)
+        return hash((self._f.numerator, self._f.denominator))
+
+    def __repr__(self):
+        if self._f.denominator == 1:
+            return str(self._f.numerator)
+        return f"{self._f.numerator}/{self._f.denominator}"
+
+
+def _as_rational(value, what):
+    if isinstance(value, Rational):
+        return value
+    if isinstance(value, int):
+        return Rational(value)
+    raise TypeError(f"{what} must be int or Rational, not {type(value).__name__}")
+
+
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts."""
+
+    __slots__ = ("_re", "_im")
+
+    def __init__(self, re=0, im=0):
+        self._re = _as_rational(re, "real part")
+        self._im = _as_rational(im, "imaginary part")
+
+    @classmethod
+    def _make(cls, re_frac, im_frac):
+        self = object.__new__(cls)
+        self._re = Rational._wrap(re_frac)
+        self._im = Rational._wrap(im_frac)
+        return self
+
+    @property
+    def re(self):
+        return self._re
+
+    @property
+    def im(self):
+        return self._im
+
+    def conjugate(self):
+        return GaussianRational._make(self._re._f, -self._im._f)
+
+    def is_real(self):
+        return not self._im._f
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, GaussianRational):
+            return other
+        if isinstance(other, int):
+            return GaussianRational._make(Fraction(other), Fraction(0))
+        if isinstance(other, Rational):
+            return GaussianRational._make(other._f, Fraction(0))
+        return None
+
+    def __add__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return GaussianRational._make(self._re._f + w._re._f, self._im._f + w._im._f)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return GaussianRational._make(self._re._f - w._re._f, self._im._f - w._im._f)
+
+    def __rsub__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return GaussianRational._make(w._re._f - self._re._f, w._im._f - self._im._f)
+
+    def __mul__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        a, b = self._re._f, self._im._f
+        c, d = w._re._f, w._im._f
+        return GaussianRational._make(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        c, d = w._re._f, w._im._f
+        norm = c * c + d * d
+        if not norm:
+            raise DivisionByZero("division by zero scalar")
+        a, b = self._re._f, self._im._f
+        return GaussianRational._make((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __rtruediv__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return w.__truediv__(self)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            base = GaussianRational._make(Fraction(1), Fraction(0)) / self
+            exponent = -exponent
+        else:
+            base = self
+        result = GaussianRational._make(Fraction(1), Fraction(0))
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __neg__(self):
+        return GaussianRational._make(-self._re._f, -self._im._f)
+
+    def __pos__(self):
+        return self
+
+    def __bool__(self):
+        return bool(self._re._f) or bool(self._im._f)
+
+    def __eq__(self, other):
+        w = self._coerce(other)
+        if w is None:
+            return NotImplemented
+        return self._re._f == w._re._f and self._im._f == w._im._f
+
+    def __hash__(self):
+        # Consistent with equality against Rational and int when im == 0.
+        if not self._im._f:
+            return hash(self._re)
+        return hash((self._re._f.numerator, self._re._f.denominator,
+                     self._im._f.numerator, self._im._f.denominator))
+
+    def __repr__(self):
+        if not self._im._f:
+            return repr(self._re)
+        return f"({self._re!r}{'+' if self._im._f > 0 else '-'}{abs(self._im)!r}i)"
+
 
 _SCALAR_RE = re.compile(
     r"""(?:(?P<re>-?[0-9]+(?:/[0-9]+)?)          # real part
@@ -70,8 +362,9 @@ def _rational_from_text(text):
 def parse_scalar(text):
     """Parse the canonical scalar grammar into a :class:`GaussianRational`.
 
-    Raises ParseError on malformed input and DivisionByZero on a zero
-    denominator literal such as ``"1/0"``.
+    Raises DivisionByZero on a zero denominator literal such as
+    ``"1/0"``, and ParseError on malformed input and on any text that is
+    not the canonical form of its value (``"2/4"``, ``"1i"``).
     """
     if not isinstance(text, str):
         raise ParseError(f"scalar must be a string, got {type(text).__name__}")
@@ -86,7 +379,13 @@ def parse_scalar(text):
         re_part = _rational_from_text(m.group("re"))
         im1 = m.group("im1")
         im_part = _signed_magnitude(im1) if im1 is not None else Rational(0)
-    return GaussianRational(re_part, im_part)
+    z = GaussianRational(re_part, im_part)
+    canonical = format_scalar(z)
+    if canonical != text:
+        raise ParseError(
+            f"non-canonical scalar {text!r}; its canonical form is "
+            f"{canonical!r}")
+    return z
 
 
 def _signed_magnitude(text):

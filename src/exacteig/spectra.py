@@ -40,6 +40,7 @@ __all__ = [
     "find_spectrum",
     "format_polynomial",
     "multiplicity_of",
+    "resolve_spectrum",
     "shift_spectrum",
     "verify_spectrum",
 ]
@@ -309,6 +310,15 @@ def verify_spectrum(a, claimed):
         raise WrongSpectrum(
             "claimed eigenvalues do not factor the characteristic polynomial")
     return s
+
+
+def resolve_spectrum(a, s):
+    """The spectrum of ``a``: found exactly when ``s`` is None (raising
+    IrrationalSpectrum when it escapes ℚ(i)), else ``s`` verified against
+    ``a``. Either way one characteristic polynomial is computed."""
+    if s is None:
+        return find_spectrum(charpoly(a))
+    return verify_spectrum(a, s)
 
 
 def _divisors(m):

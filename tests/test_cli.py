@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import exacteig
 from exacteig import matrix_to_json, spectrum_to_json
 from exacteig.cli import main
 
@@ -302,3 +303,99 @@ class TestExitCodes:
         path = write_json(matrix_to_json(SHORTCUT))
         code, _, err = run("eigenvectors", path, "--target", "9")
         assert code == 5 and "--target" in err
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0"])
+    def test_zero_denominator_entry_is_2_with_location(self, run,
+                                                       write_json, text):
+        path = write_json({"rows": 1, "cols": 1, "entries": [[text]]})
+        code, out, err = run("charpoly", path)
+        assert code == 2 and out == ""
+        assert err == ("error: entry (0,0): rational with zero "
+                       "denominator\n")
+
+
+# (non-canonical text, canonical text of the same value)
+NON_CANONICAL = [
+    ("01", "1"), ("-0", "0"), ("2/4", "1/2"), ("1/1", "1"), ("0/5", "0"),
+    ("1/01", "1"), ("0i", "0"), ("-0i", "0"), ("00i", "0"),
+    ("1+0i", "1"), ("0+1i", "i"), ("1i", "i"), ("-1i", "-i"),
+]
+
+
+class TestCanonicalGrammar:
+    """Every value has one text form; any other spelling is unusable
+    input (exit 2) wherever a scalar is read."""
+
+    @pytest.mark.parametrize("text,canonical", NON_CANONICAL)
+    def test_matrix_entry_is_2_with_location(self, run, write_json, text,
+                                             canonical):
+        path = write_json({"rows": 1, "cols": 1, "entries": [[text]]})
+        code, out, err = run("charpoly", path)
+        assert code == 2 and out == ""
+        assert err == (f"error: entry (0,0): non-canonical scalar "
+                       f"{text!r}; its canonical form is {canonical!r}\n")
+
+    @pytest.mark.parametrize("text,canonical", NON_CANONICAL)
+    def test_spectrum_value_is_2_with_location(self, run, write_json, text,
+                                               canonical):
+        matrix = write_json({"rows": 1, "cols": 1,
+                             "entries": [[canonical]]})
+        spec = write_json({"eigenvalues": [
+            {"value": text, "multiplicity": 1}]})
+        code, out, err = run("eigenvectors", matrix, "--spectrum", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: eigenvalue 0: non-canonical scalar")
+
+    @pytest.mark.parametrize("text,canonical", NON_CANONICAL)
+    def test_target_is_2(self, run, write_json, text, canonical):
+        matrix = write_json({"rows": 1, "cols": 1,
+                             "entries": [[canonical]]})
+        spec = write_json({"eigenvalues": [
+            {"value": canonical, "multiplicity": 1}]})
+        code, out, err = run("eigenvectors", matrix, "--spectrum", spec,
+                             f"--target={text}")
+        assert code == 2 and out == ""
+        assert err == (f"error: non-canonical scalar {text!r}; its "
+                       f"canonical form is {canonical!r}\n")
+
+
+class TestCharpolyCount:
+    """The CLI passes the parsed spectrum, or None, through to the
+    library, which finds or verifies it: one characteristic polynomial
+    per call."""
+
+    CASES = [
+        ("diagonalize", SHORTCUT, None),
+        ("jordan", JORDAN_CELL, None),
+        ("diagonalize", SHORTCUT, SHORTCUT_SPECTRUM),
+        ("jordan", SPIRAL, SPIRAL_SPECTRUM),
+        ("ode", SHORTCUT, SHORTCUT_SPECTRUM),
+    ]
+
+    @pytest.fixture
+    def charpoly_calls(self, monkeypatch):
+        original = exacteig.spectra.charpoly
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "exacteig" or name.startswith("exacteig."))
+                    and getattr(module, "charpoly", None) is original):
+                monkeypatch.setattr(module, "charpoly", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command,matrix,spec", CASES,
+        ids=["diagonalize", "jordan", "diagonalize-spectrum",
+             "jordan-spectrum", "ode-spectrum"])
+    def test_one_per_call(self, run, write_json, charpoly_calls, command,
+                          matrix, spec):
+        argv = [command, write_json(matrix_to_json(matrix))]
+        if spec is not None:
+            argv += ["--spectrum", write_json(spectrum_to_json(spec))]
+        code, _, err = run(*argv)
+        assert code == 0, err
+        assert len(charpoly_calls) == 1

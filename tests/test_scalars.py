@@ -63,6 +63,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scalar(" 2+i ")
 
+    @pytest.mark.parametrize("text", ["01", "-0", "2/4", "1/1", "0/5",
+                                      "1/01", "0i", "-0i", "00i", "1+0i",
+                                      "0+1i", "1i", "-1i", "2+1i"])
+    def test_rejects_non_canonical(self, text):
+        with pytest.raises(ParseError, match="non-canonical"):
+            parse_scalar(text)
+
 
 class TestFormatting:
     @pytest.mark.parametrize("text", [
@@ -169,3 +176,29 @@ class TestHashing:
     @given(scalars)
     def test_usable_in_sets(self, a):
         assert len({a, GaussianRational(a.re, a.im)}) == 1
+
+
+wide_rationals = st.builds(Rational, st.integers(-10**30, 10**30),
+                           st.integers(1, 10**20))
+wide_scalars = st.builds(GaussianRational, wide_rationals, wide_rationals)
+
+
+class TestHashContract:
+    """Equal scalars hash equal whatever form they arrive in: canonical
+    text, a real part, or a plain int."""
+
+    @given(wide_scalars)
+    def test_survives_text_round_trip(self, z):
+        back = parse_scalar(format_scalar(z))
+        assert back == z and hash(back) == hash(z)
+
+    @given(wide_rationals)
+    def test_real_scalar_is_its_real_part(self, r):
+        z = GaussianRational(r)
+        assert z == z.re and z.re == z and hash(z) == hash(z.re)
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**20))
+    def test_integral_scalar_is_its_int(self, n, d):
+        z = GaussianRational(Rational(n * d, d))
+        assert z == n and n == z and hash(z) == hash(n)
+        assert z.re == n and hash(z.re) == hash(n)

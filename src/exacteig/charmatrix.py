@@ -59,6 +59,7 @@ __all__ = [
     "cross_eigenvector_3x3",
     "eigensystem",
     "eigenvectors_2x2",
+    "intersection_eigenvectors",
     "is_diagonalizable",
     "left_product_eigenvectors",
     "normalize_eigenvector",
@@ -125,17 +126,11 @@ def complementary_product(a, s, target, with_multiplicity=False,
 
 
 def _residual_ok(a, lam, v, counter=None):
-    """Exact check A·v = λ·v (or v·A = λ·v for a row vector), on the
-    integer planes of v as an n×1 (or 1×n) matrix."""
-    if v.orientation == "column":
-        carrier = Matrix.from_columns([v.entries])
-        image = matmul(a, carrier, counter)
-    else:
-        carrier = Matrix.from_rows([v.entries])
-        image = matmul(carrier, a, counter)
+    """Exact check A·v = λ·v (or v·A = λ·v for a row vector)."""
+    image = matvec(a, v, counter)
     if counter is not None:
         counter.tally(mults=len(v))
-    return image == carrier.scaled(lam)
+    return image == v.scaled(lam)
 
 
 def product_eigenvectors(a, s, target, counter=None):
@@ -143,7 +138,7 @@ def product_eigenvectors(a, s, target, counter=None):
 
     Columns of the full-multiplicity complementary product are formed
     lazily (one column of the rightmost factor, pushed left through the
-    others as an n×1 matrix) and kept while they are nonzero,
+    others) and kept while they are nonzero,
     residual-clean, and extend the independent set. The product can
     produce at most Σ_{μ≠target} max(0, geom(μ) − (alg(target) − 1))
     independent columns, so when the eigenspace is larger the basis is
@@ -159,39 +154,26 @@ def product_eigenvectors(a, s, target, counter=None):
         raise TargetNotInSpectrum(
             f"{format_scalar(target)} is not in the given spectrum")
     n = a.rows
-    factors = _product_factors(a, s, target, with_multiplicity=True)
+    # an empty product is the identity
+    factors = (_product_factors(a, s, target, with_multiplicity=True)
+               or [Matrix.identity(n)])
     kept = []
     saw_dirty_column = False
-    if factors:
-        rightmost = factors[-1]
-        lefts = factors[:-1]
-        for j in range(n):
-            pushed = Matrix.from_columns([rightmost.column(j)])
-            for f in reversed(lefts):
-                if pushed.is_zero():
-                    break
-                pushed = matmul(f, pushed, counter)
-            if pushed.is_zero():
-                continue
-            v = pushed.column(0)
-            if not _residual_ok(a, target, v, counter):
-                saw_dirty_column = True
-                continue
-            if is_independent(kept, v, counter):
-                kept.append(normalize_eigenvector(v))
-                if len(kept) == alg:
-                    break
-    else:
-        # empty product is the identity: its columns are the basis vectors
-        for j in range(n):
-            v = Matrix.identity(n).column(j)
-            if not _residual_ok(a, target, v, counter):
-                saw_dirty_column = True
-                continue
-            if is_independent(kept, v, counter):
-                kept.append(v)
-                if len(kept) == alg:
-                    break
+    for j in range(n):
+        v = factors[-1].column(j)
+        for f in reversed(factors[:-1]):
+            if v.is_zero():
+                break
+            v = matvec(f, v, counter)
+        if v.is_zero():
+            continue
+        if not _residual_ok(a, target, v, counter):
+            saw_dirty_column = True
+            continue
+        if is_independent(kept, v, counter):
+            kept.append(normalize_eigenvector(v))
+            if len(kept) == alg:
+                break
     if len(kept) < alg:
         shifted = subtract_scalar_diag(a, target)
         geom = n - rank(shifted, counter)
@@ -297,30 +279,28 @@ def eigenvectors_2x2(a, lam1, lam2):
     if lam1 + lam2 != trace(a) or lam1 * lam2 != det(a):
         raise WrongSpectrum(
             "claimed eigenvalues do not match the trace and determinant")
-    e00, e01 = a.entry(0, 0), a.entry(0, 1)
-    e10, e11 = a.entry(1, 0), a.entry(1, 1)
     if lam1 == lam2:
         if subtract_scalar_diag(a, lam1).is_zero():
             return Vector((1, 0)), Vector((0, 1))
-        direction = Vector((e00 - lam2, e10))
-        if direction.is_zero():
-            direction = Vector((e01, e11 - lam2))
-        direction = normalize_eigenvector(direction)
+        direction = _nonzero_column(subtract_scalar_diag(a, lam2))
         if not _residual_ok(a, lam1, direction):
             raise InternalInconsistency(
                 "defective direction fails the residual check")
         raise Defective(
             f"repeated eigenvalue {format_scalar(lam1)} with a "
             "one-dimensional eigenspace", eigenvector=direction)
-    v1 = Vector((e00 - lam2, e10))
-    if v1.is_zero():
-        v1 = Vector((e01, e11 - lam2))
-    v2 = Vector((e01, e11 - lam1))
-    if v2.is_zero():
-        v2 = Vector((e00 - lam1, e10))
+    v1 = _nonzero_column(subtract_scalar_diag(a, lam2))
+    v2 = _nonzero_column(subtract_scalar_diag(a, lam1))
     if not (_residual_ok(a, lam1, v1) and _residual_ok(a, lam2, v2)):
         raise InternalInconsistency("shortcut column is not an eigenvector")
-    return normalize_eigenvector(v1), normalize_eigenvector(v2)
+    return v1, v2
+
+
+def _nonzero_column(shifted):
+    """The first nonzero column of a nonzero 2×2 matrix, normalized; a
+    rank-one matrix has parallel columns, so either gives this vector."""
+    v = shifted.column(0)
+    return normalize_eigenvector(shifted.column(1) if v.is_zero() else v)
 
 
 def combined_characteristic_matrix(a, column_assignment):
@@ -354,7 +334,7 @@ def combined_characteristic_matrix(a, column_assignment):
         if lam not in complement:
             raise NotInSpectrum(
                 f"assigned value {format_scalar(lam)} is not an eigenvalue")
-        columns.append(shifted[lam].column(j).entries)
+        columns.append(shifted[lam].column(j))
     return Matrix.from_columns(columns)
 
 
@@ -405,7 +385,7 @@ def column_space_intersection(b1, b2, counter=None):
     weights = nullspace_basis(block, counter)
     kept = []
     for w in weights:
-        u = Vector(w.entries[:b1.cols])
+        u = Vector(w[:b1.cols])
         v = matvec(b1, u, counter)
         if v.is_zero():
             continue
@@ -416,6 +396,40 @@ def column_space_intersection(b1, b2, counter=None):
     if len(kept) != expected:
         raise InternalInconsistency(
             "intersection basis size does not match the rank identity")
+    return kept
+
+
+def intersection_eigenvectors(a, s, target):
+    """Eigenvectors for ``target`` from the iterated column-space
+    intersection of the shifted matrices of the other eigenvalues.
+
+    Equals the eigenspace whenever the matrix is diagonalizable; the
+    final residual filter drops any excess directions a defective input
+    would leave behind. With no other eigenvalue the result is the
+    null-space basis of A − target·I.
+    """
+    s = _as_spectrum(s)
+    target = to_scalar(target)
+    if not s.multiplicity(target):
+        raise TargetNotInSpectrum(
+            f"{format_scalar(target)} is not in the given spectrum")
+    others = [v for v in s.values() if v != target]
+    if not others:
+        return nullspace_basis(subtract_scalar_diag(a, target))
+    current = subtract_scalar_diag(a, others[0])
+    for value in others[1:]:
+        vectors = column_space_intersection(
+            current, subtract_scalar_diag(a, value))
+        if not vectors:
+            return []
+        current = Matrix.from_columns(vectors)
+    kept = []
+    for j in range(current.cols):
+        v = current.column(j)
+        if v.is_zero() or not _residual_ok(a, target, v):
+            continue
+        if is_independent(kept, v):
+            kept.append(normalize_eigenvector(v))
     return kept
 
 

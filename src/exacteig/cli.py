@@ -18,13 +18,14 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from .charmatrix import (
-    column_space_intersection,
     cross_eigenvector_3x3,
+    intersection_eigenvectors,
     is_diagonalizable,
     left_product_eigenvectors,
     product_eigenvectors,
@@ -49,17 +50,11 @@ from .io_json import (
     matrix_to_json,
     parse_matrix_json,
     parse_spectrum_json,
+    spectrum_to_json,
     vector_to_json,
 )
 from .jordan import jordan_form
-from .matrices import (
-    Matrix,
-    OpCounter,
-    is_independent,
-    matvec,
-    normalize_eigenvector,
-    subtract_scalar_diag,
-)
+from .matrices import OpCounter
 from .scalars import format_rational, format_scalar, parse_scalar
 from .spectra import (
     Spectrum,
@@ -80,9 +75,8 @@ __all__ = ["main"]
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -114,7 +108,10 @@ def _emit_json(payload, **kwargs):
     print(json.dumps(payload, separators=(",", ":"), **kwargs))
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no
+    state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="exacteig",
         description="Exact eigenvector extraction over the Gaussian "
@@ -273,72 +270,29 @@ def _extract(a, s, lam, method, left):
         return oracle_eigenvectors(a, lam)
     if method == "cross":
         return [cross_eigenvector_3x3(a, lam)]
-    return _intersect_method(a, s, lam)
-
-
-def _intersect_method(a, s, lam):
-    """Iterated column-space intersection of the other shifted matrices.
-
-    Equals the eigenspace whenever the matrix is diagonalizable; the
-    final residual filter drops any excess directions a defective input
-    would leave behind."""
-    others = [v for v in s.values() if v != lam]
-    if not others:
-        return oracle_eigenvectors(a, lam)
-    current = subtract_scalar_diag(a, others[0])
-    for value in others[1:]:
-        vectors = column_space_intersection(
-            current, subtract_scalar_diag(a, value))
-        if not vectors:
-            return []
-        current = Matrix.from_columns([v.entries for v in vectors])
-    kept = []
-    for j in range(current.cols):
-        v = current.column(j)
-        if v.is_zero():
-            continue
-        if matvec(a, v) != v.scaled(lam):
-            continue
-        if is_independent(kept, v):
-            kept.append(normalize_eigenvector(v))
-    return kept
+    return intersection_eigenvectors(a, s, lam)
 
 
 def _cmd_diagonalize(args):
-    a = _load_matrix(args)
-    result = diagonalize(a, _parsed_spectrum(args))
-    if args.json:
-        _emit_json({
-            "P": matrix_to_json(result.p),
-            "D": matrix_to_json(result.d),
-            "P_inv": matrix_to_json(result.p_inv),
-        })
-        return 0
-    print("P =")
-    _print_matrix(result.p, "  ")
-    print("D =")
-    _print_matrix(result.d, "  ")
-    print("P^-1 =")
-    _print_matrix(result.p_inv, "  ")
-    return 0
+    result = diagonalize(_load_matrix(args), _parsed_spectrum(args))
+    return _emit_decomposition(args, result, "D", result.d)
 
 
 def _cmd_jordan(args):
-    a = _load_matrix(args)
-    result = jordan_form(a, _parsed_spectrum(args))
+    result = jordan_form(_load_matrix(args), _parsed_spectrum(args))
+    return _emit_decomposition(args, result, "J", result.j)
+
+
+def _emit_decomposition(args, result, name, middle):
+    """A = P·M·P⁻¹, with M named ``name``, as JSON or as text."""
+    parts = (("P", "P", result.p), (name, name, middle),
+             ("P_inv", "P^-1", result.p_inv))
     if args.json:
-        _emit_json({
-            "P": matrix_to_json(result.p),
-            "J": matrix_to_json(result.j),
-            "P_inv": matrix_to_json(result.p_inv),
-        })
+        _emit_json({key: matrix_to_json(m) for key, _, m in parts})
         return 0
-    print("P =")
-    _print_matrix(result.p, "  ")
-    print("J =")
-    _print_matrix(result.j, "  ")
-    print("P^-1 =")
-    _print_matrix(result.p_inv, "  ")
+    for _, label, m in parts:
+        print(f"{label} =")
+        _print_matrix(m, "  ")
     return 0
 
 
@@ -352,9 +306,8 @@ def _cmd_charpoly(args):
         payload = {
             "charpoly": format_polynomial(p),
             "coefficients": [format_scalar(c) for c in p.coeffs],
-            "roots": None if roots is None else [
-                {"value": format_scalar(v), "multiplicity": m}
-                for v, m in roots.pairs],
+            "roots": (None if roots is None
+                      else spectrum_to_json(roots)["eigenvalues"]),
         }
         _emit_json(payload)
         return 0
@@ -430,7 +383,7 @@ def _term_to_json(term):
 
 
 def _render_vector(v):
-    return "[" + ",".join(format_scalar(e) for e in v.entries) + "]^T"
+    return "[" + ",".join(vector_to_json(v)) + "]^T"
 
 
 def _render_exp(lam):
@@ -464,8 +417,6 @@ def render_ode_term(term):
             tpow = _render_tpow(power, divisor)
             body = _render_vector(vec)
             pieces.append(f"{body}*{tpow}" if tpow else body)
-        joined = pieces[0] if len(pieces) == 1 else "(" + " + ".join(pieces) + ")"
-        parts = [term.coefficient_label, joined]
     else:
         trig = term.trig_part
         cos_text = _render_trig("cos", trig.beta)
@@ -481,8 +432,8 @@ def render_ode_term(term):
                 combo = f"({mate}*{cos_text} + {lead}*{sin_text})"
             tpow = _render_tpow(power, divisor)
             pieces.append(f"{combo}*{tpow}" if tpow else combo)
-        joined = pieces[0] if len(pieces) == 1 else "(" + " + ".join(pieces) + ")"
-        parts = [term.coefficient_label, joined]
+    joined = pieces[0] if len(pieces) == 1 else "(" + " + ".join(pieces) + ")"
+    parts = [term.coefficient_label, joined]
     exp_text = _render_exp(term.exponent)
     if exp_text:
         parts.append(exp_text)
@@ -571,8 +522,7 @@ def build_bench_report(a, s):
     return {
         "input": {
             "dim": a.rows,
-            "spectrum": [{"value": format_scalar(v), "multiplicity": m}
-                         for v, m in s.pairs],
+            "spectrum": spectrum_to_json(s)["eigenvalues"],
         },
         "methods": {
             name: {**totals[name].as_dict(), "wall_time_ns": walls[name]}

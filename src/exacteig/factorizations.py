@@ -74,7 +74,7 @@ def diagonalize(a, s=None, counter=None):
         if len(vectors) != mult:
             raise InternalInconsistency(
                 "diagonalizable matrix yielded a short eigenbasis")
-        columns.extend(v.entries for v in vectors)
+        columns.extend(vectors)
         order.extend([value] * mult)
     p = Matrix.from_columns(columns)
     d = Matrix.diagonal(order)
@@ -142,15 +142,6 @@ class OdeSolutionTerm:
     trig_part: TrigPart | None = None
 
 
-def _split_real_imag(vector):
-    """(Re v, Im v) of a vector as two real vectors."""
-    re_part = Vector(
-        (GaussianRational(e.re) for e in vector.entries), vector.orientation)
-    im_part = Vector(
-        (GaussianRational(e.im) for e in vector.entries), vector.orientation)
-    return re_part, im_part
-
-
 def ode_general_solution(a, s=None, realify=None):
     """Complete independent solution set of the linear system x′ = Ax.
 
@@ -193,10 +184,9 @@ def ode_general_solution(a, s=None, realify=None):
                     poly = []
                     partners = []
                     for i in range(1, k + 1):
-                        re_part, im_part = _split_real_imag(
-                            chain.vectors[i - 1])
-                        poly.append((re_part, k - i, factorial(k - i)))
-                        partners.append(im_part)
+                        vec = chain.vectors[i - 1]
+                        poly.append((vec.re, k - i, factorial(k - i)))
+                        partners.append(vec.im)
                     for kind in ("cos", "sin"):
                         terms.append(OdeSolutionTerm(
                             next_label(), tuple(poly), alpha,
@@ -214,17 +204,13 @@ def ode_general_solution(a, s=None, realify=None):
     return terms
 
 
-def _zero_vector(n):
-    return Vector([ZERO] * n)
-
-
 def _coefficient_table(term, n):
     """Map power → (cos-coefficient vector, sin-coefficient vector).
 
     For a plain term the cosine slot holds the coefficient of
     t^p·e^{λt} and the sine slot stays zero."""
     table = {}
-    zero = _zero_vector(n)
+    zero = Vector([ZERO] * n)
     if term.trig_part is None:
         for vec, power, divisor in term.vector_polynomial:
             scaled = vec.scaled(Rational(1, divisor))
@@ -257,7 +243,7 @@ def ode_term_is_solution(a, term):
     table = _coefficient_table(term, n)
     if not table:
         return False
-    zero = _zero_vector(n)
+    zero = Vector([ZERO] * n)
     max_power = max(table)
     lam = term.exponent
     if term.trig_part is None:

@@ -14,7 +14,6 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
     InternalInconsistency,
@@ -25,16 +24,16 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
-    _planes,
     inverse,
     is_independent,
     matmul,
     matvec,
     nullspace_basis,
+    primitive_scale,
     rank,
     subtract_scalar_diag,
 )
-from .scalars import ONE, ZERO, GaussianRational, Rational, to_scalar
+from .scalars import ONE, ZERO, GaussianRational, to_scalar
 from .spectra import resolve_spectrum
 
 __all__ = [
@@ -129,11 +128,9 @@ def _scale_chain_uniformly(vectors):
     positive imaginary part when purely imaginary). A uniform scale is
     the only cosmetic freedom a chain has — scaling the vectors
     individually would break the descent relation."""
-    scale_up, re, im = _planes([e for v in vectors for e in v.entries])
-    content = gcd(*re, *im)
-    factor = GaussianRational(Rational(scale_up, content))
+    factor = primitive_scale(vectors)
     bottom = vectors[0]
-    lead = bottom[bottom.first_nonzero_index()] * factor
+    lead = bottom[bottom.first_nonzero_index()]  # factor > 0 keeps its signs
     if lead.re < 0 or (not lead.re and lead.im < 0):
         factor = -factor
     return [v.scaled(factor) for v in vectors]
@@ -210,7 +207,7 @@ def jordan_form(a, s=None):
         for chain in chains:
             for k, vec in enumerate(chain.vectors):
                 col = position + k
-                columns.append(vec.entries)
+                columns.append(vec)
                 j_rows[col][col] = value
                 if k:
                     j_rows[col - 1][col] = ONE

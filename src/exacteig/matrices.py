@@ -8,9 +8,10 @@ denominator and two row-major tuples of numerators, a real plane and an
 imaginary plane, so entry (i, j) is (re[k] + im[k]·i) / den with
 k = i·cols + j. The storage is canonical — the gcd of the denominator
 and all numerators is 1 — so ``==`` and ``hash`` are tuple compares.
-Scalars (:class:`GaussianRational`) are built on demand by ``entry``,
-``row_entries``, ``row`` and ``column``; a :class:`Vector` keeps its
-scalars.
+A :class:`Vector` is a view of an n×1 or 1×n matrix, so ``row`` and
+``column`` slice the planes and vector operations run on the matrix
+kernels. Scalars (:class:`GaussianRational`) are built only when they
+are read: by ``entry``, ``row_entries`` and a vector's ``entries``.
 
 Products and sums run on the planes as integer dot products, followed
 by one gcd pass per result, and skip the imaginary products when an
@@ -66,6 +67,7 @@ __all__ = [
     "matvec",
     "normalize_eigenvector",
     "nullspace_basis",
+    "primitive_scale",
     "rank",
     "rref",
     "subtract_scalar_diag",
@@ -105,94 +107,142 @@ class OpCounter:
 class Vector:
     """Immutable exact vector; ``orientation`` is ``"column"`` or ``"row"``.
 
+    A vector is a view of one n×1 (column) or 1×n (row) :class:`Matrix`,
+    so it has the same integer planes and every operation runs on the
+    matrix kernels; scalars are built only when entries are read.
     Orientation matters for matrix-vector products and equality; a row
     vector is the carrier for left eigenvectors.
     """
 
-    __slots__ = ("entries", "orientation")
+    __slots__ = ("_matrix", "orientation")
 
     def __init__(self, entries, orientation="column"):
-        # from a list: tuple(generator) over-allocates and shrinks, which
-        # leaves dead vectors' tuples on a free list no new vector reuses
-        data = tuple([to_scalar(e) for e in entries])
+        data = [to_scalar(e) for e in entries]
         if not data:
             raise DimensionMismatch("empty vector")
         if orientation not in ("column", "row"):
             raise ValueError(f"bad orientation {orientation!r}")
-        object.__setattr__(self, "entries", data)
+        matrix = _vector(*_planes(data), orientation)._matrix
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "orientation", orientation)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
+    @property
+    def entries(self):
+        return tuple(self._matrix._scalars(slice(None)))
+
+    @property
+    def re(self):
+        """The real part, as a vector of the same orientation."""
+        return _vector(self._matrix._den, self._matrix._re, (),
+                       self.orientation)
+
+    @property
+    def im(self):
+        """The imaginary part, as a vector of the same orientation."""
+        return _vector(self._matrix._den, self._matrix._imag(), (),
+                       self.orientation)
+
     def __len__(self):
-        return len(self.entries)
+        return len(self._matrix._re)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if isinstance(i, slice):
+            return self.entries[i]
+        k = range(len(self))[i]
+        return self._matrix._scalars(slice(k, k + 1))[0]
 
     def is_zero(self):
-        return not any(self.entries)
+        return self._matrix.is_zero()
 
     def first_nonzero_index(self):
-        for i, e in enumerate(self.entries):
-            if e:
-                return i
-        return None
+        m = self._matrix
+        return next((k for k, (x, y) in enumerate(zip(m._re, m._imag()))
+                     if x or y), None)
 
     def scaled(self, c):
-        c = to_scalar(c)
-        return Vector((e * c for e in self.entries), self.orientation)
+        return _view(self._matrix.scaled(c), self.orientation)
 
     def transposed(self):
         flipped = "row" if self.orientation == "column" else "column"
-        return Vector(self.entries, flipped)
+        return _view(self._matrix.transpose(), flipped)
 
     def dot(self, other):
         """Bilinear dot product Σ uᵢvᵢ (no conjugation), orientation-blind."""
         if len(self) != len(other):
             raise DimensionMismatch(
                 f"dot of lengths {len(self)} and {len(other)}")
-        total = ZERO
-        for a, b in zip(self.entries, other.entries):
-            total = total + a * b
-        return total
+        u, w = self._matrix, other._matrix
+        (re,), (im,) = _complex_product([u._re], [u._im] if u._im else None,
+                                        [w._re], [w._im] if w._im else None)
+        return _scalar(re, im, u._den * w._den)
+
+    def _combine(self, other, sign):
+        if not isinstance(other, Vector):
+            return NotImplemented
+        if self.orientation != other.orientation or len(self) != len(other):
+            raise DimensionMismatch("vector shapes differ")
+        return _view(self._matrix._combine(other._matrix, sign),
+                     self.orientation)
 
     def __add__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        if self.orientation != other.orientation or len(self) != len(other):
-            raise DimensionMismatch("vector shapes differ")
-        return Vector((a + b for a, b in zip(self.entries, other.entries)),
-                      self.orientation)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        if self.orientation != other.orientation or len(self) != len(other):
-            raise DimensionMismatch("vector shapes differ")
-        return Vector((a - b for a, b in zip(self.entries, other.entries)),
-                      self.orientation)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Vector((-e for e in self.entries), self.orientation)
+        return _view(-self._matrix, self.orientation)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         return (self.orientation == other.orientation
-                and self.entries == other.entries)
+                and self._matrix == other._matrix)
 
     def __hash__(self):
-        return hash((self.orientation, self.entries))
+        return hash((self.orientation, self._matrix))
 
     def __repr__(self):
         body = ", ".join(format_scalar(e) for e in self.entries)
         tag = "" if self.orientation == "column" else "^T"
         return f"[{body}]{tag}"
+
+
+def _view(matrix, orientation):
+    """The one-column or one-row ``matrix`` as a Vector."""
+    vector = object.__new__(Vector)
+    object.__setattr__(vector, "_matrix", matrix)
+    object.__setattr__(vector, "orientation", orientation)
+    return vector
+
+
+def _vector(den, re, im, orientation):
+    """The vector of the entries (re + im·i) / den, as a view of an n×1
+    (column) or 1×n (row) matrix."""
+    n = len(re)
+    rows, cols = (n, 1) if orientation == "column" else (1, n)
+    return _view(Matrix._make(rows, cols, den, re, im), orientation)
+
+
+def _stacked(vectors):
+    """The matrix with ``vectors`` as its rows, read off their planes
+    over the least common denominator."""
+    width = len(vectors[0])
+    if any(len(v) != width for v in vectors):
+        raise DimensionMismatch("ragged rows")
+    den = lcm(*[v._matrix._den for v in vectors])
+    re, im = [], []
+    for v in vectors:
+        f = den // v._matrix._den
+        re += [f * x for x in v._matrix._re]
+        im += [f * y for y in v._matrix._imag()]
+    return Matrix._make(len(vectors), width, den, re, im)
 
 
 # -- integer planes ---------------------------------------------------------
@@ -236,6 +286,11 @@ def _rows_of(plane, cols):
 
 def _columns_of(plane, cols):
     return [plane[j::cols] for j in range(cols)]
+
+
+def _transposed(plane, cols):
+    """The row-major plane of the transpose of a plane ``cols`` wide."""
+    return [x for col in _columns_of(plane, cols) for x in col]
 
 
 def _product(left, right):
@@ -310,17 +365,17 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns):
-        cols = [list(c) for c in columns]
-        if not cols:
-            raise DimensionMismatch("no columns")
-        height = len(cols[0])
-        if any(len(c) != height for c in cols):
-            raise DimensionMismatch("column lengths differ")
-        return cls(((col[i] for col in cols) for i in range(height)))
+        """Matrix with the given columns: Vectors, or sequences of
+        scalars."""
+        return cls.from_rows(columns).transpose()
 
     @classmethod
     def from_rows(cls, rows):
-        return cls((tuple(r) for r in rows))
+        """Matrix with the given rows: Vectors, or sequences of scalars."""
+        rows = list(rows)
+        if rows and all(isinstance(r, Vector) for r in rows):
+            return _stacked(rows)
+        return cls(rows)
 
     @property
     def is_square(self):
@@ -347,21 +402,24 @@ class Matrix:
         start = range(self.rows)[i] * self.cols
         return tuple(self._scalars(slice(start, start + self.cols)))
 
+    def _sliced(self, part, orientation):
+        """The entries that the slice ``part`` of the planes selects, as
+        a vector."""
+        im = self._im[part] if self._im else ()
+        return _vector(self._den, self._re[part], im, orientation)
+
     def row(self, i):
-        return Vector(self.row_entries(i), "row")
+        start = range(self.rows)[i] * self.cols
+        return self._sliced(slice(start, start + self.cols), "row")
 
     def column(self, j):
-        j = range(self.cols)[j]
-        return Vector(self._scalars(slice(j, None, self.cols)), "column")
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return self._sliced(slice(range(self.cols)[j], None, self.cols),
+                            "column")
 
     def transpose(self):
-        def flip(plane):
-            return [x for col in _columns_of(plane, self.cols) for x in col]
         return Matrix._make(self.cols, self.rows, self._den,
-                            flip(self._re), flip(self._imag()))
+                            _transposed(self._re, self.cols),
+                            _transposed(self._imag(), self.cols))
 
     def is_zero(self):
         return not any(self._re) and not self._im
@@ -464,24 +522,15 @@ def matmul(a, b, counter=None):
 
 
 def matvec(a, v, counter=None):
-    """A·v for a column vector, or v·A for a row vector."""
+    """A·v for a column vector, or v·A for a row vector: the matrix
+    product with the vector's n×1 (or 1×n) matrix."""
     if v.orientation == "column":
         if len(v) != a.cols:
             raise DimensionMismatch(f"{a.rows}x{a.cols} @ column of {len(v)}")
-        split = _rows_of
-    else:
-        if len(v) != a.rows:
-            raise DimensionMismatch(f"row of {len(v)} @ {a.rows}x{a.cols}")
-        split = _columns_of
-    den, v_re, v_im = _planes(v.entries)
-    re, im = _complex_product(split(a._re, a.cols), _complex_side(a, split),
-                              [v_re], [v_im] if any(v_im) else None)
-    if counter is not None:  # one addition fewer than terms per output
-        counter.tally(mults=a.rows * a.cols,
-                      adds=a.rows * a.cols - len(re))
-    den *= a._den
-    return Vector((_scalar(x, y, den) for x, y in zip(re, im)),
-                  v.orientation)
+        return _view(matmul(a, v._matrix, counter), "column")
+    if len(v) != a.rows:
+        raise DimensionMismatch(f"row of {len(v)} @ {a.rows}x{a.cols}")
+    return _view(matmul(v._matrix, a, counter), "row")
 
 
 def trace(a, counter=None):
@@ -510,15 +559,8 @@ def hstack(a, b):
     """[A | B] with equal row counts."""
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    den = lcm(a._den, b._den)
-    f, g = den // a._den, den // b._den
-
-    def joined(left, right):
-        return [x for u, v in zip(_rows_of(left, a.cols),
-                                  _rows_of(right, b.cols))
-                for x in [f * y for y in u] + [g * y for y in v]]
-    return Matrix._make(a.rows, a.cols + b.cols, den,
-                        joined(a._re, b._re), joined(a._imag(), b._imag()))
+    return Matrix.from_columns(
+        [m.column(j) for m in (a, b) for j in range(m.cols)])
 
 
 # -- fraction-free elimination ------------------------------------------------
@@ -735,9 +777,16 @@ def is_independent(vectors, candidate, counter=None):
         return False
     if not vectors:
         return True
-    stacked = Matrix.from_rows(
-        [v.entries for v in vectors] + [candidate.entries])
+    stacked = _stacked([*vectors, candidate])
     return rank(stacked, counter) == len(vectors) + 1
+
+
+def primitive_scale(vectors):
+    """The positive rational c for which the vectors c·v, taken
+    together, have Gaussian-integer components with no common integer
+    factor above 1 (the vectors must not all be zero)."""
+    stacked = _stacked(vectors)
+    return Rational(stacked._den, gcd(*stacked._re, *stacked._im))
 
 
 def _primitive(re, im, orientation):
@@ -749,8 +798,7 @@ def _primitive(re, im, orientation):
     if im[k] or re[k] < 0:
         _, re, im = _quotient(re, im, re[k], im[k])
     g = gcd(*re, *im)
-    return Vector((GaussianRational(x // g, y // g) for x, y in zip(re, im)),
-                  orientation)
+    return _vector(1, [x // g for x in re], [y // g for y in im], orientation)
 
 
 def normalize_eigenvector(v):
@@ -763,7 +811,6 @@ def normalize_eigenvector(v):
     invariant under scaling by any nonzero Gaussian-rational factor — so
     equal inputs-up-to-scale yield the identical output.
     """
-    _, re, im = _planes(v.entries)
-    if not any(re) and not any(im):
+    if v.is_zero():
         raise ZeroVector("cannot normalize the zero vector")
-    return _primitive(re, im, v.orientation)
+    return _primitive(v._matrix._re, v._matrix._imag(), v.orientation)

@@ -205,32 +205,32 @@ def _as_rational(value, what):
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_real", "_imag")
 
     def __init__(self, re=0, im=0):
-        self._re = _as_rational(re, "real part")
-        self._im = _as_rational(im, "imaginary part")
+        self._real = _as_rational(re, "real part")
+        self._imag = _as_rational(im, "imaginary part")
 
     @classmethod
     def _make(cls, re_frac, im_frac):
         self = object.__new__(cls)
-        self._re = Rational._wrap(re_frac)
-        self._im = Rational._wrap(im_frac)
+        self._real = Rational._wrap(re_frac)
+        self._imag = Rational._wrap(im_frac)
         return self
 
     @property
     def re(self):
-        return self._re
+        return self._real
 
     @property
     def im(self):
-        return self._im
+        return self._imag
 
     def conjugate(self):
-        return GaussianRational._make(self._re._f, -self._im._f)
+        return GaussianRational._make(self._real._f, -self._imag._f)
 
     def is_real(self):
-        return not self._im._f
+        return not self._imag._f
 
     @staticmethod
     def _coerce(other):
@@ -246,7 +246,7 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(self._re._f + w._re._f, self._im._f + w._im._f)
+        return GaussianRational._make(self._real._f + w._real._f, self._imag._f + w._imag._f)
 
     __radd__ = __add__
 
@@ -254,20 +254,20 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(self._re._f - w._re._f, self._im._f - w._im._f)
+        return GaussianRational._make(self._real._f - w._real._f, self._imag._f - w._imag._f)
 
     def __rsub__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(w._re._f - self._re._f, w._im._f - self._im._f)
+        return GaussianRational._make(w._real._f - self._real._f, w._imag._f - self._imag._f)
 
     def __mul__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        a, b = self._re._f, self._im._f
-        c, d = w._re._f, w._im._f
+        a, b = self._real._f, self._imag._f
+        c, d = w._real._f, w._imag._f
         return GaussianRational._make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -276,11 +276,11 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        c, d = w._re._f, w._im._f
+        c, d = w._real._f, w._imag._f
         norm = c * c + d * d
         if not norm:
             raise DivisionByZero("division by zero scalar")
-        a, b = self._re._f, self._im._f
+        a, b = self._real._f, self._imag._f
         return GaussianRational._make((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
@@ -306,31 +306,31 @@ class GaussianRational:
         return result
 
     def __neg__(self):
-        return GaussianRational._make(-self._re._f, -self._im._f)
+        return GaussianRational._make(-self._real._f, -self._imag._f)
 
     def __pos__(self):
         return self
 
     def __bool__(self):
-        return bool(self._re._f) or bool(self._im._f)
+        return bool(self._real._f) or bool(self._imag._f)
 
     def __eq__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return self._re._f == w._re._f and self._im._f == w._im._f
+        return self._real._f == w._real._f and self._imag._f == w._imag._f
 
     def __hash__(self):
         # Consistent with equality against Rational and int when im == 0.
-        if not self._im._f:
-            return hash(self._re)
-        return hash((self._re._f.numerator, self._re._f.denominator,
-                     self._im._f.numerator, self._im._f.denominator))
+        if not self._imag._f:
+            return hash(self._real)
+        return hash((self._real._f.numerator, self._real._f.denominator,
+                     self._imag._f.numerator, self._imag._f.denominator))
 
     def __repr__(self):
-        if not self._im._f:
-            return repr(self._re)
-        return f"({self._re!r}{'+' if self._im._f > 0 else '-'}{abs(self._im)!r}i)"
+        if not self._imag._f:
+            return repr(self._real)
+        return f"({self._real!r}{'+' if self._imag._f > 0 else '-'}{abs(self._imag)!r}i)"
 
 
 _SCALAR_RE = re.compile(

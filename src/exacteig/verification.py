@@ -25,7 +25,6 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
-    Vector,
     inverse,
     matmul,
     matvec,
@@ -72,9 +71,9 @@ def residual_check(a, lam, v, side="right"):
     if v.is_zero():
         raise ZeroVector("the zero vector is not an eigenvector")
     lam = to_scalar(lam)
-    oriented = Vector(v.entries, "column" if side == "right" else "row")
-    image = matvec(a, oriented)
-    return image == oriented.scaled(lam)
+    wanted = "column" if side == "right" else "row"
+    oriented = v if v.orientation == wanted else v.transposed()
+    return matvec(a, oriented) == oriented.scaled(lam)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class SpanBasis:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length differs from ambient dim")
         if self.vectors:
-            stacked = Matrix.from_rows([v.entries for v in self.vectors])
+            stacked = Matrix.from_rows(self.vectors)
             if rank(stacked) != len(self.vectors):
                 raise ValueError("vectors are not linearly independent")
 
@@ -132,8 +131,7 @@ def span_equal(b1, b2):
         return False
     if b1.dim == 0:
         return True
-    stacked = Matrix.from_rows(
-        [v.entries for v in b1.vectors] + [v.entries for v in b2.vectors])
+    stacked = Matrix.from_rows(b1.vectors + b2.vectors)
     return rank(stacked) == b1.dim
 
 

@@ -126,3 +126,32 @@ def normalize_eigenvector(entries):
         common = gcd(common, abs(e.re.numerator), abs(e.im.numerator))
     factor = GaussianRational(Rational(1, common))
     return tuple(e * factor for e in scaled)
+
+
+# Vector operations as ``Vector`` computed them when it stored scalars;
+# ``u`` and ``v`` are tuples of scalars.
+
+
+def vector_dot(u, v):
+    """Bilinear dot product Σ uᵢvᵢ (no conjugation)."""
+    total = ZERO
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+def vector_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vector_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vector_neg(u):
+    return tuple(-e for e in u)
+
+
+def vector_scaled(u, c):
+    c = to_scalar(c)
+    return tuple(e * c for e in u)

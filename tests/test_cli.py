@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -226,6 +227,104 @@ class TestBench:
         assert "faster" not in out.lower()
 
 
+# Per-eigenvalue (value, kappa, oracle) counts as (mults, adds, divs) of
+# ``bench --dim d --seed s``, recorded before vectors moved to integer
+# planes.
+PINNED_BENCH_COUNTS = {
+    (2, 0): [("-4", (6, 2, 0), (0, 0, 0)), ("-3", (6, 2, 0), (1, 0, 0))],
+    (2, 1): [("-1", (6, 2, 0), (4, 2, 0)), ("3", (6, 2, 0), (2, 0, 0))],
+    (2, 2): [("-4", (6, 2, 0), (4, 2, 0)), ("1", (6, 2, 0), (4, 2, 0))],
+    (2, 3): [("-1", (6, 2, 0), (1, 0, 0)), ("1", (6, 2, 0), (2, 0, 0))],
+    (2, 4): [("-4", (6, 2, 0), (4, 2, 0)), ("0", (6, 2, 0), (4, 2, 0))],
+    (3, 0): [("-4", (21, 12, 0), (16, 5, 5)), ("-3", (21, 12, 0), (20, 9, 5)),
+             ("3", (30, 18, 0), (22, 11, 5))],
+    (3, 1): [("-2", (21, 12, 0), (20, 10, 4)),
+             ("-1", (21, 12, 0), (22, 11, 5)),
+             ("3", (21, 12, 0), (22, 11, 5))],
+    (3, 2): [("-4", (21, 12, 0), (22, 11, 5)), ("1", (57, 33, 0), (12, 6, 0))],
+    (3, 3): [("-4", (21, 12, 0), (17, 6, 5)), ("-1", (21, 12, 0), (17, 7, 4)),
+             ("1", (21, 12, 0), (17, 6, 5))],
+    (3, 4): [("-4", (21, 12, 0), (16, 5, 5)), ("0", (34, 20, 0), (8, 4, 0))],
+    (4, 0): [("-4", (52, 36, 0), (62, 31, 9)),
+             ("-3", (216, 140, 16), (44, 22, 10)),
+             ("3", (52, 36, 0), (60, 30, 18))],
+    (4, 1): [("-2", (84, 60, 0), (45, 14, 19)),
+             ("-1", (52, 36, 0), (47, 16, 19)),
+             ("3", (146, 82, 16), (33, 11, 10))],
+    (4, 2): [("-4", (216, 140, 16), (44, 22, 10)),
+             ("1", (152, 92, 16), (44, 22, 10))],
+    (4, 3): [("-4", (52, 36, 0), (62, 31, 19)),
+             ("-1", (52, 36, 0), (60, 30, 18)),
+             ("1", (210, 134, 16), (41, 19, 10))],
+    (4, 4): [("-4", (192, 124, 12), (34, 14, 8)),
+             ("0", (146, 86, 16), (41, 19, 10))],
+    (5, 0): [("-4", (557, 391, 46), (100, 50, 30)),
+             ("-3", (440, 295, 50), (104, 52, 32)),
+             ("3", (105, 80, 0), (132, 66, 46))],
+    (5, 1): [("-2", (565, 395, 50), (104, 52, 32)),
+             ("-1", (105, 80, 0), (130, 65, 45)),
+             ("3", (432, 291, 46), (100, 50, 30))],
+    (5, 2): [("-4", (416, 278, 33), (69, 32, 17)),
+             ("1", (305, 185, 50), (99, 47, 32))],
+    (5, 3): [("-4", (105, 80, 0), (118, 52, 46)),
+             ("-1", (534, 369, 50), (101, 49, 32)),
+             ("1", (510, 350, 50), (104, 52, 32))],
+    (5, 4): [("-4", (426, 288, 33), (74, 37, 17)),
+             ("0", (315, 195, 50), (104, 52, 32))],
+    (6, 0): [("-4", (1190, 872, 108), (182, 82, 70)),
+             ("-3", (996, 714, 108), (200, 100, 70)),
+             ("3", (985, 703, 108), (189, 89, 70))],
+    (6, 1): [("-2", (1178, 877, 97), (188, 94, 64)),
+             ("-1", (186, 150, 0), (236, 116, 90)),
+             ("3", (976, 704, 86), (158, 79, 49))],
+    (6, 2): [("-4", (970, 698, 86), (158, 79, 49)),
+             ("1", (760, 524, 81), (158, 79, 49))],
+    (6, 3): [("-4", (186, 150, 0), (238, 118, 90)),
+             ("-1", (1168, 856, 108), (196, 96, 70)),
+             ("1", (1120, 824, 86), (158, 79, 49))],
+    (6, 4): [("-4", (976, 704, 81), (158, 79, 49)),
+             ("0", (748, 512, 86), (158, 79, 49))],
+}
+
+
+def _bench_counts(output):
+    """(kappa totals, oracle totals, per-eigenvalue rows) of a bench
+    report, without the wall times."""
+    payload = json.loads(output)
+
+    def triple(stats):
+        return stats["scalar_mults"], stats["scalar_adds"], \
+            stats["scalar_divs"]
+
+    return (triple(payload["methods"]["kappa"]),
+            triple(payload["methods"]["oracle"]),
+            [(row["value"], triple(row["kappa"]), triple(row["oracle"]))
+             for row in payload["per_eigenvalue"]])
+
+
+class TestPinnedBenchCounts:
+    """Operation counts are part of the bench contract: a change of
+    storage or kernels must leave them exactly as recorded."""
+
+    def test_readme_example(self, run, write_json):
+        code, out, _ = run("bench", write_json(matrix_to_json(SHORTCUT)),
+                           "--json")
+        assert code == 0
+        assert _bench_counts(out) == (
+            (12, 4, 0), (8, 4, 0),
+            [("2", (6, 2, 0), (4, 2, 0)), ("5", (6, 2, 0), (4, 2, 0))])
+
+    @pytest.mark.parametrize("dim,seed", sorted(PINNED_BENCH_COUNTS))
+    def test_generated_inputs(self, run, dim, seed):
+        code, out, _ = run("bench", "--dim", str(dim), "--seed", str(seed),
+                           "--json")
+        assert code == 0
+        kappa, oracle, rows = _bench_counts(out)
+        assert rows == PINNED_BENCH_COUNTS[dim, seed]
+        assert kappa == tuple(map(sum, zip(*[k for _, k, _ in rows])))
+        assert oracle == tuple(map(sum, zip(*[o for _, _, o in rows])))
+
+
 class TestExitCodes:
     def test_missing_file_is_2(self, run):
         code, _, err = run("eigenvectors", "/nonexistent/matrix.json")
@@ -399,3 +498,42 @@ class TestCharpolyCount:
         code, _, err = run(*argv)
         assert code == 0, err
         assert len(charpoly_calls) == 1
+
+
+class TestParserReuse:
+    """The parser is built once per process; a sequence of calls must
+    behave as if each had a fresh parser."""
+
+    def test_sequence_matches_fresh_parsers(self, run, write_json):
+        matrix = write_json(matrix_to_json(SHORTCUT))
+        spec = write_json(spectrum_to_json(SHORTCUT_SPECTRUM))
+        calls = [
+            ["eigenvectors", matrix, "--left", "--target", "5", "--json"],
+            ["eigenvectors", matrix],
+            ["charpoly", matrix, "--no-roots"],
+            ["charpoly", matrix],
+            ["power", matrix, "--n", "3", "--json"],
+            ["power", matrix],
+            ["diagonalize", matrix, "--spectrum", spec],
+            ["jordan", matrix],
+            ["ode", matrix, "--no-realify"],
+            ["ode", matrix],
+            ["bench", "--dim", "3"],
+            ["eigenvectors", matrix, "--method", "bogus"],
+            ["check", matrix, "--json"],
+            ["--help"],
+            [],
+        ]
+
+        def without_walls(result):
+            code, out, err = result
+            return code, re.sub(r"wall \d+ ns", "wall", out), err
+
+        in_sequence = [without_walls(run(*argv)) for argv in calls]
+        fresh = []
+        for argv in calls:
+            exacteig.cli._build_parser.cache_clear()
+            fresh.append(without_walls(run(*argv)))
+        assert in_sequence == fresh
+        assert [code for code, _, _ in in_sequence] == \
+            [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 2]

@@ -3,7 +3,8 @@
 Every kernel must agree exactly with ``reference_kernels`` — the
 entry-by-entry Gaussian-rational algorithms — on random matrices
 (complex and real, mixed and 50-digit denominators and numerators,
-rank-deficient and zero, single rows and columns) and on the corpus.
+rank-deficient and zero, single rows and columns), on random vectors of
+both orientations, and on the corpus.
 """
 
 import pytest
@@ -65,6 +66,16 @@ def matrices(draw, rows=None, cols=None):
 
 
 square_matrices = sizes.flatmap(lambda n: matrices(n, n))
+orientations = st.sampled_from(["column", "row"])
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two scalar tuples of one length (1 included), real or complex."""
+    n = draw(st.one_of(st.just(1), sizes))
+    scalars = draw(st.sampled_from([real_scalars, complex_scalars]))
+    rows = draw(scalar_rows(2, n, scalars))
+    return rows[0], rows[1]
 
 
 @st.composite
@@ -173,6 +184,78 @@ class TestAgainstReference:
         assert ref.scalar_rows(subtract_scalar_diag(a, lam)) == tuple(
             tuple(e - lam if i == j else e for j, e in enumerate(row))
             for i, row in enumerate(rows))
+
+
+class TestVectorsAgainstReference:
+    @given(vector_pairs(), complex_scalars, orientations)
+    def test_operations(self, pair, c, orientation):
+        u, w = pair
+        x, y = Vector(u, orientation), Vector(w, orientation)
+        assert x.entries == u and len(x) == len(u)
+        assert x.dot(y) == ref.vector_dot(u, w)
+        assert x.dot(y.transposed()) == ref.vector_dot(u, w)
+        for got, expected in [(x + y, ref.vector_add(u, w)),
+                              (x - y, ref.vector_sub(u, w)),
+                              (-x, ref.vector_neg(u)),
+                              (x.scaled(c), ref.vector_scaled(u, c))]:
+            assert got.entries == expected
+            assert got.orientation == orientation
+            assert got == Vector(expected, orientation)
+
+    @given(vector_pairs(), orientations)
+    def test_reading_and_shape(self, pair, orientation):
+        u, _ = pair
+        x = Vector(u, orientation)
+        assert list(x) == list(u) and [x[k] for k in range(len(u))] == list(u)
+        assert x.is_zero() == (not any(u))
+        assert x.first_nonzero_index() == next(
+            (k for k, e in enumerate(u) if e), None)
+        flipped = x.transposed()
+        assert flipped.entries == u and flipped.orientation != orientation
+        assert flipped.transposed() == x
+        assert x.re.entries == tuple(GaussianRational(e.re) for e in u)
+        assert x.im.entries == tuple(GaussianRational(e.im) for e in u)
+
+    @given(matrices(), st.data())
+    def test_rows_and_columns_are_plane_views(self, rows, data):
+        a = Matrix(rows)
+        i = data.draw(st.integers(0, a.rows - 1))
+        j = data.draw(st.integers(0, a.cols - 1))
+        assert a.row(i) == Vector(rows[i], "row")
+        assert a.column(j) == Vector([row[j] for row in rows])
+        columns = [a.column(k) for k in range(a.cols)]
+        assert Matrix.from_columns(columns) == a
+        assert Matrix.from_rows([a.row(k) for k in range(a.rows)]) == a
+        assert Matrix.from_rows(columns) == a.transpose()
+
+
+class TestVectorEquality:
+    @pytest.mark.parametrize("entries", [
+        [1, 2, 3], [5], [0], [Rational(1, 2), GaussianRational(0, 1)]])
+    def test_never_equal_to_a_matrix(self, entries):
+        column, row = Vector(entries), Vector(entries, "row")
+        for vector, matrix in [(column, Matrix.from_columns([entries])),
+                               (row, Matrix.from_rows([entries]))]:
+            assert vector != matrix and matrix != vector
+            assert not vector == matrix and not matrix == vector
+        assert column != row and row != column
+        assert len({column, row}) == 2
+
+    @given(vector_pairs(), complex_scalars, orientations)
+    def test_hash_agrees_with_equality(self, pair, c, orientation):
+        u, w = pair
+        x = Vector(u, orientation)
+        same = [Vector(list(u), orientation), x.transposed().transposed(),
+                -(-x), x + Vector([ZERO] * len(u), orientation)]
+        if c:
+            same.append(x.scaled(c).scaled(GaussianRational(1) / c))
+        for other in same:
+            assert other == x and hash(other) == hash(x)
+        y = Vector(w, orientation)
+        assert (x == y) == (u == w)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert len({x, *same}) == 1
 
 
 def test_corpus_agrees_with_reference(corpus):

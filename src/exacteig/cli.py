@@ -31,6 +31,7 @@ from .charmatrix import (
     product_eigenvectors,
 )
 from .errors import (
+    DivisionByZero,
     ExactEigError,
     InternalInconsistency,
     InvalidSpectrum,
@@ -188,8 +189,13 @@ def _build_parser():
 
 
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _load_matrix(args):
@@ -226,7 +232,10 @@ def _run_eigenvectors(args, left, method):
         return _fail(2, f"--method {method} does not support --left")
     s = resolve_spectrum(a, _parsed_spectrum(args))
     if args.target is not None:
-        lam = parse_scalar(args.target)
+        try:
+            lam = parse_scalar(args.target)
+        except DivisionByZero as exc:
+            raise ParseError(f"--target {args.target}: {exc}") from exc
         if lam not in s:
             raise TargetNotInSpectrum(
                 f"--target {args.target} is not in the spectrum")

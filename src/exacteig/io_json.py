@@ -27,9 +27,11 @@ __all__ = [
 
 
 def _loads(text):
+    """``json.loads`` with every failure a SchemaError: malformed text, a
+    number past the digit limit, or nesting past the recursion limit."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed, or a number past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,11 +1,17 @@
 """Exact scalars: the number types, text parsing, and formatting.
 
-:class:`Rational` and :class:`GaussianRational` compose
-:class:`fractions.Fraction`, which keeps the reduced,
-positive-denominator normal form; :class:`GaussianRational` pairs two of
-them. Matrices do not store these objects (see ``exacteig.matrices``);
-they build them on demand when entries are read out. This module also
-defines the canonical text form used across the CLI and JSON interfaces.
+``Rational`` is :class:`fractions.Fraction` itself, which keeps the
+reduced, positive-denominator normal form, and :class:`GaussianRational`
+pairs two of them. Matrices do not store these objects (see
+``exacteig.matrices``); they build them on demand when entries are read
+out. This module also defines the canonical text form used across the
+CLI and JSON interfaces: :func:`format_rational` and
+:func:`format_scalar` write it, while ``repr`` and ``str`` of a
+``Fraction`` are Python's own (``Fraction(3, 2)``, ``3/2``).
+
+Floats never enter: a ``Fraction`` mixes with floats like any
+``Fraction``, but :class:`GaussianRational`, :func:`to_scalar` and
+everything built on them accept only ``int`` and ``Fraction``.
 
 Scalar grammar (no whitespace anywhere)::
 
@@ -48,158 +54,16 @@ __all__ = [
 ]
 
 
-class Rational:
-    """Exact rational number, always reduced with positive denominator."""
-
-    __slots__ = ("_f",)
-
-    def __init__(self, numerator=0, denominator=1):
-        if isinstance(numerator, Rational):
-            numerator = numerator._f
-        elif not isinstance(numerator, int):
-            raise TypeError(f"numerator must be int, not {type(numerator).__name__}")
-        if not isinstance(denominator, int):
-            raise TypeError(f"denominator must be int, not {type(denominator).__name__}")
-        if denominator == 0:
-            raise DivisionByZero("rational with zero denominator")
-        self._f = Fraction(numerator, denominator)
-
-    @classmethod
-    def _wrap(cls, frac):
-        self = object.__new__(cls)
-        self._f = frac
-        return self
-
-    @property
-    def numerator(self):
-        return self._f.numerator
-
-    @property
-    def denominator(self):
-        return self._f.denominator
-
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            return Rational._wrap(self._f + other._f)
-        if isinstance(other, int):
-            return Rational._wrap(self._f + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            return Rational._wrap(self._f - other._f)
-        if isinstance(other, int):
-            return Rational._wrap(self._f - other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Rational._wrap(other - self._f)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return Rational._wrap(self._f * other._f)
-        if isinstance(other, int):
-            return Rational._wrap(self._f * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Rational):
-            if not other._f:
-                raise DivisionByZero("division by zero rational")
-            return Rational._wrap(self._f / other._f)
-        if isinstance(other, int):
-            if other == 0:
-                raise DivisionByZero("division by zero")
-            return Rational._wrap(self._f / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, int):
-            if not self._f:
-                raise DivisionByZero("division by zero rational")
-            return Rational._wrap(other / self._f)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0 and not self._f:
-            raise DivisionByZero("zero raised to a negative power")
-        return Rational._wrap(self._f ** exponent)
-
-    def __neg__(self):
-        return Rational._wrap(-self._f)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return Rational._wrap(abs(self._f))
-
-    def __bool__(self):
-        return bool(self._f)
-
-    def _cmp_value(self, other):
-        if isinstance(other, Rational):
-            return other._f
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __eq__(self, other):
-        value = self._cmp_value(other)
-        if value is None:
-            return NotImplemented
-        return self._f == value
-
-    def __lt__(self, other):
-        value = self._cmp_value(other)
-        if value is None:
-            return NotImplemented
-        return self._f < value
-
-    def __le__(self, other):
-        value = self._cmp_value(other)
-        if value is None:
-            return NotImplemented
-        return self._f <= value
-
-    def __gt__(self, other):
-        value = self._cmp_value(other)
-        if value is None:
-            return NotImplemented
-        return self._f > value
-
-    def __ge__(self, other):
-        value = self._cmp_value(other)
-        if value is None:
-            return NotImplemented
-        return self._f >= value
-
-    def __hash__(self):
-        # Consistent with equality against plain ints.
-        if self._f.denominator == 1:
-            return hash(self._f.numerator)
-        return hash((self._f.numerator, self._f.denominator))
-
-    def __repr__(self):
-        if self._f.denominator == 1:
-            return str(self._f.numerator)
-        return f"{self._f.numerator}/{self._f.denominator}"
+Rational = Fraction
+_FRACTION_ZERO = Fraction(0)
 
 
 def _as_rational(value, what):
-    if isinstance(value, Rational):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Rational(value)
-    raise TypeError(f"{what} must be int or Rational, not {type(value).__name__}")
+        return Fraction(value)
+    raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
 
 
 class GaussianRational:
@@ -212,10 +76,10 @@ class GaussianRational:
         self._imag = _as_rational(im, "imaginary part")
 
     @classmethod
-    def _make(cls, re_frac, im_frac):
+    def _make(cls, re, im):
         self = object.__new__(cls)
-        self._real = Rational._wrap(re_frac)
-        self._imag = Rational._wrap(im_frac)
+        self._real = re
+        self._imag = im
         return self
 
     @property
@@ -227,26 +91,26 @@ class GaussianRational:
         return self._imag
 
     def conjugate(self):
-        return GaussianRational._make(self._real._f, -self._imag._f)
+        return GaussianRational._make(self._real, -self._imag)
 
     def is_real(self):
-        return not self._imag._f
+        return not self._imag
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, GaussianRational):
             return other
         if isinstance(other, int):
-            return GaussianRational._make(Fraction(other), Fraction(0))
-        if isinstance(other, Rational):
-            return GaussianRational._make(other._f, Fraction(0))
+            other = Fraction(other)
+        if isinstance(other, Fraction):
+            return GaussianRational._make(other, _FRACTION_ZERO)
         return None
 
     def __add__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(self._real._f + w._real._f, self._imag._f + w._imag._f)
+        return GaussianRational._make(self._real + w._real, self._imag + w._imag)
 
     __radd__ = __add__
 
@@ -254,20 +118,20 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(self._real._f - w._real._f, self._imag._f - w._imag._f)
+        return GaussianRational._make(self._real - w._real, self._imag - w._imag)
 
     def __rsub__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational._make(w._real._f - self._real._f, w._imag._f - self._imag._f)
+        return GaussianRational._make(w._real - self._real, w._imag - self._imag)
 
     def __mul__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        a, b = self._real._f, self._imag._f
-        c, d = w._real._f, w._imag._f
+        a, b = self._real, self._imag
+        c, d = w._real, w._imag
         return GaussianRational._make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -276,11 +140,11 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        c, d = w._real._f, w._imag._f
+        c, d = w._real, w._imag
         norm = c * c + d * d
         if not norm:
             raise DivisionByZero("division by zero scalar")
-        a, b = self._real._f, self._imag._f
+        a, b = self._real, self._imag
         return GaussianRational._make((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
@@ -293,11 +157,11 @@ class GaussianRational:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            base = GaussianRational._make(Fraction(1), Fraction(0)) / self
+            base = ONE / self
             exponent = -exponent
         else:
             base = self
-        result = GaussianRational._make(Fraction(1), Fraction(0))
+        result = ONE
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -306,31 +170,31 @@ class GaussianRational:
         return result
 
     def __neg__(self):
-        return GaussianRational._make(-self._real._f, -self._imag._f)
+        return GaussianRational._make(-self._real, -self._imag)
 
     def __pos__(self):
         return self
 
     def __bool__(self):
-        return bool(self._real._f) or bool(self._imag._f)
+        return bool(self._real) or bool(self._imag)
 
     def __eq__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return self._real._f == w._real._f and self._imag._f == w._imag._f
+        return self._real == w._real and self._imag == w._imag
 
     def __hash__(self):
-        # Consistent with equality against Rational and int when im == 0.
-        if not self._imag._f:
+        # Consistent with equality against Fraction and int when im == 0.
+        if not self._imag:
             return hash(self._real)
-        return hash((self._real._f.numerator, self._real._f.denominator,
-                     self._imag._f.numerator, self._imag._f.denominator))
+        return hash((self._real, self._imag))
 
     def __repr__(self):
-        if not self._imag._f:
-            return repr(self._real)
-        return f"({self._real!r}{'+' if self._imag._f > 0 else '-'}{abs(self._imag)!r}i)"
+        if not self._imag:
+            return format_rational(self._real)
+        sign = "+" if self._imag > 0 else "-"
+        return f"({format_rational(self._real)}{sign}{format_rational(abs(self._imag))}i)"
 
 
 _SCALAR_RE = re.compile(
@@ -355,8 +219,11 @@ def _int_from_digits(text):
 def _rational_from_text(text):
     if "/" in text:
         num, den = text.split("/")
-        return Rational(_int_from_digits(num), _int_from_digits(den))
-    return Rational(_int_from_digits(text))
+        den = _int_from_digits(den)
+        if not den:
+            raise DivisionByZero("rational with zero denominator")
+        return Fraction(_int_from_digits(num), den)
+    return Fraction(_int_from_digits(text))
 
 
 def parse_scalar(text):
@@ -373,12 +240,12 @@ def parse_scalar(text):
         raise ParseError(f"malformed scalar {text!r}")
     if m.group("im2") is not None:
         sign_mag = m.group("im2")
-        re_part = Rational(0)
+        re_part = Fraction(0)
         im_part = _signed_magnitude(sign_mag)
     else:
         re_part = _rational_from_text(m.group("re"))
         im1 = m.group("im1")
-        im_part = _signed_magnitude(im1) if im1 is not None else Rational(0)
+        im_part = _signed_magnitude(im1) if im1 is not None else Fraction(0)
     z = GaussianRational(re_part, im_part)
     canonical = format_scalar(z)
     if canonical != text:
@@ -397,12 +264,12 @@ def _signed_magnitude(text):
             sign = -1
         text = text[1:]
     if not text:
-        return Rational(sign)
+        return Fraction(sign)
     return _rational_from_text(text) * sign
 
 
 def format_rational(r):
-    """Canonical text of a Rational: ``"3"``, ``"-3/2"``.
+    """Canonical text of a Fraction: ``"3"``, ``"-3/2"``.
 
     Raises DigitLimitExceeded when a part has more digits than Python
     converts to text."""
@@ -432,11 +299,11 @@ def format_scalar(z):
 
 
 def to_scalar(value):
-    """Coerce int, Rational, GaussianRational, or grammar text to a
+    """Coerce int, Fraction, GaussianRational, or grammar text to a
     GaussianRational."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Rational)):
+    if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     if isinstance(value, str):
         return parse_scalar(value)

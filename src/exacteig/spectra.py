@@ -26,7 +26,6 @@ from .scalars import (
     ONE,
     ZERO,
     GaussianRational,
-    Rational,
     format_rational,
     format_scalar,
     scalar_key,
@@ -380,7 +379,7 @@ def find_spectrum(p):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")
 
-    coeffs = [Fraction(c.re.numerator, c.re.denominator) for c in p.coeffs]
+    coeffs = [c.re for c in p.coeffs]
     found = {}
 
     zero_mult = 0
@@ -409,15 +408,13 @@ def find_spectrum(p):
             if len(coeffs) == 1:
                 break
 
-    pairs = [(GaussianRational(Rational(r.numerator, r.denominator)), m)
-             for r, m in found.items()]
+    pairs = [(GaussianRational(r), m) for r, m in found.items()]
 
     residual_degree = len(coeffs) - 1
     if residual_degree == 1:
         # unreachable in theory (a rational root would have been found);
         # resolve it anyway rather than trust the theory at runtime
-        r = -coeffs[0]
-        pairs.append((GaussianRational(Rational(r.numerator, r.denominator)), 1))
+        pairs.append((GaussianRational(-coeffs[0]), 1))
     elif residual_degree == 2:
         pairs.extend(_resolve_quadratic(coeffs[1], coeffs[0]))
     elif residual_degree >= 3:
@@ -436,28 +433,19 @@ def _resolve_quadratic(b, c):
     pairs, when they lie in ℚ(i)."""
     disc = b * b - 4 * c
     if disc == 0:
-        r = -b / 2
-        return [(GaussianRational(Rational(r.numerator, r.denominator)), 2)]
+        return [(GaussianRational(-b / 2), 2)]
     if disc > 0:
         root = _fraction_sqrt(disc)
         if root is None:
             raise IrrationalSpectrum(
                 "quadratic discriminant is not a perfect square; supply "
                 "the spectrum explicitly")
-        out = []
-        for r in ((-b + root) / 2, (-b - root) / 2):
-            out.append((GaussianRational(Rational(r.numerator, r.denominator)), 1))
-        return out
+        return [(GaussianRational((-b + root) / 2), 1),
+                (GaussianRational((-b - root) / 2), 1)]
     root = _fraction_sqrt(-disc)
     if root is None:
         raise IrrationalSpectrum(
             "quadratic roots are complex but not Gaussian rational; supply "
             "the spectrum explicitly")
-    re = -b / 2
-    im = root / 2
-    re_part = Rational(re.numerator, re.denominator)
-    im_part = Rational(im.numerator, im.denominator)
-    return [
-        (GaussianRational(re_part, -im_part), 1),
-        (GaussianRational(re_part, im_part), 1),
-    ]
+    re, im = -b / 2, root / 2
+    return [(GaussianRational(re, -im), 1), (GaussianRational(re, im), 1)]

@@ -412,6 +412,33 @@ class TestExitCodes:
         assert err == ("error: entry (0,0): rational with zero "
                        "denominator\n")
 
+    @staticmethod
+    def _run_reading(run, write_json, role, path):
+        """Run a command that reads ``path`` as its matrix or --spectrum."""
+        if role == "matrix":
+            return run("charpoly", str(path))
+        matrix = write_json(matrix_to_json(SHORTCUT))
+        return run("eigenvectors", matrix, "--spectrum", str(path))
+
+    @pytest.mark.parametrize("role,prefix,suffix", [
+        ("matrix", "", ""), ("spectrum", '{"eigenvalues": ', "}")])
+    def test_deeply_nested_json_is_2(self, run, write_json, tmp_path, role,
+                                     prefix, suffix):
+        path = tmp_path / "deep.json"
+        path.write_text(prefix + "[" * 100000 + "]" * 100000 + suffix)
+        code, out, err = self._run_reading(run, write_json, role, path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON:")
+
+    @pytest.mark.parametrize("role", ["matrix", "spectrum"])
+    def test_non_utf8_file_is_2_naming_it(self, run, write_json, tmp_path,
+                                          role):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = self._run_reading(run, write_json, role, path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
 
 # (non-canonical text, canonical text of the same value)
 NON_CANONICAL = [
@@ -456,6 +483,14 @@ class TestCanonicalGrammar:
         assert code == 2 and out == ""
         assert err == (f"error: non-canonical scalar {text!r}; its "
                        f"canonical form is {canonical!r}\n")
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0"])
+    def test_zero_denominator_target_is_2(self, run, write_json, text):
+        matrix = write_json(matrix_to_json(SHORTCUT))
+        code, out, err = run("eigenvectors", matrix, f"--target={text}")
+        assert code == 2 and out == ""
+        assert err == (f"error: --target {text}: rational with zero "
+                       "denominator\n")
 
 
 class TestCharpolyCount:

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: field behavior, parsing, and formatting."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 from exacteig import (
     DivisionByZero,
     GaussianRational,
+    Matrix,
     ParseError,
+    Polynomial,
     Rational,
+    Spectrum,
+    Vector,
     format_rational,
     format_scalar,
     parse_scalar,
@@ -202,3 +208,41 @@ class TestHashContract:
         z = GaussianRational(Rational(n * d, d))
         assert z == n and n == z and hash(z) == hash(n)
         assert z.re == n and hash(z.re) == hash(n)
+
+
+class TestExactnessBoundary:
+    """Floats never enter exact arithmetic, and the text forms stay
+    canonical, wherever a scalar comes in."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: to_scalar(0.5),
+        lambda: GaussianRational(0.5),
+        lambda: GaussianRational(0, 0.5),
+        lambda: Matrix([[1, 0.5], [0, 1]]),
+        lambda: Vector([1, 0.5]),
+        lambda: Polynomial([0.5, 1]),
+        lambda: Spectrum([(0.5, 1)]),
+    ], ids=["to_scalar", "real_part", "imag_part", "Matrix", "Vector",
+            "Polynomial", "Spectrum"])
+    def test_float_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_float_arithmetic_refused(self):
+        z = parse_scalar("1+i")
+        with pytest.raises(TypeError):
+            z + 0.5
+        with pytest.raises(TypeError):
+            z * 0.5
+
+    @pytest.mark.parametrize("text,expected", [
+        ("3/2-1/2i", "(3/2-1/2i)"), ("-3/2", "-3/2"), ("i", "(0+1i)"),
+        ("-2i", "(0-2i)"),
+    ])
+    def test_repr(self, text, expected):
+        assert repr(parse_scalar(text)) == expected
+
+    def test_parts_are_fractions(self):
+        z = parse_scalar("3/2-1/2i")
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert Rational is Fraction

@@ -5,7 +5,7 @@ Exit codes are part of the contract:
 * 0 — success (including a "not diagonalizable" verdict from ``check``,
   which is a successful analysis);
 * 2 — unusable input: bad flags, unreadable files, schema violations,
-  malformed scalars;
+  malformed scalars, a non-square matrix;
 * 3 — the spectrum cannot be computed exactly; re-run with --spectrum;
 * 4 — ``diagonalize`` on a matrix that is not diagonalizable (the
   ``jordan`` command handles those);
@@ -37,6 +37,7 @@ from .errors import (
     InvalidSpectrum,
     IrrationalSpectrum,
     NotDiagonalizable,
+    NotSquare,
     ParseError,
     SchemaError,
     SpectrumTooLarge,
@@ -82,7 +83,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (SchemaError, ParseError) as exc:
+    except (SchemaError, ParseError, NotSquare) as exc:
         return _fail(2, str(exc))
     except IrrationalSpectrum as exc:
         return _fail(3, f"{exc} (supply --spectrum with the exact "

@@ -2,17 +2,26 @@
 
 The characteristic polynomial is computed monic as det(λI − A) by the
 Faddeev–LeVerrier trace recursion — exact, with divisions only by the
-integers 1..n, so no pivot-driven fraction growth. Root extraction over
-ℚ(i) is a rational-root search with deflation plus quadratic resolution
-of a degree-2 residual; anything deeper is reported as out of reach and
-the caller must supply the spectrum (which `verify_spectrum` checks by
-exact refactorization).
+integers 1..n, so no pivot-driven fraction growth.
+
+Root extraction works on the primitive integer multiple of the
+polynomial. Its rational roots come from p-adic lifting (Loos 1983):
+the roots of the square-free part modulo the first prime where they are
+all simple, lifted by Newton–Hensel steps past twice a Cauchy bound on
+the roots, each candidate then confirmed by exact integer division,
+which also counts its multiplicity. The cost is polynomial in the degree
+and the coefficient digits. A degree-2 residual is resolved by its
+discriminant. Nonreal coefficients and residuals of degree ≥ 3 (even
+ones that split over ℚ(i)) are reported as out of reach and the caller
+must supply the spectrum (which `verify_spectrum` checks by exact
+refactorization).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     InvalidSpectrum,
@@ -320,21 +329,6 @@ def resolve_spectrum(a, s):
     return verify_spectrum(a, s)
 
 
-def _divisors(m):
-    """Sorted positive divisors of a positive integer."""
-    out = []
-    high = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                high.append(m // i)
-        i += 1
-    out.extend(reversed(high))
-    return out
-
-
 def _fraction_sqrt(f):
     """Exact square root of a nonnegative Fraction, or None."""
     rn, rd = isqrt(f.numerator), isqrt(f.denominator)
@@ -343,30 +337,16 @@ def _fraction_sqrt(f):
     return None
 
 
-def _eval_fraction_poly(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate_fraction_poly(coeffs, root):
-    out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        out.append(acc)
-    out.pop()
-    out.reverse()
-    return out
-
-
 def find_spectrum(p):
     """Complete exact factorization of a monic real-rational polynomial
     over ℚ(i), or IrrationalSpectrum when roots escape it.
 
-    Rational roots come from the rational-root theorem with repeated
-    deflation; a remaining quadratic factor is resolved exactly when its
+    The rational roots come from one p-adic search (`_root_candidates`)
+    on the primitive integer multiple of ``p``; each candidate u/v is
+    kept only when an exact division by (vλ − u) confirms it, and the
+    repeated divisions give its multiplicity. The cost is polynomial in
+    the degree and the coefficient digits, so eigenvalue size does not
+    limit it. A remaining quadratic factor is resolved exactly when its
     discriminant is ±r² for rational r. A nonreal coefficient, or any
     residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
     raises IrrationalSpectrum: the caller supplies the spectrum instead.
@@ -380,52 +360,162 @@ def find_spectrum(p):
             "nonreal coefficients; supply the spectrum explicitly")
 
     coeffs = [c.re for c in p.coeffs]
-    found = {}
+    scale = lcm(*(c.denominator for c in coeffs))
+    f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+    found = []
 
     zero_mult = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs = coeffs[1:]
+    while len(f) > 1 and f[0] == 0:
+        f = f[1:]
         zero_mult += 1
     if zero_mult:
-        found[Fraction(0)] = zero_mult
+        found.append((ZERO, zero_mult))
 
-    if len(coeffs) > 1:
-        scale = lcm(*(c.denominator for c in coeffs))
-        constant = abs(int(coeffs[0] * scale))
-        leading = abs(int(coeffs[-1] * scale))
-        candidates = set()
-        for num in _divisors(constant):
-            for den in _divisors(leading):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-        for cand in sorted(candidates):
+    if len(f) > 1:
+        for u, v in _root_candidates(f):
             mult = 0
-            while len(coeffs) > 1 and _eval_fraction_poly(coeffs, cand) == 0:
-                coeffs = _deflate_fraction_poly(coeffs, cand)
+            while len(f) > 1:
+                quotient = _divide(f, [-u, v])
+                if quotient is None:
+                    break
+                f = quotient
                 mult += 1
             if mult:
-                found[cand] = mult
-            if len(coeffs) == 1:
+                found.append((GaussianRational(Fraction(u, v)), mult))
+            if len(f) == 1:
                 break
 
-    pairs = [(GaussianRational(r), m) for r, m in found.items()]
-
-    residual_degree = len(coeffs) - 1
+    residual_degree = len(f) - 1
     if residual_degree == 1:
         # unreachable in theory (a rational root would have been found);
         # resolve it anyway rather than trust the theory at runtime
-        pairs.append((GaussianRational(-coeffs[0]), 1))
+        found.append((GaussianRational(Fraction(-f[0], f[1])), 1))
     elif residual_degree == 2:
-        pairs.extend(_resolve_quadratic(coeffs[1], coeffs[0]))
+        found.extend(_resolve_quadratic(Fraction(f[1], f[2]),
+                                        Fraction(f[0], f[2])))
     elif residual_degree >= 3:
         raise IrrationalSpectrum(
             f"residual factor of degree {residual_degree} has no rational "
             "roots; supply the spectrum explicitly")
 
-    spectrum = Spectrum(pairs)
+    spectrum = Spectrum(found)
     if spectrum.total != p.degree:
         raise IrrationalSpectrum("factorization incomplete")
     return spectrum
+
+
+# -- rational roots by p-adic lifting ----------------------------------------
+#
+# Integer polynomials are coefficient lists in ascending order with a
+# nonzero last entry. Loos (1983), "Computing rational zeros of integral
+# polynomials by p-adic expansion"; von zur Gathen & Gerhard, Modern
+# Computer Algebra, ch. 15.
+
+def _root_candidates(f):
+    """Every rational root u/v (lowest terms, v > 0) of the integer
+    polynomial ``f`` of degree ≥ 1, among at most deg f candidates.
+
+    The square-free part h of f, with leading coefficient a, maps to the
+    monic G(y) = a^(d−1)·h(y/a), whose integer roots y = a·r are the
+    rational roots r of h; each has |y| ≤ B = 1 + max|Gₖ| (Cauchy). For
+    the first prime p modulo which every root of G is simple (all but
+    the finitely many primes dividing the discriminant of G qualify),
+    each root mod p lifts uniquely by Newton–Hensel steps to the modulus
+    p^(2^j) > 2B, where the symmetric residue is y itself. Roots mod p
+    that do not come from an integer root lift to spurious candidates,
+    which the caller's exact division rejects.
+    """
+    h = _divide(f, _gcd(f, _derivative(f)))
+    a = h[-1]
+    g = [1]
+    power = 1
+    for c in reversed(h[:-1]):
+        g.append(c * power)
+        power *= a
+    g.reverse()
+    slope = _derivative(g)
+    bound = 2 * (1 + max(abs(c) for c in g[:-1]))
+    for prime in _primes():
+        roots = [x for x in range(prime) if not _eval_mod(g, x, prime)]
+        if all(_eval_mod(slope, x, prime) for x in roots):
+            break
+    candidates = []
+    for root in roots:
+        modulus = prime
+        while modulus <= bound:
+            modulus *= modulus
+            step = _eval_mod(g, root, modulus) * pow(
+                _eval_mod(slope, root, modulus), -1, modulus)
+            root = (root - step) % modulus
+        y = root - modulus if 2 * root > modulus else root
+        common = gcd(y, a)
+        candidates.append((y // common, a // common))
+    return candidates
+
+
+def _eval_mod(g, x, modulus):
+    """g(x) mod ``modulus`` by Horner's rule."""
+    value = 0
+    for c in reversed(g):
+        value = (value * x + c) % modulus
+    return value
+
+
+def _primitive(f):
+    """``f`` divided by its content, with a positive leading coefficient."""
+    content = gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return f if content == 1 else [c // content for c in f]
+
+
+def _derivative(f):
+    return [k * f[k] for k in range(1, len(f))]
+
+
+def _gcd(f, g):
+    """Primitive greatest common divisor of two nonzero integer
+    polynomials, by primitive pseudo-remainder sequence."""
+    while len(g) > 1:
+        rest = list(f)
+        lead, top = g[-1], len(g) - 1
+        while len(rest) > top:
+            c = rest.pop()
+            shift = len(rest) - top
+            rest = [lead * x for x in rest]
+            for i in range(top):
+                rest[shift + i] -= c * g[i]
+            while rest and not rest[-1]:
+                rest.pop()
+        if not rest:
+            return _primitive(g)
+        f, g = g, _primitive(rest)
+    return [1]
+
+
+def _divide(f, g):
+    """f / g when the integer polynomial ``g`` divides ``f`` in ℤ[λ],
+    else None. For a primitive g = vλ − u that is exactly when u/v is a
+    root of f (Gauss's lemma)."""
+    top = len(g) - 1
+    rest = list(f)
+    quotient = [0] * (len(f) - top)
+    for k in range(len(quotient) - 1, -1, -1):
+        c, remainder = divmod(rest[k + top], g[-1])
+        if remainder:
+            return None
+        quotient[k] = c
+        for i in range(top):
+            rest[k + i] -= c * g[i]
+    if any(rest[:top]):
+        return None
+    return quotient
+
+
+def _primes():
+    """2, 3, 5, 7, … by trial division, generated on demand."""
+    return (n for n in itertools.count(2)
+            if all(n % d for d in range(2, isqrt(n) + 1)))
 
 
 def _resolve_quadratic(b, c):

@@ -1,15 +1,27 @@
-"""Scalar-loop matrix kernels kept as a reference for the integer core.
+"""Scalar-loop matrix kernels kept as a reference for the integer core,
+and the divisor-enumeration root finder kept as a reference for the
+p-adic one.
 
-These are the entry-by-entry Gaussian-rational algorithms that
-``exacteig.matrices`` used before it moved to integer planes and
+The matrix kernels are the entry-by-entry Gaussian-rational algorithms
+that ``exacteig.matrices`` used before it moved to integer planes and
 fraction-free elimination. They work on rows of scalars (tuples of
 :class:`GaussianRational`) and share no code with the library's
 kernels, so exact agreement between the two is evidence for both.
+``find_spectrum`` is the rational-root-theorem search that
+``exacteig.spectra`` used before p-adic lifting, with its helpers.
 """
 
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 
-from exacteig import GaussianRational, Rational, ZeroVector, to_scalar
+from exacteig import (
+    GaussianRational,
+    IrrationalSpectrum,
+    Rational,
+    Spectrum,
+    ZeroVector,
+    to_scalar,
+)
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
@@ -155,3 +167,138 @@ def vector_neg(u):
 def vector_scaled(u, c):
     c = to_scalar(c)
     return tuple(e * c for e in u)
+
+
+# The root finder as ``exacteig.spectra`` had it before p-adic lifting;
+# it takes O(√|c₀|) time in the constant coefficient c₀.
+
+
+def _divisors(m):
+    """Sorted positive divisors of a positive integer."""
+    out = []
+    high = []
+    i = 1
+    while i * i <= m:
+        if m % i == 0:
+            out.append(i)
+            if i != m // i:
+                high.append(m // i)
+        i += 1
+    out.extend(reversed(high))
+    return out
+
+
+def _fraction_sqrt(f):
+    """Exact square root of a nonnegative Fraction, or None."""
+    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _eval_fraction_poly(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _deflate_fraction_poly(coeffs, root):
+    out = []
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        out.append(acc)
+    out.pop()
+    out.reverse()
+    return out
+
+
+def find_spectrum(p):
+    """Complete exact factorization of a monic real-rational polynomial
+    over ℚ(i), or IrrationalSpectrum when roots escape it.
+
+    Rational roots come from the rational-root theorem with repeated
+    deflation; a remaining quadratic factor is resolved exactly when its
+    discriminant is ±r² for rational r. A nonreal coefficient, or any
+    residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
+    raises IrrationalSpectrum: the caller supplies the spectrum instead.
+    """
+    if p.degree < 1:
+        raise ValueError("degree must be at least 1")
+    if not p.is_monic:
+        raise ValueError("polynomial must be monic")
+    if any(c.im for c in p.coeffs):
+        raise IrrationalSpectrum(
+            "nonreal coefficients; supply the spectrum explicitly")
+
+    coeffs = [c.re for c in p.coeffs]
+    found = {}
+
+    zero_mult = 0
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+        zero_mult += 1
+    if zero_mult:
+        found[Fraction(0)] = zero_mult
+
+    if len(coeffs) > 1:
+        scale = lcm(*(c.denominator for c in coeffs))
+        constant = abs(int(coeffs[0] * scale))
+        leading = abs(int(coeffs[-1] * scale))
+        candidates = set()
+        for num in _divisors(constant):
+            for den in _divisors(leading):
+                candidates.add(Fraction(num, den))
+                candidates.add(Fraction(-num, den))
+        for cand in sorted(candidates):
+            mult = 0
+            while len(coeffs) > 1 and _eval_fraction_poly(coeffs, cand) == 0:
+                coeffs = _deflate_fraction_poly(coeffs, cand)
+                mult += 1
+            if mult:
+                found[cand] = mult
+            if len(coeffs) == 1:
+                break
+
+    pairs = [(GaussianRational(r), m) for r, m in found.items()]
+
+    residual_degree = len(coeffs) - 1
+    if residual_degree == 1:
+        # unreachable in theory (a rational root would have been found);
+        # resolve it anyway rather than trust the theory at runtime
+        pairs.append((GaussianRational(-coeffs[0]), 1))
+    elif residual_degree == 2:
+        pairs.extend(_resolve_quadratic(coeffs[1], coeffs[0]))
+    elif residual_degree >= 3:
+        raise IrrationalSpectrum(
+            f"residual factor of degree {residual_degree} has no rational "
+            "roots; supply the spectrum explicitly")
+
+    spectrum = Spectrum(pairs)
+    if spectrum.total != p.degree:
+        raise IrrationalSpectrum("factorization incomplete")
+    return spectrum
+
+
+def _resolve_quadratic(b, c):
+    """Roots of monic λ² + bλ + c with rational b, c, as (value, mult)
+    pairs, when they lie in ℚ(i)."""
+    disc = b * b - 4 * c
+    if disc == 0:
+        return [(GaussianRational(-b / 2), 2)]
+    if disc > 0:
+        root = _fraction_sqrt(disc)
+        if root is None:
+            raise IrrationalSpectrum(
+                "quadratic discriminant is not a perfect square; supply "
+                "the spectrum explicitly")
+        return [(GaussianRational((-b + root) / 2), 1),
+                (GaussianRational((-b - root) / 2), 1)]
+    root = _fraction_sqrt(-disc)
+    if root is None:
+        raise IrrationalSpectrum(
+            "quadratic roots are complex but not Gaussian rational; supply "
+            "the spectrum explicitly")
+    re, im = -b / 2, root / 2
+    return [(GaussianRational(re, -im), 1), (GaussianRational(re, im), 1)]

@@ -412,6 +412,15 @@ class TestExitCodes:
         assert err == ("error: entry (0,0): rational with zero "
                        "denominator\n")
 
+    @pytest.mark.parametrize("command", ["charpoly", "check"])
+    def test_non_square_matrix_is_2(self, run, write_json, command):
+        path = write_json({"rows": 2, "cols": 3,
+                           "entries": [["1", "2", "3"], ["4", "5", "6"]]})
+        code, out, err = run(command, path)
+        assert code == 2 and out == ""
+        assert err == ("error: characteristic polynomial needs a square "
+                       "matrix\n")
+
     @staticmethod
     def _run_reading(run, write_json, role, path):
         """Run a command that reads ``path`` as its matrix or --spectrum."""

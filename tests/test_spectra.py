@@ -1,10 +1,19 @@
 """Characteristic polynomials, exact root finding, and spectrum
 validation."""
 
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import exacteig
+import reference_kernels as ref
 from exacteig import (
     InvalidSpectrum,
     IrrationalSpectrum,
@@ -287,3 +296,133 @@ class TestVerifySpectrum:
         # one can still be verified by refactoring the polynomial
         assert verify_spectrum(SPIRAL, spectrum([("i", 2), ("-i", 2)])) \
             == spectrum([("i", 2), ("-i", 2)])
+
+
+# -- the p-adic finder against the divisor-enumeration reference ------------
+
+# Factors without rational roots, as ascending integer coefficients. The
+# strategy below also draws x² + c, which may split over ℚ or ℚ(i).
+NO_RATIONAL_ROOT_FACTORS = (
+    [-2, 0, 1],            # x² − 2
+    [1, 1, 1],             # x² + x + 1
+    [-2, 0, 0, 1],         # x³ − 2
+    [1, -1, 0, 1],         # x³ − x + 1
+    [4, 0, 5, 0, 1],       # (x² + 1)(x² + 4)
+    [1, 0, 0, 0, 1],       # x⁴ + 1
+)
+
+# The reference takes O(√|c₀|) steps and tries every divisor pair, so
+# the product of the planted roots' heights is capped to keep it fast.
+REFERENCE_HEIGHT_CAP = 10**9
+
+
+@st.composite
+def planted_polynomials(draw):
+    """A monic product of planted rational roots (height ≤ 300,
+    denominators 1–7, multiplicities 1–3, zero roots included) and up
+    to two factors without rational roots."""
+    roots = draw(st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(-300, 300)),
+                  st.integers(1, 7), st.integers(1, 3)),
+        max_size=4))
+    factors = draw(st.lists(
+        st.one_of(st.sampled_from(NO_RATIONAL_ROOT_FACTORS),
+                  st.integers(-60, 60).map(lambda c: [c, 0, 1])),
+        max_size=2))
+    product = poly([1])
+    height = 1
+    for numerator, denominator, mult in roots:
+        height *= max(abs(numerator), denominator) ** mult
+        if height > REFERENCE_HEIGHT_CAP:
+            break
+        for _ in range(mult):
+            product = product * poly([Fraction(-numerator, denominator), 1])
+    for factor in factors:
+        product = product * poly(factor)
+    assume(product.degree >= 1)
+    return product
+
+
+def _outcome(finder, p):
+    try:
+        return ("spectrum", finder(p))
+    except IrrationalSpectrum as exc:
+        return ("irrational", str(exc))
+
+
+class TestAgainstReference:
+    @given(planted_polynomials())
+    def test_same_spectrum_or_same_message(self, p):
+        assert _outcome(find_spectrum, p) == _outcome(ref.find_spectrum, p)
+
+    @pytest.mark.parametrize("coeffs", [
+        [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [4, 0, 5, 0, 1],
+        [0, 0, 4, 0, 1], [-6, 11, -6, 1], [3, -7, 2], [1, 1, 1, 1],
+        [-4, -4, -9, 6],       # (x − 2)(x² + x/2 + 1/3): denominators 2, 3
+        [1, -7, 12],           # (3x − 1)(4x − 1): 1/4 must not pass as 1/3
+    ])
+    def test_fixed_cases(self, coeffs):
+        p = poly(coeffs)
+        p = poly([c / p.leading for c in p.coeffs])
+        assert _outcome(find_spectrum, p) == _outcome(ref.find_spectrum, p)
+
+
+# -- eigenvalue size does not limit root finding ----------------------------
+
+# Run in a fresh interpreter under a time limit, so that a search that
+# scales with the eigenvalues fails the test instead of hanging the suite.
+TIME_LIMIT_S = 5
+SRC = str(Path(exacteig.__file__).resolve().parents[1])
+
+FIND_IN_CHILD = """
+import sys
+from exacteig import Matrix, Polynomial, charpoly, find_spectrum, parse_scalar
+mode, values = sys.argv[1], [parse_scalar(t) for t in sys.argv[2:]]
+if mode == "diagonal":
+    n = len(values)
+    p = charpoly(Matrix([[values[i] if i == j else 0 for j in range(n)]
+                         for i in range(n)]))
+else:
+    p = Polynomial([1])
+    for v in values:
+        p = p * Polynomial([-v, 1])
+print(find_spectrum(p))
+"""
+
+
+def _run_isolated(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", *args], env=env,
+                          capture_output=True, text=True,
+                          timeout=TIME_LIMIT_S)
+
+
+class TestLargeEigenvalues:
+    @pytest.mark.parametrize("mode,values,expected", [
+        ("diagonal", ["10000019", "10000079"],
+         "{10000019:1, 10000079:1}"),
+        ("diagonal", ["314159265358", "-271828182845"],
+         "{-271828182845:1, 314159265358:1}"),
+        ("product", ["123456789/7", "-98765/3", "5", "5", "5",
+                     "-12345678901"],
+         "{-12345678901:1, -98765/3:1, 5:3, 123456789/7:1}"),
+    ])
+    def test_recovers_planted_spectrum(self, mode, values, expected):
+        done = _run_isolated(FIND_IN_CHILD, mode, *values)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected + "\n"
+
+    def test_charpoly_cli_exits_0(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(exacteig.matrix_to_json(
+            m([[10000019, 0], [0, 10000079]]))))
+        done = _run_isolated(
+            "import sys; from exacteig.cli import main; "
+            "sys.exit(main(sys.argv[1:]))",
+            "charpoly", str(path), "--json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["roots"] == [
+            {"value": "10000019", "multiplicity": 1},
+            {"value": "10000079", "multiplicity": 1}]

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _tally,
     Vector,
     cross3,
     det,
@@ -103,8 +104,7 @@ def _product_factors(a, s, target, with_multiplicity):
     return factors
 
 
-def complementary_product(a, s, target, with_multiplicity=False,
-                          counter=None):
+def complementary_product(a, s, target, with_multiplicity=False):
     """Product of the shifted matrices for all eigenvalues other than
     ``target`` (each once, or to full multiplicity — with the target
     itself contributing multiplicity − 1 factors — when
@@ -121,19 +121,17 @@ def complementary_product(a, s, target, with_multiplicity=False,
         return Matrix.identity(a.rows)
     result = factors[0]
     for f in factors[1:]:
-        result = matmul(result, f, counter)
+        result = matmul(result, f)
     return result
 
 
-def _residual_ok(a, lam, v, counter=None):
+def _residual_ok(a, lam, v):
     """Exact check A·v = λ·v (or v·A = λ·v for a row vector)."""
-    image = matvec(a, v, counter)
-    if counter is not None:
-        counter.tally(mults=len(v))
-    return image == v.scaled(lam)
+    _tally(mults=len(v))
+    return matvec(a, v) == v.scaled(lam)
 
 
-def product_eigenvectors(a, s, target, counter=None):
+def product_eigenvectors(a, s, target):
     """Basis of the eigenspace for ``target``, led by product columns.
 
     Columns of the full-multiplicity complementary product are formed
@@ -164,26 +162,26 @@ def product_eigenvectors(a, s, target, counter=None):
         for f in reversed(factors[:-1]):
             if v.is_zero():
                 break
-            v = matvec(f, v, counter)
+            v = matvec(f, v)
         if v.is_zero():
             continue
-        if not _residual_ok(a, target, v, counter):
+        if not _residual_ok(a, target, v):
             saw_dirty_column = True
             continue
-        if is_independent(kept, v, counter):
+        if is_independent(kept, v):
             kept.append(normalize_eigenvector(v))
             if len(kept) == alg:
                 break
     if len(kept) < alg:
         shifted = subtract_scalar_diag(a, target)
-        geom = n - rank(shifted, counter)
+        geom = n - rank(shifted)
         if geom > 0 and not kept and saw_dirty_column:
             raise InternalInconsistency(
                 "product columns failed the residual check although the "
                 "eigenspace is nonempty")
         if len(kept) < geom:
-            for w in nullspace_basis(shifted, counter):
-                if is_independent(kept, w, counter):
+            for w in nullspace_basis(shifted):
+                if is_independent(kept, w):
                     kept.append(w)
                 if len(kept) == geom:
                     break
@@ -193,7 +191,7 @@ def product_eigenvectors(a, s, target, counter=None):
     return kept
 
 
-def left_product_eigenvectors(a, s, target, counter=None):
+def left_product_eigenvectors(a, s, target):
     """Row-vector basis of the left eigenspace for ``target``.
 
     The left eigenvectors of A are the transposed right eigenvectors of
@@ -203,10 +201,10 @@ def left_product_eigenvectors(a, s, target, counter=None):
     vectors, in the same order, as pushing rows through the product.
     """
     return [w.transposed()
-            for w in product_eigenvectors(a.transpose(), s, target, counter)]
+            for w in product_eigenvectors(a.transpose(), s, target)]
 
 
-def two_spectrum_eigenvectors(a, lam1, lam2, counter=None):
+def two_spectrum_eigenvectors(a, lam1, lam2):
     """Full eigenbasis split for a matrix whose spectrum is exactly
     {λ₁, λ₂}, read directly off the two shifted matrices.
 
@@ -230,18 +228,18 @@ def two_spectrum_eigenvectors(a, lam1, lam2, counter=None):
             % (format_scalar(lam1), format_scalar(lam2)))
     k1 = subtract_scalar_diag(a, lam1)
     k2 = subtract_scalar_diag(a, lam2)
-    witness = matmul(k1, k2, counter)
+    witness = matmul(k1, k2)
     if not witness.is_zero():
         raise NotDiagonalizable(
             "shifted-matrix product is nonzero: an eigenspace is too small",
             witness=witness)
     return (
-        _independent_columns(k2, a, lam1, m1, counter),
-        _independent_columns(k1, a, lam2, m2, counter),
+        _independent_columns(k2, a, lam1, m1),
+        _independent_columns(k1, a, lam2, m2),
     )
 
 
-def _independent_columns(source, a, lam, expected, counter):
+def _independent_columns(source, a, lam, expected):
     """Collect ``expected`` independent normalized λ-eigenvectors of
     ``a`` from the columns of ``source``."""
     kept = []
@@ -249,10 +247,10 @@ def _independent_columns(source, a, lam, expected, counter):
         v = source.column(j)
         if v.is_zero():
             continue
-        if not _residual_ok(a, lam, v, counter):
+        if not _residual_ok(a, lam, v):
             raise InternalInconsistency(
                 "column of an annihilating factor is not an eigenvector")
-        if is_independent(kept, v, counter):
+        if is_independent(kept, v):
             kept.append(normalize_eigenvector(v))
             if len(kept) == expected:
                 return kept
@@ -338,7 +336,7 @@ def combined_characteristic_matrix(a, column_assignment):
     return Matrix.from_columns(columns)
 
 
-def cross_eigenvector_3x3(a, lam, counter=None):
+def cross_eigenvector_3x3(a, lam):
     """Eigenvector of a 3×3 matrix as a cross product of rows of A − λI.
 
     The rows of the shifted matrix are orthogonal (bilinear dot) to the
@@ -359,10 +357,10 @@ def cross_eigenvector_3x3(a, lam, counter=None):
     shifted = subtract_scalar_diag(a, lam)
     rows = [shifted.row(i) for i in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        c = cross3(rows[i], rows[j], counter)
+        c = cross3(rows[i], rows[j])
         if not c.is_zero():
             v = normalize_eigenvector(c)
-            if not _residual_ok(a, lam, v, counter):
+            if not _residual_ok(a, lam, v):
                 raise InternalInconsistency(
                     "cross product of shifted rows is not an eigenvector")
             return v
@@ -371,7 +369,7 @@ def cross_eigenvector_3x3(a, lam, counter=None):
         "use the product method")
 
 
-def column_space_intersection(b1, b2, counter=None):
+def column_space_intersection(b1, b2):
     """Normalized basis of col(B₁) ∩ col(B₂).
 
     Null vectors of [B₁ | −B₂] encode the matching coefficients: the
@@ -382,17 +380,17 @@ def column_space_intersection(b1, b2, counter=None):
     if b1.rows != b2.rows:
         raise DimensionMismatch("column spaces live in different dimensions")
     block = hstack(b1, -b2)
-    weights = nullspace_basis(block, counter)
+    weights = nullspace_basis(block)
     kept = []
     for w in weights:
         u = Vector(w[:b1.cols])
-        v = matvec(b1, u, counter)
+        v = matvec(b1, u)
         if v.is_zero():
             continue
-        if is_independent(kept, v, counter):
+        if is_independent(kept, v):
             kept.append(normalize_eigenvector(v))
     joint_rank = b1.cols + b2.cols - len(weights)
-    expected = rank(b1, counter) + rank(b2, counter) - joint_rank
+    expected = rank(b1) + rank(b2) - joint_rank
     if len(kept) != expected:
         raise InternalInconsistency(
             "intersection basis size does not match the rank identity")
@@ -433,7 +431,7 @@ def intersection_eigenvectors(a, s, target):
     return kept
 
 
-def is_diagonalizable(a, s, counter=None):
+def is_diagonalizable(a, s):
     """(True, None) when the product of all shifted matrices — one per
     distinct eigenvalue, ascending — vanishes; otherwise (False, P) with
     the nonzero product as an explicit witness of a too-small eigenspace.
@@ -444,7 +442,7 @@ def is_diagonalizable(a, s, counter=None):
     product = None
     for value, _ in s.pairs:
         k = subtract_scalar_diag(a, value)
-        product = k if product is None else matmul(product, k, counter)
+        product = k if product is None else matmul(product, k)
     if product.is_zero():
         return True, None
     return False, product
@@ -486,11 +484,11 @@ class EigenSystem:
         return all(s.geom_mult == s.alg_mult for s in self.spaces)
 
 
-def eigensystem(a, s, counter=None):
+def eigensystem(a, s):
     """Assemble all eigenspaces via the product method."""
     s = _as_spectrum(s)
     spaces = []
     for value, mult in s.pairs:
-        vectors = product_eigenvectors(a, s, value, counter)
+        vectors = product_eigenvectors(a, s, value)
         spaces.append(Eigenspace(value, mult, tuple(vectors)))
     return EigenSystem(tuple(spaces))

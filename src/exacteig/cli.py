@@ -22,6 +22,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 
 from .charmatrix import (
     cross_eigenvector_3x3,
@@ -182,8 +183,8 @@ def _build_parser():
     p.add_argument("--spectrum", help="path to a spectrum JSON file")
     p.add_argument("--dim", type=int,
                    help="dimension of a generated input (no matrix file)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the generated input")
+    p.add_argument("--seed", type=int,
+                   help="seed for the generated input (default: 0)")
     p.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -452,6 +453,8 @@ def render_ode_term(term):
 
 def _cmd_bench(args):
     if args.matrix is not None:
+        if args.dim is not None or args.seed is not None:
+            return _fail(2, "--dim and --seed apply only to a generated input")
         a = _load_matrix(args)
         s = resolve_spectrum(a, _parsed_spectrum(args))
     else:
@@ -459,7 +462,9 @@ def _cmd_bench(args):
             return _fail(2, "bench needs a matrix file or --dim")
         if args.dim < 2:
             return _fail(2, "--dim must be at least 2")
-        a, s = _generated_bench_input(args.dim, args.seed)
+        if args.spectrum is not None:
+            return _fail(2, "--spectrum applies only to a matrix file")
+        a, s = _generated_bench_input(args.dim, args.seed or 0)
     report = build_bench_report(a, s)
     if args.json:
         _emit_json(report, indent=2)
@@ -508,36 +513,28 @@ def build_bench_report(a, s):
     """Per-method scalar-operation counts and wall times for computing
     every eigenspace of ``a``. Reports measurements only; interpreting
     them is left to the reader."""
-    totals = {"kappa": OpCounter(), "oracle": OpCounter()}
-    walls = {"kappa": 0, "oracle": 0}
+    methods = {
+        "kappa": lambda value: product_eigenvectors(a, s, value),
+        "oracle": lambda value: oracle_eigenvectors(a, value),
+    }
+    totals = {name: Counter() for name in methods}
     per_eigenvalue = []
     for value, _ in s.pairs:
-        counter_k = OpCounter()
-        started = time.perf_counter_ns()
-        product_eigenvectors(a, s, value, counter_k)
-        walls["kappa"] += time.perf_counter_ns() - started
-        counter_o = OpCounter()
-        started = time.perf_counter_ns()
-        oracle_eigenvectors(a, value, counter_o)
-        walls["oracle"] += time.perf_counter_ns() - started
-        totals["kappa"].tally(counter_k.scalar_mults, counter_k.scalar_adds,
-                              counter_k.scalar_divs)
-        totals["oracle"].tally(counter_o.scalar_mults, counter_o.scalar_adds,
-                               counter_o.scalar_divs)
-        per_eigenvalue.append({
-            "value": format_scalar(value),
-            "kappa": counter_k.as_dict(),
-            "oracle": counter_o.as_dict(),
-        })
+        entry = {"value": format_scalar(value)}
+        for name, method in methods.items():
+            with OpCounter() as ops:
+                started = time.perf_counter_ns()
+                method(value)
+                wall = time.perf_counter_ns() - started
+            entry[name] = ops.as_dict()
+            totals[name].update(entry[name], wall_time_ns=wall)
+        per_eigenvalue.append(entry)
     return {
         "input": {
             "dim": a.rows,
             "spectrum": spectrum_to_json(s)["eigenvalues"],
         },
-        "methods": {
-            name: {**totals[name].as_dict(), "wall_time_ns": walls[name]}
-            for name in ("kappa", "oracle")
-        },
+        "methods": totals,
         "per_eigenvalue": per_eigenvalue,
     }
 

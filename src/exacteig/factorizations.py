@@ -50,7 +50,7 @@ class Diagonalization:
     eigen_order: tuple
 
 
-def diagonalize(a, s=None, counter=None):
+def diagonalize(a, s=None):
     """Exact eigendecomposition A = P·D·P⁻¹.
 
     With no spectrum given the eigenvalues are computed (raising
@@ -62,7 +62,7 @@ def diagonalize(a, s=None, counter=None):
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
     s = resolve_spectrum(a, s)
-    ok, witness = is_diagonalizable(a, s, counter)
+    ok, witness = is_diagonalizable(a, s)
     if not ok:
         raise NotDiagonalizable(
             "an eigenspace is smaller than its algebraic multiplicity",
@@ -70,7 +70,7 @@ def diagonalize(a, s=None, counter=None):
     columns = []
     order = []
     for value, mult in s.pairs:
-        vectors = product_eigenvectors(a, s, value, counter)
+        vectors = product_eigenvectors(a, s, value)
         if len(vectors) != mult:
             raise InternalInconsistency(
                 "diagonalizable matrix yielded a short eigenbasis")

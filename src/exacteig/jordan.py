@@ -68,7 +68,7 @@ class JordanForm:
     p_inv: Matrix
 
 
-def shifted_power_ranks(a, lam, counter=None):
+def shifted_power_ranks(a, lam):
     """Powers of the shifted matrix κ = A − λI with their exact ranks.
 
     Returns [(κ, r₁), (κ², r₂), …] up to the index of λ: the ranks fall
@@ -82,7 +82,7 @@ def shifted_power_ranks(a, lam, counter=None):
     n = a.rows
     shifted = subtract_scalar_diag(a, lam)
     current = shifted
-    r = rank(current, counter)
+    r = rank(current)
     if r == n:
         raise NotInSpectrum("not an eigenvalue of the matrix")
     sequence = []
@@ -91,14 +91,14 @@ def shifted_power_ranks(a, lam, counter=None):
         if len(sequence) > n:
             raise InternalInconsistency(
                 "rank sequence failed to stabilize within the dimension")
-        current = matmul(current, shifted, counter)
-        next_rank = rank(current, counter)
+        current = matmul(current, shifted)
+        next_rank = rank(current)
         if next_rank == r:
             return sequence
         r = next_rank
 
 
-def generalized_eigenvectors(a, lam, level, counter=None):
+def generalized_eigenvectors(a, lam, level):
     """Generalized eigenvectors of exact level ``level`` for λ.
 
     A vector has level j when κ^j kills it but κ^{j−1} does not. The
@@ -107,7 +107,7 @@ def generalized_eigenvectors(a, lam, level, counter=None):
     eigenvectors. ``level`` must lie in 1..index(λ) (RankTooLarge
     otherwise).
     """
-    sequence = shifted_power_ranks(a, lam, counter)
+    sequence = shifted_power_ranks(a, lam)
     index = len(sequence)
     if not isinstance(level, int) or not 1 <= level <= index:
         raise RankTooLarge(
@@ -115,8 +115,8 @@ def generalized_eigenvectors(a, lam, level, counter=None):
     power = sequence[level - 1][0]
     lower = sequence[level - 2][0] if level >= 2 else None
     out = []
-    for v in nullspace_basis(power, counter):
-        if lower is None or not matvec(lower, v, counter).is_zero():
+    for v in nullspace_basis(power):
+        if lower is None or not matvec(lower, v).is_zero():
             out.append(v)
     return out
 
@@ -136,7 +136,7 @@ def _scale_chain_uniformly(vectors):
     return [v.scaled(factor) for v in vectors]
 
 
-def build_chains(a, lam, counter=None):
+def build_chains(a, lam):
     """Complete set of Jordan chains for one eigenvalue, sizes
     non-increasing.
 
@@ -147,7 +147,7 @@ def build_chains(a, lam, counter=None):
     vectors of κ^j that are independent of the lower level's null space
     together with the vectors already present at this level.
     """
-    sequence = shifted_power_ranks(a, lam, counter)
+    sequence = shifted_power_ranks(a, lam)
     lam = to_scalar(lam)
     index = len(sequence)
     n = a.rows
@@ -156,11 +156,11 @@ def build_chains(a, lam, counter=None):
     shifted = sequence[0][0]
     null_bases = {0: []}
     for j in range(1, index + 1):
-        null_bases[j] = nullspace_basis(sequence[j - 1][0], counter)
+        null_bases[j] = nullspace_basis(sequence[j - 1][0])
     chains_top_first = []
     for j in range(index, 0, -1):
         for chain in chains_top_first:
-            chain.append(matvec(shifted, chain[-1], counter))
+            chain.append(matvec(shifted, chain[-1]))
         starting_here = blocks_ge[j - 1] - (blocks_ge[j] if j < index else 0)
         if not starting_here:
             continue
@@ -170,7 +170,7 @@ def build_chains(a, lam, counter=None):
         for candidate in null_bases[j]:
             if not needed:
                 break
-            if is_independent(context, candidate, counter):
+            if is_independent(context, candidate):
                 chains_top_first.append([candidate])
                 context.append(candidate)
                 needed -= 1

@@ -20,10 +20,10 @@ use fraction-free (Bareiss) elimination over ℤ[i] on the numerators:
 each update is exact division by the previous pivot, and the division by
 the pivot happens once, at the end, to reach the same unique RREF.
 
-The :class:`OpCounter` instruments the scalar operations actually
-performed by the algorithms that accept one — the benchmark compares
-extraction methods by these machine-independent counts. Counting
-conventions (documented so the reported numbers are meaningful):
+Inside ``with OpCounter() as ops:`` these kernels, and the few scalar
+steps other modules add, count their scalar operations in ``ops``; the
+benchmark compares extraction methods by these machine-independent
+counts. Counting conventions (documented so the numbers are meaningful):
 
 * products count one multiplication per scalar pair and one addition per
   accumulation step, whether or not a plane is zero;
@@ -41,6 +41,7 @@ conventions (documented so the reported numbers are meaningful):
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
@@ -77,20 +78,21 @@ __all__ = [
 
 @dataclass
 class OpCounter:
-    """Tally of exact scalar field operations.
-
-    One counter belongs to one computation context; never share an
-    instance between concurrent computations.
-    """
+    """Tally of exact scalar field operations: ``with OpCounter() as
+    ops:`` counts in ``ops`` what the current thread or asyncio task runs
+    until the block ends, and a nested block counts into the inner
+    counter until it ends."""
 
     scalar_mults: int = 0
     scalar_adds: int = 0
     scalar_divs: int = 0
 
-    def tally(self, mults=0, adds=0, divs=0):
-        self.scalar_mults += mults
-        self.scalar_adds += adds
-        self.scalar_divs += divs
+    def __enter__(self):
+        _active_counters.set(_active_counters.get() + (self,))
+        return self
+
+    def __exit__(self, *exc_info):
+        _active_counters.set(_active_counters.get()[:-1])
 
     @property
     def total(self):
@@ -102,6 +104,18 @@ class OpCounter:
             "scalar_adds": self.scalar_adds,
             "scalar_divs": self.scalar_divs,
         }
+
+
+_active_counters = ContextVar("exacteig_op_counters", default=())
+
+
+def _tally(mults=0, adds=0, divs=0):
+    """Add to the innermost counter entered in this context, if any."""
+    counters = _active_counters.get()
+    if counters:
+        counters[-1].scalar_mults += mults
+        counters[-1].scalar_adds += adds
+        counters[-1].scalar_divs += divs
 
 
 class Vector:
@@ -508,36 +522,34 @@ def _complex_side(matrix, split):
     return None if matrix._is_real() else split(matrix._im, matrix.cols)
 
 
-def matmul(a, b, counter=None):
+def matmul(a, b):
     """Exact matrix product A·B."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     re, im = _complex_product(
         _rows_of(a._re, a.cols), _complex_side(a, _rows_of),
         _columns_of(b._re, b.cols), _complex_side(b, _columns_of))
-    if counter is not None:
-        counter.tally(mults=a.rows * a.cols * b.cols,
-                      adds=a.rows * (a.cols - 1) * b.cols)
+    _tally(mults=a.rows * a.cols * b.cols,
+           adds=a.rows * (a.cols - 1) * b.cols)
     return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
 
 
-def matvec(a, v, counter=None):
+def matvec(a, v):
     """A·v for a column vector, or v·A for a row vector: the matrix
     product with the vector's n×1 (or 1×n) matrix."""
     if v.orientation == "column":
         if len(v) != a.cols:
             raise DimensionMismatch(f"{a.rows}x{a.cols} @ column of {len(v)}")
-        return _view(matmul(a, v._matrix, counter), "column")
+        return _view(matmul(a, v._matrix), "column")
     if len(v) != a.rows:
         raise DimensionMismatch(f"row of {len(v)} @ {a.rows}x{a.cols}")
-    return _view(matmul(v._matrix, a, counter), "row")
+    return _view(matmul(v._matrix, a), "row")
 
 
-def trace(a, counter=None):
+def trace(a):
     _require_square(a)
     step = a.cols + 1
-    if counter is not None:
-        counter.tally(adds=a.rows - 1)
+    _tally(adds=a.rows - 1)
     return _scalar(sum(a._re[::step]), sum(a._im[::step]), a._den)
 
 
@@ -572,7 +584,7 @@ def _integer_rows(a):
     return [list(r) for r in _rows_of(a._re, a.cols)], im
 
 
-def _eliminate(re_rows, im_rows, ncols, full, counter):
+def _eliminate(re_rows, im_rows, ncols, full):
     """Fraction-free (Bareiss) elimination of Gaussian-integer rows, in
     place; ``im_rows`` is None for real rows.
 
@@ -637,8 +649,7 @@ def _eliminate(re_rows, im_rows, ncols, full, counter):
         prev_re, prev_im = p_re, p_im
         if len(pivots) == nrows:
             break
-    if counter is not None:
-        counter.tally(mults=mults, adds=adds, divs=divs)
+    _tally(mults, adds, divs)
     return tuple(pivots), (prev_re, prev_im), sign
 
 
@@ -660,15 +671,15 @@ def _exact_division(re, im, d_re, d_im):
             [(y * d_re - x * d_im) // norm for x, y in zip(re, im)])
 
 
-def _reduced(a, counter):
+def _reduced(a):
     """d·RREF of the numerators of ``a`` as (re rows, im rows or None,
     pivots, d); the common denominator changes neither."""
     re_rows, im_rows = _integer_rows(a)
-    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols, True, counter)
+    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols, True)
     return re_rows, im_rows, pivots, d
 
 
-def rref(a, counter=None):
+def rref(a):
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` with pivot column indices ascending. Pivot
@@ -676,9 +687,8 @@ def rref(a, counter=None):
     deterministic rule that makes sense in exact arithmetic; the RREF
     itself is unique.
     """
-    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a, counter)
-    if counter is not None:
-        counter.tally(divs=len(pivots) * a.cols)
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
+    _tally(divs=len(pivots) * a.cols)
     re = [x for row in re_rows for x in row]
     im = ([0] * len(re) if im_rows is None
           else [y for row in im_rows for y in row])
@@ -686,12 +696,12 @@ def rref(a, counter=None):
     return Matrix._make(a.rows, a.cols, den, re, im), pivots
 
 
-def rank(a, counter=None):
+def rank(a):
     re_rows, im_rows = _integer_rows(a)
-    return len(_eliminate(re_rows, im_rows, a.cols, False, counter)[0])
+    return len(_eliminate(re_rows, im_rows, a.cols, False)[0])
 
 
-def nullspace_basis(a, counter=None):
+def nullspace_basis(a):
     """Exact basis of the null space from the free-variable
     parameterization of the RREF, each vector in canonical normalized
     form. Empty list when the matrix is injective.
@@ -699,7 +709,7 @@ def nullspace_basis(a, counter=None):
     With d·RREF in hand, the vector for a free column f has d at f and
     minus column f of d·RREF at the pivot columns: d times the RREF's
     vector, which normalizes to the same line."""
-    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a, counter)
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
     basis = []
     for free_col in range(a.cols):
         if free_col in pivots:
@@ -714,22 +724,20 @@ def nullspace_basis(a, counter=None):
     return basis
 
 
-def det(a, counter=None):
+def det(a):
     """Exact determinant by fraction-free forward elimination: the last
     Bareiss pivot is the determinant of the numerators."""
     _require_square(a)
     n = a.rows
     re_rows, im_rows = _integer_rows(a)
-    pivots, (d_re, d_im), sign = _eliminate(re_rows, im_rows, n, False,
-                                            counter)
+    pivots, (d_re, d_im), sign = _eliminate(re_rows, im_rows, n, False)
     if len(pivots) < n:
         return ZERO
-    if counter is not None:
-        counter.tally(divs=1)
+    _tally(divs=1)
     return _scalar(sign * d_re, sign * d_im, a._den ** n)
 
 
-def inverse(a, counter=None):
+def inverse(a):
     """Exact inverse by fraction-free Gauss–Jordan on [N | I], where N
     holds the numerators of A = N/den: it ends at [d·I | d·N⁻¹], so
     A⁻¹ = den·(d·N⁻¹)/d. Raises Singular."""
@@ -740,13 +748,11 @@ def inverse(a, counter=None):
         re_rows[i].extend(int(i == j) for j in range(n))
         if im_rows is not None:
             im_rows[i].extend([0] * n)
-    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n, True,
-                                         counter)
+    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n, True)
     if pivots != tuple(range(n)):
         # a singular left block pushes pivots into the identity half
         raise Singular("matrix is singular")
-    if counter is not None:
-        counter.tally(divs=n * n)
+    _tally(divs=n * n)
     re = [a._den * x for row in re_rows for x in row[n:]]
     im = ([0] * len(re) if im_rows is None
           else [a._den * y for row in im_rows for y in row[n:]])
@@ -754,7 +760,7 @@ def inverse(a, counter=None):
     return Matrix._make(n, n, den, re, im)
 
 
-def cross3(u, v, counter=None):
+def cross3(u, v):
     """Standard determinant-expansion cross product of two length-3
     vectors; exactly orthogonal (bilinear dot) to both inputs."""
     if len(u) != 3 or len(v) != 3:
@@ -762,12 +768,11 @@ def cross3(u, v, counter=None):
     a1, a2, a3 = u.entries
     b1, b2, b3 = v.entries
     out = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    if counter is not None:
-        counter.tally(mults=6, adds=3)
+    _tally(mults=6, adds=3)
     return Vector(out, "column")
 
 
-def is_independent(vectors, candidate, counter=None):
+def is_independent(vectors, candidate):
     """True when ``candidate`` lies outside the span of ``vectors``.
 
     The given vectors are assumed linearly independent (they come from a
@@ -778,7 +783,7 @@ def is_independent(vectors, candidate, counter=None):
     if not vectors:
         return True
     stacked = _stacked([*vectors, candidate])
-    return rank(stacked, counter) == len(vectors) + 1
+    return rank(stacked) == len(vectors) + 1
 
 
 def primitive_scale(vectors):

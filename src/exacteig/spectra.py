@@ -30,7 +30,7 @@ from .errors import (
     SpectrumTooLarge,
     WrongSpectrum,
 )
-from .matrices import matmul, subtract_scalar_diag, trace
+from .matrices import _tally, matmul, subtract_scalar_diag, trace
 from .scalars import (
     ONE,
     ZERO,
@@ -180,7 +180,7 @@ def _joined(term):
     return f"+ {term}"
 
 
-def charpoly(a, counter=None):
+def charpoly(a):
     """Exact monic characteristic polynomial det(λI − A).
 
     Faddeev–LeVerrier recursion: M₁ = A, c_{n−1} = −tr(M₁), then
@@ -192,13 +192,12 @@ def charpoly(a, counter=None):
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
     m = a
-    c = -trace(m, counter)
+    c = -trace(m)
     coeffs[n - 1] = c
     for k in range(2, n + 1):
-        m = matmul(a, subtract_scalar_diag(m, -c), counter)
-        c = -(trace(m, counter) / k)
-        if counter is not None:
-            counter.tally(divs=1)
+        m = matmul(a, subtract_scalar_diag(m, -c))
+        c = -(trace(m) / k)
+        _tally(divs=1)
         coeffs[n - k] = c
     return Polynomial(coeffs)
 

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-def oracle_eigenvectors(a, lam, counter=None):
+def oracle_eigenvectors(a, lam):
     """Eigenvectors for λ by the classical route: an exact null-space
     basis of A − λI (already normalized). Raises NotInSpectrum when the
     null space is trivial. Independent of the product-based extraction,
@@ -55,7 +55,7 @@ def oracle_eigenvectors(a, lam, counter=None):
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     lam = to_scalar(lam)
-    basis = nullspace_basis(subtract_scalar_diag(a, lam), counter)
+    basis = nullspace_basis(subtract_scalar_diag(a, lam))
     if not basis:
         raise NotInSpectrum(
             f"{format_scalar(lam)} is not an eigenvalue")

@@ -220,6 +220,21 @@ class TestBench:
         values = [row["value"] for row in payload["per_eigenvalue"]]
         assert values == ["-4", "0", "3"]
 
+    def test_spectrum_with_generated_input_is_2(self, run, write_json):
+        spec = write_json(spectrum_to_json(SHORTCUT_SPECTRUM))
+        code, out, err = run("bench", "--dim", "3", "--spectrum", spec)
+        assert code == 2 and out == ""
+        assert "--spectrum" in err
+
+    @pytest.mark.parametrize("options", [
+        ("--dim", "5", "--seed", "3"), ("--dim", "5"), ("--seed", "0")])
+    def test_generator_options_with_matrix_file_are_2(self, run, write_json,
+                                                      options):
+        path = write_json(matrix_to_json(SHORTCUT))
+        code, out, err = run("bench", path, *options)
+        assert code == 2 and out == ""
+        assert all(flag in err for flag in options if flag.startswith("--"))
+
     def test_no_speedup_claim_in_output(self, run):
         code, out, _ = run("bench", "--dim", "3", "--seed", "5")
         assert code == 0

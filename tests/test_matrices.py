@@ -1,5 +1,7 @@
 """Dense exact matrices and vectors: construction, reduction, rank,
-inverses, and the operation counter."""
+inverses, and the operation counter with the counts it pins."""
+
+import threading
 
 import pytest
 from hypothesis import given
@@ -13,21 +15,33 @@ from exacteig import (
     Singular,
     Vector,
     ZeroVector,
+    build_chains,
+    charpoly,
+    complementary_product,
     cross3,
+    cross_eigenvector_3x3,
     det,
+    diagonalize,
+    eigensystem,
+    find_spectrum,
     hstack,
     inverse,
+    is_diagonalizable,
     is_independent,
+    jordan_form,
+    left_product_eigenvectors,
     matmul,
     matvec,
     normalize_eigenvector,
     nullspace_basis,
+    oracle_eigenvectors,
     parse_scalar,
     rank,
     rref,
     subtract_scalar_diag,
     to_scalar,
     trace,
+    two_spectrum_eigenvectors,
 )
 
 from worked import (
@@ -252,8 +266,8 @@ class TestIndependence:
 
 class TestOpCounter:
     def test_matmul_counts(self):
-        counter = OpCounter()
-        matmul(m([[1, 2], [3, 4]]), m([[5, 6], [7, 8]]), counter)
+        with OpCounter() as counter:
+            matmul(m([[1, 2], [3, 4]]), m([[5, 6], [7, 8]]))
         assert counter.scalar_mults == 8
         assert counter.scalar_adds == 4
         assert counter.scalar_divs == 0
@@ -261,18 +275,189 @@ class TestOpCounter:
     def test_counts_are_deterministic(self):
         first, second = OpCounter(), OpCounter()
         a = m([[1, 4, 3], [-4, -7, -3], [3, 3, 0]])
-        rref(a, first)
-        rref(a, second)
+        with first:
+            rref(a)
+        with second:
+            rref(a)
         assert first.as_dict() == second.as_dict()
         assert first.total > 0
 
     def test_counts_accumulate(self):
-        counter = OpCounter()
-        matvec(m([[1, 1], [1, 1]]), v([1, 1]), counter)
-        before = counter.total
-        matvec(m([[1, 1], [1, 1]]), v([1, 1]), counter)
+        with OpCounter() as counter:
+            matvec(m([[1, 1], [1, 1]]), v([1, 1]))
+            before = counter.total
+            matvec(m([[1, 1], [1, 1]]), v([1, 1]))
         assert counter.total == 2 * before
 
     def test_as_dict_keys(self):
         assert sorted(OpCounter().as_dict()) == [
             "scalar_adds", "scalar_divs", "scalar_mults"]
+
+
+MATMUL_2X2 = {"scalar_mults": 8, "scalar_adds": 4, "scalar_divs": 0}
+
+
+def count_matmul():
+    matmul(m([[1, 2], [3, 4]]), m([[5, 6], [7, 8]]))
+
+
+class TestCountScope:
+    def test_nothing_is_counted_outside_a_block(self):
+        ops = OpCounter()
+        count_matmul()
+        with ops:
+            count_matmul()
+        count_matmul()
+        rref(m([[1, 4, 3], [-4, -7, -3], [3, 3, 0]]))
+        assert ops.as_dict() == MATMUL_2X2
+
+    def test_a_raising_block_leaves_no_counter_active(self):
+        with pytest.raises(Singular):
+            with OpCounter() as ops:
+                inverse(m([[1, 2], [2, 4]]))
+        counted = ops.as_dict()
+        assert ops.total > 0
+        count_matmul()
+        assert ops.as_dict() == counted
+
+    def test_work_in_another_thread_is_not_seen(self):
+        seen = {}
+
+        def work():
+            count_matmul()
+            with OpCounter() as own:
+                count_matmul()
+            seen["own"] = own.as_dict()
+
+        with OpCounter() as ops:
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert ops.total == 0
+        assert seen["own"] == MATMUL_2X2
+
+    def test_a_nested_counter_takes_over_and_the_outer_resumes(self):
+        with OpCounter() as outer:
+            count_matmul()
+            with OpCounter() as inner:
+                count_matmul()
+                count_matmul()
+            count_matmul()
+        doubled = {k: 2 * x for k, x in MATMUL_2X2.items()}
+        assert inner.as_dict() == doubled
+        assert outer.as_dict() == doubled
+
+    def test_reentering_a_counter_accumulates(self):
+        ops = OpCounter()
+        with ops:
+            count_matmul()
+        with ops:
+            with ops:
+                count_matmul()
+            count_matmul()
+        count_matmul()
+        assert ops.as_dict() == {k: 3 * x for k, x in MATMUL_2X2.items()}
+
+    def test_jordan_form_is_counted_deterministically(self):
+        a = m([[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 1, 5]])
+        first, second = OpCounter(), OpCounter()
+        with first:
+            jordan_form(a)
+        with second:
+            jordan_form(a)
+        with OpCounter() as charpoly_only:
+            charpoly(a)
+        assert first.as_dict() == second.as_dict()
+        assert first.total > charpoly_only.total > 0
+
+
+# Matrices of the pinned counts: a diagonalizable 2×2, a 3×3 Jordan
+# block, two 2×2 Jordan blocks, a 3×3 with a double eigenvalue and a
+# rotation with eigenvalues ±i.
+COUNTED = [
+    m([[3, 1], [2, 4]]),
+    m([[2, 1, 0], [0, 2, 1], [0, 0, 2]]),
+    m([[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 1, 5]]),
+    m([[4, 1, -1], [2, 5, -2], [1, 1, 2]]),
+    m([[0, -1], [1, 0]]),
+]
+
+
+# (mults, adds, divs) of each call on the COUNTED matrices, in order;
+# functions of one eigenvalue run once for every eigenvalue.
+PINNED_COUNTS = {
+    charpoly: [(8, 6, 1), (54, 42, 2), (192, 156, 3), (54, 42, 2),
+               (8, 6, 1)],
+    rank: [(4, 2, 0), (8, 0, 2), (26, 6, 8), (16, 8, 2), (0, 0, 0)],
+    rref: [(8, 4, 6), (24, 8, 19), (46, 6, 44), (32, 16, 19), (2, 0, 4)],
+    det: [(4, 2, 1), (8, 0, 3), (26, 6, 9), (16, 8, 3), (0, 0, 1)],
+    nullspace_basis: [(8, 4, 2), (24, 8, 10), (46, 6, 28), (32, 16, 10),
+                      (2, 0, 0)],
+    eigensystem: [(12, 4, 0), (30, 18, 0), (305, 218, 0), (78, 45, 0),
+                  (12, 4, 0)],
+    left_product_eigenvectors: [(12, 4, 0), (30, 18, 0), (317, 228, 0),
+                                (78, 45, 0), (12, 4, 0)],
+    is_diagonalizable: [(8, 4, 0), (0, 0, 0), (128, 96, 0), (27, 18, 0),
+                        (8, 4, 0)],
+    oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (74, 12, 29), (34, 17, 5),
+                          (8, 4, 0)],
+    build_chains: [(40, 20, 0), (109, 71, 0), (455, 244, 51),
+                   (150, 84, 9), (40, 20, 0)],
+    complementary_product: [(0, 0, 0), (27, 18, 0), (384, 288, 0),
+                            (54, 36, 0), (0, 0, 0)],
+}
+
+CALLS = {
+    charpoly: lambda a, s: charpoly(a),
+    rank: lambda a, s: rank(a),
+    rref: lambda a, s: rref(a),
+    det: lambda a, s: det(a),
+    nullspace_basis: lambda a, s: nullspace_basis(a),
+    eigensystem: eigensystem,
+    left_product_eigenvectors: lambda a, s: [
+        left_product_eigenvectors(a, s, value) for value in s.values()],
+    is_diagonalizable: is_diagonalizable,
+    oracle_eigenvectors: lambda a, s: [
+        oracle_eigenvectors(a, value) for value in s.values()],
+    build_chains: lambda a, s: [
+        build_chains(a, value) for value in s.values()],
+    complementary_product: lambda a, s: [
+        complementary_product(a, s, value, True) for value in s.values()],
+}
+
+
+def counted(call, a):
+    s = find_spectrum(charpoly(a))
+    with OpCounter() as ops:
+        call(a, s)
+    return ops.scalar_mults, ops.scalar_adds, ops.scalar_divs
+
+
+class TestPinnedCounts:
+    """Operation counts follow the conventions of the ``matrices``
+    docstring; a change of storage or kernels must leave them exactly as
+    recorded."""
+
+    @pytest.mark.parametrize("function", list(PINNED_COUNTS),
+                             ids=lambda f: f.__name__)
+    def test_kernels_and_methods(self, function):
+        assert [counted(CALLS[function], a)
+                for a in COUNTED] == PINNED_COUNTS[function]
+
+    @pytest.mark.parametrize("call,index,expected", [
+        (lambda a, s: diagonalize(a), 0, (60, 30, 5)),
+        (lambda a, s: diagonalize(a), 3, (269, 169, 11)),
+        (lambda a, s: diagonalize(a), 4, (60, 30, 5)),
+        (lambda a, s: two_spectrum_eigenvectors(a, *s.values()), 0,
+         (28, 14, 1)),
+        (lambda a, s: two_spectrum_eigenvectors(a, *s.values()), 3,
+         (123, 81, 2)),
+        (lambda a, s: two_spectrum_eigenvectors(a, *s.values()), 4,
+         (28, 14, 1)),
+        (lambda a, s: cross_eigenvector_3x3(a, 2), 1, (72, 51, 2)),
+        (lambda a, s: cross_eigenvector_3x3(a, 5), 3, (72, 51, 2)),
+    ])
+    def test_characteristic_polynomial_and_checks_are_counted(
+            self, call, index, expected):
+        assert counted(call, COUNTED[index]) == expected

@@ -5,10 +5,11 @@ this module exploits: a product of the κ_μ over the *other* eigenvalues
 μ ≠ λ (with multiplicities) maps everything into the λ-eigenspace, so
 its nonzero columns are eigenvectors of A for λ — no linear system is
 solved. Left eigenvectors are the right eigenvectors of Aᵀ, transposed.
-The matching rank identity pins down exactly how many independent
-columns the product can deliver; when the eigenspace is bigger than
-that (a defective-adjacent situation), the remainder is topped up from
-an exact null-space basis.
+With full multiplicities, Π_{μ≠λ} κ_μ^{m_μ}·κ_λ^{m_λ−1} has rank 1 when
+the λ-eigenspace is a line and is zero otherwise (κ_λ^{m_λ−1} is
+nonzero on the generalized eigenspace only for a single Jordan block of
+full size), so one nonzero column is the whole eigenbasis, and a larger
+eigenspace is read from an exact null-space basis instead.
 
 Everything is exact; every returned eigenvector is residual-checked
 against A·v = λ·v before it leaves this module.
@@ -37,7 +38,7 @@ from .matrices import (
     cross3,
     det,
     hstack,
-    is_independent,
+    independent_extension,
     matmul,
     matvec,
     normalize_eigenvector,
@@ -86,10 +87,6 @@ def characteristic_matrix(a, lam):
     return CharacteristicMatrix(subtract_scalar_diag(a, lam), lam, a.rows)
 
 
-def _as_spectrum(s):
-    return s if isinstance(s, Spectrum) else Spectrum(s)
-
-
 def _product_factors(a, s, target, with_multiplicity):
     """Shifted-matrix factors for the product complementary to ``target``,
     in ascending eigenvalue order."""
@@ -109,7 +106,7 @@ def complementary_product(a, s, target, with_multiplicity=False):
     ``target`` (each once, or to full multiplicity — with the target
     itself contributing multiplicity − 1 factors — when
     ``with_multiplicity`` is set). An empty factor list yields I."""
-    s = _as_spectrum(s)
+    s = Spectrum(s)
     target = to_scalar(target)
     if not s.multiplicity(target):
         raise TargetNotInSpectrum(
@@ -134,16 +131,18 @@ def _residual_ok(a, lam, v):
 def product_eigenvectors(a, s, target):
     """Basis of the eigenspace for ``target``, led by product columns.
 
-    Columns of the full-multiplicity complementary product are formed
-    lazily (one column of the rightmost factor, pushed left through the
-    others) and kept while they are nonzero,
-    residual-clean, and extend the independent set. The product can
-    produce at most Σ_{μ≠target} max(0, geom(μ) − (alg(target) − 1))
-    independent columns, so when the eigenspace is larger the basis is
-    completed from an exact null-space basis of A − target·I. The result
-    has exactly geometric-multiplicity many vectors, each normalized.
+    Columns of the full-multiplicity complementary product
+    Π_{μ≠λ}(A − μI)^{m_μ}·(A − λI)^{m_λ−1} are formed lazily (one column
+    of the rightmost factor, pushed left through the others), and the
+    first nonzero residual-clean one is kept. That product has rank 1
+    when the λ-eigenspace is a line and is zero otherwise, because
+    (A − λI)^{m_λ−1} is nonzero on the generalized eigenspace only for a
+    single Jordan block of full size. So one column is the whole basis
+    when there is one, and otherwise the basis is an exact null-space
+    basis of A − λI. The result has exactly geometric-multiplicity many
+    vectors, each normalized.
     """
-    s = _as_spectrum(s)
+    s = Spectrum(s)
     target = to_scalar(target)
     if not a.is_square:
         raise NotSquare("eigenvector extraction needs a square matrix")
@@ -165,30 +164,22 @@ def product_eigenvectors(a, s, target):
             v = matvec(f, v)
         if v.is_zero():
             continue
-        if not _residual_ok(a, target, v):
-            saw_dirty_column = True
-            continue
-        if is_independent(kept, v):
-            kept.append(normalize_eigenvector(v))
-            if len(kept) == alg:
-                break
-    if len(kept) < alg:
-        shifted = subtract_scalar_diag(a, target)
-        geom = n - rank(shifted)
-        if geom > 0 and not kept and saw_dirty_column:
-            raise InternalInconsistency(
-                "product columns failed the residual check although the "
-                "eigenspace is nonempty")
-        if len(kept) < geom:
-            for w in nullspace_basis(shifted):
-                if is_independent(kept, w):
-                    kept.append(w)
-                if len(kept) == geom:
-                    break
-        if len(kept) != geom:
-            raise InternalInconsistency(
-                "assembled eigenbasis has the wrong dimension")
-    return kept
+        if _residual_ok(a, target, v):
+            kept = [normalize_eigenvector(v)]
+            break
+        saw_dirty_column = True
+    if len(kept) == alg:
+        return kept
+    null = nullspace_basis(subtract_scalar_diag(a, target))
+    if kept and len(null) != 1:
+        raise InternalInconsistency(
+            "a nonzero product column beside an eigenspace that is not "
+            "a line")
+    if null and not kept and saw_dirty_column:
+        raise InternalInconsistency(
+            "product columns failed the residual check although the "
+            "eigenspace is nonempty")
+    return kept or null
 
 
 def left_product_eigenvectors(a, s, target):
@@ -242,20 +233,16 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
 def _independent_columns(source, a, lam, expected):
     """Collect ``expected`` independent normalized λ-eigenvectors of
     ``a`` from the columns of ``source``."""
-    kept = []
-    for j in range(source.cols):
-        v = source.column(j)
-        if v.is_zero():
-            continue
-        if not _residual_ok(a, lam, v):
-            raise InternalInconsistency(
-                "column of an annihilating factor is not an eigenvector")
-        if is_independent(kept, v):
-            kept.append(normalize_eigenvector(v))
-            if len(kept) == expected:
-                return kept
-    raise InternalInconsistency(
-        "annihilating factor yielded too few independent columns")
+    columns = [source.column(j) for j in range(source.cols)]
+    columns = [v for v in columns if not v.is_zero()]
+    if not all(_residual_ok(a, lam, v) for v in columns):
+        raise InternalInconsistency(
+            "column of an annihilating factor is not an eigenvector")
+    picked = independent_extension([], columns)[:expected]
+    if len(picked) < expected:
+        raise InternalInconsistency(
+            "annihilating factor yielded too few independent columns")
+    return [normalize_eigenvector(v) for v in picked]
 
 
 def eigenvectors_2x2(a, lam1, lam2):
@@ -351,10 +338,10 @@ def cross_eigenvector_3x3(a, lam):
             raise NotSquare("cross-product extraction needs a 3x3 matrix")
         raise DimensionMismatch("cross-product extraction needs a 3x3 matrix")
     lam = to_scalar(lam)
-    if charpoly(a)(lam):
+    shifted = subtract_scalar_diag(a, lam)
+    if det(shifted):
         raise NotInSpectrum(
             f"{format_scalar(lam)} is not an eigenvalue")
-    shifted = subtract_scalar_diag(a, lam)
     rows = [shifted.row(i) for i in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c = cross3(rows[i], rows[j])
@@ -381,14 +368,9 @@ def column_space_intersection(b1, b2):
         raise DimensionMismatch("column spaces live in different dimensions")
     block = hstack(b1, -b2)
     weights = nullspace_basis(block)
-    kept = []
-    for w in weights:
-        u = Vector(w[:b1.cols])
-        v = matvec(b1, u)
-        if v.is_zero():
-            continue
-        if is_independent(kept, v):
-            kept.append(normalize_eigenvector(v))
+    images = [matvec(b1, Vector(w[:b1.cols])) for w in weights]
+    kept = [normalize_eigenvector(v)
+            for v in independent_extension([], images)]
     joint_rank = b1.cols + b2.cols - len(weights)
     expected = rank(b1) + rank(b2) - joint_rank
     if len(kept) != expected:
@@ -406,7 +388,7 @@ def intersection_eigenvectors(a, s, target):
     would leave behind. With no other eigenvalue the result is the
     null-space basis of A − target·I.
     """
-    s = _as_spectrum(s)
+    s = Spectrum(s)
     target = to_scalar(target)
     if not s.multiplicity(target):
         raise TargetNotInSpectrum(
@@ -421,14 +403,11 @@ def intersection_eigenvectors(a, s, target):
         if not vectors:
             return []
         current = Matrix.from_columns(vectors)
-    kept = []
-    for j in range(current.cols):
-        v = current.column(j)
-        if v.is_zero() or not _residual_ok(a, target, v):
-            continue
-        if is_independent(kept, v):
-            kept.append(normalize_eigenvector(v))
-    return kept
+    columns = [current.column(j) for j in range(current.cols)]
+    clean = [v for v in columns
+             if not v.is_zero() and _residual_ok(a, target, v)]
+    return [normalize_eigenvector(v)
+            for v in independent_extension([], clean)]
 
 
 def is_diagonalizable(a, s):
@@ -438,7 +417,7 @@ def is_diagonalizable(a, s):
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
-    s = _as_spectrum(s)
+    s = Spectrum(s)
     product = None
     for value, _ in s.pairs:
         k = subtract_scalar_diag(a, value)
@@ -486,7 +465,7 @@ class EigenSystem:
 
 def eigensystem(a, s):
     """Assemble all eigenspaces via the product method."""
-    s = _as_spectrum(s)
+    s = Spectrum(s)
     spaces = []
     for value, mult in s.pairs:
         vectors = product_eigenvectors(a, s, value)

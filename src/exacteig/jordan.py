@@ -24,8 +24,8 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    independent_extension,
     inverse,
-    is_independent,
     matmul,
     matvec,
     nullspace_basis,
@@ -143,9 +143,10 @@ def build_chains(a, lam):
     Block counts come from the rank sequence: #blocks of size ≥ j is
     rank(κ^{j−1}) − rank(κ^j). Working down from the index, every
     existing chain is extended by one application of κ, and the chains
-    that start at this exact level get their tops from null-space basis
-    vectors of κ^j that are independent of the lower level's null space
-    together with the vectors already present at this level.
+    that start at this exact level get their tops from the null-space
+    basis vectors of κ^j that one elimination finds independent of the
+    lower level's null space, the vectors already present at this level
+    and the basis vectors before them.
     """
     sequence = shifted_power_ranks(a, lam)
     lam = to_scalar(lam)
@@ -164,19 +165,15 @@ def build_chains(a, lam):
         starting_here = blocks_ge[j - 1] - (blocks_ge[j] if j < index else 0)
         if not starting_here:
             continue
-        context = list(null_bases[j - 1])
-        context.extend(chain[-1] for chain in chains_top_first)
-        needed = starting_here
-        for candidate in null_bases[j]:
-            if not needed:
-                break
-            if is_independent(context, candidate):
-                chains_top_first.append([candidate])
-                context.append(candidate)
-                needed -= 1
-        if needed:
+        context = [*null_bases[j - 1], *(c[-1] for c in chains_top_first)]
+        # a null-space basis is independent already
+        tops = (independent_extension(context, null_bases[j]) if context
+                else null_bases[j])[:starting_here]
+        if len(tops) < starting_here:
             raise InternalInconsistency(
-                f"could not start {needed} chain(s) at level {j}")
+                f"could not start {starting_here - len(tops)} chain(s) "
+                f"at level {j}")
+        chains_top_first.extend([top] for top in tops)
     chains = []
     for raw in chains_top_first:
         ordered = list(reversed(raw))

@@ -62,8 +62,8 @@ __all__ = [
     "cross3",
     "det",
     "hstack",
+    "independent_extension",
     "inverse",
-    "is_independent",
     "matmul",
     "matvec",
     "normalize_eigenvector",
@@ -772,18 +772,22 @@ def cross3(u, v):
     return Vector(out, "column")
 
 
-def is_independent(vectors, candidate):
-    """True when ``candidate`` lies outside the span of ``vectors``.
+def independent_extension(basis, candidates):
+    """The candidates that lie outside the span of ``basis`` and of the
+    candidates before them, in order.
 
-    The given vectors are assumed linearly independent (they come from a
-    basis under construction); the test is an exact rank comparison.
+    These are the pivot columns past the basis of one forward
+    elimination of all the vectors placed side by side as columns, so
+    the basis need not be independent and a zero candidate is never
+    selected. Orientation is ignored.
     """
-    if candidate.is_zero():
-        return False
-    if not vectors:
-        return True
-    stacked = _stacked([*vectors, candidate])
-    return rank(stacked) == len(vectors) + 1
+    if not candidates:
+        return []
+    columns = _stacked([*basis, *candidates]).transpose()
+    re_rows, im_rows = _integer_rows(columns)
+    pivots, _, _ = _eliminate(re_rows, im_rows, columns.cols, False)
+    skip = len(basis)
+    return [candidates[c - skip] for c in pivots if c >= skip]
 
 
 def primitive_scale(vectors):

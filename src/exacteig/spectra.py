@@ -115,17 +115,6 @@ class Polynomial:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out)
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else ZERO
-            out.append(a + b)
-        return Polynomial(out)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -141,7 +141,7 @@ def cayley_hamilton_check(a, s):
     complete spectrum of A."""
     if not a.is_square:
         raise NotSquare("needs a square matrix")
-    s = s if isinstance(s, Spectrum) else Spectrum(s)
+    s = Spectrum(s)
     product = None
     for value, mult in s.pairs:
         shifted = subtract_scalar_diag(a, value)
@@ -200,8 +200,7 @@ class GeneratorConfig:
             raise ValueError("dimension must be positive")
         if self.entry_bound < 1:
             raise ValueError("entry bound must be positive")
-        spectrum = (self.spectrum if isinstance(self.spectrum, Spectrum)
-                    else Spectrum(self.spectrum))
+        spectrum = Spectrum(self.spectrum)
         object.__setattr__(self, "spectrum", spectrum)
         if spectrum.total != self.dim:
             raise InvalidSpectrum(

@@ -9,6 +9,9 @@ fraction-free elimination. They work on rows of scalars (tuples of
 kernels, so exact agreement between the two is evidence for both.
 ``find_spectrum`` is the rational-root-theorem search that
 ``exacteig.spectra`` used before p-adic lifting, with its helpers.
+``is_independent`` is the one-candidate rank test that the library's
+basis builders looped over before ``independent_extension`` selected a
+whole list with one elimination; it uses the library's ``rank``.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from exacteig import (
     ZeroVector,
     to_scalar,
 )
+from exacteig.matrices import _stacked, rank
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
@@ -302,3 +306,17 @@ def _resolve_quadratic(b, c):
             "the spectrum explicitly")
     re, im = -b / 2, root / 2
     return [(GaussianRational(re, -im), 1), (GaussianRational(re, im), 1)]
+
+
+def is_independent(vectors, candidate):
+    """True when ``candidate`` lies outside the span of ``vectors``.
+
+    The given vectors are assumed linearly independent (they come from a
+    basis under construction); the test is an exact rank comparison.
+    """
+    if candidate.is_zero():
+        return False
+    if not vectors:
+        return True
+    stacked = _stacked([*vectors, candidate])
+    return rank(stacked) == len(vectors) + 1

@@ -2,9 +2,11 @@
 
 import pytest
 
+import exacteig
 from exacteig import (
     AllRowsParallel,
     Defective,
+    InternalInconsistency,
     Matrix,
     NotDiagonalizable,
     NotInSpectrum,
@@ -29,8 +31,10 @@ from exacteig import (
     parse_scalar,
     product_eigenvectors,
     left_product_eigenvectors,
+    rank,
     residual_check,
     span_equal,
+    subtract_scalar_diag,
     to_scalar,
     two_spectrum_eigenvectors,
 )
@@ -53,9 +57,12 @@ from worked import (
     DEFECTIVE_QUARTET,
     DEFECTIVE_QUARTET_PRODUCT_1_2,
     DEFECTIVE_QUARTET_SPECTRUM,
+    DEFECTIVE_TABLE,
     DEFECTIVE_TRIO,
     DEFECTIVE_TRIO_SPECTRUM,
     DEFECTIVE_TRIO_WITNESS,
+    DOUBLE_PLUS_SIMPLE,
+    DOUBLE_PLUS_SIMPLE_SPECTRUM,
     FOUR_BY_FOUR_MIXED,
     FOUR_BY_FOUR_MIXED_SPECTRUM,
     HALVES,
@@ -75,10 +82,13 @@ from worked import (
     TRIANGULAR_PAIR_SPANS,
     TRIPLE_EIGENVALUE,
     TRIPLE_EIGENVALUE_SPECTRUM,
+    TWO_CHAINS,
+    TWO_CHAINS_SPECTRUM,
     TWO_DOUBLES,
     TWO_DOUBLES_SPAN_AT_2,
     TWO_DOUBLES_SPECTRUM,
     m,
+    spectrum,
     v,
 )
 
@@ -271,6 +281,65 @@ class TestProductEigenvectors:
                     product_eigenvectors(matrix, spec, value),
                     oracle_eigenvectors(matrix, value),
                     matrix.rows)
+
+    def test_dirty_columns_beside_an_eigenspace_raise(self):
+        # a wrong spectrum: 3 in place of 2, so the product leaves the
+        # 2-eigenvector in its range and nothing residual-clean
+        with pytest.raises(InternalInconsistency, match="residual"):
+            product_eigenvectors(Matrix.diagonal([1, 1, 2]),
+                                 spectrum([(1, 2), (3, 1)]), to_scalar(1))
+
+    def test_kept_column_beside_a_plane_raises(self):
+        # a wrong spectrum: 1 has multiplicity 3 and a 2-dimensional
+        # eigenspace, so the product with one factor A - I is not zero
+        with pytest.raises(InternalInconsistency, match="line"):
+            product_eigenvectors(m([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+                                 spectrum([(1, 2), (5, 1)]), to_scalar(1))
+
+
+class TestProductRankFact:
+    """With full multiplicities, the complementary product has rank 1
+    when the eigenspace is a line and is zero otherwise."""
+
+    def test_corpus_and_defective_table(self, corpus):
+        cases = [(e.matrix, e.spectrum) for e in corpus] + DEFECTIVE_TABLE
+        seen = set()
+        for matrix, spec in cases:
+            for value, mult in spec.pairs:
+                geom = matrix.rows - rank(subtract_scalar_diag(matrix, value))
+                product = complementary_product(matrix, spec, value, True)
+                assert rank(product) == (1 if geom == 1 else 0)
+                seen.add((mult > 1, geom == 1))
+        # repeated eigenvalues with a line and with a larger eigenspace
+        assert {(True, True), (True, False)} <= seen
+
+
+class TestEliminationCount:
+    """Each eigenbasis costs one elimination: a kept product column
+    needs none, and a null-space basis is never eliminated again."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        original = exacteig.matrices._eliminate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(exacteig.matrices, "_eliminate", counting)
+        return calls
+
+    @pytest.mark.parametrize("call,expected", [
+        (lambda: product_eigenvectors(
+            DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, to_scalar(1)), 1),
+        (lambda: eigensystem(DOUBLE_PLUS_SIMPLE,
+                             DOUBLE_PLUS_SIMPLE_SPECTRUM), 1),
+        (lambda: eigensystem(TWO_CHAINS, TWO_CHAINS_SPECTRUM), 2),
+    ], ids=["product-double", "eigensystem-double", "eigensystem-chains"])
+    def test_one_per_basis(self, eliminations, call, expected):
+        call()
+        assert len(eliminations) == expected
 
 
 class TestLeftEigenvectors:

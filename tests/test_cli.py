@@ -256,49 +256,49 @@ PINNED_BENCH_COUNTS = {
     (3, 1): [("-2", (21, 12, 0), (20, 10, 4)),
              ("-1", (21, 12, 0), (22, 11, 5)),
              ("3", (21, 12, 0), (22, 11, 5))],
-    (3, 2): [("-4", (21, 12, 0), (22, 11, 5)), ("1", (57, 33, 0), (12, 6, 0))],
+    (3, 2): [("-4", (21, 12, 0), (22, 11, 5)), ("1", (39, 24, 0), (12, 6, 0))],
     (3, 3): [("-4", (21, 12, 0), (17, 6, 5)), ("-1", (21, 12, 0), (17, 7, 4)),
              ("1", (21, 12, 0), (17, 6, 5))],
-    (3, 4): [("-4", (21, 12, 0), (16, 5, 5)), ("0", (34, 20, 0), (8, 4, 0))],
+    (3, 4): [("-4", (21, 12, 0), (16, 5, 5)), ("0", (26, 16, 0), (8, 4, 0))],
     (4, 0): [("-4", (52, 36, 0), (62, 31, 9)),
-             ("-3", (216, 140, 16), (44, 22, 10)),
+             ("-3", (172, 118, 10), (44, 22, 10)),
              ("3", (52, 36, 0), (60, 30, 18))],
     (4, 1): [("-2", (84, 60, 0), (45, 14, 19)),
              ("-1", (52, 36, 0), (47, 16, 19)),
-             ("3", (146, 82, 16), (33, 11, 10))],
-    (4, 2): [("-4", (216, 140, 16), (44, 22, 10)),
-             ("1", (152, 92, 16), (44, 22, 10))],
+             ("3", (113, 71, 10), (33, 11, 10))],
+    (4, 2): [("-4", (172, 118, 10), (44, 22, 10)),
+             ("1", (108, 70, 10), (44, 22, 10))],
     (4, 3): [("-4", (52, 36, 0), (62, 31, 19)),
              ("-1", (52, 36, 0), (60, 30, 18)),
-             ("1", (210, 134, 16), (41, 19, 10))],
-    (4, 4): [("-4", (192, 124, 12), (34, 14, 8)),
-             ("0", (146, 86, 16), (41, 19, 10))],
-    (5, 0): [("-4", (557, 391, 46), (100, 50, 30)),
-             ("-3", (440, 295, 50), (104, 52, 32)),
+             ("1", (169, 115, 10), (41, 19, 10))],
+    (4, 4): [("-4", (162, 110, 8), (34, 14, 8)),
+             ("0", (105, 67, 10), (41, 19, 10))],
+    (5, 0): [("-4", (475, 350, 30), (100, 50, 30)),
+             ("-3", (354, 252, 32), (104, 52, 32)),
              ("3", (105, 80, 0), (132, 66, 46))],
-    (5, 1): [("-2", (565, 395, 50), (104, 52, 32)),
+    (5, 1): [("-2", (479, 352, 32), (104, 52, 32)),
              ("-1", (105, 80, 0), (130, 65, 45)),
-             ("3", (432, 291, 46), (100, 50, 30))],
-    (5, 2): [("-4", (416, 278, 33), (69, 32, 17)),
-             ("1", (305, 185, 50), (99, 47, 32))],
+             ("3", (350, 250, 30), (100, 50, 30))],
+    (5, 2): [("-4", (319, 232, 17), (69, 32, 17)),
+             ("1", (224, 147, 32), (99, 47, 32))],
     (5, 3): [("-4", (105, 80, 0), (118, 52, 46)),
-             ("-1", (534, 369, 50), (101, 49, 32)),
-             ("1", (510, 350, 50), (104, 52, 32))],
-    (5, 4): [("-4", (426, 288, 33), (74, 37, 17)),
-             ("0", (315, 195, 50), (104, 52, 32))],
-    (6, 0): [("-4", (1190, 872, 108), (182, 82, 70)),
-             ("-3", (996, 714, 108), (200, 100, 70)),
-             ("3", (985, 703, 108), (189, 89, 70))],
-    (6, 1): [("-2", (1178, 877, 97), (188, 94, 64)),
+             ("-1", (451, 329, 32), (101, 49, 32)),
+             ("1", (429, 312, 32), (104, 52, 32))],
+    (5, 4): [("-4", (324, 237, 17), (74, 37, 17)),
+             ("0", (229, 152, 32), (104, 52, 32))],
+    (6, 0): [("-4", (1046, 802, 70), (182, 82, 70)),
+             ("-3", (848, 640, 70), (200, 100, 70)),
+             ("3", (837, 629, 70), (189, 89, 70))],
+    (6, 1): [("-2", (1052, 814, 64), (188, 94, 64)),
              ("-1", (186, 150, 0), (236, 116, 90)),
-             ("3", (976, 704, 86), (158, 79, 49))],
-    (6, 2): [("-4", (970, 698, 86), (158, 79, 49)),
-             ("1", (760, 524, 81), (158, 79, 49))],
+             ("3", (806, 619, 49), (158, 79, 49))],
+    (6, 2): [("-4", (806, 619, 49), (158, 79, 49)),
+             ("1", (590, 439, 49), (158, 79, 49))],
     (6, 3): [("-4", (186, 150, 0), (238, 118, 90)),
-             ("-1", (1168, 856, 108), (196, 96, 70)),
-             ("1", (1120, 824, 86), (158, 79, 49))],
-    (6, 4): [("-4", (976, 704, 81), (158, 79, 49)),
-             ("0", (748, 512, 86), (158, 79, 49))],
+             ("-1", (1024, 786, 70), (196, 96, 70)),
+             ("1", (950, 739, 49), (158, 79, 49))],
+    (6, 4): [("-4", (806, 619, 49), (158, 79, 49)),
+             ("0", (590, 439, 49), (158, 79, 49))],
 }
 
 

@@ -11,7 +11,7 @@ from exacteig import (
     build_chains,
     characteristic_matrix,
     generalized_eigenvectors,
-    is_independent,
+    independent_extension,
     jordan_form,
     matmul,
     matvec,
@@ -205,11 +205,9 @@ class TestChains:
     def test_chains_jointly_independent(self):
         for matrix, spec in DEFECTIVE_TABLE:
             for value, mult in spec.pairs:
-                collected = []
-                for chain in build_chains(matrix, value):
-                    for x in chain.vectors:
-                        assert is_independent(collected, x)
-                        collected.append(x)
+                collected = [x for chain in build_chains(matrix, value)
+                             for x in chain.vectors]
+                assert independent_extension([], collected) == collected
                 assert len(collected) == mult
 
     def test_semisimple_eigenvalue_gives_singleton_chains(self):

@@ -19,6 +19,7 @@ from exacteig import (
     Singular,
     Vector,
     det,
+    independent_extension,
     inverse,
     matmul,
     matrix_power,
@@ -227,6 +228,57 @@ class TestVectorsAgainstReference:
         assert Matrix.from_columns(columns) == a
         assert Matrix.from_rows([a.row(k) for k in range(a.rows)]) == a
         assert Matrix.from_rows(columns) == a.transpose()
+
+
+@st.composite
+def vector_lists(draw):
+    """1–6 vectors of one length and orientation, each fresh (real,
+    complex or 50-digit), zero, parallel to an earlier one or the sum of
+    multiples of two earlier ones, split into a basis (dependent when a
+    zero, parallel or sum lands in it) and candidates."""
+    n = draw(st.one_of(st.just(1), sizes))
+    scalars = draw(st.sampled_from([real_scalars, complex_scalars]))
+    orientation = draw(orientations)
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["fresh", "zero"] + (["parallel", "sum"] if vectors else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            entries = draw(scalar_rows(1, n, scalars))[0]
+            vectors.append(Vector(entries, orientation))
+        elif kind == "zero":
+            vectors.append(Vector([ZERO] * n, orientation))
+        elif kind == "parallel":
+            u = draw(st.sampled_from(vectors))
+            vectors.append(u.scaled(draw(complex_scalars)))
+        else:
+            u, w = (draw(st.sampled_from(vectors)) for _ in range(2))
+            vectors.append(u.scaled(draw(complex_scalars))
+                           + w.scaled(draw(complex_scalars)))
+    split = draw(st.integers(0, len(vectors)))
+    return vectors[:split], vectors[split:]
+
+
+def greedy_extension(basis, candidates):
+    """The candidates the one-at-a-time rank test keeps, after reducing
+    the basis the same way."""
+    span, kept = [], []
+    for x in basis:
+        if ref.is_independent(span, x):
+            span.append(x)
+    for x in candidates:
+        if ref.is_independent(span, x):
+            span.append(x)
+            kept.append(x)
+    return kept
+
+
+class TestIndependentExtension:
+    @given(vector_lists())
+    def test_selects_what_the_greedy_rank_test_selects(self, lists):
+        basis, candidates = lists
+        assert independent_extension(basis, candidates) == \
+            greedy_extension(basis, candidates)
 
 
 class TestVectorEquality:

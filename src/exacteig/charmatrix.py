@@ -48,7 +48,8 @@ from .matrices import (
     trace,
 )
 from .scalars import GaussianRational, format_scalar, to_scalar
-from .spectra import Spectrum, charpoly, find_spectrum, multiplicity_of
+from .spectra import (Spectrum, charpoly, find_spectrum, multiplicity_of,
+                      verify_spectrum)
 
 __all__ = [
     "CharacteristicMatrix",
@@ -140,7 +141,9 @@ def product_eigenvectors(a, s, target):
     single Jordan block of full size. So one column is the whole basis
     when there is one, and otherwise the basis is an exact null-space
     basis of A − λI. The result has exactly geometric-multiplicity many
-    vectors, each normalized.
+    vectors, each normalized. Before a result that breaks this fact, or
+    an empty one, ``verify_spectrum`` checks ``s``: a wrong spectrum
+    raises WrongSpectrum, not InternalInconsistency.
     """
     s = Spectrum(s)
     target = to_scalar(target)
@@ -171,15 +174,18 @@ def product_eigenvectors(a, s, target):
     if len(kept) == alg:
         return kept
     null = nullspace_basis(subtract_scalar_diag(a, target))
-    if kept and len(null) != 1:
+    if kept and len(null) == 1 or null and not (kept or saw_dirty_column):
+        return kept or null
+    verify_spectrum(a, s)
+    if kept:
         raise InternalInconsistency(
             "a nonzero product column beside an eigenspace that is not "
             "a line")
-    if null and not kept and saw_dirty_column:
+    if null:
         raise InternalInconsistency(
             "product columns failed the residual check although the "
             "eigenspace is nonempty")
-    return kept or null
+    return null
 
 
 def left_product_eigenvectors(a, s, target):

@@ -1,20 +1,21 @@
 """Characteristic polynomials and exact eigenvalue bookkeeping.
 
+A :class:`Polynomial` holds, like a ``Matrix``, only ints: a positive
+common denominator over Gaussian-integer numerators. One long division
+on them serves deflation, evaluation, root confirmation and spectrum
+verification, which deflates the characteristic polynomial by each
+claimed eigenvalue as often as its multiplicity.
+
 The characteristic polynomial is computed monic as det(λI − A) by the
 Faddeev–LeVerrier trace recursion — exact, with divisions only by the
 integers 1..n, so no pivot-driven fraction growth.
 
-Root extraction works on the primitive integer multiple of the
-polynomial. Its rational roots come from p-adic lifting (Loos 1983):
-the roots of the square-free part modulo the first prime where they are
-all simple, lifted by Newton–Hensel steps past twice a Cauchy bound on
-the roots, each candidate then confirmed by exact integer division,
-which also counts its multiplicity. The cost is polynomial in the degree
-and the coefficient digits. A degree-2 residual is resolved by its
-discriminant. Nonreal coefficients and residuals of degree ≥ 3 (even
-ones that split over ℚ(i)) are reported as out of reach and the caller
-must supply the spectrum (which `verify_spectrum` checks by exact
-refactorization).
+Rational roots come from p-adic lifting (Loos 1983) on the square-free
+part of the primitive integer multiple, each candidate confirmed by
+exact division; a remainder of degree ≤ 2 is solved by its
+discriminant. Nonreal coefficients and remainders of degree ≥ 3 without
+rational roots (even ones that split over ℚ(i)) are out of reach, and
+the caller supplies the spectrum instead.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (
+    DivisionByZero,
     InvalidSpectrum,
     IrrationalSpectrum,
     NotSquare,
@@ -33,7 +35,6 @@ from .errors import (
 from .matrices import _tally, matmul, subtract_scalar_diag, trace
 from .scalars import (
     ONE,
-    ZERO,
     GaussianRational,
     format_rational,
     format_scalar,
@@ -55,24 +56,43 @@ __all__ = [
 
 
 class Polynomial:
-    """Dense univariate polynomial, exact coefficients in ascending order."""
+    """Dense univariate polynomial over ℚ(i), built from its exact
+    coefficients in ascending order.
 
-    __slots__ = ("coeffs",)
+    Coefficient k is (``_reals[k]`` + ``_imags[k]``·i) / ``_denom``,
+    stored canonical like a ``Matrix``: gcd 1 and no trailing zero
+    coefficient (the zero polynomial keeps one). Scalars are built only
+    when read (``coeffs``, ``leading``, ``p(x)``). ``divmod`` is the one
+    division: ``deflate``, evaluation and root confirmation use it.
+    """
+
+    __slots__ = ("_denom", "_reals", "_imags")
 
     def __init__(self, coeffs):
-        data = [to_scalar(c) for c in coeffs]
-        while len(data) > 1 and not data[-1]:
-            data.pop()
-        if not data:
-            data = [ZERO]
-        object.__setattr__(self, "coeffs", tuple(data))
+        parts = [(c.re, c.im) for c in map(to_scalar, coeffs)]
+        # a list: generator-built tuples fill CPython's tuple free lists
+        den = lcm(*[x.denominator for pair in parts for x in pair])
+        _store(self, den,
+               [r.numerator * (den // r.denominator) for r, _ in parts],
+               [i.numerator * (den // i.denominator) for _, i in parts])
+
+    @classmethod
+    def _make(cls, den, re, im):
+        """(re + im·i) / den from numerator lists, which it takes over."""
+        return _store(object.__new__(cls), den, re, im)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self):
+        den = self._denom
+        return tuple([GaussianRational(Fraction(x, den), Fraction(y, den))
+                      for x, y in zip(self._reals, self._imags)])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._reals) - 1
 
     @property
     def leading(self):
@@ -80,93 +100,133 @@ class Polynomial:
 
     @property
     def is_monic(self):
-        return self.leading == ONE
+        return self._reals[-1] == self._denom and not self._imags[-1]
 
     def is_zero(self):
-        return len(self.coeffs) == 1 and not self.coeffs[0]
+        return self._reals == (0,) and self._imags == (0,)
 
     def __call__(self, x):
-        x = to_scalar(x)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return self.deflate(x)[1]
 
     def deflate(self, root):
         """Synthetic division by (λ − root): returns (quotient, remainder)."""
-        root = to_scalar(root)
-        out = []
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        remainder = out.pop()
-        out.reverse()
-        return Polynomial(out if out else [ZERO]), remainder
+        quotient, remainder = divmod(self, Polynomial([-to_scalar(root), 1]))
+        return quotient, remainder.coeffs[0]
+
+    def __divmod__(self, other):
+        """(quotient, remainder) of the division by a nonzero ``other``.
+
+        With a real leading numerator l, pseudo-division on the
+        numerators: scaled by |l|^(deg self − deg other + 1), every step
+        divides exactly, and the scale joins the denominator. A nonreal
+        leading coefficient is made real: the quotient by G is the one of
+        F·Ḡ by G·Ḡ, and the remainder R·Ḡ of that division gives R.
+        """
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if other.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        if other._imags[-1]:
+            conj = Polynomial._make(other._denom, list(other._reals),
+                                    [-y for y in other._imags])
+            norm = other * conj
+            quotient, rest = divmod(self * conj, norm)
+            return quotient, divmod(rest * other, norm)[0]
+        top, d_re, d_im = other.degree, other._reals, other._imags
+        lead, size = d_re[top], max(len(self._reals) - top, 0)
+        scale = abs(lead) ** size
+        r_re = [scale * z for z in self._reals]
+        r_im = [scale * z for z in self._imags]
+        q_re, q_im = [0] * size, [0] * size
+        for k in reversed(range(size)):
+            q_re[k] = x = r_re[k + top] // lead
+            q_im[k] = y = r_im[k + top] // lead
+            for i in range(top):
+                r_re[k + i] -= x * d_re[i] - y * d_im[i]
+                r_im[k + i] -= x * d_im[i] + y * d_re[i]
+        den, dg = self._denom * scale, other._denom
+        return (Polynomial._make(den, [dg * z for z in q_re],
+                                 [dg * z for z in q_im]),
+                Polynomial._make(den, r_re[:top], r_im[:top]))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        re = [0] * (len(self._reals) + len(other._reals) - 1)
+        im = list(re)
+        for i, (a, b) in enumerate(zip(self._reals, self._imags)):
+            for j, (c, d) in enumerate(zip(other._reals, other._imags), i):
+                re[j] += a * c - b * d
+                im[j] += a * d + b * c
+        return Polynomial._make(self._denom * other._denom, re, im)
+
+    def primitive(self):
+        """The integer multiple with coprime numerators, the first
+        nonzero part of its leading coefficient positive."""
+        content = gcd(gcd(*self._reals), gcd(*self._imags)) or 1
+        if (self._reals[-1], self._imags[-1]) < (0, 0):
+            content = -content
+        return Polynomial._make(1, [x // content for x in self._reals],
+                                [y // content for y in self._imags])
+
+    def derivative(self):
+        return Polynomial._make(
+            self._denom, [k * x for k, x in enumerate(self._reals)][1:],
+            [k * y for k, y in enumerate(self._imags)][1:])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._denom, self._reals, self._imags) == \
+            (other._denom, other._reals, other._imags)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._denom, self._reals, self._imags))
 
     def __repr__(self):
         return format_polynomial(self)
 
 
+def _store(p, den, re, im):
+    """Store (re + im·i) / den in ``p`` in canonical form; return ``p``."""
+    while len(re) > 1 and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    g = gcd(den, *re, *im) if den != 1 else 1
+    if g != 1:
+        den //= g
+        re = [x // g for x in re]
+        im = [y // g for y in im]
+    object.__setattr__(p, "_denom", den)
+    object.__setattr__(p, "_reals", tuple(re) or (0,))
+    object.__setattr__(p, "_imags", tuple(im) or (0,))
+    return p
+
+
 def format_polynomial(p, var="l"):
     """Deterministic text form, descending powers: ``"l^2 - 7*l + 10"``."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for power in range(p.degree, -1, -1):
-        c = p.coeffs[power]
+    terms = []
+    for power, c in reversed(list(enumerate(p.coeffs))):
         if not c:
             continue
-        if power == 0:
-            body = _coeff_text(c, bare_one=False)
-            pieces.append(body if not pieces else _joined(body))
-            continue
-        var_part = var if power == 1 else f"{var}^{power}"
-        body = _coeff_text(c, bare_one=True)
-        if body in ("", "-"):
-            term = f"{body}{var_part}"
-        else:
-            term = f"{body}*{var_part}"
-        pieces.append(term if not pieces else _joined(term))
-    return " ".join(pieces)
+        text = _coeff_text(c, bare_one=power > 0)
+        if power:
+            var_part = var if power == 1 else f"{var}^{power}"
+            text += var_part if text in ("", "-") else f"*{var_part}"
+        terms.append(text)
+    if not terms:
+        return "0"
+    return " ".join([terms[0]] + [f"- {t[1:]}" if t.startswith("-")
+                                  else f"+ {t}" for t in terms[1:]])
 
 
 def _coeff_text(c, bare_one):
     """Coefficient text; empty string means an implicit 1 before a variable."""
-    if c.is_real():
-        r = c.re
-        if bare_one and r == 1:
-            return ""
-        if bare_one and r == -1:
-            return "-"
-        return format_rational(r)
-    return f"({format_scalar(c)})"
-
-
-def _joined(term):
-    """Convert a rendered term into ``+ term`` / ``- term`` for joining."""
-    if term.startswith("-"):
-        return f"- {term[1:]}"
-    return f"+ {term}"
+    if not c.is_real():
+        return f"({format_scalar(c)})"
+    if bare_one and abs(c.re) == 1:
+        return "" if c.re == 1 else "-"
+    return format_rational(c.re)
 
 
 def charpoly(a):
@@ -177,32 +237,30 @@ def charpoly(a):
     """
     if not a.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
-    n = a.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = a
-    c = -trace(m)
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
+    m, c = a, -trace(a)
+    coeffs = [ONE, c]   # descending
+    for k in range(2, a.rows + 1):
         m = matmul(a, subtract_scalar_diag(m, -c))
         c = -(trace(m) / k)
         _tally(divs=1)
-        coeffs[n - k] = c
-    return Polynomial(coeffs)
+        coeffs.append(c)
+    return Polynomial(coeffs[::-1])
 
 
 def multiplicity_of(p, value):
     """Exact multiplicity of ``value`` as a root of ``p`` (0 if not a root)."""
-    value = to_scalar(value)
+    return _deflated(p, Polynomial([-to_scalar(value), 1]))[1]
+
+
+def _deflated(p, divisor):
+    """(p / divisorᵏ, k) for the largest k that leaves remainder zero."""
     count = 0
-    current = p
-    while current.degree >= 1:
-        quotient, remainder = current.deflate(value)
-        if remainder:
+    while p.degree >= 1:
+        quotient, rest = divmod(p, divisor)
+        if not rest.is_zero():
             break
-        count += 1
-        current = quotient
-    return count
+        p, count = quotient, count + 1
+    return p, count
 
 
 class Spectrum:
@@ -285,8 +343,9 @@ def shift_spectrum(s, mu):
 
 
 def verify_spectrum(a, claimed):
-    """Validate a claimed spectrum against a matrix by exact
-    refactorization of the characteristic polynomial."""
+    """Validate a claimed spectrum against a matrix: each claimed
+    eigenvalue must divide the characteristic polynomial exactly as often
+    as its multiplicity, no more and no less."""
     if not a.is_square:
         raise NotSquare("spectrum verification needs a square matrix")
     s = Spectrum(claimed)
@@ -297,14 +356,13 @@ def verify_spectrum(a, claimed):
     if s.total != n:
         raise InvalidSpectrum(
             f"multiplicities sum to {s.total}, expected {n}")
-    product = Polynomial([ONE])
+    p = charpoly(a)
     for value, mult in s.pairs:
-        factor = Polynomial([-value, ONE])
-        for _ in range(mult):
-            product = product * factor
-    if product != charpoly(a):
-        raise WrongSpectrum(
-            "claimed eigenvalues do not factor the characteristic polynomial")
+        p, count = _deflated(p, Polynomial([-value, 1]))
+        if count != mult:
+            raise WrongSpectrum(
+                "claimed eigenvalues do not factor the characteristic "
+                "polynomial")
     return s
 
 
@@ -317,70 +375,46 @@ def resolve_spectrum(a, s):
     return verify_spectrum(a, s)
 
 
-def _fraction_sqrt(f):
-    """Exact square root of a nonnegative Fraction, or None."""
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def find_spectrum(p):
     """Complete exact factorization of a monic real-rational polynomial
     over ℚ(i), or IrrationalSpectrum when roots escape it.
 
-    The rational roots come from one p-adic search (`_root_candidates`)
-    on the primitive integer multiple of ``p``; each candidate u/v is
-    kept only when an exact division by (vλ − u) confirms it, and the
-    repeated divisions give its multiplicity. The cost is polynomial in
-    the degree and the coefficient digits, so eigenvalue size does not
-    limit it. A remaining quadratic factor is resolved exactly when its
-    discriminant is ±r² for rational r. A nonreal coefficient, or any
-    residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
-    raises IrrationalSpectrum: the caller supplies the spectrum instead.
+    Candidates from one p-adic search (`_root_candidates`) are kept when
+    exact division confirms them; a remainder of degree ≤ 2 is solved by
+    its discriminant, and a larger one without rational roots (even one
+    that splits over ℚ(i)), or a nonreal coefficient, is out of reach.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    if any(c.im for c in p.coeffs):
+    if any(p._imags):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")
 
-    coeffs = [c.re for c in p.coeffs]
-    scale = lcm(*(c.denominator for c in coeffs))
-    f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+    f = p.primitive()
     found = []
-
-    zero_mult = 0
-    while len(f) > 1 and f[0] == 0:
-        f = f[1:]
-        zero_mult += 1
-    if zero_mult:
-        found.append((ZERO, zero_mult))
-
-    if len(f) > 1:
-        for u, v in _root_candidates(f):
-            mult = 0
-            while len(f) > 1:
-                quotient = _divide(f, [-u, v])
-                if quotient is None:
-                    break
-                f = quotient
-                mult += 1
-            if mult:
-                found.append((GaussianRational(Fraction(u, v)), mult))
-            if len(f) == 1:
+    if f.degree > 2:
+        # f = simple·repeated, simple square-free with every root of f once
+        repeated = _gcd(f, f.derivative())
+        simple = divmod(f, repeated)[0] if repeated.degree else f
+        for u, v in _root_candidates(simple):
+            linear = Polynomial._make(1, [-u, v], [0, 0])
+            quotient, rest = divmod(simple, linear)
+            if rest.is_zero():
+                simple, (repeated, extra) = quotient, _deflated(repeated,
+                                                                linear)
+                found.append((GaussianRational(Fraction(u, v)), 1 + extra))
+            if simple.degree + repeated.degree <= 2:
                 break
+        f = simple * repeated if repeated.degree else simple
 
-    residual_degree = len(f) - 1
+    # what is left has no rational root or a degree of at most 2
+    residual_degree = f.degree
     if residual_degree == 1:
-        # unreachable in theory (a rational root would have been found);
-        # resolve it anyway rather than trust the theory at runtime
-        found.append((GaussianRational(Fraction(-f[0], f[1])), 1))
+        found.append((Fraction(-f._reals[0], f._reals[1]), 1))
     elif residual_degree == 2:
-        found.extend(_resolve_quadratic(Fraction(f[1], f[2]),
-                                        Fraction(f[0], f[2])))
+        found.extend(_resolve_quadratic(f))
     elif residual_degree >= 3:
         raise IrrationalSpectrum(
             f"residual factor of degree {residual_degree} has no rational "
@@ -394,46 +428,43 @@ def find_spectrum(p):
 
 # -- rational roots by p-adic lifting ----------------------------------------
 #
-# Integer polynomials are coefficient lists in ascending order with a
-# nonzero last entry. Loos (1983), "Computing rational zeros of integral
-# polynomials by p-adic expansion"; von zur Gathen & Gerhard, Modern
-# Computer Algebra, ch. 15.
+# Loos (1983), "Computing rational zeros of integral polynomials by
+# p-adic expansion"; von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 15.
 
-def _root_candidates(f):
-    """Every rational root u/v (lowest terms, v > 0) of the integer
-    polynomial ``f`` of degree ≥ 1, among at most deg f candidates.
+def _root_candidates(h):
+    """Every rational root u/v (lowest terms, v > 0) of the square-free
+    primitive integer polynomial ``h`` of degree ≥ 1, among at most
+    deg h candidates.
 
-    The square-free part h of f, with leading coefficient a, maps to the
-    monic G(y) = a^(d−1)·h(y/a), whose integer roots y = a·r are the
-    rational roots r of h; each has |y| ≤ B = 1 + max|Gₖ| (Cauchy). For
-    the first prime p modulo which every root of G is simple (all but
-    the finitely many primes dividing the discriminant of G qualify),
-    each root mod p lifts uniquely by Newton–Hensel steps to the modulus
-    p^(2^j) > 2B, where the symmetric residue is y itself. Roots mod p
-    that do not come from an integer root lift to spurious candidates,
-    which the caller's exact division rejects.
+    With leading coefficient a, h maps to the monic G(y) = a^(d−1)·h(y/a),
+    whose integer roots y = a·r are the rational roots r of h. Fujiwara's
+    bound |y| ≤ 2·max |G_{d−k}|^(1/k), taken through the bit lengths of
+    the coefficients, gives B. For the first prime p modulo which every
+    root of G is simple (all but the finitely many primes dividing the
+    discriminant of G qualify), each root mod p lifts uniquely by
+    Newton–Hensel steps to the modulus p^(2^j) > 2B, where the symmetric
+    residue is y itself. Roots mod p that do not come from an integer
+    root lift to spurious candidates, which the caller's exact division
+    rejects.
     """
-    h = _divide(f, _gcd(f, _derivative(f)))
-    a = h[-1]
-    g = [1]
-    power = 1
-    for c in reversed(h[:-1]):
-        g.append(c * power)
-        power *= a
-    g.reverse()
-    slope = _derivative(g)
-    bound = 2 * (1 + max(abs(c) for c in g[:-1]))
+    *rest, a = h._reals
+    g = [c * a ** (len(rest) - 1 - k) for k, c in enumerate(rest)] + [1]
+    g = Polynomial._make(1, g, [0] * len(g))
+    slope = g.derivative()
+    bound = 4 * max(1 << -(-abs(c).bit_length() // k)
+                    for k, c in enumerate(reversed(g._reals[:-1]), 1))
     for prime in _primes():
-        roots = [x for x in range(prime) if not _eval_mod(g, x, prime)]
-        if all(_eval_mod(slope, x, prime) for x in roots):
+        roots = [x for x in range(prime) if not _residue(g, x, prime)]
+        if all(_residue(slope, x, prime) for x in roots):
             break
     candidates = []
     for root in roots:
         modulus = prime
         while modulus <= bound:
             modulus *= modulus
-            step = _eval_mod(g, root, modulus) * pow(
-                _eval_mod(slope, root, modulus), -1, modulus)
+            step = _residue(g, root, modulus) * pow(
+                _residue(slope, root, modulus), -1, modulus)
             root = (root - step) % modulus
         y = root - modulus if 2 * root > modulus else root
         common = gcd(y, a)
@@ -441,63 +472,30 @@ def _root_candidates(f):
     return candidates
 
 
-def _eval_mod(g, x, modulus):
-    """g(x) mod ``modulus`` by Horner's rule."""
+def _gcd(f, g):
+    """Primitive greatest common divisor of two nonzero real integer
+    polynomials, by their primitive pseudo-remainder sequence."""
+    f, g = list(f._reals), g.primitive()
+    while g.degree >= 1:
+        lead, top = g._reals[-1], g.degree
+        while len(f) > top:
+            c = f.pop()
+            f = [lead * x for x in f]
+            for i in range(top):
+                f[len(f) - top + i] -= c * g._reals[i]
+        rest = Polynomial._make(1, f, [0] * top)
+        if rest.is_zero():
+            return g
+        f, g = list(g._reals), rest.primitive()
+    return Polynomial._make(1, [1], [0])
+
+
+def _residue(g, x, modulus):
+    """g(x) mod ``modulus`` for an integer polynomial g, by Horner's rule."""
     value = 0
-    for c in reversed(g):
+    for c in reversed(g._reals):
         value = (value * x + c) % modulus
     return value
-
-
-def _primitive(f):
-    """``f`` divided by its content, with a positive leading coefficient."""
-    content = gcd(*f)
-    if f[-1] < 0:
-        content = -content
-    return f if content == 1 else [c // content for c in f]
-
-
-def _derivative(f):
-    return [k * f[k] for k in range(1, len(f))]
-
-
-def _gcd(f, g):
-    """Primitive greatest common divisor of two nonzero integer
-    polynomials, by primitive pseudo-remainder sequence."""
-    while len(g) > 1:
-        rest = list(f)
-        lead, top = g[-1], len(g) - 1
-        while len(rest) > top:
-            c = rest.pop()
-            shift = len(rest) - top
-            rest = [lead * x for x in rest]
-            for i in range(top):
-                rest[shift + i] -= c * g[i]
-            while rest and not rest[-1]:
-                rest.pop()
-        if not rest:
-            return _primitive(g)
-        f, g = g, _primitive(rest)
-    return [1]
-
-
-def _divide(f, g):
-    """f / g when the integer polynomial ``g`` divides ``f`` in ℤ[λ],
-    else None. For a primitive g = vλ − u that is exactly when u/v is a
-    root of f (Gauss's lemma)."""
-    top = len(g) - 1
-    rest = list(f)
-    quotient = [0] * (len(f) - top)
-    for k in range(len(quotient) - 1, -1, -1):
-        c, remainder = divmod(rest[k + top], g[-1])
-        if remainder:
-            return None
-        quotient[k] = c
-        for i in range(top):
-            rest[k + i] -= c * g[i]
-    if any(rest[:top]):
-        return None
-    return quotient
 
 
 def _primes():
@@ -506,24 +504,19 @@ def _primes():
             if all(n % d for d in range(2, isqrt(n) + 1)))
 
 
-def _resolve_quadratic(b, c):
-    """Roots of monic λ² + bλ + c with rational b, c, as (value, mult)
-    pairs, when they lie in ℚ(i)."""
-    disc = b * b - 4 * c
-    if disc == 0:
-        return [(GaussianRational(-b / 2), 2)]
-    if disc > 0:
-        root = _fraction_sqrt(disc)
-        if root is None:
-            raise IrrationalSpectrum(
-                "quadratic discriminant is not a perfect square; supply "
-                "the spectrum explicitly")
-        return [(GaussianRational((-b + root) / 2), 1),
-                (GaussianRational((-b - root) / 2), 1)]
-    root = _fraction_sqrt(-disc)
-    if root is None:
+def _resolve_quadratic(f):
+    """Roots of the quadratic ``f`` as (value, mult) pairs, when they lie
+    in ℚ(i): (−c₁ ± √D)/(2c₂) from the numerators, D = c₁² − 4c₀c₂."""
+    c0, c1, c2 = f._reals
+    disc = c1 * c1 - 4 * c0 * c2
+    root = isqrt(abs(disc))
+    if root * root != abs(disc):
+        problem = ("discriminant is not a perfect square" if disc > 0
+                   else "roots are complex but not Gaussian rational")
         raise IrrationalSpectrum(
-            "quadratic roots are complex but not Gaussian rational; supply "
-            "the spectrum explicitly")
-    re, im = -b / 2, root / 2
-    return [(GaussianRational(re, -im), 1), (GaussianRational(re, im), 1)]
+            f"quadratic {problem}; supply the spectrum explicitly")
+    mid, half = Fraction(-c1, 2 * c2), Fraction(root, 2 * c2)
+    if not disc:
+        return [(mid, 2)]
+    half = GaussianRational(half) if disc > 0 else GaussianRational(0, half)
+    return [(mid + half, 1), (mid - half, 1)]

@@ -12,6 +12,10 @@ kernels, so exact agreement between the two is evidence for both.
 ``is_independent`` is the one-candidate rank test that the library's
 basis builders looped over before ``independent_extension`` selected a
 whole list with one elimination; it uses the library's ``rank``.
+``Polynomial`` is the tuple-of-scalars polynomial that ``exacteig.spectra``
+used before it stored integer numerators over a common denominator, and
+``verify_spectrum`` the check that expanded the claimed product
+Π(λ − v)^m with it, where the library now deflates by exact division.
 """
 
 from fractions import Fraction
@@ -19,10 +23,16 @@ from math import gcd, isqrt, lcm
 
 from exacteig import (
     GaussianRational,
+    InvalidSpectrum,
     IrrationalSpectrum,
+    NotSquare,
     Rational,
     Spectrum,
+    SpectrumTooLarge,
+    WrongSpectrum,
     ZeroVector,
+    charpoly,
+    format_polynomial,
     to_scalar,
 )
 from exacteig.matrices import _stacked, rank
@@ -320,3 +330,100 @@ def is_independent(vectors, candidate):
         return True
     stacked = _stacked([*vectors, candidate])
     return rank(stacked) == len(vectors) + 1
+
+
+class Polynomial:
+    """Dense univariate polynomial, exact coefficients in ascending order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        data = [to_scalar(c) for c in coeffs]
+        while len(data) > 1 and not data[-1]:
+            data.pop()
+        if not data:
+            data = [ZERO]
+        object.__setattr__(self, "coeffs", tuple(data))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self):
+        return self.coeffs[-1]
+
+    @property
+    def is_monic(self):
+        return self.leading == ONE
+
+    def is_zero(self):
+        return len(self.coeffs) == 1 and not self.coeffs[0]
+
+    def __call__(self, x):
+        x = to_scalar(x)
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    def deflate(self, root):
+        """Synthetic division by (λ − root): returns (quotient, remainder)."""
+        root = to_scalar(root)
+        out = []
+        acc = ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * root + c
+            out.append(acc)
+        remainder = out.pop()
+        out.reverse()
+        return Polynomial(out if out else [ZERO]), remainder
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return Polynomial(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return format_polynomial(self)
+
+
+def verify_spectrum(a, claimed):
+    """Validate a claimed spectrum against a matrix by exact
+    refactorization of the characteristic polynomial."""
+    if not a.is_square:
+        raise NotSquare("spectrum verification needs a square matrix")
+    s = Spectrum(claimed)
+    n = a.rows
+    if len(s.pairs) > n:
+        raise SpectrumTooLarge(
+            f"{len(s.pairs)} distinct eigenvalues for a {n}x{n} matrix")
+    if s.total != n:
+        raise InvalidSpectrum(
+            f"multiplicities sum to {s.total}, expected {n}")
+    product = Polynomial([ONE])
+    for value, mult in s.pairs:
+        factor = Polynomial([-value, ONE])
+        for _ in range(mult):
+            product = product * factor
+    if product != Polynomial(charpoly(a).coeffs):
+        raise WrongSpectrum(
+            "claimed eigenvalues do not factor the characteristic polynomial")
+    return s

@@ -282,19 +282,55 @@ class TestProductEigenvectors:
                     oracle_eigenvectors(matrix, value),
                     matrix.rows)
 
+    # Wrong spectra that reach each guard of product_eigenvectors; a
+    # spectrum is checked before a guard fires, so they raise WrongSpectrum.
+    # 3 in place of 2: the product leaves the 2-eigenvector in its range
+    # and nothing residual-clean.
+    DIRTY_COLUMNS = (Matrix.diagonal([1, 1, 2]), spectrum([(1, 2), (3, 1)]),
+                     to_scalar(1))
+    # 1 has multiplicity 3 and a 2-dimensional eigenspace, so the product
+    # with one factor A - I is not zero.
+    KEPT_BESIDE_A_PLANE = (m([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+                           spectrum([(1, 2), (5, 1)]), to_scalar(1))
+    # 7 is no eigenvalue: both columns are dirty and the null space empty.
+    EMPTY_BASIS = (SHORTCUT, spectrum([(2, 1), (7, 1)]), to_scalar(7))
+
     def test_dirty_columns_beside_an_eigenspace_raise(self):
-        # a wrong spectrum: 3 in place of 2, so the product leaves the
-        # 2-eigenvector in its range and nothing residual-clean
-        with pytest.raises(InternalInconsistency, match="residual"):
-            product_eigenvectors(Matrix.diagonal([1, 1, 2]),
-                                 spectrum([(1, 2), (3, 1)]), to_scalar(1))
+        with pytest.raises(WrongSpectrum):
+            product_eigenvectors(*self.DIRTY_COLUMNS)
 
     def test_kept_column_beside_a_plane_raises(self):
-        # a wrong spectrum: 1 has multiplicity 3 and a 2-dimensional
-        # eigenspace, so the product with one factor A - I is not zero
-        with pytest.raises(InternalInconsistency, match="line"):
-            product_eigenvectors(m([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
-                                 spectrum([(1, 2), (5, 1)]), to_scalar(1))
+        with pytest.raises(WrongSpectrum):
+            product_eigenvectors(*self.KEPT_BESIDE_A_PLANE)
+
+    def test_empty_basis_from_a_wrong_spectrum_raises(self):
+        with pytest.raises(WrongSpectrum, match="do not factor"):
+            product_eigenvectors(*self.EMPTY_BASIS)
+
+    def test_wrong_spectrum_raises_in_eigensystem_and_left(self):
+        wrong = spectrum([(2, 1), (6, 1)])
+        with pytest.raises(WrongSpectrum, match="do not factor"):
+            eigensystem(SHORTCUT, wrong)
+        with pytest.raises(WrongSpectrum, match="do not factor"):
+            left_product_eigenvectors(SHORTCUT, wrong, to_scalar(6))
+
+    @pytest.mark.parametrize("case,message", [
+        (DIRTY_COLUMNS, "residual"), (KEPT_BESIDE_A_PLANE, "line")])
+    def test_guards_stand_behind_a_passing_check(self, monkeypatch, case,
+                                                 message):
+        # with the spectrum check passing, the same inputs reach the guards
+        monkeypatch.setattr(exacteig.charmatrix, "verify_spectrum",
+                            lambda a, s: s)
+        with pytest.raises(InternalInconsistency, match=message):
+            product_eigenvectors(*case)
+
+    def test_correct_spectrum_is_not_rechecked(self, monkeypatch, corpus):
+        calls = []
+        monkeypatch.setattr(exacteig.charmatrix, "verify_spectrum",
+                            lambda a, s: calls.append(s))
+        for entry in corpus[:100]:
+            eigensystem(entry.matrix, entry.spectrum)
+        assert calls == []
 
 
 class TestProductRankFact:

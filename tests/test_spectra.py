@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 import exacteig
 import reference_kernels as ref
 from exacteig import (
+    DivisionByZero,
+    ExactEigError,
+    GaussianRational,
     InvalidSpectrum,
     IrrationalSpectrum,
     Matrix,
@@ -80,8 +84,11 @@ class TestPolynomial:
         assert poly([1, 2, 0, 0]) == poly([1, 2])
 
     def test_zero_polynomial(self):
-        assert poly([0]).is_zero
-        assert poly([]).is_zero
+        assert poly([0]).is_zero()
+        assert poly([]).is_zero()
+        assert poly([0, 0]) == poly([]) and poly([0]).degree == 0
+        assert not poly([1, 2]).is_zero()
+        assert not poly([0, 1]).is_zero()
 
     def test_evaluation(self):
         p = poly([10, -7, 1])
@@ -365,6 +372,170 @@ class TestAgainstReference:
         p = poly(coeffs)
         p = poly([c / p.leading for c in p.coeffs])
         assert _outcome(find_spectrum, p) == _outcome(ref.find_spectrum, p)
+
+
+# -- the integer-numerator Polynomial against the scalar reference ----------
+
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-8, max_value=8, max_denominator=9),
+    st.integers(-10**50, 10**50),
+    st.builds(Fraction, st.integers(-10**50, 10**50), st.integers(1, 10**50)))
+gaussian = st.builds(lambda re, im: GaussianRational(Fraction(re),
+                                                     Fraction(im)),
+                     rationals, st.one_of(st.just(0), rationals))
+coefficient_lists = st.lists(gaussian, max_size=5)
+# roots with denominators shared by both parts, e.g. (1+i)/2
+roots = st.one_of(gaussian, st.sampled_from(
+    ["1/2+1/2i", "1/2-1/2i", "3/4i", "-1+2/3i", "0", "7"]).map(parse_scalar))
+
+
+def both(coeffs):
+    return Polynomial(coeffs), ref.Polynomial(coeffs)
+
+
+class TestAgainstScalarReference:
+    @given(coefficient_lists)
+    def test_same_coefficients(self, coeffs):
+        p, r = both(coeffs)
+        assert p.coeffs == r.coeffs
+        assert (p.degree, p.leading, p.is_monic, p.is_zero()) == \
+            (r.degree, r.leading, r.is_monic, r.is_zero())
+        assert format_polynomial(p) == format_polynomial(r)
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_products(self, c1, c2):
+        (p1, r1), (p2, r2) = both(c1), both(c2)
+        assert (p1 * p2).coeffs == (r1 * r2).coeffs
+
+    @given(coefficient_lists, roots)
+    def test_deflation_and_evaluation(self, coeffs, root):
+        p, r = both(coeffs)
+        quotient, remainder = p.deflate(root)
+        expected_quotient, expected_remainder = r.deflate(root)
+        assert quotient.coeffs == expected_quotient.coeffs
+        assert remainder == expected_remainder == r(root) == p(root)
+
+    @given(st.lists(roots, min_size=1, max_size=4), coefficient_lists)
+    def test_planted_roots_deflate_exactly(self, planted, coeffs):
+        p, r = both(coeffs)
+        assume(not p.is_zero())
+        for root in planted:
+            p, r = p * Polynomial([-root, 1]), r * ref.Polynomial([-root, 1])
+        for root in planted:
+            assert multiplicity_of(p, root) >= planted.count(root)
+        for root in planted:
+            p, remainder = p.deflate(root)
+            r, expected = r.deflate(root)
+            assert remainder == expected == 0 and p.coeffs == r.coeffs
+
+    @given(coefficient_lists, st.lists(gaussian, min_size=1, max_size=3))
+    def test_division(self, c1, c2):
+        f, g = Polynomial(c1), Polynomial(c2)
+        assume(not g.is_zero())
+        quotient, remainder = divmod(f, g)
+        assert remainder.is_zero() or remainder.degree < g.degree
+        total = zip_longest((quotient * g).coeffs, remainder.coeffs,
+                            fillvalue=0)
+        assert Polynomial([x + y for x, y in total]) == f
+
+    @given(st.lists(st.integers(-10**50, 10**50), max_size=5),
+           st.integers(0, 2))
+    def test_equal_spellings_are_equal_and_hash_alike(self, ints, zeros):
+        spellings = [
+            ints + [0] * zeros,
+            [Fraction(k) for k in ints],
+            [GaussianRational(k) for k in ints] + [Fraction(0)] * zeros,
+            [GaussianRational(Fraction(2 * k, 2), 0) for k in ints],
+        ]
+        polys = [Polynomial(s) for s in spellings]
+        assert all(q == polys[0] for q in polys)
+        assert len({hash(q) for q in polys}) == 1
+        assert polys[0] != Polynomial(ints + [1])
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_equal_values_by_different_routes(self, c1, c2):
+        (p1, r1), (p2, r2) = both(c1), both(c2)
+        product = p1 * p2
+        rebuilt = Polynomial((r1 * r2).coeffs)
+        assert product == rebuilt and hash(product) == hash(rebuilt)
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            Polynomial([1, 0.5])
+
+    def test_division_by_zero(self):
+        with pytest.raises(DivisionByZero):
+            divmod(poly([1, 2]), poly([0]))
+
+    def test_primitive_and_derivative(self):
+        p = poly(["-3/2", 0, "9/4"])
+        assert p.primitive() == poly([-2, 0, 3])
+        assert poly([-2, 0, -3]).primitive() == poly([2, 0, 3])
+        assert p.derivative() == poly([0, "9/2"])
+        assert poly([5]).derivative() == poly([0])
+        q = Polynomial([parse_scalar("-2i"), 2])
+        assert q.primitive() == Polynomial([parse_scalar("-i"), 1])
+
+
+def _verdict(check, a, s):
+    try:
+        return ("accepted", check(a, s))
+    except ExactEigError as exc:
+        return (type(exc), str(exc))
+
+
+def _moved(s):
+    """``s`` with one unit of the first multiplicity moved to the next
+    eigenvalue (to first + 1 when there is only one)."""
+    (v1, m1), *rest = s.pairs
+    v2, m2 = rest[0] if rest else (v1 + 1, 0)
+    pairs = dict(s.pairs)
+    pairs.update({v1: m1 - 1, v2: m2 + 1})
+    return Spectrum([(v, m) for v, m in pairs.items() if m])
+
+
+class TestVerifySpectrumAgainstReference:
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            a, s = entry.matrix, entry.spectrum
+            shifted = shift_spectrum(s, to_scalar(-1))
+            moved = _moved(s)
+            assert _verdict(verify_spectrum, a, s) == ("accepted", s) == \
+                _verdict(ref.verify_spectrum, a, s)
+            for wrong in (shifted, moved):
+                verdict = _verdict(verify_spectrum, a, wrong)
+                assert verdict[0] is WrongSpectrum
+                assert verdict == _verdict(ref.verify_spectrum, a, wrong)
+
+    def test_multiplies_no_polynomials(self, corpus, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("verify_spectrum multiplied polynomials")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        for entry in corpus[:100]:
+            assert verify_spectrum(entry.matrix, entry.spectrum) == \
+                entry.spectrum
+        assert verify_spectrum(SPIRAL, spectrum([("i", 2), ("-i", 2)]))
+        with pytest.raises(WrongSpectrum):
+            verify_spectrum(SPIRAL, spectrum([("i", 3), ("-i", 1)]))
+
+    @pytest.mark.parametrize("claimed", [
+        [(1, 2)], [(1, 1), (2, 1), (3, 1)], [(2, 1), (5, 2)], [(2, 1)]])
+    def test_same_errors_before_the_polynomial(self, claimed):
+        assert _verdict(verify_spectrum, SHORTCUT, spectrum(claimed)) == \
+            _verdict(ref.verify_spectrum, SHORTCUT, spectrum(claimed))
+
+    def test_gaussian_spectra(self):
+        for matrix, claimed in [
+                (SPIRAL, [("i", 2), ("-i", 2)]),
+                (SPIRAL, [("i", 3), ("-i", 1)]),
+                (m([["1/2", "-1/2"], ["1/2", "1/2"]]),
+                 [("1/2+1/2i", 1), ("1/2-1/2i", 1)]),
+                (m([["1/2", "-1/2"], ["1/2", "1/2"]]),
+                 [("1/2+1/2i", 2)])]:
+            assert _verdict(verify_spectrum, matrix, spectrum(claimed)) == \
+                _verdict(ref.verify_spectrum, matrix, spectrum(claimed))
 
 
 # -- eigenvalue size does not limit root finding ----------------------------

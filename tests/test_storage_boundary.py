@@ -1,7 +1,8 @@
 """The integer-plane storage of matrices and vectors, and the active
 operation counter, are decisions of ``exacteig/matrices.py`` alone: no
 other module of the package may reach into them, and no function takes
-a counter as a parameter."""
+a counter as a parameter. Likewise the integer numerators of a
+polynomial are read by ``exacteig/spectra.py`` alone."""
 
 import importlib
 import inspect
@@ -14,6 +15,9 @@ PACKAGE = Path(exacteig.__file__).parent
 STORAGE = re.compile(
     r"\b_planes\b|\b_scalar\b|\._re\b|\._im\b|\._den\b|\bMatrix\._make\b")
 ACTIVE_COUNTER = re.compile(r"\b_active_counters\b|\bcontextvars\b")
+POLYNOMIAL_FIELDS = ("_denom", "_reals", "_imags")
+POLYNOMIAL_STORAGE = re.compile(
+    "|".join(rf"\b{name}\b" for name in POLYNOMIAL_FIELDS))
 
 
 def references(path, pattern):
@@ -48,6 +52,17 @@ def test_only_matrices_reads_the_active_counter():
     assert offenders == []
     hits = "\n".join(references(PACKAGE / "matrices.py", ACTIVE_COUNTER))
     assert "_active_counters" in hits and "contextvars" in hits
+
+
+def test_only_spectra_reads_the_polynomial_fields():
+    assert exacteig.Polynomial.__slots__ == POLYNOMIAL_FIELDS
+    modules = sorted(PACKAGE.glob("*.py"))
+    offenders = [hit for path in modules if path.name != "spectra.py"
+                 for hit in references(path, POLYNOMIAL_STORAGE)]
+    assert offenders == []
+    hits = "\n".join(references(PACKAGE / "spectra.py", POLYNOMIAL_STORAGE))
+    for name in POLYNOMIAL_FIELDS:
+        assert name in hits
 
 
 def package_functions():

@@ -1,21 +1,25 @@
 """Characteristic polynomials and exact eigenvalue bookkeeping.
 
 A :class:`Polynomial` holds, like a ``Matrix``, only ints: a positive
-common denominator over Gaussian-integer numerators. One long division
-on them serves deflation, evaluation, root confirmation and spectrum
-verification, which deflates the characteristic polynomial by each
-claimed eigenvalue as often as its multiplicity.
+common denominator over Gaussian-integer numerators. One exact division
+on them serves deflation, the root finder's gcd, root confirmation and
+spectrum verification.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
 Faddeev–LeVerrier trace recursion — exact, with divisions only by the
 integers 1..n, so no pivot-driven fraction growth.
 
-Rational roots come from p-adic lifting (Loos 1983) on the square-free
-part of the primitive integer multiple, each candidate confirmed by
-exact division; a remainder of degree ≤ 2 is solved by its
-discriminant. Nonreal coefficients and remainders of degree ≥ 3 without
-rational roots (even ones that split over ℚ(i)) are out of reach, and
-the caller supplies the spectrum instead.
+Root extraction works on the primitive integer multiple of the
+polynomial. Its rational roots come from p-adic lifting (Loos 1983):
+the roots of the square-free part modulo the first prime where they are
+all simple, lifted by Newton–Hensel steps past twice a Cauchy bound on
+the roots, each candidate then confirmed by exact division, which also
+counts its multiplicity. The cost is polynomial in the degree and the
+coefficient digits. A degree-2 residual is resolved by its
+discriminant. Nonreal coefficients and residuals of degree ≥ 3 (even
+ones that split over ℚ(i)) are reported as out of reach and the caller
+must supply the spectrum (which `verify_spectrum` checks by deflating
+the characteristic polynomial by each claimed eigenvalue).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .errors import (
 from .matrices import _tally, matmul, subtract_scalar_diag, trace
 from .scalars import (
     ONE,
+    ZERO,
     GaussianRational,
     format_rational,
     format_scalar,
@@ -63,7 +68,8 @@ class Polynomial:
     stored canonical like a ``Matrix``: gcd 1 and no trailing zero
     coefficient (the zero polynomial keeps one). Scalars are built only
     when read (``coeffs``, ``leading``, ``p(x)``). ``divmod`` is the one
-    division: ``deflate``, evaluation and root confirmation use it.
+    division: ``deflate``, evaluation, the root finder's gcd and root
+    confirmation, and ``verify_spectrum`` use it.
     """
 
     __slots__ = ("_denom", "_reals", "_imags")
@@ -87,7 +93,7 @@ class Polynomial:
     @property
     def coeffs(self):
         den = self._denom
-        return tuple([GaussianRational(Fraction(x, den), Fraction(y, den))
+        return tuple([_coefficient(x, y, den)
                       for x, y in zip(self._reals, self._imags)])
 
     @property
@@ -96,7 +102,7 @@ class Polynomial:
 
     @property
     def leading(self):
-        return self.coeffs[-1]
+        return _coefficient(self._reals[-1], self._imags[-1], self._denom)
 
     @property
     def is_monic(self):
@@ -187,6 +193,11 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def _coefficient(re, im, den):
+    """The scalar (re + im·i) / den."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
 def _store(p, den, re, im):
     """Store (re + im·i) / den in ``p`` in canonical form; return ``p``."""
     while len(re) > 1 and not (re[-1] or im[-1]):
@@ -205,28 +216,45 @@ def _store(p, den, re, im):
 
 def format_polynomial(p, var="l"):
     """Deterministic text form, descending powers: ``"l^2 - 7*l + 10"``."""
-    terms = []
-    for power, c in reversed(list(enumerate(p.coeffs))):
+    if p.is_zero():
+        return "0"
+    coeffs = p.coeffs
+    pieces = []
+    for power in range(p.degree, -1, -1):
+        c = coeffs[power]
         if not c:
             continue
-        text = _coeff_text(c, bare_one=power > 0)
-        if power:
-            var_part = var if power == 1 else f"{var}^{power}"
-            text += var_part if text in ("", "-") else f"*{var_part}"
-        terms.append(text)
-    if not terms:
-        return "0"
-    return " ".join([terms[0]] + [f"- {t[1:]}" if t.startswith("-")
-                                  else f"+ {t}" for t in terms[1:]])
+        if power == 0:
+            body = _coeff_text(c, bare_one=False)
+            pieces.append(body if not pieces else _joined(body))
+            continue
+        var_part = var if power == 1 else f"{var}^{power}"
+        body = _coeff_text(c, bare_one=True)
+        if body in ("", "-"):
+            term = f"{body}{var_part}"
+        else:
+            term = f"{body}*{var_part}"
+        pieces.append(term if not pieces else _joined(term))
+    return " ".join(pieces)
 
 
 def _coeff_text(c, bare_one):
     """Coefficient text; empty string means an implicit 1 before a variable."""
-    if not c.is_real():
-        return f"({format_scalar(c)})"
-    if bare_one and abs(c.re) == 1:
-        return "" if c.re == 1 else "-"
-    return format_rational(c.re)
+    if c.is_real():
+        r = c.re
+        if bare_one and r == 1:
+            return ""
+        if bare_one and r == -1:
+            return "-"
+        return format_rational(r)
+    return f"({format_scalar(c)})"
+
+
+def _joined(term):
+    """Convert a rendered term into ``+ term`` / ``- term`` for joining."""
+    if term.startswith("-"):
+        return f"- {term[1:]}"
+    return f"+ {term}"
 
 
 def charpoly(a):
@@ -237,14 +265,18 @@ def charpoly(a):
     """
     if not a.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
-    m, c = a, -trace(a)
-    coeffs = [ONE, c]   # descending
-    for k in range(2, a.rows + 1):
+    n = a.rows
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    m = a
+    c = -trace(m)
+    coeffs[n - 1] = c
+    for k in range(2, n + 1):
         m = matmul(a, subtract_scalar_diag(m, -c))
         c = -(trace(m) / k)
         _tally(divs=1)
-        coeffs.append(c)
-    return Polynomial(coeffs[::-1])
+        coeffs[n - k] = c
+    return Polynomial(coeffs)
 
 
 def multiplicity_of(p, value):
@@ -379,10 +411,15 @@ def find_spectrum(p):
     """Complete exact factorization of a monic real-rational polynomial
     over ℚ(i), or IrrationalSpectrum when roots escape it.
 
-    Candidates from one p-adic search (`_root_candidates`) are kept when
-    exact division confirms them; a remainder of degree ≤ 2 is solved by
-    its discriminant, and a larger one without rational roots (even one
-    that splits over ℚ(i)), or a nonreal coefficient, is out of reach.
+    The rational roots come from one p-adic search (`_root_candidates`)
+    on the primitive integer multiple of ``p``; each candidate u/v is
+    kept only when an exact division by (vλ − u) confirms it, and the
+    repeated divisions give its multiplicity. The cost is polynomial in
+    the degree and the coefficient digits, so eigenvalue size does not
+    limit it. A remaining quadratic factor is resolved exactly when its
+    discriminant is ±r² for rational r. A nonreal coefficient, or any
+    residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
+    raises IrrationalSpectrum: the caller supplies the spectrum instead.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -394,25 +431,19 @@ def find_spectrum(p):
 
     f = p.primitive()
     found = []
-    if f.degree > 2:
-        # f = simple·repeated, simple square-free with every root of f once
-        repeated = _gcd(f, f.derivative())
-        simple = divmod(f, repeated)[0] if repeated.degree else f
-        for u, v in _root_candidates(simple):
-            linear = Polynomial._make(1, [-u, v], [0, 0])
-            quotient, rest = divmod(simple, linear)
-            if rest.is_zero():
-                simple, (repeated, extra) = quotient, _deflated(repeated,
-                                                                linear)
-                found.append((GaussianRational(Fraction(u, v)), 1 + extra))
-            if simple.degree + repeated.degree <= 2:
-                break
-        f = simple * repeated if repeated.degree else simple
+    for u, v in _root_candidates(f):
+        f, mult = _deflated(f, Polynomial._make(1, [-u, v], [0, 0]))
+        if mult:
+            found.append((GaussianRational(Fraction(u, v)), mult))
+        if f.degree == 0:
+            break
 
-    # what is left has no rational root or a degree of at most 2
     residual_degree = f.degree
     if residual_degree == 1:
-        found.append((Fraction(-f._reals[0], f._reals[1]), 1))
+        # unreachable in theory (a rational root would have been found);
+        # resolve it anyway rather than trust the theory at runtime
+        found.append((GaussianRational(Fraction(-f._reals[0], f._reals[1])),
+                      1))
     elif residual_degree == 2:
         found.extend(_resolve_quadratic(f))
     elif residual_degree >= 3:
@@ -428,43 +459,48 @@ def find_spectrum(p):
 
 # -- rational roots by p-adic lifting ----------------------------------------
 #
-# Loos (1983), "Computing rational zeros of integral polynomials by
-# p-adic expansion"; von zur Gathen & Gerhard, Modern Computer Algebra,
-# ch. 15.
+# The integer polynomials here are Polynomials with denominator 1 and
+# real coefficients. Loos (1983), "Computing rational zeros of integral
+# polynomials by p-adic expansion"; von zur Gathen & Gerhard, Modern
+# Computer Algebra, ch. 15.
 
-def _root_candidates(h):
-    """Every rational root u/v (lowest terms, v > 0) of the square-free
-    primitive integer polynomial ``h`` of degree ≥ 1, among at most
-    deg h candidates.
+def _root_candidates(f):
+    """Every rational root u/v (lowest terms, v > 0) of the primitive
+    integer polynomial ``f`` of degree ≥ 1, among at most deg f
+    candidates.
 
-    With leading coefficient a, h maps to the monic G(y) = a^(d−1)·h(y/a),
-    whose integer roots y = a·r are the rational roots r of h. Fujiwara's
-    bound |y| ≤ 2·max |G_{d−k}|^(1/k), taken through the bit lengths of
-    the coefficients, gives B. For the first prime p modulo which every
-    root of G is simple (all but the finitely many primes dividing the
-    discriminant of G qualify), each root mod p lifts uniquely by
-    Newton–Hensel steps to the modulus p^(2^j) > 2B, where the symmetric
-    residue is y itself. Roots mod p that do not come from an integer
-    root lift to spurious candidates, which the caller's exact division
-    rejects.
+    The square-free part h of f, with leading coefficient a, maps to the
+    monic G(y) = a^(d−1)·h(y/a), whose integer roots y = a·r are the
+    rational roots r of h; each has |y| ≤ B = 1 + max|Gₖ| (Cauchy). For
+    the first prime p modulo which every root of G is simple (all but
+    the finitely many primes dividing the discriminant of G qualify),
+    each root mod p lifts uniquely by Newton–Hensel steps to the modulus
+    p^(2^j) > 2B, where the symmetric residue is y itself. Roots mod p
+    that do not come from an integer root lift to spurious candidates,
+    which the caller's exact division rejects.
     """
+    h = divmod(f, _gcd(f, f.derivative()))[0]
     *rest, a = h._reals
-    g = [c * a ** (len(rest) - 1 - k) for k, c in enumerate(rest)] + [1]
+    g = [1]
+    power = 1
+    for c in reversed(rest):
+        g.append(c * power)
+        power *= a
+    g.reverse()
     g = Polynomial._make(1, g, [0] * len(g))
     slope = g.derivative()
-    bound = 4 * max(1 << -(-abs(c).bit_length() // k)
-                    for k, c in enumerate(reversed(g._reals[:-1]), 1))
+    bound = 2 * (1 + max(abs(c) for c in g._reals[:-1]))
     for prime in _primes():
-        roots = [x for x in range(prime) if not _residue(g, x, prime)]
-        if all(_residue(slope, x, prime) for x in roots):
+        roots = [x for x in range(prime) if not _eval_mod(g, x, prime)]
+        if all(_eval_mod(slope, x, prime) for x in roots):
             break
     candidates = []
     for root in roots:
         modulus = prime
         while modulus <= bound:
             modulus *= modulus
-            step = _residue(g, root, modulus) * pow(
-                _residue(slope, root, modulus), -1, modulus)
+            step = _eval_mod(g, root, modulus) * pow(
+                _eval_mod(slope, root, modulus), -1, modulus)
             root = (root - step) % modulus
         y = root - modulus if 2 * root > modulus else root
         common = gcd(y, a)
@@ -472,30 +508,24 @@ def _root_candidates(h):
     return candidates
 
 
-def _gcd(f, g):
-    """Primitive greatest common divisor of two nonzero real integer
-    polynomials, by their primitive pseudo-remainder sequence."""
-    f, g = list(f._reals), g.primitive()
-    while g.degree >= 1:
-        lead, top = g._reals[-1], g.degree
-        while len(f) > top:
-            c = f.pop()
-            f = [lead * x for x in f]
-            for i in range(top):
-                f[len(f) - top + i] -= c * g._reals[i]
-        rest = Polynomial._make(1, f, [0] * top)
-        if rest.is_zero():
-            return g
-        f, g = list(g._reals), rest.primitive()
-    return Polynomial._make(1, [1], [0])
-
-
-def _residue(g, x, modulus):
-    """g(x) mod ``modulus`` for an integer polynomial g, by Horner's rule."""
+def _eval_mod(g, x, modulus):
+    """g(x) mod ``modulus`` by Horner's rule."""
     value = 0
     for c in reversed(g._reals):
         value = (value * x + c) % modulus
     return value
+
+
+def _gcd(f, g):
+    """Primitive greatest common divisor of two nonzero real
+    polynomials, by primitive pseudo-remainder sequence."""
+    g = g.primitive()
+    while g.degree >= 1:
+        rest = divmod(f, g)[1]
+        if rest.is_zero():
+            return g
+        f, g = g, rest.primitive()
+    return Polynomial._make(1, [1], [0])
 
 
 def _primes():

@@ -156,48 +156,32 @@ def ode_general_solution(a, s=None, realify=None):
     """
     if not a.is_square:
         raise NotSquare("the system matrix must be square")
-    all_real = all(
-        not a.entry(i, j).im for i in range(a.rows) for j in range(a.cols))
     if realify is None:
-        realify = all_real
-    elif realify and not all_real:
+        realify = a.is_real()
+    elif realify and not a.is_real():
         raise RealifyOnComplexMatrix(
             "cannot realify solutions of a matrix with nonreal entries")
     s = resolve_spectrum(a, s)
     terms = []
-
-    def next_label():
-        return f"c{len(terms) + 1}"
-
-    for value, mult in s.pairs:
-        if realify and value.im:
-            if value.im < 0:
-                continue  # covered by its conjugate partner
-            if s.multiplicity(value.conjugate()) != mult:
-                raise InternalInconsistency(
-                    "conjugate eigenvalues of a real matrix differ in "
-                    "multiplicity")
-            alpha = GaussianRational(value.re)
-            beta = value.im
-            for chain in build_chains(a, value):
-                for k in range(1, chain.size + 1):
-                    poly = []
-                    partners = []
-                    for i in range(1, k + 1):
-                        vec = chain.vectors[i - 1]
-                        poly.append((vec.re, k - i, factorial(k - i)))
-                        partners.append(vec.im)
-                    for kind in ("cos", "sin"):
-                        terms.append(OdeSolutionTerm(
-                            next_label(), tuple(poly), alpha,
-                            TrigPart(kind, beta, tuple(partners))))
-        else:
-            for chain in build_chains(a, value):
-                for k in range(1, chain.size + 1):
-                    poly = tuple(
-                        (chain.vectors[i - 1], k - i, factorial(k - i))
-                        for i in range(1, k + 1))
-                    terms.append(OdeSolutionTerm(next_label(), poly, value))
+    for value in s.values():
+        trig = realify and value.im
+        if trig and value.im < 0:
+            continue  # covered by its conjugate partner
+        for chain in build_chains(a, value):
+            for k in range(1, chain.size + 1):
+                poly = tuple((chain.vectors[i - 1], k - i, factorial(k - i))
+                             for i in range(1, k + 1))
+                if not trig:
+                    terms.append(OdeSolutionTerm(
+                        f"c{len(terms) + 1}", poly, value))
+                    continue
+                # the realified pair splits the plain term's vectors
+                lead = tuple((vec.re, p, d) for vec, p, d in poly)
+                partners = tuple(vec.im for vec, _, _ in poly)
+                for kind in ("cos", "sin"):
+                    terms.append(OdeSolutionTerm(
+                        f"c{len(terms) + 1}", lead, GaussianRational(value.re),
+                        TrigPart(kind, value.im, partners)))
     if len(terms) != a.rows:
         raise InternalInconsistency(
             "solution count does not match the system dimension")

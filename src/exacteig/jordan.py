@@ -1,14 +1,14 @@
 """Generalized eigenvectors and exact Jordan decompositions.
 
-For an eigenvalue λ of A with shifted matrix κ = A − λI, the ranks of
-κ, κ², … fall strictly until they stabilize at n − alg_mult(λ); the
-number of steps is the eigenvalue's index. Those ranks determine the
-Jordan block sizes exactly — the number of blocks of size ≥ j is
-rank(κ^{j−1}) − rank(κ^j). Chains are then built top-down: a chain of
-length m starts with a level-m generalized eigenvector x_m and descends
-via x_{k−1} = κ·x_k to an ordinary eigenvector x₁. Everything runs in
-exact arithmetic, and P·J·P⁻¹ = A is verified before any result is
-returned.
+For an eigenvalue λ of A with shifted matrix κ = A − λI, the null
+spaces of κ, κ², … grow strictly until their dimension reaches
+alg_mult(λ); the number of steps is the eigenvalue's index. Those
+dimensions give the ranks (n − dim ker κ^j) and the Jordan block sizes
+— the number of blocks of size ≥ j is dim ker κ^j − dim ker κ^{j−1}.
+Chains are then built top-down: a chain of length m starts with a
+level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
+an ordinary eigenvector x₁. Everything runs in exact arithmetic, and
+P·J·P⁻¹ = A is verified before any result is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .matrices import (
     matvec,
     nullspace_basis,
     primitive_scale,
-    rank,
     subtract_scalar_diag,
 )
 from .scalars import ONE, ZERO, GaussianRational, to_scalar
@@ -68,6 +67,25 @@ class JordanForm:
     p_inv: Matrix
 
 
+def _null_sequence(a, lam):
+    """[(κ, basis of ker κ), (κ², basis of ker κ²), …] up to the index
+    of λ, as in shifted_power_ranks: the sequence ends before the first
+    power whose null space does not grow. Raises NotInSpectrum when
+    ker κ = 0."""
+    if not a.is_square:
+        raise NotSquare("needs a square matrix")
+    shifted = subtract_scalar_diag(a, lam)
+    power, basis = shifted, nullspace_basis(shifted)
+    if not basis:
+        raise NotInSpectrum("not an eigenvalue of the matrix")
+    sequence = []
+    while not sequence or len(basis) > len(sequence[-1][1]):
+        sequence.append((power, basis))
+        power = matmul(power, shifted)
+        basis = nullspace_basis(power)
+    return sequence
+
+
 def shifted_power_ranks(a, lam):
     """Powers of the shifted matrix κ = A − λI with their exact ranks.
 
@@ -77,25 +95,8 @@ def shifted_power_ranks(a, lam):
     Raises NotInSpectrum when λ is not an eigenvalue, i.e. when κ has
     full rank.
     """
-    if not a.is_square:
-        raise NotSquare("needs a square matrix")
-    n = a.rows
-    shifted = subtract_scalar_diag(a, lam)
-    current = shifted
-    r = rank(current)
-    if r == n:
-        raise NotInSpectrum("not an eigenvalue of the matrix")
-    sequence = []
-    while True:
-        sequence.append((current, r))
-        if len(sequence) > n:
-            raise InternalInconsistency(
-                "rank sequence failed to stabilize within the dimension")
-        current = matmul(current, shifted)
-        next_rank = rank(current)
-        if next_rank == r:
-            return sequence
-        r = next_rank
+    return [(power, a.rows - len(basis))
+            for power, basis in _null_sequence(a, lam)]
 
 
 def generalized_eigenvectors(a, lam, level):
@@ -107,18 +108,14 @@ def generalized_eigenvectors(a, lam, level):
     eigenvectors. ``level`` must lie in 1..index(λ) (RankTooLarge
     otherwise).
     """
-    sequence = shifted_power_ranks(a, lam)
+    sequence = _null_sequence(a, lam)
     index = len(sequence)
     if not isinstance(level, int) or not 1 <= level <= index:
         raise RankTooLarge(
             f"level {level!r} outside 1..{index} for this eigenvalue")
-    power = sequence[level - 1][0]
     lower = sequence[level - 2][0] if level >= 2 else None
-    out = []
-    for v in nullspace_basis(power):
-        if lower is None or not matvec(lower, v).is_zero():
-            out.append(v)
-    return out
+    return [v for v in sequence[level - 1][1]
+            if lower is None or not matvec(lower, v).is_zero()]
 
 
 def _scale_chain_uniformly(vectors):
@@ -140,29 +137,24 @@ def build_chains(a, lam):
     """Complete set of Jordan chains for one eigenvalue, sizes
     non-increasing.
 
-    Block counts come from the rank sequence: #blocks of size ≥ j is
-    rank(κ^{j−1}) − rank(κ^j). Working down from the index, every
+    Block counts come from the null-space dimensions: #blocks of size ≥ j
+    is dim ker κ^j − dim ker κ^{j−1}. Working down from the index, every
     existing chain is extended by one application of κ, and the chains
-    that start at this exact level get their tops from the null-space
-    basis vectors of κ^j that one elimination finds independent of the
-    lower level's null space, the vectors already present at this level
-    and the basis vectors before them.
+    of size exactly j (those blocks less the chains present) get their
+    tops from the null-space basis vectors of κ^j that one elimination
+    finds independent of the lower level's null space, the vectors
+    already present at this level and the basis vectors before them.
     """
-    sequence = shifted_power_ranks(a, lam)
+    sequence = _null_sequence(a, lam)
     lam = to_scalar(lam)
-    index = len(sequence)
-    n = a.rows
-    ranks = [n] + [r for _, r in sequence]
-    blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, index + 1)]
     shifted = sequence[0][0]
-    null_bases = {0: []}
-    for j in range(1, index + 1):
-        null_bases[j] = nullspace_basis(sequence[j - 1][0])
+    null_bases = [[]] + [basis for _, basis in sequence]
     chains_top_first = []
-    for j in range(index, 0, -1):
+    for j in range(len(sequence), 0, -1):
         for chain in chains_top_first:
             chain.append(matvec(shifted, chain[-1]))
-        starting_here = blocks_ge[j - 1] - (blocks_ge[j] if j < index else 0)
+        starting_here = (len(null_bases[j]) - len(null_bases[j - 1])
+                         - len(chains_top_first))
         if not starting_here:
             continue
         context = [*null_bases[j - 1], *(c[-1] for c in chains_top_first)]

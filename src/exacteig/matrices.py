@@ -395,7 +395,7 @@ class Matrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def _is_real(self):
+    def is_real(self):
         return not self._im
 
     def _imag(self):
@@ -519,7 +519,7 @@ def _require_square(a):
 
 def _complex_side(matrix, split):
     """``split`` of the imaginary plane, or None when it is zero."""
-    return None if matrix._is_real() else split(matrix._im, matrix.cols)
+    return None if matrix.is_real() else split(matrix._im, matrix.cols)
 
 
 def matmul(a, b):
@@ -580,7 +580,7 @@ def hstack(a, b):
 
 def _integer_rows(a):
     """Mutable numerator rows of ``a``: (re rows, im rows or None)."""
-    im = None if a._is_real() else [list(r) for r in _rows_of(a._im, a.cols)]
+    im = None if a.is_real() else [list(r) for r in _rows_of(a._im, a.cols)]
     return [list(r) for r in _rows_of(a._re, a.cols)], im
 
 

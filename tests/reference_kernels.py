@@ -16,6 +16,14 @@ whole list with one elimination; it uses the library's ``rank``.
 used before it stored integer numerators over a common denominator, and
 ``verify_spectrum`` the check that expanded the claimed product
 Π(λ − v)^m with it, where the library now deflates by exact division.
+``shifted_power_ranks``, ``generalized_eigenvectors`` and
+``build_chains`` are the Jordan kernels that ran a forward rank pass
+over the powers of κ = A − λI beside a separate null-space pass, and
+read block counts off the rank sequence; the library now takes ranks,
+levels and block counts from one null-space sequence. They use the
+library's matrix kernels, its ``matmul`` and ``matvec`` under the names
+``lib_matmul`` and ``lib_matvec`` (this module's own pair works on rows of
+scalars), and are otherwise unchanged.
 """
 
 from fractions import Fraction
@@ -23,9 +31,13 @@ from math import gcd, isqrt, lcm
 
 from exacteig import (
     GaussianRational,
+    InternalInconsistency,
     InvalidSpectrum,
     IrrationalSpectrum,
+    JordanChain,
+    NotInSpectrum,
     NotSquare,
+    RankTooLarge,
     Rational,
     Spectrum,
     SpectrumTooLarge,
@@ -33,9 +45,15 @@ from exacteig import (
     ZeroVector,
     charpoly,
     format_polynomial,
+    independent_extension,
+    nullspace_basis,
+    subtract_scalar_diag,
     to_scalar,
 )
+from exacteig.jordan import _scale_chain_uniformly
 from exacteig.matrices import _stacked, rank
+from exacteig.matrices import matmul as lib_matmul
+from exacteig.matrices import matvec as lib_matvec
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
@@ -427,3 +445,101 @@ def verify_spectrum(a, claimed):
         raise WrongSpectrum(
             "claimed eigenvalues do not factor the characteristic polynomial")
     return s
+
+
+def shifted_power_ranks(a, lam):
+    """Powers of the shifted matrix κ = A − λI with their exact ranks.
+
+    Returns [(κ, r₁), (κ², r₂), …] up to the index of λ: the ranks fall
+    strictly, and the sequence ends at the last power before the rank
+    stops falling (the power that shows the stop is not included).
+    Raises NotInSpectrum when λ is not an eigenvalue, i.e. when κ has
+    full rank.
+    """
+    if not a.is_square:
+        raise NotSquare("needs a square matrix")
+    n = a.rows
+    shifted = subtract_scalar_diag(a, lam)
+    current = shifted
+    r = rank(current)
+    if r == n:
+        raise NotInSpectrum("not an eigenvalue of the matrix")
+    sequence = []
+    while True:
+        sequence.append((current, r))
+        if len(sequence) > n:
+            raise InternalInconsistency(
+                "rank sequence failed to stabilize within the dimension")
+        current = lib_matmul(current, shifted)
+        next_rank = rank(current)
+        if next_rank == r:
+            return sequence
+        r = next_rank
+
+
+def generalized_eigenvectors(a, lam, level):
+    """Generalized eigenvectors of exact level ``level`` for λ.
+
+    A vector has level j when κ^j kills it but κ^{j−1} does not. The
+    returned vectors are the null-space basis elements of κ^level that
+    survive multiplication by κ^{level−1}; level 1 gives ordinary
+    eigenvectors. ``level`` must lie in 1..index(λ) (RankTooLarge
+    otherwise).
+    """
+    sequence = shifted_power_ranks(a, lam)
+    index = len(sequence)
+    if not isinstance(level, int) or not 1 <= level <= index:
+        raise RankTooLarge(
+            f"level {level!r} outside 1..{index} for this eigenvalue")
+    power = sequence[level - 1][0]
+    lower = sequence[level - 2][0] if level >= 2 else None
+    out = []
+    for v in nullspace_basis(power):
+        if lower is None or not lib_matvec(lower, v).is_zero():
+            out.append(v)
+    return out
+
+
+def build_chains(a, lam):
+    """Complete set of Jordan chains for one eigenvalue, sizes
+    non-increasing.
+
+    Block counts come from the rank sequence: #blocks of size ≥ j is
+    rank(κ^{j−1}) − rank(κ^j). Working down from the index, every
+    existing chain is extended by one application of κ, and the chains
+    that start at this exact level get their tops from the null-space
+    basis vectors of κ^j that one elimination finds independent of the
+    lower level's null space, the vectors already present at this level
+    and the basis vectors before them.
+    """
+    sequence = shifted_power_ranks(a, lam)
+    lam = to_scalar(lam)
+    index = len(sequence)
+    n = a.rows
+    ranks = [n] + [r for _, r in sequence]
+    blocks_ge = [ranks[j - 1] - ranks[j] for j in range(1, index + 1)]
+    shifted = sequence[0][0]
+    null_bases = {0: []}
+    for j in range(1, index + 1):
+        null_bases[j] = nullspace_basis(sequence[j - 1][0])
+    chains_top_first = []
+    for j in range(index, 0, -1):
+        for chain in chains_top_first:
+            chain.append(lib_matvec(shifted, chain[-1]))
+        starting_here = blocks_ge[j - 1] - (blocks_ge[j] if j < index else 0)
+        if not starting_here:
+            continue
+        context = [*null_bases[j - 1], *(c[-1] for c in chains_top_first)]
+        # a null-space basis is independent already
+        tops = (independent_extension(context, null_bases[j]) if context
+                else null_bases[j])[:starting_here]
+        if len(tops) < starting_here:
+            raise InternalInconsistency(
+                f"could not start {starting_here - len(tops)} chain(s) "
+                f"at level {j}")
+        chains_top_first.extend([top] for top in tops)
+    chains = []
+    for raw in chains_top_first:
+        ordered = list(reversed(raw))
+        chains.append(JordanChain(lam, tuple(_scale_chain_uniformly(ordered))))
+    return chains

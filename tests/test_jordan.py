@@ -135,6 +135,42 @@ class TestCharpolyCount:
         assert charpoly_calls == []
 
 
+class TestEliminationCount:
+    """One null-space sequence per eigenvalue: a power sequence makes
+    index + 1 null-space eliminations and no separate rank pass, and
+    build_chains adds one selection per level where chains start beside
+    a nonempty context."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        original = exacteig.matrices._eliminate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(exacteig.matrices, "_eliminate", counting)
+        return calls
+
+    # per eigenvalue, ascending: (index + 1, build_chains' eliminations)
+    @pytest.mark.parametrize("matrix,spec,powers,chains", [
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [3, 4], [4, 5]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [4, 2]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [4], [6]),
+    ], ids=["two-chains", "trio", "one-eigenvalue"])
+    def test_per_eigenvalue(self, eliminations, matrix, spec, powers,
+                            chains):
+        for call, expected in [(shifted_power_ranks, powers),
+                               (build_chains, chains)]:
+            counts = []
+            for value in spec.values():
+                eliminations.clear()
+                call(matrix, value)
+                counts.append(len(eliminations))
+            assert counts == expected
+
+
 class TestGeneralizedEigenvectors:
     def test_level_one_is_the_eigenspace(self):
         level1 = generalized_eigenvectors(DEFECTIVE_TRIO, to_scalar(-2), 1)

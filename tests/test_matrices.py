@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from exacteig import (
     DimensionMismatch,
+    GaussianRational,
     Matrix,
     NotSquare,
     OpCounter,
+    Rational,
     Singular,
     Vector,
     ZeroVector,
@@ -101,6 +103,14 @@ class TestConstruction:
 
     def test_equal_matrices_hash_equal(self):
         assert hash(m([[1, 2], [3, 4]])) == hash(m([[1, 2], [3, 4]]))
+
+    def test_is_real(self):
+        assert m([[1, -2], [Rational(3, 4), 0]]).is_real()
+        assert not m([[1, 0], [0, GaussianRational(0, 1)]]).is_real()
+        # Gaussian scalars whose imaginary parts are zero are real entries
+        assert Matrix([[GaussianRational(2, 0), GaussianRational(0, 0)],
+                       [GaussianRational(Rational(-1, 3), 0),
+                        to_scalar(5)]]).is_real()
 
 
 class TestVector:
@@ -415,8 +425,8 @@ PINNED_COUNTS = {
                         (8, 4, 0)],
     oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (74, 12, 29), (34, 17, 5),
                           (8, 4, 0)],
-    build_chains: [(40, 20, 0), (99, 66, 0), (455, 244, 51),
-                   (144, 81, 9), (40, 20, 0)],
+    build_chains: [(32, 16, 0), (99, 66, 0), (416, 230, 48),
+                   (122, 70, 10), (32, 16, 0)],
     complementary_product: [(0, 0, 0), (27, 18, 0), (384, 288, 0),
                             (54, 36, 0), (0, 0, 0)],
 }

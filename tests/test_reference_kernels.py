@@ -4,7 +4,9 @@ Every kernel must agree exactly with ``reference_kernels`` — the
 entry-by-entry Gaussian-rational algorithms — on random matrices
 (complex and real, mixed and 50-digit denominators and numerators,
 rank-deficient and zero, single rows and columns), on random vectors of
-both orientations, and on the corpus.
+both orientations, and on the corpus. The Jordan kernels must agree
+with the rank-pass kernels on planted Jordan structures and on the
+corpus.
 """
 
 import pytest
@@ -14,11 +16,15 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from exacteig import (
     GaussianRational,
+    GeneratorConfig,
     Matrix,
     Rational,
     Singular,
+    Spectrum,
     Vector,
+    build_chains,
     det,
+    generalized_eigenvectors,
     independent_extension,
     inverse,
     matmul,
@@ -26,8 +32,10 @@ from exacteig import (
     matvec,
     normalize_eigenvector,
     nullspace_basis,
+    random_spectral_matrix,
     rank,
     rref,
+    shifted_power_ranks,
     subtract_scalar_diag,
     trace,
 )
@@ -323,3 +331,47 @@ def test_corpus_agrees_with_reference(corpus):
             assert ref.scalar_rows(inverse(a)) == expected
         assert ref.scalar_rows(matrix_power(a, 13)) == reference_power(rows,
                                                                        13)
+
+
+@st.composite
+def planted_jordan(draw):
+    """(matrix, spectrum) with 1–3 distinct eigenvalues, one of them
+    nonreal Gaussian, each split into random Jordan blocks, n ≤ 8."""
+    gaussian = GaussianRational(draw(st.integers(-3, 3)),
+                                draw(st.sampled_from([-2, -1, 1, 2])))
+    reals = draw(st.lists(st.integers(-4, 4), max_size=2, unique=True))
+    values = [gaussian, *map(GaussianRational, reals)]
+    budget = 8 - len(values)
+    blocks = {}
+    for value in values:
+        sizes = [draw(st.integers(1, budget + 1))]
+        budget -= sizes[0] - 1
+        while budget and draw(st.booleans()):
+            sizes.append(draw(st.integers(1, budget)))
+            budget -= sizes[-1]
+        blocks[value] = tuple(sizes)
+    spectrum = Spectrum([(v, sum(b)) for v, b in blocks.items()])
+    config = GeneratorConfig(dim=spectrum.total, spectrum=spectrum,
+                             seed=draw(st.integers(0, 2**64 - 1)),
+                             jordan_blocks=blocks)
+    return random_spectral_matrix(config)[0], spectrum
+
+
+def assert_jordan_kernels_agree(a, spectrum):
+    for value in spectrum.values():
+        ranks = shifted_power_ranks(a, value)
+        assert ranks == ref.shifted_power_ranks(a, value)
+        for level in range(1, len(ranks) + 1):
+            assert generalized_eigenvectors(a, value, level) == \
+                ref.generalized_eigenvectors(a, value, level)
+        assert build_chains(a, value) == ref.build_chains(a, value)
+
+
+class TestJordanKernelsAgainstReference:
+    @given(planted_jordan())
+    def test_planted_structures(self, case):
+        assert_jordan_kernels_agree(*case)
+
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            assert_jordan_kernels_agree(entry.matrix, entry.spectrum)

@@ -11,8 +11,12 @@ nonzero on the generalized eigenspace only for a single Jordan block of
 full size), so one nonzero column is the whole eigenbasis, and a larger
 eigenspace is read from an exact null-space basis instead.
 
-Everything is exact; every returned eigenvector is residual-checked
-against A·v = λ·v before it leaves this module.
+The product-method entry points (``product_eigenvectors``,
+``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
+first, which costs a comparison once the matrix has verified it, and
+build A − λI once per eigenvalue per call. Everything is exact; every
+returned eigenvector is residual-checked against A·v = λ·v before it
+leaves this module.
 """
 
 from __future__ import annotations
@@ -88,17 +92,26 @@ def characteristic_matrix(a, lam):
     return CharacteristicMatrix(subtract_scalar_diag(a, lam), lam, a.rows)
 
 
-def _product_factors(a, s, target, with_multiplicity):
-    """Shifted-matrix factors for the product complementary to ``target``,
-    in ascending eigenvalue order."""
+def _shifted(a, s, shifted, k):
+    """A − λI for the k-th eigenvalue λ of ``s``. ``shifted`` holds, by
+    position, the shifted matrices a call has built so far (None for the
+    rest), so the call builds each at most once."""
+    if shifted[k] is None:
+        shifted[k] = subtract_scalar_diag(a, s.pairs[k][0])
+    return shifted[k]
+
+
+def _product_factors(a, s, shifted, k, with_multiplicity):
+    """Shifted-matrix factors for the product complementary to the k-th
+    eigenvalue of ``s``, in ascending eigenvalue order."""
     factors = []
-    for value, mult in s.pairs:
-        if value == target:
+    for i, (_, mult) in enumerate(s.pairs):
+        if i == k:
             count = mult - 1 if with_multiplicity else 0
         else:
             count = mult if with_multiplicity else 1
         if count:
-            factors.extend([subtract_scalar_diag(a, value)] * count)
+            factors.extend([_shifted(a, s, shifted, i)] * count)
     return factors
 
 
@@ -114,7 +127,8 @@ def complementary_product(a, s, target, with_multiplicity=False):
             f"{format_scalar(target)} is not in the given spectrum")
     if not a.is_square:
         raise NotSquare("complementary product needs a square matrix")
-    factors = _product_factors(a, s, target, with_multiplicity)
+    factors = _product_factors(a, s, [None] * len(s.pairs),
+                               s.values().index(target), with_multiplicity)
     if not factors:
         return Matrix.identity(a.rows)
     result = factors[0]
@@ -141,25 +155,28 @@ def product_eigenvectors(a, s, target):
     single Jordan block of full size. So one column is the whole basis
     when there is one, and otherwise the basis is an exact null-space
     basis of A − λI. The result has exactly geometric-multiplicity many
-    vectors, each normalized. Before a result that breaks this fact, or
-    an empty one, ``verify_spectrum`` checks ``s``: a wrong spectrum
-    raises WrongSpectrum, not InternalInconsistency.
+    vectors, each normalized. ``verify_spectrum`` checks ``s`` first
+    (once per matrix), so a wrong spectrum raises WrongSpectrum.
     """
-    s = Spectrum(s)
+    s = verify_spectrum(a, s)
+    values = s.values()
     target = to_scalar(target)
-    if not a.is_square:
-        raise NotSquare("eigenvector extraction needs a square matrix")
-    alg = s.multiplicity(target)
-    if not alg:
+    if target not in values:
         raise TargetNotInSpectrum(
             f"{format_scalar(target)} is not in the given spectrum")
-    n = a.rows
+    return _eigenbasis(a, s, [None] * len(values), values.index(target))
+
+
+def _eigenbasis(a, s, shifted, k):
+    """``product_eigenvectors`` for the k-th eigenvalue of a verified
+    spectrum ``s``, sharing ``shifted`` (see ``_shifted``)."""
+    target, alg = s.pairs[k]
     # an empty product is the identity
-    factors = (_product_factors(a, s, target, with_multiplicity=True)
-               or [Matrix.identity(n)])
+    factors = (_product_factors(a, s, shifted, k, with_multiplicity=True)
+               or [Matrix.identity(a.rows)])
     kept = []
     saw_dirty_column = False
-    for j in range(n):
+    for j in range(a.rows):
         v = factors[-1].column(j)
         for f in reversed(factors[:-1]):
             if v.is_zero():
@@ -173,10 +190,9 @@ def product_eigenvectors(a, s, target):
         saw_dirty_column = True
     if len(kept) == alg:
         return kept
-    null = nullspace_basis(subtract_scalar_diag(a, target))
+    null = nullspace_basis(_shifted(a, s, shifted, k))
     if kept and len(null) == 1 or null and not (kept or saw_dirty_column):
         return kept or null
-    verify_spectrum(a, s)
     if kept:
         raise InternalInconsistency(
             "a nonzero product column beside an eigenspace that is not "
@@ -185,7 +201,7 @@ def product_eigenvectors(a, s, target):
         raise InternalInconsistency(
             "product columns failed the residual check although the "
             "eigenspace is nonempty")
-    return null
+    raise InternalInconsistency("a verified eigenvalue has no eigenvector")
 
 
 def left_product_eigenvectors(a, s, target):
@@ -196,7 +212,10 @@ def left_product_eigenvectors(a, s, target):
     polynomials in A and commute, so row i of the product for A is
     column i of the product for Aᵀ, transposed: this reads the same
     vectors, in the same order, as pushing rows through the product.
+    The spectrum is verified against A, and the transpose takes over
+    that check and the characteristic polynomial.
     """
+    s = verify_spectrum(a, s)
     return [w.transposed()
             for w in product_eigenvectors(a.transpose(), s, target)]
 
@@ -424,10 +443,14 @@ def is_diagonalizable(a, s):
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     s = Spectrum(s)
-    product = None
-    for value, _ in s.pairs:
-        k = subtract_scalar_diag(a, value)
-        product = k if product is None else matmul(product, k)
+    return _vanishing_product(a, s, [None] * len(s.pairs))
+
+
+def _vanishing_product(a, s, shifted):
+    """``is_diagonalizable``, sharing ``shifted`` (see ``_shifted``)."""
+    product = _shifted(a, s, shifted, 0)
+    for k in range(1, len(shifted)):
+        product = matmul(product, _shifted(a, s, shifted, k))
     if product.is_zero():
         return True, None
     return False, product
@@ -470,10 +493,12 @@ class EigenSystem:
 
 
 def eigensystem(a, s):
-    """Assemble all eigenspaces via the product method."""
-    s = Spectrum(s)
+    """Assemble all eigenspaces via the product method, after one check
+    of the spectrum (``verify_spectrum``)."""
+    s = verify_spectrum(a, s)
+    shifted = [None] * len(s.pairs)
     spaces = []
-    for value, mult in s.pairs:
-        vectors = product_eigenvectors(a, s, value)
+    for k, (value, mult) in enumerate(s.pairs):
+        vectors = _eigenbasis(a, s, shifted, k)
         spaces.append(Eigenspace(value, mult, tuple(vectors)))
     return EigenSystem(tuple(spaces))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .charmatrix import is_diagonalizable, product_eigenvectors
+from .charmatrix import _eigenbasis, _vanishing_product
 from .errors import (
     InternalInconsistency,
     NotDiagonalizable,
@@ -62,15 +62,16 @@ def diagonalize(a, s=None):
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
     s = resolve_spectrum(a, s)
-    ok, witness = is_diagonalizable(a, s)
+    shifted = [None] * len(s.pairs)
+    ok, witness = _vanishing_product(a, s, shifted)
     if not ok:
         raise NotDiagonalizable(
             "an eigenspace is smaller than its algebraic multiplicity",
             witness=witness)
     columns = []
     order = []
-    for value, mult in s.pairs:
-        vectors = product_eigenvectors(a, s, value)
+    for k, (value, mult) in enumerate(s.pairs):
+        vectors = _eigenbasis(a, s, shifted, k)
         if len(vectors) != mult:
             raise InternalInconsistency(
                 "diagonalizable matrix yielded a short eigenbasis")
@@ -94,16 +95,16 @@ def matrix_power(a, exponent, s=None):
         raise NotSquare("matrix power needs a square matrix")
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = Matrix.identity(a.rows)
+    result = None
     base = a
     e = exponent
     while e:
         if e & 1:
-            result = matmul(result, base)
+            result = base if result is None else matmul(result, base)
         e >>= 1
         if e:
             base = matmul(base, base)
-    return result
+    return Matrix.identity(a.rows) if result is None else result
 
 
 matrix_power_direct = matrix_power

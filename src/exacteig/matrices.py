@@ -328,11 +328,21 @@ def _complex_product(left_re, left_im, right_re, right_im):
     return re, im if im is not None else [0] * len(re)
 
 
+# Facts of a matrix's entries that ``spectra`` computes once per matrix:
+# the characteristic polynomial and a key of the last spectrum verified
+# against it. Both hold for the transpose too.
+_FACTS = ("_charpoly", "_verified")
+
+
 class Matrix:
     """Immutable dense matrix of Gaussian-rational entries, stored as a
-    common denominator over integer real and imaginary planes."""
+    common denominator over integer real and imaginary planes.
 
-    __slots__ = ("rows", "cols", "_den", "_re", "_im")
+    The slots of ``_FACTS`` stay unset until a fact is first computed
+    (read them with a default); they take no part in ``==`` or ``hash``,
+    and ``transpose`` hands them on."""
+
+    __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS)
 
     def __init__(self, entries):
         data = [[to_scalar(e) for e in row] for row in entries]
@@ -362,7 +372,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls.diagonal([1] * n)
+        re = [0] * (n * n)
+        re[::n + 1] = [1] * n
+        return cls._make(n, n, 1, re, ())
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -431,9 +443,17 @@ class Matrix:
                             "column")
 
     def transpose(self):
-        return Matrix._make(self.cols, self.rows, self._den,
-                            _transposed(self._re, self.cols),
-                            _transposed(self._imag(), self.cols))
+        flipped = Matrix._make(self.cols, self.rows, self._den,
+                               _transposed(self._re, self.cols),
+                               _transposed(self._imag(), self.cols))
+        for name in _FACTS:
+            if hasattr(self, name):
+                flipped._remember(name, getattr(self, name))
+        return flipped
+
+    def _remember(self, name, value):
+        """Record the fact ``name``, one of ``_FACTS``, of these entries."""
+        object.__setattr__(self, name, value)
 
     def is_zero(self):
         return not any(self._re) and not self._im

@@ -7,7 +7,11 @@ spectrum verification.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
 Faddeev–LeVerrier trace recursion — exact, with divisions only by the
-integers 1..n, so no pivot-driven fraction growth.
+integers 1..n, so no pivot-driven fraction growth. It is computed once
+per matrix: the ``Matrix`` keeps it, together with a key of the last
+spectrum verified against it (or found by ``resolve_spectrum``), so a
+spectrum is deflated once per matrix and a repeat check is one
+comparison. Both facts are exact and live only on the matrix.
 
 Root extraction works on the primitive integer multiple of the
 polynomial. Its rational roots come from p-adic lifting (Loos 1983):
@@ -216,11 +220,14 @@ def _store(p, den, re, im):
 
 def format_polynomial(p, var="l"):
     """Deterministic text form, descending powers: ``"l^2 - 7*l + 10"``."""
-    if p.is_zero():
-        return "0"
-    coeffs = p.coeffs
+    return _polynomial_text(p.coeffs, var)
+
+
+def _polynomial_text(coeffs, var="l"):
+    """``format_polynomial`` of the polynomial with the coefficients
+    ``coeffs``, ascending and with no trailing zero."""
     pieces = []
-    for power in range(p.degree, -1, -1):
+    for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
         if not c:
             continue
@@ -235,7 +242,7 @@ def format_polynomial(p, var="l"):
         else:
             term = f"{body}*{var_part}"
         pieces.append(term if not pieces else _joined(term))
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
 
 
 def _coeff_text(c, bare_one):
@@ -258,11 +265,20 @@ def _joined(term):
 
 
 def charpoly(a):
-    """Exact monic characteristic polynomial det(λI − A).
+    """Exact monic characteristic polynomial det(λI − A), computed once
+    per matrix: ``a`` keeps it.
 
     Faddeev–LeVerrier recursion: M₁ = A, c_{n−1} = −tr(M₁), then
     M_k = A·(M_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(M_k)/k.
     """
+    p = getattr(a, "_charpoly", None)
+    if p is None:
+        p = _faddeev_leverrier(a)
+        a._remember("_charpoly", p)
+    return p
+
+
+def _faddeev_leverrier(a):
     if not a.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
     n = a.rows
@@ -297,13 +313,19 @@ def _deflated(p, divisor):
 
 class Spectrum:
     """Distinct eigenvalues with algebraic multiplicities, stored in
-    canonical ascending order (by real part, then imaginary part)."""
+    canonical ascending order (by real part, then imaginary part).
 
-    __slots__ = ("pairs",)
+    ``_key`` is the same spectrum as one flat tuple of ints: per
+    eigenvalue the numerator and denominator of each part, then the
+    multiplicity. A matrix keeps it for the spectrum it verified, which
+    is far smaller than the scalars."""
+
+    __slots__ = ("pairs", "_key")
 
     def __init__(self, pairs):
         if isinstance(pairs, Spectrum):
             object.__setattr__(self, "pairs", pairs.pairs)
+            object.__setattr__(self, "_key", pairs._key)
             return
         if isinstance(pairs, dict):
             pairs = pairs.items()
@@ -324,6 +346,10 @@ class Spectrum:
         if not cleaned:
             raise InvalidSpectrum("empty spectrum")
         object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "_key", tuple([
+            x for v, m in cleaned for x in (v.re.numerator, v.re.denominator,
+                                            v.im.numerator, v.im.denominator,
+                                            m)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
@@ -377,7 +403,9 @@ def shift_spectrum(s, mu):
 def verify_spectrum(a, claimed):
     """Validate a claimed spectrum against a matrix: each claimed
     eigenvalue must divide the characteristic polynomial exactly as often
-    as its multiplicity, no more and no less."""
+    as its multiplicity, no more and no less. ``a`` keeps the last
+    spectrum that passed, so checking that one again costs a comparison
+    after the shape checks."""
     if not a.is_square:
         raise NotSquare("spectrum verification needs a square matrix")
     s = Spectrum(claimed)
@@ -388,6 +416,8 @@ def verify_spectrum(a, claimed):
     if s.total != n:
         raise InvalidSpectrum(
             f"multiplicities sum to {s.total}, expected {n}")
+    if getattr(a, "_verified", None) == s._key:
+        return s
     p = charpoly(a)
     for value, mult in s.pairs:
         p, count = _deflated(p, Polynomial([-value, 1]))
@@ -395,15 +425,19 @@ def verify_spectrum(a, claimed):
             raise WrongSpectrum(
                 "claimed eigenvalues do not factor the characteristic "
                 "polynomial")
+    a._remember("_verified", s._key)
     return s
 
 
 def resolve_spectrum(a, s):
     """The spectrum of ``a``: found exactly when ``s`` is None (raising
     IrrationalSpectrum when it escapes ℚ(i)), else ``s`` verified against
-    ``a``. Either way one characteristic polynomial is computed."""
+    ``a``. Either way ``a`` then keeps its characteristic polynomial and
+    the spectrum, so later calls on it compute neither again."""
     if s is None:
-        return find_spectrum(charpoly(a))
+        s = find_spectrum(charpoly(a))
+        a._remember("_verified", s._key)  # verified by construction
+        return s
     return verify_spectrum(a, s)
 
 

@@ -73,3 +73,12 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_systems(corpus) -> "list[EigenSystem]":
     return [eigensystem(entry.matrix, entry.spectrum) for entry in corpus]
+
+
+@pytest.fixture
+def fresh():
+    """Make a new matrix equal to a given one that has computed no fact
+    yet (no characteristic polynomial, no verified spectrum), so that a
+    counted call on it counts everything it computes."""
+    return lambda a: Matrix.from_rows(
+        [a.row_entries(i) for i in range(a.rows)])

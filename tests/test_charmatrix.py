@@ -20,6 +20,7 @@ from exacteig import (
     combined_characteristic_matrix,
     complementary_product,
     cross_eigenvector_3x3,
+    diagonalize,
     eigensystem,
     eigenvectors_2x2,
     format_scalar,
@@ -33,6 +34,7 @@ from exacteig import (
     left_product_eigenvectors,
     rank,
     residual_check,
+    resolve_spectrum,
     span_equal,
     subtract_scalar_diag,
     to_scalar,
@@ -314,8 +316,15 @@ class TestProductEigenvectors:
         with pytest.raises(WrongSpectrum, match="do not factor"):
             left_product_eigenvectors(SHORTCUT, wrong, to_scalar(6))
 
+    def test_short_basis_from_a_wrong_spectrum_raises(self):
+        # one residual-clean product column, as many as the claimed
+        # multiplicity of 1, but 3 is no eigenvalue of I
+        with pytest.raises(WrongSpectrum, match="do not factor"):
+            product_eigenvectors(Matrix.identity(2), {1: 1, 3: 1}, 1)
+
     @pytest.mark.parametrize("case,message", [
-        (DIRTY_COLUMNS, "residual"), (KEPT_BESIDE_A_PLANE, "line")])
+        (DIRTY_COLUMNS, "residual"), (KEPT_BESIDE_A_PLANE, "line"),
+        (EMPTY_BASIS, "no eigenvector")])
     def test_guards_stand_behind_a_passing_check(self, monkeypatch, case,
                                                  message):
         # with the spectrum check passing, the same inputs reach the guards
@@ -324,13 +333,38 @@ class TestProductEigenvectors:
         with pytest.raises(InternalInconsistency, match=message):
             product_eigenvectors(*case)
 
-    def test_correct_spectrum_is_not_rechecked(self, monkeypatch, corpus):
-        calls = []
-        monkeypatch.setattr(exacteig.charmatrix, "verify_spectrum",
-                            lambda a, s: calls.append(s))
-        for entry in corpus[:100]:
-            eigensystem(entry.matrix, entry.spectrum)
-        assert calls == []
+    def test_one_shifted_matrix_per_eigenvalue_per_call(self, monkeypatch,
+                                                        corpus):
+        original = exacteig.charmatrix.subtract_scalar_diag
+        built = []
+        monkeypatch.setattr(
+            exacteig.charmatrix, "subtract_scalar_diag",
+            lambda a, lam: built.append(lam) or original(a, lam))
+        for entry in corpus[:60]:
+            a, s = entry.matrix, entry.spectrum
+            calls = [eigensystem, is_diagonalizable,
+                     lambda a, s: product_eigenvectors(a, s, s.values()[-1])]
+            if not entry.planned_defective:
+                calls.append(diagonalize)
+            for call in calls:
+                built.clear()
+                call(a, s)
+                assert len(built) == len(set(built)) <= len(s.pairs)
+
+    def test_a_resolved_spectrum_is_not_recomputed(self, monkeypatch,
+                                                   corpus, fresh):
+        original = exacteig.spectra._faddeev_leverrier
+        computed = []
+        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+                            lambda a: computed.append(a) or original(a))
+        for i, entry in enumerate(corpus[:100]):
+            a = fresh(entry.matrix)
+            # found, or given and verified
+            s = resolve_spectrum(a, None if i % 2 else entry.spectrum)
+            assert len(computed) == i + 1
+            eigensystem(a, s)
+            eigensystem(a, entry.spectrum)
+            assert len(computed) == i + 1
 
 
 class TestProductRankFact:

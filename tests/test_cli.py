@@ -145,6 +145,18 @@ class TestFactorizationCommands:
         assert payload["coefficients"] == ["10", "-7", "1"]
         assert payload["roots"][0] == {"value": "2", "multiplicity": 1}
 
+    def test_charpoly_json_reads_the_coefficients_once(
+            self, run, write_json, monkeypatch):
+        reads = []
+        coeffs = exacteig.Polynomial.coeffs
+        monkeypatch.setattr(exacteig.Polynomial, "coeffs", property(
+            lambda p: reads.append(p) or coeffs.fget(p)))
+        path = write_json(matrix_to_json(SHORTCUT))
+        code, out, _ = run("charpoly", path, "--json", "--no-roots")
+        assert code == 0
+        assert json.loads(out)["charpoly"] == "l^2 - 7*l + 10"
+        assert len(reads) == 1
+
     def test_check_no_is_still_success(self, run, write_json):
         path = write_json(matrix_to_json(DEFECTIVE_TRIO))
         code, out, _ = run("check", path)

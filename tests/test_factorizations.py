@@ -1,6 +1,10 @@
 """Diagonalization and its payoffs: exact powers and ODE solutions."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import exacteig.factorizations
 import exacteig.spectra
@@ -102,7 +106,29 @@ class TestDiagonalize:
             diagonalize(IRRATIONAL_PAIR)
 
 
+# Square matrices of three kinds: integer, Gaussian-integer and rational
+# entries.
+_integers = st.integers(-3, 3)
+_entries = st.one_of(
+    _integers.map(GaussianRational),
+    st.builds(GaussianRational, _integers, _integers),
+    st.builds(lambda p, q: GaussianRational(Fraction(p, q)), _integers,
+              st.integers(1, 4)))
+_powered = st.integers(1, 4).flatmap(lambda n: st.one_of(
+    st.lists(st.lists(_integers, min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(_entries, min_size=n, max_size=n),
+             min_size=n, max_size=n)).map(Matrix.from_rows))
+
+
 class TestMatrixPower:
+    @given(_powered)
+    def test_matches_a_running_product(self, matrix):
+        running = Matrix.identity(matrix.rows)
+        for exponent in range(21):
+            assert matrix_power(matrix, exponent) == running
+            running = matmul(running, matrix)
+
     def test_known_square(self):
         assert matrix_power(SHORTCUT, 2, SHORTCUT_SPECTRUM) == \
             SHORTCUT_SQUARED

@@ -10,6 +10,7 @@ from exacteig import (
     RankTooLarge,
     build_chains,
     characteristic_matrix,
+    charpoly,
     generalized_eigenvectors,
     independent_extension,
     jordan_form,
@@ -122,9 +123,25 @@ class TestCharpolyCount:
         return calls
 
     @pytest.mark.parametrize("matrix,spec", CASES)
-    def test_jordan_form_computes_one(self, charpoly_calls, matrix, spec):
-        jordan_form(matrix, spec)
+    def test_jordan_form_computes_one(self, charpoly_calls, fresh, matrix,
+                                      spec):
+        jordan_form(fresh(matrix), spec)
         assert len(charpoly_calls) == 1
+
+    @pytest.mark.parametrize("matrix,spec", CASES)
+    def test_a_second_call_computes_none(self, monkeypatch, fresh, matrix,
+                                         spec):
+        original = exacteig.spectra._faddeev_leverrier
+        computed = []
+        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+                            lambda a: computed.append(a) or original(a))
+        a = fresh(matrix)
+        first = jordan_form(a, spec)
+        p = charpoly(a)
+        assert len(computed) == 1
+        assert jordan_form(a, spec) == first
+        assert charpoly(a) is p
+        assert len(computed) == 1
 
     @pytest.mark.parametrize("matrix,spec", CASES)
     def test_chains_and_ranks_compute_none(self, charpoly_calls, matrix,

@@ -83,6 +83,13 @@ class TestConstruction:
         assert Matrix.identity(2) == m([[1, 0], [0, 1]])
         assert Matrix.zeros(2, 3).is_zero()
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_is_the_diagonal_of_ones(self, n):
+        eye = Matrix.identity(n)
+        assert eye == Matrix.diagonal([1] * n)
+        assert hash(eye) == hash(Matrix.diagonal([1] * n))
+        assert eye.is_real() and (eye.rows, eye.cols) == (n, n)
+
     def test_diagonal(self):
         assert Matrix.diagonal([2, 5]) == m([[2, 0], [0, 5]])
 
@@ -383,14 +390,14 @@ class TestCountScope:
         assert ops.as_dict() == {k: 3 * x for k, x in MATMUL_2X2.items()}
 
     def test_jordan_form_is_counted_deterministically(self):
-        a = m([[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 1, 5]])
+        rows = [[2, 0, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 1, 5]]
         first, second = OpCounter(), OpCounter()
         with first:
-            jordan_form(a)
+            jordan_form(m(rows))
         with second:
-            jordan_form(a)
+            jordan_form(m(rows))
         with OpCounter() as charpoly_only:
-            charpoly(a)
+            charpoly(m(rows))
         assert first.as_dict() == second.as_dict()
         assert first.total > charpoly_only.total > 0
 
@@ -407,8 +414,9 @@ COUNTED = [
 ]
 
 
-# (mults, adds, divs) of each call on the COUNTED matrices, in order;
-# functions of one eigenvalue run once for every eigenvalue.
+# (mults, adds, divs) of each call on a fresh copy of the COUNTED
+# matrices, in order; functions of one eigenvalue run once for every
+# eigenvalue.
 PINNED_COUNTS = {
     charpoly: [(8, 6, 1), (54, 42, 2), (192, 156, 3), (54, 42, 2),
                (8, 6, 1)],
@@ -417,10 +425,11 @@ PINNED_COUNTS = {
     det: [(4, 2, 1), (8, 0, 3), (26, 6, 9), (16, 8, 3), (0, 0, 1)],
     nullspace_basis: [(8, 4, 2), (24, 8, 10), (46, 6, 28), (32, 16, 10),
                       (2, 0, 0)],
-    eigensystem: [(12, 4, 0), (30, 18, 0), (263, 182, 0), (60, 36, 0),
-                  (12, 4, 0)],
-    left_product_eigenvectors: [(12, 4, 0), (21, 12, 0), (292, 206, 0),
-                                (60, 36, 0), (12, 4, 0)],
+    # these two verify the spectrum: their extraction plus one charpoly
+    eigensystem: [(20, 10, 1), (84, 60, 2), (455, 338, 3), (114, 78, 2),
+                  (20, 10, 1)],
+    left_product_eigenvectors: [(20, 10, 1), (75, 54, 2), (484, 362, 3),
+                                (114, 78, 2), (20, 10, 1)],
     is_diagonalizable: [(8, 4, 0), (0, 0, 0), (128, 96, 0), (27, 18, 0),
                         (8, 4, 0)],
     oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (74, 12, 29), (34, 17, 5),
@@ -450,8 +459,9 @@ CALLS = {
 }
 
 
-def counted(call, a):
+def counted(call, a, fresh):
     s = find_spectrum(charpoly(a))
+    a = fresh(a)  # nothing computed before the count is reused
     with OpCounter() as ops:
         call(a, s)
     return ops.scalar_mults, ops.scalar_adds, ops.scalar_divs
@@ -464,8 +474,8 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("function", list(PINNED_COUNTS),
                              ids=lambda f: f.__name__)
-    def test_kernels_and_methods(self, function):
-        assert [counted(CALLS[function], a)
+    def test_kernels_and_methods(self, function, fresh):
+        assert [counted(CALLS[function], a, fresh)
                 for a in COUNTED] == PINNED_COUNTS[function]
 
     @pytest.mark.parametrize("call,index,expected", [
@@ -482,5 +492,5 @@ class TestPinnedCounts:
         (lambda a, s: cross_eigenvector_3x3(a, 5), 3, (34, 17, 2)),
     ])
     def test_characteristic_polynomial_and_checks_are_counted(
-            self, call, index, expected):
-        assert counted(call, COUNTED[index]) == expected
+            self, call, index, expected, fresh):
+        assert counted(call, COUNTED[index], fresh) == expected

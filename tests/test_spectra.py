@@ -305,6 +305,97 @@ class TestVerifySpectrum:
             == spectrum([("i", 2), ("-i", 2)])
 
 
+class TestPerMatrixFacts:
+    """A matrix keeps its characteristic polynomial and the last spectrum
+    verified against it; both are exact, so nothing is checked with a
+    tolerance."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        original = exacteig.spectra._faddeev_leverrier
+        calls = []
+        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+                            lambda a: calls.append(a) or original(a))
+        return calls
+
+    def test_charpoly_is_computed_once(self, fresh, computed):
+        a = fresh(THREE_DISTINCT)
+        assert charpoly(a) is charpoly(a)
+        assert charpoly(a).coeffs == THREE_DISTINCT_CHARPOLY_COEFFS
+        assert len(computed) == 1
+
+    def test_each_matrix_computes_its_own(self, fresh, computed):
+        a, b = fresh(SHORTCUT), fresh(SHORTCUT)
+        verify_spectrum(a, SHORTCUT_SPECTRUM)
+        verify_spectrum(b, SHORTCUT_SPECTRUM)
+        assert computed == [a, b]
+
+    @pytest.mark.parametrize("wrong", [
+        [(2, 1), (6, 1)], [(2, 1), ("5/2", 1)], [(2, 1), ("5i", 1)],
+        [("2+5i", 1), (5, 1)]])
+    def test_a_wrong_spectrum_after_a_verified_one_raises(self, fresh, wrong):
+        with pytest.raises(WrongSpectrum) as unverified:
+            verify_spectrum(fresh(SHORTCUT), spectrum(wrong))
+        a = fresh(SHORTCUT)
+        verify_spectrum(a, SHORTCUT_SPECTRUM)
+        with pytest.raises(WrongSpectrum) as after:
+            verify_spectrum(a, spectrum(wrong))
+        assert str(after.value) == str(unverified.value)
+        assert verify_spectrum(a, SHORTCUT_SPECTRUM) == SHORTCUT_SPECTRUM
+
+    def test_shape_checks_run_on_every_call(self, fresh, computed):
+        a = fresh(SHORTCUT)
+        verify_spectrum(a, SHORTCUT_SPECTRUM)
+        with pytest.raises(InvalidSpectrum):
+            verify_spectrum(a, spectrum([(2, 1)]))
+        with pytest.raises(SpectrumTooLarge):
+            verify_spectrum(a, spectrum([(1, 1), (2, 1), (5, 1)]))
+        assert len(computed) == 1
+
+    def test_an_equal_spelling_is_not_verified_again(self, fresh, computed):
+        a = fresh(SPIRAL)
+        verify_spectrum(a, spectrum([("i", 2), ("-i", 2)]))
+        verify_spectrum(a, {parse_scalar("-i"): 2, GaussianRational(0, 1): 2})
+        assert len(computed) == 1
+
+    def test_a_found_spectrum_is_kept(self, fresh, monkeypatch, computed):
+        a = fresh(DOUBLE_PLUS_SIMPLE)
+        s = exacteig.resolve_spectrum(a, None)
+        monkeypatch.setattr(exacteig.spectra, "_deflated", None)
+        assert verify_spectrum(a, DOUBLE_PLUS_SIMPLE_SPECTRUM) == s
+        assert len(computed) == 1
+
+    def test_facts_change_neither_equality_nor_hash(self, fresh):
+        a, b = fresh(THREE_DISTINCT), fresh(THREE_DISTINCT)
+        before = hash(a)
+        exacteig.resolve_spectrum(a, None)
+        assert a == b and b == a
+        assert hash(a) == hash(b) == before
+        assert len({a, b}) == 1
+
+    def test_the_transpose_takes_the_facts_over(self, fresh, computed):
+        a = fresh(THREE_DISTINCT)
+        verify_spectrum(a, THREE_DISTINCT_SPECTRUM)
+        t = a.transpose()
+        assert charpoly(t) is charpoly(a)
+        verify_spectrum(t, THREE_DISTINCT_SPECTRUM)
+        assert len(computed) == 1
+        # computed afresh, the transpose's polynomial is the same
+        assert charpoly(fresh(t)) == charpoly(a)
+
+    def test_left_eigenvectors_compute_one(self, fresh, computed):
+        a = fresh(THREE_DISTINCT)
+        for value in THREE_DISTINCT_SPECTRUM.values():
+            exacteig.left_product_eigenvectors(
+                a, THREE_DISTINCT_SPECTRUM, value)
+        assert computed == [a]
+
+    def test_a_new_matrix_holds_no_fact(self):
+        a = Matrix([[1, 2], [3, 4]])
+        assert not hasattr(a, "_charpoly") and not hasattr(a, "_verified")
+        assert not hasattr(Matrix.identity(3).transpose(), "_charpoly")
+
+
 # -- the p-adic finder against the divisor-enumeration reference ------------
 
 # Factors without rational roots, as ascending integer coefficients. The

@@ -399,13 +399,21 @@ def _render_vector(v):
     return "[" + ",".join(vector_to_json(v)) + "]^T"
 
 
+def _render_rate(text):
+    """``text``·t for the text of a rate: a unit rate as ``t`` or ``-t``,
+    and parentheses around a fraction or a sum so the rate cannot read
+    as a division by t."""
+    if text in ("1", "-1"):
+        return text[:-1] + "t"
+    if "/" in text or any(c in text[1:] for c in "+-"):
+        text = f"({text})"
+    return f"{text}t"
+
+
 def _render_exp(lam):
     if not lam:
         return ""
-    text = format_scalar(lam)
-    if any(c in text[1:] for c in "+-"):
-        text = f"({text})"
-    return f"exp({text}t)"
+    return f"exp({_render_rate(format_scalar(lam))})"
 
 
 def _render_tpow(power, divisor):
@@ -416,8 +424,7 @@ def _render_tpow(power, divisor):
 
 
 def _render_trig(kind, beta):
-    rate = "" if beta == 1 else format_rational(beta)
-    return f"{kind}({rate}t)"
+    return f"{kind}({_render_rate(format_rational(beta))})"
 
 
 def render_ode_term(term):

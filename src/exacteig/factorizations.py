@@ -22,7 +22,7 @@ from .errors import (
     NotSquare,
     RealifyOnComplexMatrix,
 )
-from .jordan import build_chains
+from .jordan import _chains
 from .matrices import Matrix, Vector, inverse, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
@@ -164,11 +164,11 @@ def ode_general_solution(a, s=None, realify=None):
             "cannot realify solutions of a matrix with nonreal entries")
     s = resolve_spectrum(a, s)
     terms = []
-    for value in s.values():
+    for value, mult in s.pairs:
         trig = realify and value.im
         if trig and value.im < 0:
             continue  # covered by its conjugate partner
-        for chain in build_chains(a, value):
+        for chain in _chains(a, value, mult):
             for k in range(1, chain.size + 1):
                 poly = tuple((chain.vectors[i - 1], k - i, factorial(k - i))
                              for i in range(1, k + 1))

@@ -5,6 +5,12 @@ spaces of κ, κ², … grow strictly until their dimension reaches
 alg_mult(λ); the number of steps is the eigenvalue's index. Those
 dimensions give the ranks (n − dim ker κ^j) and the Jordan block sizes
 — the number of blocks of size ≥ j is dim ker κ^j − dim ker κ^{j−1}.
+Where the multiplicity is verified (``jordan_form`` and
+``ode_general_solution``) the sequence stops at the power whose null
+space reaches it, so κ^(index+1) is never formed and a simple
+eigenvalue costs one null-space elimination; the public kernels, given
+only λ, stop at n or where the null space stops growing.
+
 Chains are then built top-down: a chain of length m starts with a
 level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
 an ordinary eigenvector x₁. Everything runs in exact arithmetic, and
@@ -24,12 +30,12 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _primitive_chain,
     independent_extension,
     inverse,
     matmul,
     matvec,
     nullspace_basis,
-    primitive_scale,
     subtract_scalar_diag,
 )
 from .scalars import ONE, ZERO, GaussianRational, to_scalar
@@ -67,22 +73,26 @@ class JordanForm:
     p_inv: Matrix
 
 
-def _null_sequence(a, lam):
+def _null_sequence(a, lam, bound):
     """[(κ, basis of ker κ), (κ², basis of ker κ²), …] up to the index
-    of λ, as in shifted_power_ranks: the sequence ends before the first
-    power whose null space does not grow. Raises NotInSpectrum when
-    ker κ = 0."""
+    of λ, as in shifted_power_ranks: the sequence ends at the first
+    power whose null space has ``bound`` vectors (the algebraic
+    multiplicity of λ, or n when it is not known), or else before the
+    first power whose null space does not grow. Raises NotInSpectrum
+    when ker κ = 0."""
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     shifted = subtract_scalar_diag(a, lam)
     power, basis = shifted, nullspace_basis(shifted)
     if not basis:
         raise NotInSpectrum("not an eigenvalue of the matrix")
-    sequence = []
-    while not sequence or len(basis) > len(sequence[-1][1]):
-        sequence.append((power, basis))
+    sequence = [(power, basis)]
+    while len(basis) < bound:
         power = matmul(power, shifted)
         basis = nullspace_basis(power)
+        if len(basis) == len(sequence[-1][1]):
+            break
+        sequence.append((power, basis))
     return sequence
 
 
@@ -96,7 +106,7 @@ def shifted_power_ranks(a, lam):
     full rank.
     """
     return [(power, a.rows - len(basis))
-            for power, basis in _null_sequence(a, lam)]
+            for power, basis in _null_sequence(a, lam, a.rows)]
 
 
 def generalized_eigenvectors(a, lam, level):
@@ -108,7 +118,7 @@ def generalized_eigenvectors(a, lam, level):
     eigenvectors. ``level`` must lie in 1..index(λ) (RankTooLarge
     otherwise).
     """
-    sequence = _null_sequence(a, lam)
+    sequence = _null_sequence(a, lam, a.rows)
     index = len(sequence)
     if not isinstance(level, int) or not 1 <= level <= index:
         raise RankTooLarge(
@@ -116,21 +126,6 @@ def generalized_eigenvectors(a, lam, level):
     lower = sequence[level - 2][0] if level >= 2 else None
     return [v for v in sequence[level - 1][1]
             if lower is None or not matvec(lower, v).is_zero()]
-
-
-def _scale_chain_uniformly(vectors):
-    """One rational scale for a whole chain: clears every denominator,
-    divides out the common integer content, and signs the result so the
-    eigenvector's first nonzero component has positive real part (or
-    positive imaginary part when purely imaginary). A uniform scale is
-    the only cosmetic freedom a chain has — scaling the vectors
-    individually would break the descent relation."""
-    factor = primitive_scale(vectors)
-    bottom = vectors[0]
-    lead = bottom[bottom.first_nonzero_index()]  # factor > 0 keeps its signs
-    if lead.re < 0 or (not lead.re and lead.im < 0):
-        factor = -factor
-    return [v.scaled(factor) for v in vectors]
 
 
 def build_chains(a, lam):
@@ -144,8 +139,19 @@ def build_chains(a, lam):
     tops from the null-space basis vectors of κ^j that one elimination
     finds independent of the lower level's null space, the vectors
     already present at this level and the basis vectors before them.
+    Each chain is scaled as a whole to primitive Gaussian-integer
+    vectors, its eigenvector's first nonzero component with positive
+    real part (or positive imaginary part when purely imaginary).
     """
-    sequence = _null_sequence(a, lam)
+    return _chains(a, lam, a.rows)
+
+
+def _chains(a, lam, mult):
+    """build_chains with the null-space sequence stopped once a null
+    space has ``mult`` vectors. Given the verified algebraic
+    multiplicity, that spares the power past the index, and a simple
+    eigenvalue costs one elimination and no product."""
+    sequence = _null_sequence(a, lam, mult)
     lam = to_scalar(lam)
     shifted = sequence[0][0]
     null_bases = [[]] + [basis for _, basis in sequence]
@@ -169,7 +175,7 @@ def build_chains(a, lam):
     chains = []
     for raw in chains_top_first:
         ordered = list(reversed(raw))
-        chains.append(JordanChain(lam, tuple(_scale_chain_uniformly(ordered))))
+        chains.append(JordanChain(lam, tuple(_primitive_chain(ordered))))
     return chains
 
 
@@ -189,7 +195,7 @@ def jordan_form(a, s=None):
     j_rows = [[ZERO] * n for _ in range(n)]
     position = 0
     for value, mult in s.pairs:
-        chains = build_chains(a, value)
+        chains = _chains(a, value, mult)
         if sum(c.size for c in chains) != mult:
             raise InternalInconsistency(
                 "chain sizes do not add up to the algebraic multiplicity")

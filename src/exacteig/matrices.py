@@ -49,6 +49,7 @@ from operator import mul
 
 from .errors import (
     DimensionMismatch,
+    InternalInconsistency,
     NotSquare,
     Singular,
     ZeroVector,
@@ -573,6 +574,42 @@ def trace(a):
     return _scalar(sum(a._re[::step]), sum(a._im[::step]), a._den)
 
 
+def _charpoly_numerators(a):
+    """(dⁿ, re, im) of det(λI − A), with A = N/d, by Faddeev–LeVerrier
+    on the numerators N: B₁ = N, c_{n−1} = −tr N, then
+    B_k = N·(B_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(B_k)/k.
+
+    The c_k are the coefficients of det(λI − N), Gaussian integers, so
+    Newton's identities make each division by k exact; the coefficient
+    of λ^k in det(λI − A) is c_k·d^k / dⁿ. The tally is the one of the
+    same recursion on A: a product and a trace per step, and one
+    division from k = 2. ``a`` must be square."""
+    n, den = a.rows, a._den
+    step = n + 1
+    left_re, left_im = _rows_of(a._re, n), _complex_side(a, _rows_of)
+    b_re, b_im = list(a._re), list(a._imag())
+    c_re, c_im = -sum(b_re[::step]), -sum(b_im[::step])
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    re[n], re[n - 1], im[n - 1] = 1, c_re, c_im
+    for k in range(2, n + 1):
+        for i in range(0, n * n, step):
+            b_re[i] += c_re
+            b_im[i] += c_im
+        b_re, b_im = _complex_product(
+            left_re, left_im, _columns_of(b_re, n),
+            None if left_im is None else _columns_of(b_im, n))
+        (c_re, r_re), (c_im, r_im) = (divmod(-sum(b_re[::step]), k),
+                                      divmod(-sum(b_im[::step]), k))
+        if r_re or r_im:
+            raise InternalInconsistency(
+                "a Faddeev-LeVerrier trace is not divisible by its step")
+        re[n - k], im[n - k] = c_re, c_im
+    _tally(mults=(n - 1) * n ** 3,
+           adds=(n - 1) * (n * n * (n - 1) + n), divs=n - 1)
+    return (den ** n, [x * den ** k for k, x in enumerate(re)],
+            [y * den ** k for k, y in enumerate(im)])
+
+
 def subtract_scalar_diag(a, lam):
     """The characteristic (shifted) matrix A − λI."""
     _require_square(a)
@@ -816,6 +853,24 @@ def primitive_scale(vectors):
     factor above 1 (the vectors must not all be zero)."""
     stacked = _stacked(vectors)
     return Rational(stacked._den, gcd(*stacked._re, *stacked._im))
+
+
+def _primitive_chain(vectors):
+    """The vectors times the one rational c for which, taken together,
+    they have Gaussian-integer components with no common integer factor
+    above 1, signed so that the first nonzero component of the first
+    vector has positive real part (or positive imaginary part when it
+    is purely imaginary). One scale for all keeps a Jordan chain's
+    descent relation."""
+    stacked = _stacked(vectors)
+    width, re, im = stacked.cols, stacked._re, stacked._imag()
+    k = next(i for i in range(width) if re[i] or im[i])
+    g = gcd(*re, *im)
+    if re[k] < 0 or (not re[k] and im[k] < 0):
+        g = -g
+    return [_vector(1, [x // g for x in re[s:s + width]],
+                    [y // g for y in im[s:s + width]], v.orientation)
+            for v, s in zip(vectors, range(0, len(re), width))]
 
 
 def _primitive(re, im, orientation):

@@ -6,8 +6,10 @@ on them serves deflation, the root finder's gcd, root confirmation and
 spectrum verification.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
-Faddeev–LeVerrier trace recursion — exact, with divisions only by the
-integers 1..n, so no pivot-driven fraction growth. It is computed once
+Faddeev–LeVerrier trace recursion on the integer numerators of A
+(``matrices._charpoly_numerators``): each step divides its trace
+exactly by an integer 2..n, so no scalar is built until the polynomial
+is, and no pivot-driven fraction growth occurs. It is computed once
 per matrix: the ``Matrix`` keeps it, together with a key of the last
 spectrum verified against it (or found by ``resolve_spectrum``), so a
 spectrum is deflated once per matrix and a repeat check is one
@@ -40,10 +42,8 @@ from .errors import (
     SpectrumTooLarge,
     WrongSpectrum,
 )
-from .matrices import _tally, matmul, subtract_scalar_diag, trace
+from .matrices import _charpoly_numerators
 from .scalars import (
-    ONE,
-    ZERO,
     GaussianRational,
     format_rational,
     format_scalar,
@@ -268,8 +268,10 @@ def charpoly(a):
     """Exact monic characteristic polynomial det(λI − A), computed once
     per matrix: ``a`` keeps it.
 
-    Faddeev–LeVerrier recursion: M₁ = A, c_{n−1} = −tr(M₁), then
-    M_k = A·(M_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(M_k)/k.
+    Faddeev–LeVerrier recursion on the integer numerators N of A = N/d
+    (``matrices._charpoly_numerators``): B₁ = N, c_{n−1} = −tr(B₁), then
+    B_k = N·(B_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(B_k)/k, each
+    division exact; the coefficient of λ^k is c_k·d^k/dⁿ.
     """
     p = getattr(a, "_charpoly", None)
     if p is None:
@@ -281,18 +283,7 @@ def charpoly(a):
 def _faddeev_leverrier(a):
     if not a.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
-    n = a.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m = a
-    c = -trace(m)
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        m = matmul(a, subtract_scalar_diag(m, -c))
-        c = -(trace(m) / k)
-        _tally(divs=1)
-        coeffs[n - k] = c
-    return Polynomial(coeffs)
+    return Polynomial._make(*_charpoly_numerators(a))
 
 
 def multiplicity_of(p, value):

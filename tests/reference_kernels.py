@@ -23,7 +23,14 @@ read block counts off the rank sequence; the library now takes ranks,
 levels and block counts from one null-space sequence. They use the
 library's matrix kernels, its ``matmul`` and ``matvec`` under the names
 ``lib_matmul`` and ``lib_matvec`` (this module's own pair works on rows of
-scalars), and are otherwise unchanged.
+scalars), and are otherwise unchanged. ``scale_chain_uniformly`` is the
+chain scaling that ``exacteig.jordan`` ran through one rational factor
+from the library's ``primitive_scale`` and ``Vector.scaled``, before
+``matrices`` scaled a chain on its integer planes. ``faddeev_leverrier``
+is the Faddeev–LeVerrier recursion that ``exacteig.spectra`` ran on
+Gaussian-rational scalars with the library's ``matmul``, ``trace`` and
+``subtract_scalar_diag``, before it ran on integer numerators; its
+operation tally is the library's by construction.
 """
 
 from fractions import Fraction
@@ -47,13 +54,15 @@ from exacteig import (
     format_polynomial,
     independent_extension,
     nullspace_basis,
+    primitive_scale,
     subtract_scalar_diag,
     to_scalar,
+    trace,
 )
-from exacteig.jordan import _scale_chain_uniformly
-from exacteig.matrices import _stacked, rank
+from exacteig.matrices import _stacked, _tally, rank
 from exacteig.matrices import matmul as lib_matmul
 from exacteig.matrices import matvec as lib_matvec
+from exacteig.spectra import Polynomial as LibPolynomial
 
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
@@ -541,5 +550,40 @@ def build_chains(a, lam):
     chains = []
     for raw in chains_top_first:
         ordered = list(reversed(raw))
-        chains.append(JordanChain(lam, tuple(_scale_chain_uniformly(ordered))))
+        chains.append(JordanChain(lam, tuple(scale_chain_uniformly(ordered))))
     return chains
+
+
+def scale_chain_uniformly(vectors):
+    """One rational scale for a whole chain: clears every denominator,
+    divides out the common integer content, and signs the result so the
+    eigenvector's first nonzero component has positive real part (or
+    positive imaginary part when purely imaginary). A uniform scale is
+    the only cosmetic freedom a chain has — scaling the vectors
+    individually would break the descent relation."""
+    factor = primitive_scale(vectors)
+    bottom = vectors[0]
+    lead = bottom[bottom.first_nonzero_index()]  # factor > 0 keeps its signs
+    if lead.re < 0 or (not lead.re and lead.im < 0):
+        factor = -factor
+    return [v.scaled(factor) for v in vectors]
+
+
+def faddeev_leverrier(a):
+    """Monic det(λI − A) as a library Polynomial: M₁ = A,
+    c_{n−1} = −tr(M₁), then M_k = A·(M_{k−1} + c_{n−k+1}·I) and
+    c_{n−k} = −tr(M_k)/k, all on scalars."""
+    if not a.is_square:
+        raise NotSquare("characteristic polynomial needs a square matrix")
+    n = a.rows
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    m = a
+    c = -trace(m)
+    coeffs[n - 1] = c
+    for k in range(2, n + 1):
+        m = lib_matmul(a, subtract_scalar_diag(m, -c))
+        c = -(trace(m) / k)
+        _tally(divs=1)
+        coeffs[n - k] = c
+    return LibPolynomial(coeffs)

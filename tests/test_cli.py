@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import exacteig
-from exacteig import matrix_to_json, spectrum_to_json
+from exacteig import Matrix, Spectrum, matrix_to_json, spectrum_to_json
 from exacteig.cli import main
 
 from worked import (
@@ -189,6 +189,27 @@ class TestFactorizationCommands:
         code, out, _ = run("ode", path)
         assert code == 0
         assert out == "x(t) = c1*[1,-1]^T*exp(2t) + c2*[1,2]^T*exp(5t)\n"
+
+    # a complex matrix's spectrum is given: its charpoly is not real
+    @pytest.mark.parametrize("rows,expected", [
+        ([[1]], "c1*[1]^T*exp(t)"),
+        ([[-1]], "c1*[1]^T*exp(-t)"),
+        ([[2]], "c1*[1]^T*exp(2t)"),
+        ([["-1/2"]], "c1*[1]^T*exp((-1/2)t)"),
+        ([["3/2i"]], "c1*[1]^T*exp((3/2i)t)"),
+        ([["1-2i"]], "c1*[1]^T*exp((1-2i)t)"),
+        ([["-1/2", "-3/2"], ["3/2", "-1/2"]],
+         "c1*([1,0]^T*cos((3/2)t) - [0,-1]^T*sin((3/2)t))*exp((-1/2)t)"
+         " + c2*([0,-1]^T*cos((3/2)t) + [1,0]^T*sin((3/2)t))"
+         "*exp((-1/2)t)"),
+    ], ids=["1", "-1", "2", "-1/2", "3/2i", "1-2i", "cos-sin"])
+    def test_ode_rates(self, run, write_json, rows, expected):
+        a = Matrix(rows)
+        spectrum = ([] if a.is_real() else ["--spectrum", write_json(
+            spectrum_to_json(Spectrum([(rows[0][0], 1)])))])
+        code, out, _ = run("ode", write_json(matrix_to_json(a)), *spectrum)
+        assert code == 0
+        assert out == f"x(t) = {expected}\n"
 
     def test_ode_no_realify(self, run, write_json):
         from worked import ROTATION

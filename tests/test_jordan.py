@@ -16,12 +16,15 @@ from exacteig import (
     jordan_form,
     matmul,
     matvec,
+    ode_general_solution,
     rank,
     shifted_power_ranks,
     to_scalar,
 )
 
 from worked import (
+    COMPLEX_FIVE,
+    COMPLEX_FIVE_SPECTRUM,
     DEFECTIVE_QUARTET,
     DEFECTIVE_QUARTET_CHAIN_TOP,
     DEFECTIVE_QUARTET_SPECTRUM,
@@ -152,11 +155,23 @@ class TestCharpolyCount:
         assert charpoly_calls == []
 
 
+def logged_as(names, name, original):
+    """``original``, appending ``name`` to ``names`` on every call."""
+    def logged(*args):
+        names.append(name)
+        return original(*args)
+    return logged
+
+
 class TestEliminationCount:
     """One null-space sequence per eigenvalue: a power sequence makes
-    index + 1 null-space eliminations and no separate rank pass, and
-    build_chains adds one selection per level where chains start beside
-    a nonempty context."""
+    index + 1 null-space eliminations (index when the null space fills
+    the space) and no separate rank pass, and build_chains adds one
+    selection per level where chains start beside a nonempty context.
+    Given the verified multiplicity, jordan_form and
+    ode_general_solution make index null-space eliminations and
+    index − 1 products per eigenvalue: a simple eigenvalue costs one
+    elimination and no product."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -174,7 +189,7 @@ class TestEliminationCount:
     @pytest.mark.parametrize("matrix,spec,powers,chains", [
         (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [3, 4], [4, 5]),
         (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [4, 2]),
-        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [4], [6]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [3], [5]),
     ], ids=["two-chains", "trio", "one-eigenvalue"])
     def test_per_eigenvalue(self, eliminations, matrix, spec, powers,
                             chains):
@@ -186,6 +201,34 @@ class TestEliminationCount:
                 call(matrix, value)
                 counts.append(len(eliminations))
             assert counts == expected
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the kernels jordan.py calls, in order."""
+        names = []
+        for name in ("subtract_scalar_diag", "nullspace_basis", "matmul",
+                     "inverse"):
+            monkeypatch.setattr(exacteig.jordan, name, logged_as(
+                names, name, getattr(exacteig.jordan, name)))
+        return names
+
+    # indices of the eigenvalues, ascending
+    @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
+    @pytest.mark.parametrize("matrix,spec,indices", [
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [2, 3]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [2, 1]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [3]),
+        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [1, 1]),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [1] * 5),
+    ], ids=["two-chains", "trio", "one-eigenvalue", "double-plus-simple",
+            "complex-five"])
+    def test_verified_multiplicity(self, calls, call, matrix, spec, indices):
+        call(matrix, spec)
+        # each eigenvalue's calls start at its shift; the check follows
+        per_value = [segment.split() for segment in " ".join(calls)
+                     .split("inverse")[0].split("subtract_scalar_diag")[1:]]
+        assert [(names.count("nullspace_basis"), names.count("matmul"))
+                for names in per_value] == [(i, i - 1) for i in indices]
 
 
 class TestGeneralizedEigenvectors:

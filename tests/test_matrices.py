@@ -434,7 +434,7 @@ PINNED_COUNTS = {
                         (8, 4, 0)],
     oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (74, 12, 29), (34, 17, 5),
                           (8, 4, 0)],
-    build_chains: [(32, 16, 0), (99, 66, 0), (416, 230, 48),
+    build_chains: [(32, 16, 0), (72, 48, 0), (416, 230, 48),
                    (122, 70, 10), (32, 16, 0)],
     complementary_product: [(0, 0, 0), (27, 18, 0), (384, 288, 0),
                             (54, 36, 0), (0, 0, 0)],

@@ -6,7 +6,9 @@ entry-by-entry Gaussian-rational algorithms — on random matrices
 rank-deficient and zero, single rows and columns), on random vectors of
 both orientations, and on the corpus. The Jordan kernels must agree
 with the rank-pass kernels on planted Jordan structures and on the
-corpus.
+corpus. The characteristic polynomial on integer numerators must equal
+the scalar Faddeev–LeVerrier recursion, operation tally included, and
+the chain scaling on planes the scaling by one rational factor.
 """
 
 import pytest
@@ -18,11 +20,13 @@ from exacteig import (
     GaussianRational,
     GeneratorConfig,
     Matrix,
+    OpCounter,
     Rational,
     Singular,
     Spectrum,
     Vector,
     build_chains,
+    charpoly,
     det,
     generalized_eigenvectors,
     independent_extension,
@@ -39,6 +43,7 @@ from exacteig import (
     subtract_scalar_diag,
     trace,
 )
+from exacteig.matrices import _primitive_chain
 
 ZERO = GaussianRational()
 
@@ -375,3 +380,77 @@ class TestJordanKernelsAgainstReference:
     def test_corpus(self, corpus):
         for entry in corpus:
             assert_jordan_kernels_agree(entry.matrix, entry.spectrum)
+
+
+def assert_charpoly_agrees(a, new):
+    """``new`` is a matrix equal to ``a`` that has no charpoly yet."""
+    with OpCounter() as expected_ops:
+        expected = ref.faddeev_leverrier(a)
+    with OpCounter() as ops:
+        p = charpoly(new)
+    assert p == expected
+    assert ops.as_dict() == expected_ops.as_dict()
+
+
+charpoly_scalars = st.sampled_from([
+    st.builds(GaussianRational, st.integers(-9, 9)),
+    st.builds(GaussianRational, st.integers(-10**20, 10**20)),
+    real_scalars,
+    complex_scalars,
+    st.builds(GaussianRational, st.builds(Rational, st.integers(-9, 9),
+                                          st.integers(1, 9)),
+              st.builds(Rational, st.integers(-9, 9), st.integers(1, 9))),
+])
+
+
+@st.composite
+def charpoly_matrices(draw):
+    """Square rows of integers, rationals or Gaussian rationals, n = 1…6."""
+    n = draw(st.integers(1, 6))
+    return draw(scalar_rows(n, n, draw(charpoly_scalars)))
+
+
+@st.composite
+def chains(draw):
+    """1–4 vectors of one length and orientation, rational or Gaussian,
+    the first one nonzero, its lead negative, imaginary or positive."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 4))
+    scalars = draw(st.sampled_from([real_scalars, complex_scalars]))
+    orientation = draw(orientations)
+    lead = draw(st.one_of(
+        st.builds(GaussianRational, rationals),
+        st.builds(GaussianRational, st.just(0), rationals),
+        st.builds(GaussianRational, rationals, rationals),
+    ).filter(bool))
+    at = draw(st.integers(0, n - 1))
+    first = [ZERO] * at + [lead] + [draw(scalars) for _ in range(n - at - 1)]
+    rest = [[draw(scalars) for _ in range(n)] for _ in range(count - 1)]
+    return [Vector(v, orientation) for v in [first, *rest]]
+
+
+class TestCharpolyAgainstReference:
+    @given(charpoly_matrices())
+    def test_random_matrices(self, rows):
+        assert_charpoly_agrees(Matrix(rows), Matrix(rows))
+
+    def test_corpus(self, fresh, corpus):
+        for entry in corpus:
+            assert_charpoly_agrees(entry.matrix, fresh(entry.matrix))
+
+
+class TestChainScalingAgainstReference:
+    @given(chains())
+    def test_random_chains(self, vectors):
+        # Vector equality compares orientation too
+        assert _primitive_chain(vectors) == ref.scale_chain_uniformly(vectors)
+
+    @pytest.mark.parametrize("lead", [
+        -1, Rational(-3, 4), GaussianRational(0, -2),
+        GaussianRational(0, Rational(5, 3)), GaussianRational(-2, 7),
+        GaussianRational(0, 1)])
+    def test_leads(self, lead):
+        vectors = [Vector([0, lead, Rational(1, 6)]),
+                   Vector([GaussianRational(1, -1), Rational(-4, 9), 2])]
+        assert _primitive_chain(vectors) == \
+            ref.scale_chain_uniformly(vectors)

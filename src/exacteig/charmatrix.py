@@ -37,6 +37,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    _annihilates,
     _tally,
     Vector,
     cross3,
@@ -143,6 +144,14 @@ def _residual_ok(a, lam, v):
     return matvec(a, v) == v.scaled(lam)
 
 
+def _residual_checked(shifted, vectors):
+    """``vectors``, checked to satisfy (A − λI)·v = 0 exactly."""
+    if not _annihilates(shifted, vectors):
+        raise InternalInconsistency(
+            "a null-space vector failed the residual check")
+    return vectors
+
+
 def product_eigenvectors(a, s, target):
     """Basis of the eigenspace for ``target``, led by product columns.
 
@@ -154,9 +163,10 @@ def product_eigenvectors(a, s, target):
     (A − λI)^{m_λ−1} is nonzero on the generalized eigenspace only for a
     single Jordan block of full size. So one column is the whole basis
     when there is one, and otherwise the basis is an exact null-space
-    basis of A − λI. The result has exactly geometric-multiplicity many
-    vectors, each normalized. ``verify_spectrum`` checks ``s`` first
-    (once per matrix), so a wrong spectrum raises WrongSpectrum.
+    basis of A − λI, each vector residual-checked. The result has
+    exactly geometric-multiplicity many vectors, each normalized.
+    ``verify_spectrum`` checks ``s`` first (once per matrix), so a wrong
+    spectrum raises WrongSpectrum.
     """
     s = verify_spectrum(a, s)
     values = s.values()
@@ -190,9 +200,10 @@ def _eigenbasis(a, s, shifted, k):
         saw_dirty_column = True
     if len(kept) == alg:
         return kept
-    null = nullspace_basis(_shifted(a, s, shifted, k))
+    kappa = _shifted(a, s, shifted, k)
+    null = nullspace_basis(kappa)
     if kept and len(null) == 1 or null and not (kept or saw_dirty_column):
-        return kept or null
+        return kept or _residual_checked(kappa, null)
     if kept:
         raise InternalInconsistency(
             "a nonzero product column beside an eigenspace that is not "
@@ -411,7 +422,7 @@ def intersection_eigenvectors(a, s, target):
     Equals the eigenspace whenever the matrix is diagonalizable; the
     final residual filter drops any excess directions a defective input
     would leave behind. With no other eigenvalue the result is the
-    null-space basis of A − target·I.
+    null-space basis of A − target·I, each vector residual-checked.
     """
     s = Spectrum(s)
     target = to_scalar(target)
@@ -420,7 +431,8 @@ def intersection_eigenvectors(a, s, target):
             f"{format_scalar(target)} is not in the given spectrum")
     others = [v for v in s.values() if v != target]
     if not others:
-        return nullspace_basis(subtract_scalar_diag(a, target))
+        kappa = subtract_scalar_diag(a, target)
+        return _residual_checked(kappa, nullspace_basis(kappa))
     current = subtract_scalar_diag(a, others[0])
     for value in others[1:]:
         vectors = column_space_intersection(

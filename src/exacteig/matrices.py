@@ -16,9 +16,10 @@ are read: by ``entry``, ``row_entries`` and a vector's ``entries``.
 Products and sums run on the planes as integer dot products, followed
 by one gcd pass per result, and skip the imaginary products when an
 imaginary plane is zero. Rank, RREF, null space, determinant and inverse
-use fraction-free (Bareiss) elimination over ℤ[i] on the numerators:
-each update is exact division by the previous pivot, and the division by
-the pivot happens once, at the end, to reach the same unique RREF.
+run one fraction-free (Bareiss) forward elimination over ℤ[i] on the
+numerators, each row update dividing exactly by the previous pivot;
+RREF, null space and inverse then take the columns they need of d·RREF,
+d the last pivot, by fraction-free back-substitution.
 
 Inside ``with OpCounter() as ops:`` these kernels, and the few scalar
 steps other modules add, count their scalar operations in ``ops``; the
@@ -27,20 +28,25 @@ counts. Counting conventions (documented so the numbers are meaningful):
 
 * products count one multiplication per scalar pair and one addition per
   accumulation step, whether or not a plane is zero;
-* elimination counts each multiplication, subtraction and exact division
-  of Gaussian integers it performs on the rows it updates: two
-  multiplications and a subtraction per entry of a row with a nonzero
-  entry in the pivot column, one multiplication per entry of a row
-  merely rescaled by the new pivot, and one exact division per updated
-  entry whenever the previous pivot is not 1; the closing division by
-  the last pivot counts one division per entry of the pivot rows (RREF,
-  null space, inverse) or one for the determinant;
+* forward elimination counts each multiplication, subtraction and
+  exact division of Gaussian integers it performs on the rows it
+  updates: two multiplications and a subtraction per entry of a row with
+  a nonzero entry in the pivot column, one multiplication per entry of a
+  row merely rescaled by the new pivot, and one exact division per
+  updated entry whenever the previous pivot is not 1;
+* back-substitution counts, per entry it computes, one multiplication
+  per term whose coefficient is nonzero, one subtraction per further
+  term and one exact division unless the pivot is 1; the closing
+  division by d counts one division per entry of the pivot rows (RREF)
+  or of the inverse, one for the determinant and none for the null
+  space, whose vectors are rescaled anyway;
 * negations, gcd passes, denominator bookkeeping and the cosmetic
   rescaling of output vectors are not counted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
@@ -641,99 +647,160 @@ def _integer_rows(a):
     return [list(r) for r in _rows_of(a._re, a.cols)], im
 
 
-def _eliminate(re_rows, im_rows, ncols, full):
-    """Fraction-free (Bareiss) elimination of Gaussian-integer rows, in
-    place; ``im_rows`` is None for real rows.
+def _eliminate(re_rows, im_rows, ncols):
+    """Fraction-free (Bareiss) forward elimination of Gaussian-integer
+    rows, in place; ``im_rows`` is None for real rows.
 
-    Pivots are the first nonzero entry down each column, as in
-    Gauss–Jordan elimination over the field. After each pivot every row
-    equals that pivot (a minor of the input on the pivot rows and
-    columns) times the corresponding row of the field elimination, so
-    the division by the previous pivot is exact and all entries stay
-    Gaussian integers. ``full`` clears the rows above each pivot too,
-    which ends at d·RREF with d the last pivot; otherwise only the rows
-    below are cleared (echelon form). Returns ``(pivots, d, sign)``,
-    with d as a (re, im) pair (1 when there is no pivot) and sign the
-    parity of the row swaps.
+    Pivots are the first nonzero entry down each column, as in Gaussian
+    elimination over the field. At each pivot p every row x below it
+    becomes (p·x − f·y)/q, with f its entry in the pivot column, y the
+    pivot row and q the previous pivot. Each row then equals that pivot
+    (a minor of the input on the pivot rows and columns) times the
+    corresponding row of the field elimination, so the division by q is
+    exact and runs in the update's own pass. Ends in echelon form.
+    Returns ``(pivots, d, sign)``, with d the last pivot as a (re, im)
+    pair (1 when there is no pivot) and sign the parity of the row
+    swaps.
     """
-    nrows = len(re_rows)
+    nrows, real = len(re_rows), im_rows is None
     pivots = []
-    prev_re, prev_im = 1, 0
+    q = (1, 0)  # the previous pivot
     sign = 1
     mults = adds = divs = 0
     for c in range(ncols):
         r = len(pivots)
-        found = next((i for i in range(r, nrows) if re_rows[i][c]
-                      or (im_rows is not None and im_rows[i][c])), None)
-        if found is None:
-            continue
-        if found != r:
+        if not (re_rows[r][c] or (not real and im_rows[r][c])):
+            found = next((i for i in range(r + 1, nrows) if re_rows[i][c]
+                          or (not real and im_rows[i][c])), None)
+            if found is None:
+                continue
             sign = -sign
             re_rows[r], re_rows[found] = re_rows[found], re_rows[r]
-            if im_rows is not None:
+            if not real:
                 im_rows[r], im_rows[found] = im_rows[found], im_rows[r]
-        p_re = re_rows[r][c]
-        p_im = 0 if im_rows is None else im_rows[r][c]
-        for i in range(0 if full else r + 1, nrows):
-            if i == r:
-                continue
-            start = pivots[i] if i < r else c
-            f_re = re_rows[i][c]
-            f_im = 0 if im_rows is None else im_rows[i][c]
-            if not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im):
-                continue  # the update would leave the row as it is
-            width = ncols - start
-            mults += 2 * width if f_re or f_im else width
-            adds += width if f_re or f_im else 0
-            if im_rows is None:
-                x, y = re_rows[i][start:], re_rows[r][start:]
-                new_re = ([p_re * u - f_re * v for u, v in zip(x, y)]
-                          if f_re else [p_re * u for u in x])
-                new_im = []
-            else:
-                new_re, new_im = _pivot_update(
-                    re_rows[i][start:], im_rows[i][start:],
-                    re_rows[r][start:], im_rows[r][start:],
-                    p_re, p_im, f_re, f_im)
-            if (prev_re, prev_im) != (1, 0):
-                divs += width
-                new_re, new_im = _exact_division(new_re, new_im,
-                                                 prev_re, prev_im)
-            re_rows[i][start:] = new_re
-            if im_rows is not None:
-                im_rows[i][start:] = new_im
+        p = (re_rows[r][c], 0 if real else im_rows[r][c])
+        # rows below with a nonzero entry f in the pivot column, and rows
+        # merely rescaled by p/q; a row with f = 0 stays as it is if p = q
+        updated = rescaled = 0
+        if real:
+            p_re, q_re, y = p[0], q[0], re_rows[r][c:]
+            for x in re_rows[r + 1:]:
+                f = x[c]
+                if f:
+                    updated += 1
+                    x[c:] = ([p_re * u - f * v for u, v in zip(x[c:], y)]
+                             if q_re == 1 else
+                             [(p_re * u - f * v) // q_re
+                              for u, v in zip(x[c:], y)])
+                elif p_re != q_re:
+                    rescaled += 1
+                    x[c:] = [p_re * u // q_re for u in x[c:]]
+        else:
+            y_re, y_im = re_rows[r][c:], im_rows[r][c:]
+            for x_re, x_im in zip(re_rows[r + 1:], im_rows[r + 1:]):
+                f = (x_re[c], x_im[c])
+                if f != (0, 0):
+                    updated += 1
+                elif p != q:
+                    rescaled += 1
+                else:
+                    continue
+                x_re[c:], x_im[c:] = _gaussian_update(
+                    x_re[c:], x_im[c:], y_re, y_im, p, f, q)
+        width = ncols - c
+        mults += width * (2 * updated + rescaled)
+        adds += width * updated
+        divs += width * (updated + rescaled) if q != (1, 0) else 0
         pivots.append(c)
-        prev_re, prev_im = p_re, p_im
+        q = p
         if len(pivots) == nrows:
             break
     _tally(mults, adds, divs)
-    return tuple(pivots), (prev_re, prev_im), sign
+    return tuple(pivots), q, sign
 
 
-def _pivot_update(x_re, x_im, y_re, y_im, p_re, p_im, f_re, f_im):
-    """p·x − f·y entrywise over ℤ[i] (before the division)."""
-    new_re = [p_re * a - p_im * b - f_re * c + f_im * d
-              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
-    new_im = [p_re * b + p_im * a - f_re * d - f_im * c
-              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
-    return new_re, new_im
+def _gaussian_update(x_re, x_im, y_re, y_im, p, f, q):
+    """(p·x − f·y)/q entrywise over ℤ[i], the division known to be
+    exact: a nonreal q is turned into its integer norm by multiplying p
+    and f by its conjugate first, so every entry takes one pass."""
+    (p_re, p_im), (f_re, f_im), (q_re, q_im) = p, f, q
+    if q_im:
+        p_re, p_im = p_re * q_re + p_im * q_im, p_im * q_re - p_re * q_im
+        f_re, f_im = f_re * q_re + f_im * q_im, f_im * q_re - f_re * q_im
+        q_re = q_re * q_re + q_im * q_im
+    return ([(p_re * a - p_im * b - f_re * c + f_im * d) // q_re
+             for a, b, c, d in zip(x_re, x_im, y_re, y_im)],
+            [(p_re * b + p_im * a - f_re * d - f_im * c) // q_re
+             for a, b, c, d in zip(x_re, x_im, y_re, y_im)])
 
 
-def _exact_division(re, im, d_re, d_im):
-    """Entries re + im·i divided by d_re + d_im·i, known to be exact."""
-    if not d_im:
-        return [x // d_re for x in re], [y // d_re for y in im]
-    norm = d_re * d_re + d_im * d_im
-    return ([(x * d_re + y * d_im) // norm for x, y in zip(re, im)],
-            [(y * d_re - x * d_im) // norm for x, y in zip(re, im)])
+def _back_substitute(re_rows, im_rows, pivots, d, columns):
+    """Columns ``columns`` (no pivot column among them) of d·RREF at the
+    pivot rows, from what ``_eliminate`` leaves: one (re, im) pair of
+    lists per column.
 
-
-def _reduced(a):
-    """d·RREF of the numerators of ``a`` as (re rows, im rows or None,
-    pivots, d); the common denominator changes neither."""
-    re_rows, im_rows = _integer_rows(a)
-    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols, True)
-    return re_rows, im_rows, pivots, d
+    With u the echelon rows and p_k = u_{k,P[k]} the pivots, entry k of
+    column j is z_k = (d·u_kj − Σ_{k'>k} u_{k,P[k']}·z_{k'}) / p_k, from
+    the last pivot row up: d times an RREF entry, a Gaussian integer by
+    Cramer's rule, so the division is exact. z_k = 0 where P[k] > j, the
+    last pivot row gives u_{r−1,j} at no cost, and so does an entry whose
+    terms all have a zero coefficient u, which is left out of the count.
+    """
+    r = len(pivots)
+    if not r:
+        return [([], [])] * len(columns)
+    (d_re, d_im), real = d, im_rows is None
+    mults = adds = divs = 0
+    out = []
+    zeros = [0] * r  # the imaginary part of every column of real rows
+    for j in columns:
+        z_re, z_im = [0] * r, zeros if real else [0] * r
+        out.append((z_re, z_im))
+        top = bisect_left(pivots, j)  # z_k = 0 from row ``top`` on
+        k = top - 1
+        if top == r:
+            z_re[k] = re_rows[k][j]
+            if not real:
+                z_im[k] = im_rows[k][j]
+            k -= 1
+        if k < 0:
+            continue
+        # the pivot columns before j are 0, 1, ..., top − 1
+        leading = pivots[top - 1] == top - 1
+        for k in range(k, -1, -1):
+            row, w_re = re_rows[k], z_re[k + 1:top]
+            c_re = (row[k + 1:top] if leading
+                    else [row[c] for c in pivots[k + 1:top]])
+            u_re, p_re = row[j], row[pivots[k]]
+            if real:
+                terms = len(c_re) - c_re.count(0) + (u_re != 0)
+                if terms:
+                    mults += terms
+                    adds += terms - 1
+                    divs += p_re != 1
+                    z_re[k] = ((d_re * u_re - sum(map(mul, c_re, w_re)))
+                               // p_re)
+                continue
+            row, w_im = im_rows[k], z_im[k + 1:top]
+            c_im = (row[k + 1:top] if leading
+                    else [row[c] for c in pivots[k + 1:top]])
+            u_im, p_im = row[j], row[pivots[k]]
+            terms = (sum(1 for x, y in zip(c_re, c_im) if x or y)
+                     + (u_re != 0 or u_im != 0))
+            if not terms:
+                continue
+            mults += terms
+            adds += terms - 1
+            divs += (p_re, p_im) != (1, 0)
+            s_re = (d_re * u_re - d_im * u_im - sum(map(mul, c_re, w_re))
+                    + sum(map(mul, c_im, w_im)))
+            s_im = (d_re * u_im + d_im * u_re - sum(map(mul, c_re, w_im))
+                    - sum(map(mul, c_im, w_re)))
+            norm = p_re * p_re + p_im * p_im
+            z_re[k] = (s_re * p_re + s_im * p_im) // norm
+            z_im[k] = (s_im * p_re - s_re * p_im) // norm
+    _tally(mults, adds, divs)
+    return out
 
 
 def rref(a):
@@ -744,18 +811,24 @@ def rref(a):
     deterministic rule that makes sense in exact arithmetic; the RREF
     itself is unique.
     """
-    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
-    _tally(divs=len(pivots) * a.cols)
-    re = [x for row in re_rows for x in row]
-    im = ([0] * len(re) if im_rows is None
-          else [y for row in im_rows for y in row])
-    den, re, im = _quotient(re, im, d_re, d_im)
-    return Matrix._make(a.rows, a.cols, den, re, im), pivots
+    re_rows, im_rows = _integer_rows(a)
+    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols)
+    cols, end = a.cols, len(pivots) * a.cols
+    re, im = [0] * (a.rows * cols), [0] * (a.rows * cols)
+    free = [j for j in range(cols) if j not in pivots]
+    for j, (z_re, z_im) in zip(free, _back_substitute(
+            re_rows, im_rows, pivots, d, free)):
+        re[j:end:cols], im[j:end:cols] = z_re, z_im
+    for k, c in enumerate(pivots):
+        re[k * cols + c], im[k * cols + c] = d
+    _tally(divs=end)
+    den, re, im = _quotient(re, im, *d)
+    return Matrix._make(a.rows, cols, den, re, im), pivots
 
 
 def rank(a):
     re_rows, im_rows = _integer_rows(a)
-    return len(_eliminate(re_rows, im_rows, a.cols, False)[0])
+    return len(_eliminate(re_rows, im_rows, a.cols)[0])
 
 
 def nullspace_basis(a):
@@ -763,20 +836,19 @@ def nullspace_basis(a):
     parameterization of the RREF, each vector in canonical normalized
     form. Empty list when the matrix is injective.
 
-    With d·RREF in hand, the vector for a free column f has d at f and
-    minus column f of d·RREF at the pivot columns: d times the RREF's
-    vector, which normalizes to the same line."""
-    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
+    The vector for a free column j has d at j and minus column j of
+    d·RREF at the pivot columns: d times the RREF's vector, which
+    normalizes to the same line."""
+    re_rows, im_rows = _integer_rows(a)
+    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols)
+    free = [j for j in range(a.cols) if j not in pivots]
     basis = []
-    for free_col in range(a.cols):
-        if free_col in pivots:
-            continue
+    for j, (z_re, z_im) in zip(free, _back_substitute(
+            re_rows, im_rows, pivots, d, free)):
         re, im = [0] * a.cols, [0] * a.cols
-        re[free_col], im[free_col] = d_re, d_im
-        for k, pivot_col in enumerate(pivots):
-            re[pivot_col] = -re_rows[k][free_col]
-            if im_rows is not None:
-                im[pivot_col] = -im_rows[k][free_col]
+        re[j], im[j] = d
+        for c, x, y in zip(pivots, z_re, z_im):
+            re[c], im[c] = -x, -y
         basis.append(_primitive(re, im, "column"))
     return basis
 
@@ -787,7 +859,7 @@ def det(a):
     _require_square(a)
     n = a.rows
     re_rows, im_rows = _integer_rows(a)
-    pivots, (d_re, d_im), sign = _eliminate(re_rows, im_rows, n, False)
+    pivots, (d_re, d_im), sign = _eliminate(re_rows, im_rows, n)
     if len(pivots) < n:
         return ZERO
     _tally(divs=1)
@@ -795,8 +867,9 @@ def det(a):
 
 
 def inverse(a):
-    """Exact inverse by fraction-free Gauss–Jordan on [N | I], where N
-    holds the numerators of A = N/den: it ends at [d·I | d·N⁻¹], so
+    """Exact inverse by fraction-free elimination on [N | I], where N
+    holds the numerators of A = N/den: forward elimination and
+    back-substitution of the identity half give d·N⁻¹, so
     A⁻¹ = den·(d·N⁻¹)/d. Raises Singular."""
     _require_square(a)
     n = a.rows
@@ -805,16 +878,29 @@ def inverse(a):
         re_rows[i].extend(int(i == j) for j in range(n))
         if im_rows is not None:
             im_rows[i].extend([0] * n)
-    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n, True)
+    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n)
     if pivots != tuple(range(n)):
         # a singular left block pushes pivots into the identity half
         raise Singular("matrix is singular")
+    columns = _back_substitute(re_rows, im_rows, pivots, (d_re, d_im),
+                               range(n, 2 * n))
     _tally(divs=n * n)
-    re = [a._den * x for row in re_rows for x in row[n:]]
-    im = ([0] * len(re) if im_rows is None
-          else [a._den * y for row in im_rows for y in row[n:]])
+    re = [a._den * x for row in zip(*[z for z, _ in columns]) for x in row]
+    im = [a._den * y for row in zip(*[z for _, z in columns]) for y in row]
     den, re, im = _quotient(re, im, d_re, d_im)
     return Matrix._make(n, n, den, re, im)
+
+
+def _annihilates(a, vectors):
+    """Whether A·v = 0 for all the column vectors v, read off the planes
+    and counted as the products A·v."""
+    ws = [v._matrix for v in vectors]
+    re, im = _complex_product(
+        _rows_of(a._re, a.cols), _complex_side(a, _rows_of),
+        [w._re for w in ws], [w._imag() for w in ws]
+        if any(w._im for w in ws) else None)
+    _tally(mults=len(re) * a.cols, adds=len(re) * (a.cols - 1))
+    return not any(re) and not any(im)
 
 
 def cross3(u, v):
@@ -842,7 +928,7 @@ def independent_extension(basis, candidates):
         return []
     columns = _stacked([*basis, *candidates]).transpose()
     re_rows, im_rows = _integer_rows(columns)
-    pivots, _, _ = _eliminate(re_rows, im_rows, columns.cols, False)
+    pivots, _, _ = _eliminate(re_rows, im_rows, columns.cols)
     skip = len(basis)
     return [candidates[c - skip] for c in pivots if c >= skip]
 

@@ -42,10 +42,12 @@ from exacteig import (
     InvalidSpectrum,
     IrrationalSpectrum,
     JordanChain,
+    Matrix,
     NotInSpectrum,
     NotSquare,
     RankTooLarge,
     Rational,
+    Singular,
     Spectrum,
     SpectrumTooLarge,
     WrongSpectrum,
@@ -59,7 +61,8 @@ from exacteig import (
     to_scalar,
     trace,
 )
-from exacteig.matrices import _stacked, _tally, rank
+from exacteig.matrices import (_integer_rows, _primitive, _quotient,
+                               _require_square, _stacked, _tally, rank)
 from exacteig.matrices import matmul as lib_matmul
 from exacteig.matrices import matvec as lib_matvec
 from exacteig.spectra import Polynomial as LibPolynomial
@@ -587,3 +590,161 @@ def faddeev_leverrier(a):
         _tally(divs=1)
         coeffs[n - k] = c
     return LibPolynomial(coeffs)
+
+
+def _eliminate(re_rows, im_rows, ncols, full):
+    """Fraction-free (Bareiss) elimination of Gaussian-integer rows, in
+    place; ``im_rows`` is None for real rows.
+
+    Pivots are the first nonzero entry down each column, as in
+    Gauss–Jordan elimination over the field. After each pivot every row
+    equals that pivot (a minor of the input on the pivot rows and
+    columns) times the corresponding row of the field elimination, so
+    the division by the previous pivot is exact and all entries stay
+    Gaussian integers. ``full`` clears the rows above each pivot too,
+    which ends at d·RREF with d the last pivot; otherwise only the rows
+    below are cleared (echelon form). Returns ``(pivots, d, sign)``,
+    with d as a (re, im) pair (1 when there is no pivot) and sign the
+    parity of the row swaps.
+    """
+    nrows = len(re_rows)
+    pivots = []
+    prev_re, prev_im = 1, 0
+    sign = 1
+    mults = adds = divs = 0
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, nrows) if re_rows[i][c]
+                      or (im_rows is not None and im_rows[i][c])), None)
+        if found is None:
+            continue
+        if found != r:
+            sign = -sign
+            re_rows[r], re_rows[found] = re_rows[found], re_rows[r]
+            if im_rows is not None:
+                im_rows[r], im_rows[found] = im_rows[found], im_rows[r]
+        p_re = re_rows[r][c]
+        p_im = 0 if im_rows is None else im_rows[r][c]
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            start = pivots[i] if i < r else c
+            f_re = re_rows[i][c]
+            f_im = 0 if im_rows is None else im_rows[i][c]
+            if not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im):
+                continue  # the update would leave the row as it is
+            width = ncols - start
+            mults += 2 * width if f_re or f_im else width
+            adds += width if f_re or f_im else 0
+            if im_rows is None:
+                x, y = re_rows[i][start:], re_rows[r][start:]
+                new_re = ([p_re * u - f_re * v for u, v in zip(x, y)]
+                          if f_re else [p_re * u for u in x])
+                new_im = []
+            else:
+                new_re, new_im = _pivot_update(
+                    re_rows[i][start:], im_rows[i][start:],
+                    re_rows[r][start:], im_rows[r][start:],
+                    p_re, p_im, f_re, f_im)
+            if (prev_re, prev_im) != (1, 0):
+                divs += width
+                new_re, new_im = _exact_division(new_re, new_im,
+                                                 prev_re, prev_im)
+            re_rows[i][start:] = new_re
+            if im_rows is not None:
+                im_rows[i][start:] = new_im
+        pivots.append(c)
+        prev_re, prev_im = p_re, p_im
+        if len(pivots) == nrows:
+            break
+    _tally(mults, adds, divs)
+    return tuple(pivots), (prev_re, prev_im), sign
+
+
+def _pivot_update(x_re, x_im, y_re, y_im, p_re, p_im, f_re, f_im):
+    """p·x − f·y entrywise over ℤ[i] (before the division)."""
+    new_re = [p_re * a - p_im * b - f_re * c + f_im * d
+              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
+    new_im = [p_re * b + p_im * a - f_re * d - f_im * c
+              for a, b, c, d in zip(x_re, x_im, y_re, y_im)]
+    return new_re, new_im
+
+
+def _exact_division(re, im, d_re, d_im):
+    """Entries re + im·i divided by d_re + d_im·i, known to be exact."""
+    if not d_im:
+        return [x // d_re for x in re], [y // d_re for y in im]
+    norm = d_re * d_re + d_im * d_im
+    return ([(x * d_re + y * d_im) // norm for x, y in zip(re, im)],
+            [(y * d_re - x * d_im) // norm for x, y in zip(re, im)])
+
+
+def _reduced(a):
+    """d·RREF of the numerators of ``a`` as (re rows, im rows or None,
+    pivots, d); the common denominator changes neither."""
+    re_rows, im_rows = _integer_rows(a)
+    pivots, d, _ = _eliminate(re_rows, im_rows, a.cols, True)
+    return re_rows, im_rows, pivots, d
+
+
+def gauss_jordan_rref(a):
+    """Reduced row echelon form.
+
+    Returns ``(R, pivots)`` with pivot column indices ascending. Pivot
+    choice is the first nonzero entry down each column — the only
+    deterministic rule that makes sense in exact arithmetic; the RREF
+    itself is unique.
+    """
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
+    _tally(divs=len(pivots) * a.cols)
+    re = [x for row in re_rows for x in row]
+    im = ([0] * len(re) if im_rows is None
+          else [y for row in im_rows for y in row])
+    den, re, im = _quotient(re, im, d_re, d_im)
+    return Matrix._make(a.rows, a.cols, den, re, im), pivots
+
+
+def gauss_jordan_nullspace_basis(a):
+    """Exact basis of the null space from the free-variable
+    parameterization of the RREF, each vector in canonical normalized
+    form. Empty list when the matrix is injective.
+
+    With d·RREF in hand, the vector for a free column f has d at f and
+    minus column f of d·RREF at the pivot columns: d times the RREF's
+    vector, which normalizes to the same line."""
+    re_rows, im_rows, pivots, (d_re, d_im) = _reduced(a)
+    basis = []
+    for free_col in range(a.cols):
+        if free_col in pivots:
+            continue
+        re, im = [0] * a.cols, [0] * a.cols
+        re[free_col], im[free_col] = d_re, d_im
+        for k, pivot_col in enumerate(pivots):
+            re[pivot_col] = -re_rows[k][free_col]
+            if im_rows is not None:
+                im[pivot_col] = -im_rows[k][free_col]
+        basis.append(_primitive(re, im, "column"))
+    return basis
+
+
+def gauss_jordan_inverse(a):
+    """Exact inverse by fraction-free Gauss–Jordan on [N | I], where N
+    holds the numerators of A = N/den: it ends at [d·I | d·N⁻¹], so
+    A⁻¹ = den·(d·N⁻¹)/d. Raises Singular."""
+    _require_square(a)
+    n = a.rows
+    re_rows, im_rows = _integer_rows(a)
+    for i in range(n):
+        re_rows[i].extend(int(i == j) for j in range(n))
+        if im_rows is not None:
+            im_rows[i].extend([0] * n)
+    pivots, (d_re, d_im), _ = _eliminate(re_rows, im_rows, 2 * n, True)
+    if pivots != tuple(range(n)):
+        # a singular left block pushes pivots into the identity half
+        raise Singular("matrix is singular")
+    _tally(divs=n * n)
+    re = [a._den * x for row in re_rows for x in row[n:]]
+    im = ([0] * len(re) if im_rows is None
+          else [a._den * y for row in im_rows for y in row[n:]])
+    den, re, im = _quotient(re, im, d_re, d_im)
+    return Matrix._make(n, n, den, re, im)

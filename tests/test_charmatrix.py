@@ -24,6 +24,7 @@ from exacteig import (
     eigensystem,
     eigenvectors_2x2,
     format_scalar,
+    intersection_eigenvectors,
     is_diagonalizable,
     matmul,
     matvec,
@@ -332,6 +333,22 @@ class TestProductEigenvectors:
                             lambda a, s: s)
         with pytest.raises(InternalInconsistency, match=message):
             product_eigenvectors(*case)
+
+    @pytest.mark.parametrize("call", [
+        lambda: product_eigenvectors(
+            DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, to_scalar(1)),
+        lambda: intersection_eigenvectors(
+            Matrix([[2, 1], [0, 2]]), {2: 2}, to_scalar(2)),
+    ], ids=["eigenspace-not-a-line", "no-other-eigenvalue"])
+    def test_null_space_vectors_are_residual_checked(self, monkeypatch,
+                                                     call):
+        # the all-ones vector is no eigenvector in either case
+        original = exacteig.charmatrix.nullspace_basis
+        monkeypatch.setattr(
+            exacteig.charmatrix, "nullspace_basis",
+            lambda k: [*original(k)[1:], Vector([1] * k.cols)])
+        with pytest.raises(InternalInconsistency, match="residual"):
+            call()
 
     def test_one_shifted_matrix_per_eigenvalue_per_call(self, monkeypatch,
                                                         corpus):

@@ -8,11 +8,15 @@ both orientations, and on the corpus. The Jordan kernels must agree
 with the rank-pass kernels on planted Jordan structures and on the
 corpus. The characteristic polynomial on integer numerators must equal
 the scalar Faddeev–LeVerrier recursion, operation tally included, and
-the chain scaling on planes the scaling by one rational factor.
+the chain scaling on planes the scaling by one rational factor. RREF,
+null space and inverse by forward elimination and back-substitution
+must equal the fraction-free Gauss–Jordan ones they replaced, on
+integer, large-integer, rational and Gaussian-rational matrices of
+every shape and on the corpus's shifted matrices.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -454,3 +458,75 @@ class TestChainScalingAgainstReference:
                    Vector([GaussianRational(1, -1), Rational(-4, 9), 2])]
         assert _primitive_chain(vectors) == \
             ref.scale_chain_uniformly(vectors)
+
+
+elimination_scalars = {
+    "integer": st.builds(GaussianRational, st.integers(-6, 6)),
+    "large-integer": st.builds(GaussianRational,
+                               st.integers(-10**55, 10**55)),
+    "rational": st.builds(GaussianRational, rationals),
+    "gaussian-rational": st.builds(GaussianRational, rationals, rationals),
+}
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A Matrix of integers, large integers, rationals or Gaussian
+    rationals (with zeros mixed in), square, wide or tall, and dense,
+    rank-deficient, zero or the identity (ones down the diagonal)."""
+    n = draw(sizes)
+    rows, cols = {"square": (n, n), "wide": (n, n + draw(sizes)),
+                  "tall": (n + draw(sizes), n)}[
+        draw(st.sampled_from(["square", "wide", "tall"]))]
+    scalars = st.one_of(st.just(ZERO), elimination_scalars[
+        draw(st.sampled_from(sorted(elimination_scalars)))])
+    kind = draw(st.sampled_from(["dense", "deficient", "zero", "identity"]))
+    if kind == "zero":
+        return Matrix.zeros(rows, cols)
+    if kind == "identity":
+        return Matrix([[int(i == j) for j in range(cols)]
+                       for i in range(rows)])
+    if kind == "deficient" and min(rows, cols) > 1:
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        return Matrix(ref.matmul(draw(scalar_rows(rows, inner, scalars)),
+                                 draw(scalar_rows(inner, cols, scalars))))
+    return Matrix(draw(scalar_rows(rows, cols, scalars)))
+
+
+def assert_back_substitution_agrees(a):
+    """RREF, null space and inverse by forward elimination and
+    back-substitution equal the Gauss–Jordan ones; on a singular square
+    matrix both inverses raise Singular."""
+    assert rref(a) == ref.gauss_jordan_rref(a)
+    assert nullspace_basis(a) == ref.gauss_jordan_nullspace_basis(a)
+    if not a.is_square:
+        return
+    try:
+        expected = ref.gauss_jordan_inverse(a)
+    except Singular:
+        with pytest.raises(Singular):
+            inverse(a)
+    else:
+        assert inverse(a) == expected
+
+
+class TestBackSubstitutionAgainstGaussJordan:
+    @settings(max_examples=300)
+    @given(elimination_inputs())
+    def test_random_matrices(self, a):
+        assert_back_substitution_agrees(a)
+
+    @pytest.mark.parametrize("a", [
+        Matrix.identity(1), Matrix.identity(4), Matrix.zeros(3, 3),
+        Matrix.zeros(2, 5), Matrix([[0, 0, 1], [0, 0, 0], [2, 0, 0]]),
+        Matrix([[GaussianRational(0, 1), 2], [1, GaussianRational(0, -2)]]),
+    ], ids=["1", "identity", "zero", "zero-wide", "sparse", "gaussian"])
+    def test_fixed_matrices(self, a):
+        assert_back_substitution_agrees(a)
+
+    def test_corpus_shifted_matrices(self, corpus):
+        for entry in corpus:
+            assert_back_substitution_agrees(entry.matrix)
+            for value in entry.spectrum.values():
+                assert_back_substitution_agrees(
+                    subtract_scalar_diag(entry.matrix, value))

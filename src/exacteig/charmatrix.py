@@ -53,7 +53,7 @@ from .matrices import (
     trace,
 )
 from .scalars import GaussianRational, format_scalar, to_scalar
-from .spectra import (Spectrum, charpoly, find_spectrum, multiplicity_of,
+from .spectra import (Spectrum, charpoly, multiplicity_of, resolve_spectrum,
                       verify_spectrum)
 
 __all__ = [
@@ -238,7 +238,9 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
     Requires (A − λ₁I)(A − λ₂I) = 0; the nonzero product is raised as a
     NotDiagonalizable witness otherwise. Returns ``(for_lam1, for_lam2)``
     where the λ₁-eigenvectors are independent columns of A − λ₂I and
-    vice versa.
+    vice versa. The multiplicity of λ₁ is read off the characteristic
+    polynomial, and ``verify_spectrum`` then checks that λ₂ takes the
+    rest, so ``a`` keeps the spectrum it verified.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -246,13 +248,16 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
     lam2 = to_scalar(lam2)
     if lam1 == lam2:
         raise WrongSpectrum("the two eigenvalues must be distinct")
-    p = charpoly(a)
-    m1 = multiplicity_of(p, lam1)
-    m2 = multiplicity_of(p, lam2)
-    if m1 == 0 or m2 == 0 or m1 + m2 != a.rows:
-        raise WrongSpectrum(
-            "matrix spectrum is not {%s, %s}"
-            % (format_scalar(lam1), format_scalar(lam2)))
+    wrong = WrongSpectrum("matrix spectrum is not {%s, %s}"
+                          % (format_scalar(lam1), format_scalar(lam2)))
+    m1 = multiplicity_of(charpoly(a), lam1)
+    m2 = a.rows - m1
+    if not m1 or not m2:
+        raise wrong
+    try:
+        verify_spectrum(a, [(lam1, m1), (lam2, m2)])
+    except WrongSpectrum:
+        raise wrong from None
     k1 = subtract_scalar_diag(a, lam1)
     k2 = subtract_scalar_diag(a, lam2)
     witness = matmul(k1, k2)
@@ -324,7 +329,7 @@ def _nonzero_column(shifted):
     return normalize_eigenvector(shifted.column(1) if v.is_zero() else v)
 
 
-def combined_characteristic_matrix(a, column_assignment):
+def combined_characteristic_matrix(a, column_assignment, s=None):
     """Single matrix whose column j is an eigenvector for the j-th
     assigned eigenvalue, for matrices with at most two distinct
     eigenvalues.
@@ -332,6 +337,8 @@ def combined_characteristic_matrix(a, column_assignment):
     Column j is column j of the shifted matrix for the *complement* of
     the assigned eigenvalue (the other one; itself when the spectrum is
     a single point). Requires every assigned value to be an eigenvalue.
+    The spectrum ``s`` is verified when given and found exactly when not
+    (``resolve_spectrum``), and ``a`` keeps it.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -340,7 +347,7 @@ def combined_characteristic_matrix(a, column_assignment):
     if len(assignment) != n:
         raise DimensionMismatch(
             f"{len(assignment)} assigned columns for a {n}x{n} matrix")
-    s = find_spectrum(charpoly(a))
+    s = resolve_spectrum(a, s)
     if len(s.pairs) > 2:
         raise SpectrumTooLarge(
             "combined matrix requires at most two distinct eigenvalues")
@@ -423,8 +430,9 @@ def intersection_eigenvectors(a, s, target):
     final residual filter drops any excess directions a defective input
     would leave behind. With no other eigenvalue the result is the
     null-space basis of A − target·I, each vector residual-checked.
+    ``verify_spectrum`` checks ``s`` first (WrongSpectrum).
     """
-    s = Spectrum(s)
+    s = verify_spectrum(a, s)
     target = to_scalar(target)
     if not s.multiplicity(target):
         raise TargetNotInSpectrum(
@@ -451,10 +459,12 @@ def is_diagonalizable(a, s):
     """(True, None) when the product of all shifted matrices — one per
     distinct eigenvalue, ascending — vanishes; otherwise (False, P) with
     the nonzero product as an explicit witness of a too-small eigenspace.
+    ``verify_spectrum`` checks ``s`` first, so a wrong spectrum raises
+    WrongSpectrum instead of giving a wrong verdict.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
-    s = Spectrum(s)
+    s = verify_spectrum(a, s)
     return _vanishing_product(a, s, [None] * len(s.pairs))
 
 
@@ -506,11 +516,17 @@ class EigenSystem:
 
 def eigensystem(a, s):
     """Assemble all eigenspaces via the product method, after one check
-    of the spectrum (``verify_spectrum``)."""
+    of the spectrum (``verify_spectrum``). When every eigenspace is
+    complete, ``a`` keeps their vectors as the columns of the P that
+    ``diagonalize`` and ``jordan_form`` then take."""
     s = verify_spectrum(a, s)
     shifted = [None] * len(s.pairs)
     spaces = []
     for k, (value, mult) in enumerate(s.pairs):
         vectors = _eigenbasis(a, s, shifted, k)
         spaces.append(Eigenspace(value, mult, tuple(vectors)))
-    return EigenSystem(tuple(spaces))
+    system = EigenSystem(tuple(spaces))
+    if system.is_complete:
+        a._keep("_diagonalizer", s, Matrix.from_columns(
+            [v for space in spaces for v in space.vectors]))
+    return system

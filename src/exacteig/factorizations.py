@@ -22,7 +22,7 @@ from .errors import (
     NotSquare,
     RealifyOnComplexMatrix,
 )
-from .jordan import _chains
+from .jordan import _chains, _kept_chains
 from .matrices import Matrix, Vector, inverse, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
@@ -56,12 +56,31 @@ def diagonalize(a, s=None):
     With no spectrum given the eigenvalues are computed (raising
     IrrationalSpectrum when they escape exact representation). Raises
     NotDiagonalizable — carrying the nonzero shifted-matrix product as
-    a witness — when some eigenspace is too small. The reconstruction
-    is verified exactly before returning.
+    a witness — when some eigenspace is too small. When ``eigensystem``
+    has found every eigenspace of ``a`` complete, P is the one it kept,
+    and neither the witness nor an eigenbasis is computed again. The
+    reconstruction is verified exactly before returning.
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
     s = resolve_spectrum(a, s)
+    kept = a._kept("_diagonalizer", s)
+    if kept is not None:
+        p, = kept
+    else:
+        p = _eigenvector_matrix(a, s)
+    order = s.expanded()
+    d = Matrix.diagonal(order)
+    p_inv = inverse(p)
+    if matmul(matmul(p, d), p_inv) != a:
+        raise InternalInconsistency("decomposition check P*D*P^-1 == A failed")
+    return Diagonalization(p, d, p_inv, order)
+
+
+def _eigenvector_matrix(a, s):
+    """P of ``diagonalize`` computed afresh: the witness product first,
+    which is cheaper than the eigenbases on a defective matrix, then one
+    eigenbasis per eigenvalue."""
     shifted = [None] * len(s.pairs)
     ok, witness = _vanishing_product(a, s, shifted)
     if not ok:
@@ -69,20 +88,13 @@ def diagonalize(a, s=None):
             "an eigenspace is smaller than its algebraic multiplicity",
             witness=witness)
     columns = []
-    order = []
-    for k, (value, mult) in enumerate(s.pairs):
+    for k, (_, mult) in enumerate(s.pairs):
         vectors = _eigenbasis(a, s, shifted, k)
         if len(vectors) != mult:
             raise InternalInconsistency(
                 "diagonalizable matrix yielded a short eigenbasis")
         columns.extend(vectors)
-        order.extend([value] * mult)
-    p = Matrix.from_columns(columns)
-    d = Matrix.diagonal(order)
-    p_inv = inverse(p)
-    if matmul(matmul(p, d), p_inv) != a:
-        raise InternalInconsistency("decomposition check P*D*P^-1 == A failed")
-    return Diagonalization(p, d, p_inv, tuple(order))
+    return Matrix.from_columns(columns)
 
 
 def matrix_power(a, exponent, s=None):
@@ -154,6 +166,13 @@ def ode_general_solution(a, s=None, realify=None):
     Asking for realification on a matrix with nonreal entries raises
     RealifyOnComplexMatrix. Always returns exactly n terms, labelled
     c1..cn.
+
+    After ``jordan_form`` on ``a`` the chains are the columns of the P
+    it verified, so P·J·P⁻¹ = A makes every term a solution and the
+    terms independent. Otherwise they are built as ``jordan_form``
+    builds them, for the eigenvalues the terms use only, and are not
+    verified through a decomposition, which would add an inverse and two
+    products to every call (see README, Quick start).
     """
     if not a.is_square:
         raise NotSquare("the system matrix must be square")
@@ -163,26 +182,30 @@ def ode_general_solution(a, s=None, realify=None):
         raise RealifyOnComplexMatrix(
             "cannot realify solutions of a matrix with nonreal entries")
     s = resolve_spectrum(a, s)
+    chains = _kept_chains(a, s)
+    if chains is None:  # only the chains that the terms use
+        chains = [(value, chain.vectors) for value, mult in s.pairs
+                  if not (realify and value.im < 0)
+                  for chain in _chains(a, value, mult)]
     terms = []
-    for value, mult in s.pairs:
+    for value, vectors in chains:
         trig = realify and value.im
         if trig and value.im < 0:
             continue  # covered by its conjugate partner
-        for chain in _chains(a, value, mult):
-            for k in range(1, chain.size + 1):
-                poly = tuple((chain.vectors[i - 1], k - i, factorial(k - i))
-                             for i in range(1, k + 1))
-                if not trig:
-                    terms.append(OdeSolutionTerm(
-                        f"c{len(terms) + 1}", poly, value))
-                    continue
-                # the realified pair splits the plain term's vectors
-                lead = tuple((vec.re, p, d) for vec, p, d in poly)
-                partners = tuple(vec.im for vec, _, _ in poly)
-                for kind in ("cos", "sin"):
-                    terms.append(OdeSolutionTerm(
-                        f"c{len(terms) + 1}", lead, GaussianRational(value.re),
-                        TrigPart(kind, value.im, partners)))
+        for k in range(1, len(vectors) + 1):
+            poly = tuple((vectors[i - 1], k - i, factorial(k - i))
+                         for i in range(1, k + 1))
+            if not trig:
+                terms.append(OdeSolutionTerm(
+                    f"c{len(terms) + 1}", poly, value))
+                continue
+            # the realified pair splits the plain term's vectors
+            lead = tuple((vec.re, p, d) for vec, p, d in poly)
+            partners = tuple(vec.im for vec, _, _ in poly)
+            for kind in ("cos", "sin"):
+                terms.append(OdeSolutionTerm(
+                    f"c{len(terms) + 1}", lead, GaussianRational(value.re),
+                    TrigPart(kind, value.im, partners)))
     if len(terms) != a.rows:
         raise InternalInconsistency(
             "solution count does not match the system dimension")

@@ -20,6 +20,7 @@ P·J·P⁻¹ = A is verified before any result is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     InternalInconsistency,
@@ -186,17 +187,46 @@ def jordan_form(a, s=None):
     (raising IrrationalSpectrum when it escapes exact representation).
     Eigenvalues appear along J in ascending order; within one eigenvalue
     the blocks come largest first, with ones on the superdiagonal. The
-    columns of P are the chain vectors x₁…x_m per block. The identity
-    P·J·P⁻¹ = A is verified exactly before returning.
+    columns of P are the chain vectors x₁…x_m per block. When
+    ``eigensystem`` has found every eigenspace of ``a`` complete, P is
+    the eigenvector matrix it kept: the chains all have size 1, and their
+    canonical vectors are the eigenbasis vectors. The identity
+    P·J·P⁻¹ = A is verified exactly before returning, and ``a`` then
+    keeps P with its block sizes, from which ``ode_general_solution``
+    reads the chains.
     """
     s = resolve_spectrum(a, s)
+    kept = a._kept("_diagonalizer", s)
+    if kept is not None:
+        p, = kept
+        j = Matrix.diagonal(s.expanded())
+        sizes = (1,) * a.rows
+    else:
+        p, j, sizes = _jordan_basis(a, s)
+    try:
+        p_inv = inverse(p)
+    except Singular as exc:
+        raise InternalInconsistency(
+            "chain vectors are not a basis") from exc
+    if matmul(matmul(p, j), p_inv) != a:
+        raise InternalInconsistency(
+            "decomposition check P*J*P^-1 == A failed")
+    a._keep("_jordan", s, p, sizes)
+    return JordanForm(p, j, p_inv)
+
+
+def _jordan_basis(a, s):
+    """(P, J, block sizes in the order of P's columns) of ``jordan_form``
+    from the chains of every eigenvalue of the verified spectrum ``s``."""
     n = a.rows
     columns = []
     j_rows = [[ZERO] * n for _ in range(n)]
     position = 0
+    sizes = []
     for value, mult in s.pairs:
         chains = _chains(a, value, mult)
-        if sum(c.size for c in chains) != mult:
+        chain_sizes = [c.size for c in chains]
+        if sum(chain_sizes) != mult:
             raise InternalInconsistency(
                 "chain sizes do not add up to the algebraic multiplicity")
         for chain in chains:
@@ -207,14 +237,22 @@ def jordan_form(a, s=None):
                 if k:
                     j_rows[col - 1][col] = ONE
             position += chain.size
-    p = Matrix.from_columns(columns)
-    j = Matrix.from_rows(j_rows)
-    try:
-        p_inv = inverse(p)
-    except Singular as exc:
-        raise InternalInconsistency(
-            "chain vectors are not a basis") from exc
-    if matmul(matmul(p, j), p_inv) != a:
-        raise InternalInconsistency(
-            "decomposition check P*J*P^-1 == A failed")
-    return JordanForm(p, j, p_inv)
+        sizes += chain_sizes
+    return (Matrix.from_columns(columns), Matrix.from_rows(j_rows),
+            tuple(sizes))
+
+
+def _kept_chains(a, s):
+    """Every Jordan chain of ``a`` as (λ, vectors x₁…x_m), read off the
+    columns of the P that ``jordan_form`` verified for ``s`` and cut by
+    its block sizes; λ is the diagonal entry of J at the chain's first
+    column. None when ``a`` keeps no such P."""
+    kept = a._kept("_jordan", s)
+    if kept is None:
+        return None
+    p, sizes = kept
+    order = s.expanded()
+    starts = accumulate(sizes[:-1], initial=0)
+    return [(order[start], tuple(p.column(j)
+                                 for j in range(start, start + size)))
+            for start, size in zip(starts, sizes)]

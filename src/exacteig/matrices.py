@@ -339,17 +339,23 @@ def _complex_product(left_re, left_im, right_re, right_im):
 # the characteristic polynomial and a key of the last spectrum verified
 # against it. Both hold for the transpose too.
 _FACTS = ("_charpoly", "_verified")
+# Facts of the eigen-structure, each kept with the key of the verified
+# spectrum it was computed for: the eigenvector matrix P of the
+# diagonalization (``eigensystem``, when every eigenspace is complete)
+# and the verified Jordan P with its block sizes (``jordan_form``). They
+# do not hold for the transpose.
+_STRUCTURE = ("_diagonalizer", "_jordan")
 
 
 class Matrix:
     """Immutable dense matrix of Gaussian-rational entries, stored as a
     common denominator over integer real and imaginary planes.
 
-    The slots of ``_FACTS`` stay unset until a fact is first computed
-    (read them with a default); they take no part in ``==`` or ``hash``,
-    and ``transpose`` hands them on."""
+    The slots of ``_FACTS`` and ``_STRUCTURE`` stay unset until a fact is
+    first computed (read them with a default); they take no part in
+    ``==`` or ``hash``, and ``transpose`` hands on those of ``_FACTS``."""
 
-    __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS)
+    __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS, *_STRUCTURE)
 
     def __init__(self, entries):
         data = [[to_scalar(e) for e in row] for row in entries]
@@ -461,6 +467,17 @@ class Matrix:
     def _remember(self, name, value):
         """Record the fact ``name``, one of ``_FACTS``, of these entries."""
         object.__setattr__(self, name, value)
+
+    def _keep(self, name, s, *value):
+        """Keep the fact ``name``, one of ``_STRUCTURE``, for the verified
+        spectrum ``s``, in place of the one kept for any spectrum."""
+        object.__setattr__(self, name, (s._key, *value))
+
+    def _kept(self, name, s):
+        """The values of the fact ``name`` kept for the spectrum ``s``, or
+        None when none is kept for it."""
+        fact = getattr(self, name, None)
+        return fact[1:] if fact is not None and fact[0] == s._key else None
 
     def is_zero(self):
         return not any(self._re) and not self._im

@@ -40,6 +40,7 @@ from exacteig import (
     subtract_scalar_diag,
     to_scalar,
     two_spectrum_eigenvectors,
+    verify_spectrum,
 )
 
 from worked import (
@@ -605,6 +606,57 @@ class TestDiagonalizability:
                                         DEFECTIVE_PAIR_SPECTRUM)
         assert not ok
         assert witness == m([[1, -1], [1, -1]])
+
+
+class TestEveryEntryPointChecksItsSpectrum:
+    """Entry points that take a spectrum, or find one, check it like the
+    product methods do (``verify_spectrum`` or ``resolve_spectrum``): a
+    wrong spectrum raises WrongSpectrum, and the matrix keeps the one
+    that passes, so a later check of it deflates nothing."""
+
+    @pytest.fixture
+    def no_deflation(self, monkeypatch):
+        return lambda: monkeypatch.setattr(exacteig.spectra, "_deflated",
+                                           None)
+
+    def test_is_diagonalizable(self):
+        # a diagonal matrix, once declared not diagonalizable
+        with pytest.raises(WrongSpectrum):
+            is_diagonalizable(Matrix.diagonal([1, 2]), {1: 2})
+
+    def test_intersection_eigenvectors(self):
+        # the true spectrum is {2: 2, 3: 1}; one vector came back for 3
+        with pytest.raises(WrongSpectrum):
+            intersection_eigenvectors(m([[2, 1, 0], [0, 2, 0], [0, 0, 3]]),
+                                      {2: 1, 3: 2}, to_scalar(3))
+
+    @pytest.mark.parametrize("lam1,lam2", [(2, 5), (7, 1)],
+                             ids=["second-value-wrong", "first-value-wrong"])
+    def test_two_spectrum_eigenvectors(self, lam1, lam2):
+        # HALVES has the spectrum {2: 2, 1: 1}
+        with pytest.raises(WrongSpectrum, match="spectrum is not"):
+            two_spectrum_eigenvectors(HALVES, to_scalar(lam1),
+                                      to_scalar(lam2))
+
+    def test_two_spectrum_eigenvectors_keeps_the_spectrum(self, fresh,
+                                                          no_deflation):
+        a = fresh(HALVES)
+        two_spectrum_eigenvectors(a, to_scalar(1), to_scalar(2))
+        no_deflation()
+        assert verify_spectrum(a, HALVES_SPECTRUM) == HALVES_SPECTRUM
+
+    def test_combined_characteristic_matrix(self):
+        with pytest.raises(WrongSpectrum):
+            combined_characteristic_matrix(SHORTCUT, [2, 5], {2: 1, 6: 1})
+        assert combined_characteristic_matrix(
+            SHORTCUT, [2, 5], SHORTCUT_SPECTRUM) == SHORTCUT_COMBINED
+
+    def test_combined_characteristic_matrix_keeps_the_spectrum(
+            self, fresh, no_deflation):
+        a = fresh(SHORTCUT)
+        combined_characteristic_matrix(a, [2, 5])
+        no_deflation()
+        assert verify_spectrum(a, SHORTCUT_SPECTRUM) == SHORTCUT_SPECTRUM
 
 
 class TestEigensystem:

@@ -1,29 +1,42 @@
 """Diagonalization and its payoffs: exact powers and ODE solutions."""
 
+import dataclasses
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import exacteig.factorizations
 import exacteig.spectra
 from exacteig import (
     GaussianRational,
+    GeneratorConfig,
     IrrationalSpectrum,
     Matrix,
     NotDiagonalizable,
     RealifyOnComplexMatrix,
+    Spectrum,
     Vector,
+    det,
     diagonalize,
+    eigensystem,
+    format_scalar,
+    inverse,
+    jordan_form,
     matmul,
     matrix_power,
     matrix_power_direct,
+    matrix_to_json,
     ode_general_solution,
     ode_term_is_solution,
     parse_scalar,
+    random_spectral_matrix,
     residual_check,
     to_scalar,
+    vector_to_json,
 )
 
 from worked import (
@@ -51,6 +64,8 @@ from worked import (
     THREE_DISTINCT_SPECTRUM,
     TRIPLE_EIGENVALUE,
     TRIPLE_EIGENVALUE_SPECTRUM,
+    TWO_CHAINS,
+    TWO_CHAINS_SPECTRUM,
     m,
 )
 
@@ -279,3 +294,205 @@ class TestOdeSolutions:
             TrigPart("cos", good.trig_part.beta + good.trig_part.beta,
                      good.trig_part.partner_vectors))
         assert not ode_term_is_solution(ROTATION, wrong_beta)
+
+
+# -- the eigen-structure a matrix keeps ---------------------------------------
+
+
+def _copy(a):
+    """A new matrix equal to ``a`` that keeps no fact."""
+    return Matrix.from_rows([a.row_entries(i) for i in range(a.rows)])
+
+
+def _text(x):
+    """Canonical text of a result: the JSON forms of its matrices,
+    vectors and scalars, field by field."""
+    if isinstance(x, Matrix):
+        return matrix_to_json(x)
+    if isinstance(x, Vector):
+        return vector_to_json(x)
+    if isinstance(x, GaussianRational):
+        return format_scalar(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__,
+                *(_text(getattr(x, f.name)) for f in dataclasses.fields(x))]
+    if isinstance(x, (list, tuple)):
+        return [_text(y) for y in x]
+    return x
+
+
+def _diagonalized(a, s):
+    """``diagonalize``, or the witness of a NotDiagonalizable."""
+    try:
+        return diagonalize(a, s)
+    except NotDiagonalizable as exc:
+        return exc.witness
+
+
+@st.composite
+def corpus_recipe(draw):
+    """(matrix, spectrum) drawn like the corpus: n = 2–5, 1–3 distinct
+    eigenvalues in −4..4, at times one Jordan block over a repeated
+    eigenvalue. In some draws one eigenvalue moves off the real axis (a
+    complex matrix); in others the matrix is real with a conjugate pair
+    α ± βi, repeated and in a Jordan block at times."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["real", "gaussian", "conjugate"]))
+    if kind == "conjugate":
+        return draw(_conjugate_pair_case(n))
+    values = [GaussianRational(v) for v in draw(st.lists(
+        st.integers(-4, 4), min_size=1, max_size=min(3, n), unique=True))]
+    if kind == "gaussian":
+        values[0] = GaussianRational(values[0].re, draw(
+            st.sampled_from([-2, -1, 1, 2])))
+    mults = [1] * len(values)
+    for _ in range(n - len(values)):
+        mults[draw(st.integers(0, len(values) - 1))] += 1
+    spectrum = Spectrum(list(zip(values, mults)))
+    repeated = [(v, k) for v, k in spectrum.pairs if k > 1]
+    blocks = ({repeated[0][0]: (repeated[0][1],)}
+              if repeated and draw(st.booleans()) else None)
+    config = GeneratorConfig(dim=n, spectrum=spectrum,
+                             seed=draw(st.integers(0, 2**64 - 1)),
+                             entry_bound=2, jordan_blocks=blocks)
+    return random_spectral_matrix(config)[0], spectrum
+
+
+@st.composite
+def _conjugate_pair_case(draw, n):
+    """B·C·B⁻¹ for a real block form C and an integer basis B."""
+    alpha, beta = draw(st.integers(-3, 3)), draw(st.integers(1, 2))
+    pairs = 2 if n >= 4 and draw(st.booleans()) else 1
+    rest = draw(st.lists(st.integers(-4, 4), min_size=n - 2 * pairs,
+                         max_size=n - 2 * pairs))
+    c = [[0] * n for _ in range(n)]
+    for i in range(0, 2 * pairs, 2):
+        c[i][i] = c[i + 1][i + 1] = alpha
+        c[i][i + 1], c[i + 1][i] = -beta, beta
+    if pairs == 2 and draw(st.booleans()):
+        c[0][2] = c[1][3] = 1  # one block of size 2 for each of α ± βi
+    for i, value in enumerate(rest, 2 * pairs):
+        c[i][i] = value
+    basis = Matrix(draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    assume(det(basis))
+    counts = Counter({GaussianRational(alpha, beta): pairs,
+                      GaussianRational(alpha, -beta): pairs})
+    counts.update(map(GaussianRational, rest))
+    return (matmul(matmul(basis, Matrix(c)), inverse(basis)),
+            Spectrum(counts))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Names of the eigen-structure kernels called, in order, counted
+    through every exacteig module that binds them."""
+    names = []
+    modules = [module for module in vars(exacteig).values()
+               if getattr(module, "__name__", "").startswith("exacteig.")]
+    for name in ("_eigenbasis", "_vanishing_product", "_chains",
+                 "nullspace_basis", "_eliminate"):
+        original = next(getattr(module, name) for module in modules
+                        if hasattr(module, name))
+
+        def logged(*args, _name=name, _original=original):
+            names.append(_name)
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, logged)
+    return names
+
+
+DEFECTIVE = [
+    (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM),
+    (TWO_CHAINS, TWO_CHAINS_SPECTRUM),
+    (JORDAN_CELL, JORDAN_CELL_SPECTRUM),
+    (SPIRAL, SPIRAL_SPECTRUM),
+]
+ALL_CASES = [*DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM),
+             (ROTATION, ROTATION_SPECTRUM), *DEFECTIVE]
+
+
+class TestKeptEigenStructure:
+    """``eigensystem`` keeps a complete eigenbasis as the P that
+    ``diagonalize`` and ``jordan_form`` take, and ``jordan_form`` keeps
+    its verified P, from which ``ode_general_solution`` reads the
+    chains. What they read is what they would compute."""
+
+    @pytest.mark.parametrize("matrix,spec", [
+        *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
+    def test_diagonalize_after_eigensystem_builds_no_eigenbasis(
+            self, calls, matrix, spec):
+        a = _copy(matrix)
+        eigensystem(a, spec)
+        calls.clear()
+        kept = diagonalize(a, spec)
+        # the inverse alone eliminates
+        assert calls == ["_eliminate"]
+        assert kept == diagonalize(_copy(matrix), spec)
+
+    @pytest.mark.parametrize("matrix,spec", DEFECTIVE)
+    def test_a_defective_matrix_keeps_no_eigenbasis(self, calls, matrix,
+                                                    spec):
+        a = _copy(matrix)
+        eigensystem(a, spec)
+        calls.clear()
+        with pytest.raises(NotDiagonalizable):
+            diagonalize(a, spec)
+        # the witness comes first, before any eigenbasis
+        assert calls == ["_vanishing_product"]
+
+    @pytest.mark.parametrize("matrix,spec", [
+        *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
+    def test_jordan_form_after_eigensystem_builds_no_chain(
+            self, calls, matrix, spec):
+        a = _copy(matrix)
+        eigensystem(a, spec)
+        calls.clear()
+        kept = jordan_form(a, spec)
+        assert calls == ["_eliminate"]
+        assert kept == jordan_form(_copy(matrix), spec)
+
+    @pytest.mark.parametrize("matrix,spec", ALL_CASES)
+    def test_ode_after_jordan_form_makes_no_elimination(
+            self, calls, matrix, spec):
+        a = _copy(matrix)
+        jordan_form(a, spec)
+        calls.clear()
+        kept = ode_general_solution(a, spec)
+        assert calls == []
+        assert kept == ode_general_solution(_copy(matrix), spec)
+
+    @pytest.mark.parametrize("matrix,spec,built", [
+        (SPIRAL, SPIRAL_SPECTRUM, ["i"]),
+        (ROTATION, ROTATION_SPECTRUM, ["i"]),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM,
+         ["-1", "0", "1", "2-i", "2+i"]),
+    ])
+    def test_without_jordan_form_only_the_terms_chains_are_built(
+            self, monkeypatch, matrix, spec, built):
+        original = exacteig.factorizations._chains
+        values = []
+        monkeypatch.setattr(
+            exacteig.factorizations, "_chains",
+            lambda a, value, mult: values.append(format_scalar(value))
+            or original(a, value, mult))
+        ode_general_solution(_copy(matrix), spec)
+        assert values == built
+
+    @given(corpus_recipe())
+    def test_kept_and_cold_paths_agree(self, case):
+        a, s = case
+        kept = _copy(a)
+        eigensystem(kept, s)
+        warm = [jordan_form(kept, s), _diagonalized(kept, s),
+                ode_general_solution(kept, s)]
+        assert kept._kept("_jordan", s) is not None
+        cold = [jordan_form(_copy(a), s), _diagonalized(_copy(a), s),
+                ode_general_solution(_copy(a), s)]
+        assert json.dumps(_text(warm)) == json.dumps(_text(cold))

@@ -460,13 +460,13 @@ PINNED_COUNTS = {
     det: [(4, 2, 1), (8, 0, 3), (26, 6, 9), (16, 8, 3), (0, 0, 1)],
     nullspace_basis: [(4, 2, 0), (8, 0, 2), (26, 6, 8), (16, 8, 2),
                       (0, 0, 0)],
-    # these two verify the spectrum: their extraction plus one charpoly
+    # these three verify the spectrum: their work plus one charpoly
     eigensystem: [(20, 10, 1), (84, 60, 2), (449, 338, 3), (132, 90, 2),
                   (20, 10, 1)],
     left_product_eigenvectors: [(20, 10, 1), (75, 54, 2), (477, 360, 3),
                                 (132, 90, 2), (20, 10, 1)],
-    is_diagonalizable: [(8, 4, 0), (0, 0, 0), (128, 96, 0), (27, 18, 0),
-                        (8, 4, 0)],
+    is_diagonalizable: [(16, 10, 1), (54, 42, 2), (320, 252, 3),
+                        (81, 60, 2), (16, 10, 1)],
     oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (53, 12, 14), (30, 15, 3),
                           (8, 4, 0)],
     build_chains: [(32, 16, 0), (72, 48, 0), (373, 230, 22),

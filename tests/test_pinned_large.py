@@ -10,10 +10,15 @@ of output.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import exacteig
 from exacteig import (
     GeneratorConfig,
     Matrix,
@@ -123,6 +128,51 @@ def output_digests(matrix, spectrum):
 def test_outputs_match_pinned_digests(dim, blocks, seed):
     matrix, spectrum = large_case(dim, blocks, seed)
     assert output_digests(matrix, spectrum) == PINNED[f"n{dim}-seed{seed}"]
+
+
+SRC = str(Path(exacteig.__file__).resolve().parents[1])
+
+# Measured in a fresh interpreter: gc.collect() frees the temporaries
+# parked in CPython's free lists, so that only what the matrix keeps is
+# counted, and emptying those lists would change what later
+# measurements in this process count.
+KEPT_IN_CHILD = """
+import gc, json, sys, tracemalloc
+from exacteig import (GeneratorConfig, Spectrum, eigensystem, jordan_form,
+                      random_spectral_matrix, verify_spectrum)
+dim, pairs, blocks, seed = json.loads(sys.argv[1])
+spectrum = Spectrum(pairs)
+matrix, _ = random_spectral_matrix(GeneratorConfig(
+    dim=dim, spectrum=spectrum, seed=seed, entry_bound=2,
+    jordan_blocks={int(v): tuple(b) for v, b in blocks.items()}))
+verify_spectrum(matrix, spectrum)
+gc.collect()
+tracemalloc.start()
+eigensystem(matrix, spectrum)
+jordan_form(matrix, spectrum)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+# (dim, spectrum, Jordan blocks, generator seed) of a 5×5 matrix drawn
+# as the corpus draws them and a 12×12 one drawn as the benchmark's
+# ladder draws them, with the bytes that the eigen-structure kept by
+# eigensystem and jordan_form may add to it: about twice what it took
+# when measured on CPython 3.11 (624 and 3568 bytes).
+@pytest.mark.parametrize("case, budget", [
+    ((5, [[-1, 2], [2, 2], [3, 1]], {-1: [2]}, 7), 1280),
+    ((12, [[-2, 6], [3, 6]], {-2: [5, 1], 3: [6]}, 9), 7 * 1024),
+], ids=["corpus-5x5", "ladder-12x12"])
+def test_kept_eigen_structure_stays_small(case, budget):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", KEPT_IN_CHILD,
+                           json.dumps(case)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert 0 < int(done.stdout) < budget
 
 
 def test_small_integer_matrix_stays_small():

@@ -369,6 +369,8 @@ class TestPerMatrixFacts:
         a, b = fresh(THREE_DISTINCT), fresh(THREE_DISTINCT)
         before = hash(a)
         exacteig.resolve_spectrum(a, None)
+        exacteig.eigensystem(a, THREE_DISTINCT_SPECTRUM)
+        exacteig.jordan_form(a, THREE_DISTINCT_SPECTRUM)
         assert a == b and b == a
         assert hash(a) == hash(b) == before
         assert len({a, b}) == 1
@@ -390,10 +392,19 @@ class TestPerMatrixFacts:
                 a, THREE_DISTINCT_SPECTRUM, value)
         assert computed == [a]
 
-    def test_a_new_matrix_holds_no_fact(self):
+    def test_a_new_matrix_holds_no_fact(self, fresh):
         a = Matrix([[1, 2], [3, 4]])
         assert not hasattr(a, "_charpoly") and not hasattr(a, "_verified")
         assert not hasattr(Matrix.identity(3).transpose(), "_charpoly")
+        # the eigen-structure is kept for the matrix alone: neither its
+        # transpose nor an equal new matrix has it
+        b = fresh(THREE_DISTINCT)
+        exacteig.eigensystem(b, THREE_DISTINCT_SPECTRUM)
+        exacteig.jordan_form(b, THREE_DISTINCT_SPECTRUM)
+        assert hasattr(b, "_diagonalizer") and hasattr(b, "_jordan")
+        for other in (b.transpose(), fresh(b)):
+            assert not hasattr(other, "_diagonalizer")
+            assert not hasattr(other, "_jordan")
 
 
 # -- the p-adic finder against the divisor-enumeration reference ------------

@@ -8,8 +8,11 @@ solved. Left eigenvectors are the right eigenvectors of Aᵀ, transposed.
 With full multiplicities, Π_{μ≠λ} κ_μ^{m_μ}·κ_λ^{m_λ−1} has rank 1 when
 the λ-eigenspace is a line and is zero otherwise (κ_λ^{m_λ−1} is
 nonzero on the generalized eigenspace only for a single Jordan block of
-full size), so one nonzero column is the whole eigenbasis, and a larger
-eigenspace is read from an exact null-space basis instead.
+full size), so one nonzero column is the whole eigenbasis. For a simple
+eigenvalue that column is all the work. For a repeated one the exact
+null-space basis of κ_λ decides first: a larger eigenspace is that
+basis and no product is formed, and beside a line the product column
+must equal the kernel's vector, an exact cross-check of the two.
 
 The product-method entry points (``product_eigenvectors``,
 ``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
@@ -161,10 +164,13 @@ def product_eigenvectors(a, s, target):
     first nonzero residual-clean one is kept. That product has rank 1
     when the λ-eigenspace is a line and is zero otherwise, because
     (A − λI)^{m_λ−1} is nonzero on the generalized eigenspace only for a
-    single Jordan block of full size. So one column is the whole basis
-    when there is one, and otherwise the basis is an exact null-space
-    basis of A − λI, each vector residual-checked. The result has
-    exactly geometric-multiplicity many vectors, each normalized.
+    single Jordan block of full size. A simple eigenvalue takes that
+    column alone. For a repeated one the kernel decides first: one
+    null-space basis of A − λI is computed, and when it has two or more
+    vectors it is the basis, each vector residual-checked, and no
+    product is formed; when it is a line the product column must equal
+    its vector. The result has exactly geometric-multiplicity many
+    vectors, each normalized.
     ``verify_spectrum`` checks ``s`` first (once per matrix), so a wrong
     spectrum raises WrongSpectrum.
     """
@@ -179,12 +185,22 @@ def product_eigenvectors(a, s, target):
 
 def _eigenbasis(a, s, shifted, k):
     """``product_eigenvectors`` for the k-th eigenvalue of a verified
-    spectrum ``s``, sharing ``shifted`` (see ``_shifted``)."""
+    spectrum ``s``, sharing ``shifted`` (see ``_shifted``). A − λI is
+    eliminated at most once."""
     target, alg = s.pairs[k]
+    null = None
+    if alg > 1:
+        # the kernel decides first: the product vanishes beside a plane
+        kappa = _shifted(a, s, shifted, k)
+        null = nullspace_basis(kappa)
+        if len(null) > 1:
+            return _residual_checked(kappa, null)
+        if not null:
+            raise InternalInconsistency(
+                "a verified eigenvalue has no eigenvector")
     # an empty product is the identity
     factors = (_product_factors(a, s, shifted, k, with_multiplicity=True)
                or [Matrix.identity(a.rows)])
-    kept = []
     saw_dirty_column = False
     for j in range(a.rows):
         v = factors[-1].column(j)
@@ -195,19 +211,17 @@ def _eigenbasis(a, s, shifted, k):
         if v.is_zero():
             continue
         if _residual_ok(a, target, v):
-            kept = [normalize_eigenvector(v)]
-            break
+            v = normalize_eigenvector(v)
+            if null is not None and v != null[0]:
+                raise InternalInconsistency(
+                    "a product column differs from the kernel vector")
+            return [v]
         saw_dirty_column = True
-    if len(kept) == alg:
-        return kept
     kappa = _shifted(a, s, shifted, k)
-    null = nullspace_basis(kappa)
-    if kept and len(null) == 1 or null and not (kept or saw_dirty_column):
-        return kept or _residual_checked(kappa, null)
-    if kept:
-        raise InternalInconsistency(
-            "a nonzero product column beside an eigenspace that is not "
-            "a line")
+    if null is None:
+        null = nullspace_basis(kappa)
+    if null and not saw_dirty_column:
+        return _residual_checked(kappa, null)
     if null:
         raise InternalInconsistency(
             "product columns failed the residual check although the "
@@ -460,11 +474,15 @@ def is_diagonalizable(a, s):
     distinct eigenvalue, ascending — vanishes; otherwise (False, P) with
     the nonzero product as an explicit witness of a too-small eigenspace.
     ``verify_spectrum`` checks ``s`` first, so a wrong spectrum raises
-    WrongSpectrum instead of giving a wrong verdict.
+    WrongSpectrum instead of giving a wrong verdict. When ``eigensystem``
+    has kept a complete eigenbasis of ``a`` for ``s``, that answers True
+    and no product is formed.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     s = verify_spectrum(a, s)
+    if a._kept("_diagonalizer", s) is not None:
+        return True, None
     return _vanishing_product(a, s, [None] * len(s.pairs))
 
 

@@ -73,10 +73,12 @@ class Polynomial:
     coefficient (the zero polynomial keeps one). Scalars are built only
     when read (``coeffs``, ``leading``, ``p(x)``). ``divmod`` is the one
     division: ``deflate``, evaluation, the root finder's gcd and root
-    confirmation, and ``verify_spectrum`` use it.
+    confirmation, and ``verify_spectrum`` use it. ``_factored``, unset
+    until ``find_spectrum`` factors the polynomial, holds that spectrum's
+    key; it takes no part in ``==`` or ``hash``.
     """
 
-    __slots__ = ("_denom", "_reals", "_imags")
+    __slots__ = ("_denom", "_reals", "_imags", "_factored")
 
     def __init__(self, coeffs):
         parts = [(c.re, c.im) for c in map(to_scalar, coeffs)]
@@ -396,7 +398,9 @@ def verify_spectrum(a, claimed):
     eigenvalue must divide the characteristic polynomial exactly as often
     as its multiplicity, no more and no less. ``a`` keeps the last
     spectrum that passed, so checking that one again costs a comparison
-    after the shape checks."""
+    after the shape checks. When ``find_spectrum`` factored the
+    characteristic polynomial of ``a`` itself into ``claimed``, ``a``
+    records it without dividing again."""
     if not a.is_square:
         raise NotSquare("spectrum verification needs a square matrix")
     s = Spectrum(claimed)
@@ -410,12 +414,13 @@ def verify_spectrum(a, claimed):
     if getattr(a, "_verified", None) == s._key:
         return s
     p = charpoly(a)
-    for value, mult in s.pairs:
-        p, count = _deflated(p, Polynomial([-value, 1]))
-        if count != mult:
-            raise WrongSpectrum(
-                "claimed eigenvalues do not factor the characteristic "
-                "polynomial")
+    if getattr(p, "_factored", None) != s._key:
+        for value, mult in s.pairs:
+            p, count = _deflated(p, Polynomial([-value, 1]))
+            if count != mult:
+                raise WrongSpectrum(
+                    "claimed eigenvalues do not factor the characteristic "
+                    "polynomial")
     a._remember("_verified", s._key)
     return s
 
@@ -445,6 +450,8 @@ def find_spectrum(p):
     discriminant is ±r² for rational r. A nonreal coefficient, or any
     residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
     raises IrrationalSpectrum: the caller supplies the spectrum instead.
+    ``p`` records the result; ``verify_spectrum`` then accepts it without
+    dividing for any matrix that holds ``p`` as its characteristic one.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -479,6 +486,7 @@ def find_spectrum(p):
     spectrum = Spectrum(found)
     if spectrum.total != p.degree:
         raise IrrationalSpectrum("factorization incomplete")
+    object.__setattr__(p, "_factored", spectrum._key)
     return spectrum
 
 

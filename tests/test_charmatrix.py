@@ -1,6 +1,7 @@
 """Shifted-matrix products and every eigenvector extraction route."""
 
 import pytest
+from hypothesis import given
 
 import exacteig
 from exacteig import (
@@ -29,6 +30,7 @@ from exacteig import (
     matmul,
     matvec,
     normalize_eigenvector,
+    nullspace_basis,
     oracle_eigenvectors,
     parse_scalar,
     product_eigenvectors,
@@ -95,6 +97,7 @@ from worked import (
     spectrum,
     v,
 )
+from test_factorizations import corpus_recipe
 
 
 def assert_same_span(vectors, expected, dim):
@@ -289,13 +292,18 @@ class TestProductEigenvectors:
     # Wrong spectra that reach each guard of product_eigenvectors; a
     # spectrum is checked before a guard fires, so they raise WrongSpectrum.
     # 3 in place of 2: the product leaves the 2-eigenvector in its range
-    # and nothing residual-clean.
+    # and nothing residual-clean, but 1 is repeated and its kernel a
+    # plane, so no product is formed.
     DIRTY_COLUMNS = (Matrix.diagonal([1, 1, 2]), spectrum([(1, 2), (3, 1)]),
                      to_scalar(1))
     # 1 has multiplicity 3 and a 2-dimensional eigenspace, so the product
-    # with one factor A - I is not zero.
+    # with one factor A - I would not be zero; the kernel decides first.
     KEPT_BESIDE_A_PLANE = (m([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
                            spectrum([(1, 2), (5, 1)]), to_scalar(1))
+    # 1 claimed three times where it has a single block of size 2: its
+    # kernel is a line, and (A - I)^2 keeps only the 2-eigenvector.
+    DIRTY_BESIDE_A_LINE = (m([[2, 0, 0], [0, 1, 1], [0, 0, 1]]),
+                           spectrum([(1, 3)]), to_scalar(1))
     # 7 is no eigenvalue: both columns are dirty and the null space empty.
     EMPTY_BASIS = (SHORTCUT, spectrum([(2, 1), (7, 1)]), to_scalar(7))
 
@@ -306,6 +314,10 @@ class TestProductEigenvectors:
     def test_kept_column_beside_a_plane_raises(self):
         with pytest.raises(WrongSpectrum):
             product_eigenvectors(*self.KEPT_BESIDE_A_PLANE)
+
+    def test_dirty_columns_beside_a_line_raise(self):
+        with pytest.raises(WrongSpectrum):
+            product_eigenvectors(*self.DIRTY_BESIDE_A_LINE)
 
     def test_empty_basis_from_a_wrong_spectrum_raises(self):
         with pytest.raises(WrongSpectrum, match="do not factor"):
@@ -324,16 +336,33 @@ class TestProductEigenvectors:
         with pytest.raises(WrongSpectrum, match="do not factor"):
             product_eigenvectors(Matrix.identity(2), {1: 1, 3: 1}, 1)
 
-    @pytest.mark.parametrize("case,message", [
-        (DIRTY_COLUMNS, "residual"), (KEPT_BESIDE_A_PLANE, "line"),
-        (EMPTY_BASIS, "no eigenvector")])
+    @pytest.mark.parametrize("case,outcome", [
+        (DIRTY_COLUMNS, [v([1, 0, 0]), v([0, 1, 0])]),
+        (KEPT_BESIDE_A_PLANE, [v([0, 1, 0]), v([0, 0, 1])]),
+        (DIRTY_BESIDE_A_LINE, "residual"),
+        (EMPTY_BASIS, "no eigenvector")],
+        ids=["plane-dirty", "plane-kept", "line-dirty", "empty"])
     def test_guards_stand_behind_a_passing_check(self, monkeypatch, case,
-                                                 message):
-        # with the spectrum check passing, the same inputs reach the guards
+                                                 outcome):
+        # with the spectrum check passing, the same inputs reach the
+        # guards; a kernel of dimension 2 is returned as it is, and it is
+        # the target's eigenspace whatever the spectrum claims
         monkeypatch.setattr(exacteig.charmatrix, "verify_spectrum",
                             lambda a, s: s)
-        with pytest.raises(InternalInconsistency, match=message):
-            product_eigenvectors(*case)
+        if isinstance(outcome, str):
+            with pytest.raises(InternalInconsistency, match=outcome):
+                product_eigenvectors(*case)
+        else:
+            assert product_eigenvectors(*case) == outcome
+
+    def test_a_product_column_must_be_the_kernel_vector(self, monkeypatch):
+        # -2 is repeated with a line eigenspace: the product column is
+        # checked against the kernel's vector, here replaced
+        monkeypatch.setattr(exacteig.charmatrix, "nullspace_basis",
+                            lambda k: [Vector([1] * k.cols)])
+        with pytest.raises(InternalInconsistency, match="differs"):
+            product_eigenvectors(DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM,
+                                 to_scalar(-2))
 
     @pytest.mark.parametrize("call", [
         lambda: product_eigenvectors(
@@ -350,6 +379,15 @@ class TestProductEigenvectors:
             lambda k: [*original(k)[1:], Vector([1] * k.cols)])
         with pytest.raises(InternalInconsistency, match="residual"):
             call()
+
+    @given(corpus_recipe())
+    def test_every_eigenbasis_is_the_kernel_basis(self, case):
+        # a product column, normalized, is the canonical vector of the
+        # line that the null-space basis gives
+        a, s = case
+        for value, _ in s.pairs:
+            assert product_eigenvectors(a, s, value) == nullspace_basis(
+                subtract_scalar_diag(a, value))
 
     def test_one_shifted_matrix_per_eigenvalue_per_call(self, monkeypatch,
                                                         corpus):
@@ -403,8 +441,10 @@ class TestProductRankFact:
 
 
 class TestEliminationCount:
-    """Each eigenbasis costs one elimination: a kept product column
-    needs none, and a null-space basis is never eliminated again."""
+    """A repeated eigenvalue costs one elimination of A - lambda*I, whose
+    kernel decides between a line and a larger eigenspace; a simple one
+    takes a product column and none, and a null-space basis is never
+    eliminated again."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -428,6 +468,20 @@ class TestEliminationCount:
     def test_one_per_basis(self, eliminations, call, expected):
         call()
         assert len(eliminations) == expected
+
+    def test_a_plane_costs_one_elimination_and_no_product(
+            self, eliminations, monkeypatch, fresh):
+        a, s = fresh(DOUBLE_PLUS_SIMPLE), DOUBLE_PLUS_SIMPLE_SPECTRUM
+        verify_spectrum(a, s)
+        products = []
+        for name in ("matmul", "matvec"):
+            original = getattr(exacteig.charmatrix, name)
+            monkeypatch.setattr(
+                exacteig.charmatrix, name,
+                lambda *args, _f=original: products.append(args) or _f(*args))
+        vectors = product_eigenvectors(a, s, to_scalar(1))
+        assert len(vectors) == 2
+        assert len(eliminations) == 1 and products == []
 
 
 class TestLeftEigenvectors:

@@ -25,6 +25,7 @@ from exacteig import (
     eigensystem,
     format_scalar,
     inverse,
+    is_diagonalizable,
     jordan_form,
     matmul,
     matrix_power,
@@ -446,6 +447,28 @@ class TestKeptEigenStructure:
             diagonalize(a, spec)
         # the witness comes first, before any eigenbasis
         assert calls == ["_vanishing_product"]
+
+    @pytest.mark.parametrize("matrix,spec", [
+        *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
+    def test_is_diagonalizable_after_eigensystem_forms_no_product(
+            self, monkeypatch, calls, matrix, spec):
+        a = _copy(matrix)
+        eigensystem(a, spec)
+        original = exacteig.charmatrix.matmul
+        products = []
+        monkeypatch.setattr(exacteig.charmatrix, "matmul",
+                            lambda x, y: products.append(x) or original(x, y))
+        calls.clear()
+        assert is_diagonalizable(a, spec) == (True, None)
+        assert calls == [] and products == []
+
+    @pytest.mark.parametrize("matrix,spec", ALL_CASES)
+    def test_is_diagonalizable_after_eigensystem_keeps_its_verdict(
+            self, matrix, spec):
+        a = _copy(matrix)
+        eigensystem(a, spec)
+        assert is_diagonalizable(a, spec) == is_diagonalizable(
+            _copy(matrix), spec)
 
     @pytest.mark.parametrize("matrix,spec", [
         *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])

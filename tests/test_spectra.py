@@ -365,6 +365,43 @@ class TestPerMatrixFacts:
         assert verify_spectrum(a, DOUBLE_PLUS_SIMPLE_SPECTRUM) == s
         assert len(computed) == 1
 
+    @pytest.fixture
+    def deflations(self, monkeypatch):
+        original = exacteig.spectra._deflated
+        calls = []
+        monkeypatch.setattr(exacteig.spectra, "_deflated",
+                            lambda p, d: calls.append(d) or original(p, d))
+        return calls
+
+    def test_the_factored_polynomial_records_its_spectrum(self, fresh,
+                                                           deflations):
+        a = fresh(DOUBLE_PLUS_SIMPLE)
+        s = find_spectrum(charpoly(a))
+        deflations.clear()
+        assert verify_spectrum(a, s) == DOUBLE_PLUS_SIMPLE_SPECTRUM
+        exacteig.eigensystem(a, DOUBLE_PLUS_SIMPLE_SPECTRUM)
+        assert deflations == []
+
+    def test_a_wrong_spectrum_beside_a_factored_polynomial_raises(
+            self, fresh):
+        a = fresh(DOUBLE_PLUS_SIMPLE)
+        find_spectrum(charpoly(a))
+        with pytest.raises(WrongSpectrum):
+            verify_spectrum(a, spectrum([(1, 1), (-1, 2)]))
+        with pytest.raises(WrongSpectrum):
+            exacteig.eigensystem(a, spectrum([(1, 2), (2, 1)]))
+
+    def test_an_equal_polynomial_built_apart_records_nothing(self, fresh,
+                                                             deflations):
+        a = fresh(DOUBLE_PLUS_SIMPLE)
+        apart = Polynomial(charpoly(a).coeffs)
+        s = find_spectrum(apart)
+        assert apart == charpoly(a) and hash(apart) == hash(charpoly(a))
+        assert not hasattr(charpoly(a), "_factored")
+        deflations.clear()
+        assert verify_spectrum(a, s) == DOUBLE_PLUS_SIMPLE_SPECTRUM
+        assert len(deflations) == len(s.pairs)
+
     def test_facts_change_neither_equality_nor_hash(self, fresh):
         a, b = fresh(THREE_DISTINCT), fresh(THREE_DISTINCT)
         before = hash(a)

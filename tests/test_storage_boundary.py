@@ -2,7 +2,8 @@
 operation counter, are decisions of ``exacteig/matrices.py`` alone: no
 other module of the package may reach into them, and no function takes
 a counter as a parameter. Likewise the integer numerators of a
-polynomial are read by ``exacteig/spectra.py`` alone."""
+polynomial, and the spectrum recorded on it, are read by
+``exacteig/spectra.py`` alone."""
 
 import importlib
 import inspect
@@ -15,7 +16,8 @@ PACKAGE = Path(exacteig.__file__).parent
 STORAGE = re.compile(
     r"\b_planes\b|\b_scalar\b|\._re\b|\._im\b|\._den\b|\bMatrix\._make\b")
 ACTIVE_COUNTER = re.compile(r"\b_active_counters\b|\bcontextvars\b")
-POLYNOMIAL_FIELDS = ("_denom", "_reals", "_imags")
+# the numerators, and the key of the spectrum a polynomial was factored into
+POLYNOMIAL_FIELDS = ("_denom", "_reals", "_imags", "_factored")
 POLYNOMIAL_STORAGE = re.compile(
     "|".join(rf"\b{name}\b" for name in POLYNOMIAL_FIELDS))
 

@@ -25,6 +25,7 @@ leaves this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     AllRowsParallel,
@@ -481,7 +482,7 @@ def is_diagonalizable(a, s):
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     s = verify_spectrum(a, s)
-    if a._kept("_diagonalizer", s) is not None:
+    if _complete_eigenbasis(a, s) is not None:
         return True, None
     return _vanishing_product(a, s, [None] * len(s.pairs))
 
@@ -534,17 +535,34 @@ class EigenSystem:
 
 def eigensystem(a, s):
     """Assemble all eigenspaces via the product method, after one check
-    of the spectrum (``verify_spectrum``). When every eigenspace is
-    complete, ``a`` keeps their vectors as the columns of the P that
-    ``diagonalize`` and ``jordan_form`` then take."""
+    of the spectrum (``verify_spectrum``). ``a`` keeps the vectors as the
+    columns of one matrix, with each eigenspace's size: the P that
+    ``diagonalize`` and ``jordan_form`` take when it is square, and else
+    the kernels that Jordan chains start from."""
     s = verify_spectrum(a, s)
     shifted = [None] * len(s.pairs)
     spaces = []
     for k, (value, mult) in enumerate(s.pairs):
         vectors = _eigenbasis(a, s, shifted, k)
         spaces.append(Eigenspace(value, mult, tuple(vectors)))
-    system = EigenSystem(tuple(spaces))
-    if system.is_complete:
-        a._keep("_diagonalizer", s, Matrix.from_columns(
-            [v for space in spaces for v in space.vectors]))
-    return system
+    a._keep("_eigenvectors", s, Matrix.from_columns(
+        [v for space in spaces for v in space.vectors]),
+        tuple(space.geom_mult for space in spaces))
+    return EigenSystem(tuple(spaces))
+
+
+def _complete_eigenbasis(a, s):
+    """The eigenvector matrix kept for ``s`` if square (complete), or None."""
+    kept = a._kept("_eigenvectors", s)
+    return kept[0] if kept is not None and kept[0].is_square else None
+
+
+def _kept_kernels(a, s):
+    """Per eigenvalue of ``s``, the ``nullspace_basis`` of A − λI that
+    ``eigensystem`` kept, or None for each when it kept none."""
+    kept = a._kept("_eigenvectors", s)
+    if kept is None:
+        return [None] * len(s.pairs)
+    p, sizes = kept
+    return [[p.column(j) for j in range(start, start + size)]
+            for start, size in zip(accumulate(sizes, initial=0), sizes)]

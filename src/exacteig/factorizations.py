@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .charmatrix import _eigenbasis, _vanishing_product
+from .charmatrix import (_complete_eigenbasis, _eigenbasis, _kept_kernels,
+                         _vanishing_product)
 from .errors import (
     InternalInconsistency,
     NotDiagonalizable,
@@ -23,7 +24,7 @@ from .errors import (
     RealifyOnComplexMatrix,
 )
 from .jordan import _chains, _kept_chains
-from .matrices import Matrix, Vector, inverse, matmul, matvec
+from .matrices import Matrix, Vector, _power, inverse, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
 
@@ -64,11 +65,7 @@ def diagonalize(a, s=None):
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
     s = resolve_spectrum(a, s)
-    kept = a._kept("_diagonalizer", s)
-    if kept is not None:
-        p, = kept
-    else:
-        p = _eigenvector_matrix(a, s)
+    p = _complete_eigenbasis(a, s) or _eigenvector_matrix(a, s)
     order = s.expanded()
     d = Matrix.diagonal(order)
     p_inv = inverse(p)
@@ -107,16 +104,7 @@ def matrix_power(a, exponent, s=None):
         raise NotSquare("matrix power needs a square matrix")
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = None
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = base if result is None else matmul(result, base)
-        e >>= 1
-        if e:
-            base = matmul(base, base)
-    return Matrix.identity(a.rows) if result is None else result
+    return _power(a, exponent)
 
 
 matrix_power_direct = matrix_power
@@ -184,9 +172,10 @@ def ode_general_solution(a, s=None, realify=None):
     s = resolve_spectrum(a, s)
     chains = _kept_chains(a, s)
     if chains is None:  # only the chains that the terms use
-        chains = [(value, chain.vectors) for value, mult in s.pairs
+        chains = [(value, chain.vectors) for (value, mult), kernel
+                  in zip(s.pairs, _kept_kernels(a, s))
                   if not (realify and value.im < 0)
-                  for chain in _chains(a, value, mult)]
+                  for chain in _chains(a, value, mult, kernel)]
     terms = []
     for value, vectors in chains:
         trig = realify and value.im

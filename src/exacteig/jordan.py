@@ -13,8 +13,10 @@ only λ, stop at n or where the null space stops growing.
 
 Chains are then built top-down: a chain of length m starts with a
 level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
-an ordinary eigenvector x₁. Everything runs in exact arithmetic, and
-P·J·P⁻¹ = A is verified before any result is returned.
+an ordinary eigenvector x₁, from the ker κ that ``eigensystem`` kept.
+Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
+alone. Everything runs in exact arithmetic, and P·J·P⁻¹ = A is verified
+before any result is returned.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .errors import (
     RankTooLarge,
     Singular,
 )
+from .charmatrix import _complete_eigenbasis, _kept_kernels
 from .matrices import (
     Matrix,
+    _power,
     _primitive_chain,
     independent_extension,
     inverse,
@@ -74,27 +78,27 @@ class JordanForm:
     p_inv: Matrix
 
 
-def _null_sequence(a, lam, bound):
-    """[(κ, basis of ker κ), (κ², basis of ker κ²), …] up to the index
-    of λ, as in shifted_power_ranks: the sequence ends at the first
-    power whose null space has ``bound`` vectors (the algebraic
+def _null_sequence(a, lam, bound, kernel=None):
+    """(κ, basis of ker κ), (κ², basis of ker κ²), … one at a time, up to
+    the index of λ, as in shifted_power_ranks: the sequence ends at the
+    first power whose null space has ``bound`` vectors (the algebraic
     multiplicity of λ, or n when it is not known), or else before the
-    first power whose null space does not grow. Raises NotInSpectrum
-    when ker κ = 0."""
+    first power whose null space does not grow. ``kernel`` is the basis
+    of ker κ when it is known. Raises NotInSpectrum when ker κ = 0."""
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     shifted = subtract_scalar_diag(a, lam)
-    power, basis = shifted, nullspace_basis(shifted)
+    power, basis = shifted, kernel or nullspace_basis(shifted)
     if not basis:
         raise NotInSpectrum("not an eigenvalue of the matrix")
-    sequence = [(power, basis)]
+    yield power, basis
     while len(basis) < bound:
         power = matmul(power, shifted)
-        basis = nullspace_basis(power)
-        if len(basis) == len(sequence[-1][1]):
-            break
-        sequence.append((power, basis))
-    return sequence
+        grown = nullspace_basis(power)
+        if len(grown) == len(basis):
+            return
+        basis = grown
+        yield power, basis
 
 
 def shifted_power_ranks(a, lam):
@@ -119,7 +123,7 @@ def generalized_eigenvectors(a, lam, level):
     eigenvectors. ``level`` must lie in 1..index(λ) (RankTooLarge
     otherwise).
     """
-    sequence = _null_sequence(a, lam, a.rows)
+    sequence = list(_null_sequence(a, lam, a.rows))
     index = len(sequence)
     if not isinstance(level, int) or not 1 <= level <= index:
         raise RankTooLarge(
@@ -147,14 +151,26 @@ def build_chains(a, lam):
     return _chains(a, lam, a.rows)
 
 
-def _chains(a, lam, mult):
+def _chains(a, lam, bound, kernel=None):
     """build_chains with the null-space sequence stopped once a null
-    space has ``mult`` vectors. Given the verified algebraic
-    multiplicity, that spares the power past the index, and a simple
-    eigenvalue costs one elimination and no product."""
-    sequence = _null_sequence(a, lam, mult)
+    space has ``bound`` vectors (the verified multiplicity spares the
+    power past the index), from ``kernel``, ker κ, when it is known.
+    Beside a line with ``bound`` > 1, the single block's top is the
+    first basis vector v of ker κ^bound (its size) with κ^(size−1)·v ≠ 0,
+    which the sequence selects: v ∉ ker κ^(size−1) exactly then."""
+    powers = _null_sequence(a, lam, bound, kernel)
+    shifted, kernel = next(powers)
     lam = to_scalar(lam)
-    shifted = sequence[0][0]
+    if len(kernel) == 1 and bound > 1:
+        basis = nullspace_basis(_power(shifted, bound))
+        for top in basis:
+            chain = [top]
+            while not chain[-1].is_zero() and len(chain) < len(basis):
+                chain.append(matvec(shifted, chain[-1]))
+            if not chain[-1].is_zero():
+                return [JordanChain(lam, tuple(_primitive_chain(chain[::-1])))]
+        raise InternalInconsistency("could not start the chain of a line")
+    sequence = [(shifted, kernel), *powers]
     null_bases = [[]] + [basis for _, basis in sequence]
     chains_top_first = []
     for j in range(len(sequence), 0, -1):
@@ -173,11 +189,8 @@ def _chains(a, lam, mult):
                 f"could not start {starting_here - len(tops)} chain(s) "
                 f"at level {j}")
         chains_top_first.extend([top] for top in tops)
-    chains = []
-    for raw in chains_top_first:
-        ordered = list(reversed(raw))
-        chains.append(JordanChain(lam, tuple(_primitive_chain(ordered))))
-    return chains
+    return [JordanChain(lam, tuple(_primitive_chain(raw[::-1])))
+            for raw in chains_top_first]
 
 
 def jordan_form(a, s=None):
@@ -196,9 +209,8 @@ def jordan_form(a, s=None):
     reads the chains.
     """
     s = resolve_spectrum(a, s)
-    kept = a._kept("_diagonalizer", s)
-    if kept is not None:
-        p, = kept
+    p = _complete_eigenbasis(a, s)
+    if p is not None:
         j = Matrix.diagonal(s.expanded())
         sizes = (1,) * a.rows
     else:
@@ -223,8 +235,8 @@ def _jordan_basis(a, s):
     j_rows = [[ZERO] * n for _ in range(n)]
     position = 0
     sizes = []
-    for value, mult in s.pairs:
-        chains = _chains(a, value, mult)
+    for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
+        chains = _chains(a, value, mult, kernel)
         chain_sizes = [c.size for c in chains]
         if sum(chain_sizes) != mult:
             raise InternalInconsistency(

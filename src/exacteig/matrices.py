@@ -340,11 +340,11 @@ def _complex_product(left_re, left_im, right_re, right_im):
 # against it. Both hold for the transpose too.
 _FACTS = ("_charpoly", "_verified")
 # Facts of the eigen-structure, each kept with the key of the verified
-# spectrum it was computed for: the eigenvector matrix P of the
-# diagonalization (``eigensystem``, when every eigenspace is complete)
-# and the verified Jordan P with its block sizes (``jordan_form``). They
-# do not hold for the transpose.
-_STRUCTURE = ("_diagonalizer", "_jordan")
+# spectrum it was computed for: the matrix of all eigenvectors with the
+# size of each eigenspace (``eigensystem``; it is square when every
+# eigenspace is complete) and the verified Jordan P with its block sizes
+# (``jordan_form``). They do not hold for the transpose.
+_STRUCTURE = ("_eigenvectors", "_jordan")
 
 
 class Matrix:
@@ -576,6 +576,19 @@ def matmul(a, b):
     _tally(mults=a.rows * a.cols * b.cols,
            adds=a.rows * (a.cols - 1) * b.cols)
     return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
+
+
+def _power(a, exponent):
+    """Aᵏ for k ≥ 0 by binary exponentiation: ⌊log₂ k⌋ squarings and
+    popcount(k) − 1 further products."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = a if result is None else matmul(result, a)
+        exponent >>= 1
+        if exponent:
+            a = matmul(a, a)
+    return Matrix.identity(a.rows) if result is None else result
 
 
 def matvec(a, v):

@@ -430,10 +430,8 @@ def resolve_spectrum(a, s):
     IrrationalSpectrum when it escapes ℚ(i)), else ``s`` verified against
     ``a``. Either way ``a`` then keeps its characteristic polynomial and
     the spectrum, so later calls on it compute neither again."""
-    if s is None:
+    if s is None:  # found spectra are recorded, so not divided again
         s = find_spectrum(charpoly(a))
-        a._remember("_verified", s._key)  # verified by construction
-        return s
     return verify_spectrum(a, s)
 
 

@@ -23,7 +23,11 @@ read block counts off the rank sequence; the library now takes ranks,
 levels and block counts from one null-space sequence. They use the
 library's matrix kernels, its ``matmul`` and ``matvec`` under the names
 ``lib_matmul`` and ``lib_matvec`` (this module's own pair works on rows of
-scalars), and are otherwise unchanged. ``scale_chain_uniformly`` is the
+scalars), and are otherwise unchanged. ``null_sequence_chains`` is the
+chain builder that ``exacteig.jordan`` ran on every eigenvalue, one
+null-space elimination per power of κ, before it started from the kernel
+that ``eigensystem`` kept and read a single Jordan block off the null
+space of one power of κ. ``scale_chain_uniformly`` is the
 chain scaling that ``exacteig.jordan`` ran through one rational factor
 from the library's ``primitive_scale`` and ``Vector.scaled``, before
 ``matrices`` scaled a chain on its integer planes. ``faddeev_leverrier``
@@ -61,8 +65,9 @@ from exacteig import (
     to_scalar,
     trace,
 )
-from exacteig.matrices import (_integer_rows, _primitive, _quotient,
-                               _require_square, _stacked, _tally, rank)
+from exacteig.matrices import (_integer_rows, _primitive, _primitive_chain,
+                               _quotient, _require_square, _stacked, _tally,
+                               rank)
 from exacteig.matrices import matmul as lib_matmul
 from exacteig.matrices import matvec as lib_matvec
 from exacteig.spectra import Polynomial as LibPolynomial
@@ -554,6 +559,51 @@ def build_chains(a, lam):
     for raw in chains_top_first:
         ordered = list(reversed(raw))
         chains.append(JordanChain(lam, tuple(scale_chain_uniformly(ordered))))
+    return chains
+
+
+def null_sequence_chains(a, lam, mult):
+    """The library's chain builder before it started from a kernel it
+    was given and read a single block off the null space of κ^mult: one
+    null-space elimination per power of κ, stopped once a null space has
+    ``mult`` vectors (or before the first that does not grow), with the
+    tops of each level selected by one ``independent_extension``."""
+    if not a.is_square:
+        raise NotSquare("needs a square matrix")
+    shifted = subtract_scalar_diag(a, lam)
+    power, basis = shifted, nullspace_basis(shifted)
+    if not basis:
+        raise NotInSpectrum("not an eigenvalue of the matrix")
+    sequence = [(power, basis)]
+    while len(basis) < mult:
+        power = lib_matmul(power, shifted)
+        basis = nullspace_basis(power)
+        if len(basis) == len(sequence[-1][1]):
+            break
+        sequence.append((power, basis))
+    lam = to_scalar(lam)
+    null_bases = [[]] + [basis for _, basis in sequence]
+    chains_top_first = []
+    for j in range(len(sequence), 0, -1):
+        for chain in chains_top_first:
+            chain.append(lib_matvec(shifted, chain[-1]))
+        starting_here = (len(null_bases[j]) - len(null_bases[j - 1])
+                         - len(chains_top_first))
+        if not starting_here:
+            continue
+        context = [*null_bases[j - 1], *(c[-1] for c in chains_top_first)]
+        # a null-space basis is independent already
+        tops = (independent_extension(context, null_bases[j]) if context
+                else null_bases[j])[:starting_here]
+        if len(tops) < starting_here:
+            raise InternalInconsistency(
+                f"could not start {starting_here - len(tops)} chain(s) "
+                f"at level {j}")
+        chains_top_first.extend([top] for top in tops)
+    chains = []
+    for raw in chains_top_first:
+        ordered = list(reversed(raw))
+        chains.append(JordanChain(lam, tuple(_primitive_chain(ordered))))
     return chains
 
 

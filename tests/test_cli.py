@@ -553,7 +553,7 @@ class TestCanonicalGrammar:
 class TestCharpolyCount:
     """The CLI passes the parsed spectrum, or None, through to the
     library, which finds or verifies it: one characteristic polynomial
-    per call."""
+    computed per call."""
 
     CASES = [
         ("diagonalize", SHORTCUT, None),
@@ -564,32 +564,27 @@ class TestCharpolyCount:
     ]
 
     @pytest.fixture
-    def charpoly_calls(self, monkeypatch):
-        original = exacteig.spectra.charpoly
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if ((name == "exacteig" or name.startswith("exacteig."))
-                    and getattr(module, "charpoly", None) is original):
-                monkeypatch.setattr(module, "charpoly", counting)
-        return calls
+    def computed(self, monkeypatch):
+        """The matrices whose characteristic polynomial was computed, not
+        read off the matrix."""
+        original = exacteig.spectra._faddeev_leverrier
+        computed = []
+        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+                            lambda a: computed.append(a) or original(a))
+        return computed
 
     @pytest.mark.parametrize(
         "command,matrix,spec", CASES,
         ids=["diagonalize", "jordan", "diagonalize-spectrum",
              "jordan-spectrum", "ode-spectrum"])
-    def test_one_per_call(self, run, write_json, charpoly_calls, command,
+    def test_one_per_call(self, run, write_json, computed, command,
                           matrix, spec):
         argv = [command, write_json(matrix_to_json(matrix))]
         if spec is not None:
             argv += ["--spectrum", write_json(spectrum_to_json(spec))]
         code, _, err = run(*argv)
         assert code == 0, err
-        assert len(charpoly_calls) == 1
+        assert len(computed) == 1
 
 
 class TestParserReuse:

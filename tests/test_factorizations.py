@@ -503,8 +503,8 @@ class TestKeptEigenStructure:
         values = []
         monkeypatch.setattr(
             exacteig.factorizations, "_chains",
-            lambda a, value, mult: values.append(format_scalar(value))
-            or original(a, value, mult))
+            lambda a, value, *rest: values.append(format_scalar(value))
+            or original(a, value, *rest))
         ode_general_solution(_copy(matrix), spec)
         assert values == built
 

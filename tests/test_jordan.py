@@ -5,18 +5,22 @@ import pytest
 
 import exacteig
 from exacteig import (
+    GeneratorConfig,
     Matrix,
     NotInSpectrum,
     RankTooLarge,
+    Spectrum,
     build_chains,
     characteristic_matrix,
     charpoly,
+    eigensystem,
     generalized_eigenvectors,
     independent_extension,
     jordan_form,
     matmul,
     matvec,
     ode_general_solution,
+    random_spectral_matrix,
     rank,
     shifted_power_ranks,
     to_scalar,
@@ -163,15 +167,26 @@ def logged_as(names, name, original):
     return logged
 
 
+def products_of_power(m):
+    """Products that binary exponentiation makes for κ^m."""
+    return m.bit_length() - 1 + bin(m).count("1") - 1
+
+
 class TestEliminationCount:
     """One null-space sequence per eigenvalue: a power sequence makes
     index + 1 null-space eliminations (index when the null space fills
-    the space) and no separate rank pass, and build_chains adds one
-    selection per level where chains start beside a nonempty context.
-    Given the verified multiplicity, jordan_form and
+    the space) and no separate rank pass. Chains start from ker κ: when
+    it is a line, λ has one block, and the chain is read off the null
+    space of κ^bound, formed by squaring (bound is the verified
+    multiplicity m, or n for build_chains); otherwise build_chains adds
+    one selection per level where chains start beside a nonempty
+    context. Given the verified multiplicity, jordan_form and
     ode_general_solution make index null-space eliminations and
-    index − 1 products per eigenvalue: a simple eigenvalue costs one
-    elimination and no product."""
+    index − 1 products for an eigenvalue whose eigenspace is not a
+    line, so a simple eigenvalue costs one elimination and no product,
+    and two eliminations (κ and κ^m) and ⌊log₂ m⌋ + popcount(m) − 1
+    products beside a line of multiplicity m ≥ 2. After
+    ``eigensystem`` the kernel is kept, and the elimination of κ goes."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -187,8 +202,8 @@ class TestEliminationCount:
 
     # per eigenvalue, ascending: (index + 1, build_chains' eliminations)
     @pytest.mark.parametrize("matrix,spec,powers,chains", [
-        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [3, 4], [4, 5]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [4, 2]),
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [3, 4], [2, 2]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [2, 2]),
         (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [3], [5]),
     ], ids=["two-chains", "trio", "one-eigenvalue"])
     def test_per_eigenvalue(self, eliminations, matrix, spec, powers,
@@ -204,34 +219,64 @@ class TestEliminationCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Names of the kernels jordan.py calls, in order."""
+        """Names of the kernels jordan.py calls, in order; "matmul" also
+        counts the squarings of ``matrices._power``."""
         names = []
         for name in ("subtract_scalar_diag", "nullspace_basis", "matmul",
                      "inverse"):
             monkeypatch.setattr(exacteig.jordan, name, logged_as(
                 names, name, getattr(exacteig.jordan, name)))
+        original = exacteig.matrices.matmul
+
+        def square_product(x, y):
+            if y.cols > 1:  # not a matvec
+                names.append("matmul")
+            return original(x, y)
+
+        monkeypatch.setattr(exacteig.matrices, "matmul", square_product)
         return names
 
-    # indices of the eigenvalues, ascending
+    @staticmethod
+    def per_value(names):
+        """(null-space eliminations, products) per eigenvalue: each
+        eigenvalue's calls start at its shift; the check follows."""
+        return [(segment.split().count("nullspace_basis"),
+                 segment.split().count("matmul"))
+                for segment in " ".join(names).split("inverse")[0]
+                .split("subtract_scalar_diag")[1:]]
+
+    # (null-space eliminations, products) per eigenvalue, ascending
     @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
-    @pytest.mark.parametrize("matrix,spec,indices", [
-        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [2, 3]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [2, 1]),
-        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [3]),
-        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [1, 1]),
-        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [1] * 5),
+    @pytest.mark.parametrize("matrix,spec,expected", [
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 2)]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 0)]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 2)]),
+        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0)] * 2),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 5),
     ], ids=["two-chains", "trio", "one-eigenvalue", "double-plus-simple",
             "complex-five"])
     def test_verified_multiplicity(self, calls, fresh, call, matrix, spec,
-                                   indices):
+                                   expected):
         # on a fresh copy: a jordan_form run earlier on the same matrix
         # leaves the ODE no chain to build
         call(fresh(matrix), spec)
-        # each eigenvalue's calls start at its shift; the check follows
-        per_value = [segment.split() for segment in " ".join(calls)
-                     .split("inverse")[0].split("subtract_scalar_diag")[1:]]
-        assert [(names.count("nullspace_basis"), names.count("matmul"))
-                for names in per_value] == [(i, i - 1) for i in indices]
+        assert self.per_value(calls) == expected
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_a_line_after_eigensystem(self, calls, eliminations, fresh, m):
+        # one Jordan block of size m at 2 beside a simple eigenvalue −1
+        spec = Spectrum([(-1, 1), (2, m)])
+        a, _ = random_spectral_matrix(GeneratorConfig(
+            dim=m + 1, spectrum=spec, seed=m, entry_bound=2,
+            jordan_blocks={to_scalar(2): (m,)}))
+        a = fresh(a)
+        eigensystem(a, spec)
+        calls.clear()
+        eliminations.clear()
+        jordan_form(a, spec)
+        assert self.per_value(calls) == [(0, 0), (1, products_of_power(m))]
+        # κ^m and the inverse
+        assert len(eliminations) == 2
 
 
 class TestGeneralizedEigenvectors:

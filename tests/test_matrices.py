@@ -469,8 +469,8 @@ PINNED_COUNTS = {
                         (81, 60, 2), (16, 10, 1)],
     oracle_eigenvectors: [(8, 4, 0), (0, 0, 0), (53, 12, 14), (30, 15, 3),
                           (8, 4, 0)],
-    build_chains: [(32, 16, 0), (72, 48, 0), (373, 230, 22),
-                   (114, 66, 6), (32, 16, 0)],
+    build_chains: [(32, 16, 0), (99, 66, 0), (495, 324, 22),
+                   (141, 84, 6), (32, 16, 0)],
     complementary_product: [(0, 0, 0), (27, 18, 0), (384, 288, 0),
                             (54, 36, 0), (0, 0, 0)],
 }

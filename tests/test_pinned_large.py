@@ -156,14 +156,17 @@ print(tracemalloc.get_traced_memory()[0])
 
 
 # (dim, spectrum, Jordan blocks, generator seed) of a 5×5 matrix drawn
-# as the corpus draws them and a 12×12 one drawn as the benchmark's
-# ladder draws them, with the bytes that the eigen-structure kept by
-# eigensystem and jordan_form may add to it: about twice what it took
-# when measured on CPython 3.11 (624 and 3568 bytes).
+# as the corpus draws them and two defective 12×12 ones drawn as the
+# benchmark's ladder draws them, with the bytes that the eigen-structure
+# kept by eigensystem and jordan_form may add to it. The budgets were
+# set at about twice what it took on CPython 3.11 (624 and 3568 bytes)
+# before a defective matrix kept its eigenvectors too; with them it
+# takes 976, 4088 and 3000 bytes.
 @pytest.mark.parametrize("case, budget", [
     ((5, [[-1, 2], [2, 2], [3, 1]], {-1: [2]}, 7), 1280),
     ((12, [[-2, 6], [3, 6]], {-2: [5, 1], 3: [6]}, 9), 7 * 1024),
-], ids=["corpus-5x5", "ladder-12x12"])
+    ((12, [[-4, 6], [1, 6]], {-4: [5, 1], 1: [6]}, 18), 7 * 1024),
+], ids=["corpus-5x5", "ladder-12x12", "ladder-12x12-line"])
 def test_kept_eigen_structure_stays_small(case, budget):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

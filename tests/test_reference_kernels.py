@@ -6,17 +6,21 @@ entry-by-entry Gaussian-rational algorithms — on random matrices
 rank-deficient and zero, single rows and columns), on random vectors of
 both orientations, and on the corpus. The Jordan kernels must agree
 with the rank-pass kernels on planted Jordan structures and on the
-corpus. The characteristic polynomial on integer numerators must equal
-the scalar Faddeev–LeVerrier recursion, operation tally included, and
-the chain scaling on planes the scaling by one rational factor. RREF,
+corpus, and chains started from a kept kernel, or read off one power of
+A − λI beside a line, with those of the null-space sequence. The
+characteristic polynomial on integer numerators must equal the scalar
+Faddeev–LeVerrier recursion, operation tally included, and the chain
+scaling on planes the scaling by one rational factor. RREF,
 null space and inverse by forward elimination and back-substitution
 must equal the fraction-free Gauss–Jordan ones they replaced, on
 integer, large-integer, rational and Gaussian-rational matrices of
 every shape and on the corpus's shifted matrices.
 """
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -32,14 +36,17 @@ from exacteig import (
     build_chains,
     charpoly,
     det,
+    eigensystem,
     generalized_eigenvectors,
     independent_extension,
     inverse,
+    jordan_form,
     matmul,
     matrix_power,
     matvec,
     normalize_eigenvector,
     nullspace_basis,
+    ode_general_solution,
     random_spectral_matrix,
     rank,
     rref,
@@ -47,7 +54,10 @@ from exacteig import (
     subtract_scalar_diag,
     trace,
 )
+from exacteig.charmatrix import _kept_kernels
+from exacteig.jordan import _chains
 from exacteig.matrices import _primitive_chain
+from test_factorizations import _copy, _text
 
 ZERO = GaussianRational()
 
@@ -384,6 +394,72 @@ class TestJordanKernelsAgainstReference:
     def test_corpus(self, corpus):
         for entry in corpus:
             assert_jordan_kernels_agree(entry.matrix, entry.spectrum)
+
+
+@st.composite
+def line_blocks(draw):
+    """(matrix, spectrum) with one Jordan block of size m = 2–6, or the
+    blocks (m − 1, 1), at an integer λ, beside one or two simple
+    eigenvalues: integers, a Gaussian one (a complex matrix), or a
+    conjugate pair α ± βi of a real matrix B·C·B⁻¹."""
+    m = draw(st.integers(2, 6))
+    sizes = draw(st.sampled_from([(m,), (m - 1, 1)]))
+    lam = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["real", "gaussian", "conjugate"]))
+    if kind == "conjugate":
+        alpha, beta = draw(st.integers(-3, 3)), draw(st.integers(1, 2))
+        n = m + 2
+        c = [[0] * n for _ in range(n)]
+        for i in range(m):
+            c[i][i] = lam
+        for i in range(m - 1):
+            if i + 1 != sizes[0]:  # ones within each block
+                c[i][i + 1] = 1
+        c[m][m] = c[m + 1][m + 1] = alpha
+        c[m][m + 1], c[m + 1][m] = -beta, beta
+        basis = Matrix(draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=n, max_size=n)))
+        assume(det(basis))
+        return (matmul(matmul(basis, Matrix(c)), inverse(basis)),
+                Spectrum([(lam, m), (GaussianRational(alpha, beta), 1),
+                          (GaussianRational(alpha, -beta), 1)]))
+    # distinct from λ: offsets 1–6 within −3..3, taken around
+    others = [GaussianRational((lam + 3 + k) % 7 - 3) for k in draw(
+        st.lists(st.integers(1, 6), min_size=1, max_size=2, unique=True))]
+    if kind == "gaussian":
+        others[0] = GaussianRational(others[0].re,
+                                     draw(st.sampled_from([-2, -1, 1, 2])))
+    spectrum = Spectrum([(lam, m), *((v, 1) for v in others)])
+    config = GeneratorConfig(dim=spectrum.total, spectrum=spectrum,
+                             seed=draw(st.integers(0, 2**64 - 1)),
+                             entry_bound=2,
+                             jordan_blocks={GaussianRational(lam): sizes})
+    return random_spectral_matrix(config)[0], spectrum
+
+
+class TestChainsAgainstReference:
+    """Chains that start from the kept kernel, or from a line's single
+    block read off one power of κ, equal those of one null-space
+    elimination per power, element for element."""
+
+    @given(line_blocks())
+    def test_line_blocks(self, case):
+        a, s = case
+        kept = _copy(a)
+        eigensystem(kept, s)
+        for (value, mult), kernel in zip(s.pairs, _kept_kernels(kept, s)):
+            expected = ref.null_sequence_chains(a, value, mult)
+            assert _chains(_copy(a), value, mult) == expected
+            assert _chains(kept, value, mult, kernel) == expected
+            assert build_chains(a, value) == \
+                ref.null_sequence_chains(a, value, a.rows)
+        # an ODE after eigensystem alone starts its chains from the kernel
+        ode_kept = _copy(a)
+        eigensystem(ode_kept, s)
+        warm = [jordan_form(kept, s), ode_general_solution(ode_kept, s)]
+        cold = [jordan_form(_copy(a), s), ode_general_solution(_copy(a), s)]
+        assert json.dumps(_text(warm)) == json.dumps(_text(cold))
 
 
 def assert_charpoly_agrees(a, new):

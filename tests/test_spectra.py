@@ -438,9 +438,9 @@ class TestPerMatrixFacts:
         b = fresh(THREE_DISTINCT)
         exacteig.eigensystem(b, THREE_DISTINCT_SPECTRUM)
         exacteig.jordan_form(b, THREE_DISTINCT_SPECTRUM)
-        assert hasattr(b, "_diagonalizer") and hasattr(b, "_jordan")
+        assert hasattr(b, "_eigenvectors") and hasattr(b, "_jordan")
         for other in (b.transpose(), fresh(b)):
-            assert not hasattr(other, "_diagonalizer")
+            assert not hasattr(other, "_eigenvectors")
             assert not hasattr(other, "_jordan")
 
 

@@ -5,10 +5,11 @@ spaces of κ, κ², … grow strictly until their dimension reaches
 alg_mult(λ); the number of steps is the eigenvalue's index. Those
 dimensions give the ranks (n − dim ker κ^j) and the Jordan block sizes
 — the number of blocks of size ≥ j is dim ker κ^j − dim ker κ^{j−1}.
-Where the multiplicity is verified (``jordan_form`` and
-``ode_general_solution``) the sequence stops at the power whose null
-space reaches it, so κ^(index+1) is never formed and a simple
-eigenvalue costs one null-space elimination; the public kernels, given
+Where the multiplicity is known (verified by ``jordan_form`` and
+``ode_general_solution``, read off the characteristic polynomial by
+``build_chains``) the sequence stops at the power whose null space
+reaches it, so κ^(index+1) is never formed and a simple eigenvalue
+costs one null-space elimination; the rank and level kernels, given
 only λ, stop at n or where the null space stops growing.
 
 Chains are then built top-down: a chain of length m starts with a
@@ -43,8 +44,8 @@ from .matrices import (
     nullspace_basis,
     subtract_scalar_diag,
 )
-from .scalars import ONE, ZERO, GaussianRational, to_scalar
-from .spectra import resolve_spectrum
+from .scalars import GaussianRational, to_scalar
+from .spectra import charpoly, multiplicity_of, resolve_spectrum
 
 __all__ = [
     "JordanChain",
@@ -146,9 +147,11 @@ def build_chains(a, lam):
     already present at this level and the basis vectors before them.
     Each chain is scaled as a whole to primitive Gaussian-integer
     vectors, its eigenvector's first nonzero component with positive
-    real part (or positive imaginary part when purely imaginary).
+    real part (or positive imaginary part when purely imaginary). The
+    null-space sequence stops at the algebraic multiplicity of λ, read
+    off the characteristic polynomial that ``a`` keeps.
     """
-    return _chains(a, lam, a.rows)
+    return _chains(a, lam, multiplicity_of(charpoly(a), lam))
 
 
 def _chains(a, lam, bound, kernel=None):
@@ -211,10 +214,12 @@ def jordan_form(a, s=None):
     s = resolve_spectrum(a, s)
     p = _complete_eigenbasis(a, s)
     if p is not None:
-        j = Matrix.diagonal(s.expanded())
         sizes = (1,) * a.rows
     else:
-        p, j, sizes = _jordan_basis(a, s)
+        p, sizes = _jordan_basis(a, s)
+    starts = set(accumulate(sizes, initial=0))
+    j = Matrix.diagonal(s.expanded(),
+                        [k for k in range(a.rows) if k not in starts])
     try:
         p_inv = inverse(p)
     except Singular as exc:
@@ -228,30 +233,18 @@ def jordan_form(a, s=None):
 
 
 def _jordan_basis(a, s):
-    """(P, J, block sizes in the order of P's columns) of ``jordan_form``
+    """(P, block sizes in the order of P's columns) of ``jordan_form``
     from the chains of every eigenvalue of the verified spectrum ``s``."""
-    n = a.rows
-    columns = []
-    j_rows = [[ZERO] * n for _ in range(n)]
-    position = 0
-    sizes = []
+    columns, sizes = [], []
     for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
         chains = _chains(a, value, mult, kernel)
-        chain_sizes = [c.size for c in chains]
-        if sum(chain_sizes) != mult:
+        if sum(c.size for c in chains) != mult:
             raise InternalInconsistency(
                 "chain sizes do not add up to the algebraic multiplicity")
         for chain in chains:
-            for k, vec in enumerate(chain.vectors):
-                col = position + k
-                columns.append(vec)
-                j_rows[col][col] = value
-                if k:
-                    j_rows[col - 1][col] = ONE
-            position += chain.size
-        sizes += chain_sizes
-    return (Matrix.from_columns(columns), Matrix.from_rows(j_rows),
-            tuple(sizes))
+            columns += chain.vectors
+            sizes.append(chain.size)
+    return Matrix.from_columns(columns), tuple(sizes)
 
 
 def _kept_chains(a, s):

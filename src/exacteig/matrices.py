@@ -55,7 +55,6 @@ from operator import mul
 
 from .errors import (
     DimensionMismatch,
-    InternalInconsistency,
     NotSquare,
     Singular,
     ZeroVector,
@@ -395,11 +394,15 @@ class Matrix:
                          (0,) * (rows * cols))
 
     @classmethod
-    def diagonal(cls, values):
+    def diagonal(cls, values, ones=()):
+        """The matrix of ``values`` on the diagonal, with a one above
+        the diagonal in each column of ``ones``."""
         den, vre, vim = _planes([to_scalar(v) for v in values])
         n = len(vre)
         re, im = [0] * (n * n), [0] * (n * n)
         re[::n + 1], im[::n + 1] = vre, vim
+        for k in ones:
+            re[k * (n + 1) - n] = den
         return cls._make(n, n, den, re, im)
 
     @classmethod
@@ -611,39 +614,49 @@ def trace(a):
 
 
 def _charpoly_numerators(a):
-    """(dⁿ, re, im) of det(λI − A), with A = N/d, by Faddeev–LeVerrier
-    on the numerators N: B₁ = N, c_{n−1} = −tr N, then
-    B_k = N·(B_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(B_k)/k.
+    """(dⁿ, re, im) of det(λI − A), with A = N/d, by the division-free
+    Samuelson–Berkowitz recurrence on the numerators N (Berkowitz 1984).
 
-    The c_k are the coefficients of det(λI − N), Gaussian integers, so
-    Newton's identities make each division by k exact; the coefficient
-    of λ^k in det(λI − A) is c_k·d^k / dⁿ. The tally is the one of the
-    same recursion on A: a product and a trace per step, and one
-    division from k = 2. ``a`` must be square."""
-    n, den = a.rows, a._den
-    step = n + 1
-    left_re, left_im = _rows_of(a._re, n), _complex_side(a, _rows_of)
-    b_re, b_im = list(a._re), list(a._imag())
-    c_re, c_im = -sum(b_re[::step]), -sum(b_im[::step])
-    re, im = [0] * (n + 1), [0] * (n + 1)
-    re[n], re[n - 1], im[n - 1] = 1, c_re, c_im
-    for k in range(2, n + 1):
-        for i in range(0, n * n, step):
-            b_re[i] += c_re
-            b_im[i] += c_im
-        b_re, b_im = _complex_product(
-            left_re, left_im, _columns_of(b_re, n),
-            None if left_im is None else _columns_of(b_im, n))
-        (c_re, r_re), (c_im, r_im) = (divmod(-sum(b_re[::step]), k),
-                                      divmod(-sum(b_im[::step]), k))
-        if r_re or r_im:
-            raise InternalInconsistency(
-                "a Faddeev-LeVerrier trace is not divisible by its step")
-        re[n - k], im[n - k] = c_re, c_im
-    _tally(mults=(n - 1) * n ** 3,
-           adds=(n - 1) * (n * n * (n - 1) + n), divs=n - 1)
-    return (den ** n, [x * den ** k for k, x in enumerate(re)],
-            [y * den ** k for k, y in enumerate(im)])
+    The trailing 1×1 block [a] gives (1, −a). Upwards from it, each
+    trailing block [[a, R], [C, N₁]] of N, N₁ of size s, gives
+    t = (1, −a, −R·C, −R·N₁·C, …, −R·N₁^(s−1)·C) by s − 1 vector–matrix
+    products R·N₁^k and s dot products with C; the coefficients of its
+    det(λI − ·), highest first, are those of det(λI − N₁) times the
+    lower-triangular Toeplitz matrix of t. They are Gaussian integers
+    c_k, and the coefficient of λ^k in det(λI − A) is c_k·d^k / dⁿ. The
+    tally at block size m ≥ 2 is (m − 1)³ multiplications and
+    (m − 2)(m − 1)² additions for t, and m(m + 3)/2 and m(m + 1)/2 − 1
+    for the Toeplitz product. ``a`` must be square."""
+    n, den, re, im = a.rows, a._den, a._re, a._im
+    cols_re, cols_im = _columns_of(re, n), _complex_side(a, _columns_of)
+    # the trailing 1×1 block [a] gives (1, −a)
+    p_re, p_im = [1, -re[-1]], [0, -im[-1] if im else 0]
+    for r in range(n - 2, -1, -1):
+        m, diag, end = n - r, r * (n + 1), (r + 1) * n
+        # below row r: C, then the columns of N₁; R is row r beside N₁
+        right_re = [col[r + 1:] for col in cols_re[r:]]
+        right_im = cols_im and [col[r + 1:] for col in cols_im[r:]]
+        v_re, v_im = re[diag + 1:end], cols_im and im[diag + 1:end]
+        t_re, t_im = [1, -re[diag]], [0, -im[diag] if im else 0]
+        for k in range(m - 1, 0, -1):
+            if k == 1:  # the last step needs R·N₁^(s−1)·C alone
+                right_re, right_im = right_re[:1], right_im and right_im[:1]
+            w_re, w_im = _complex_product([v_re], v_im and [v_im],
+                                          right_re, right_im)
+            t_re.append(-w_re[0])
+            t_im.append(-w_im[0])
+            v_re, v_im = w_re[1:], v_im and w_im[1:]
+        # row i of the Toeplitz matrix, reversed: t_i … t_0
+        rev_re, rev_im = t_re[::-1], t_im[::-1]
+        p_re, p_im = _complex_product(
+            [p_re], cols_im and [p_im], [rev_re[m - i:] for i in range(m + 1)],
+            cols_im and [rev_im[m - i:] for i in range(m + 1)])
+    # the sums over m = 2…n of the tally above (at m = 1 it reads 2 and 0)
+    squares, cubes = n * (n - 1) * (2 * n - 1) // 6, (n * (n - 1) // 2) ** 2
+    _tally(mults=cubes + n * (n + 1) * (n + 5) // 6 - 2,
+           adds=cubes - squares + n * (n + 1) * (n + 2) // 6 - n)
+    return (den ** n, [x * den ** k for k, x in enumerate(reversed(p_re))],
+            [y * den ** k for k, y in enumerate(reversed(p_im))])
 
 
 def subtract_scalar_diag(a, lam):

@@ -6,14 +6,15 @@ on them serves deflation, the root finder's gcd, root confirmation and
 spectrum verification.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
-Faddeev–LeVerrier trace recursion on the integer numerators of A
-(``matrices._charpoly_numerators``): each step divides its trace
-exactly by an integer 2..n, so no scalar is built until the polynomial
-is, and no pivot-driven fraction growth occurs. It is computed once
-per matrix: the ``Matrix`` keeps it, together with a key of the last
-spectrum verified against it (or found by ``resolve_spectrum``), so a
-spectrum is deflated once per matrix and a repeat check is one
-comparison. Both facts are exact and live only on the matrix.
+Samuelson–Berkowitz recurrence on the integer numerators of A
+(``matrices._charpoly_numerators``): vector–matrix products and a
+Toeplitz product per trailing block, with no division at all, so no
+scalar is built until the polynomial is, and no pivot-driven fraction
+growth occurs. It is computed once per matrix: the ``Matrix`` keeps
+it, together with a key of the last spectrum verified against it (or
+found by ``resolve_spectrum``), so a spectrum is deflated once per
+matrix and a repeat check is one comparison. Both facts are exact and
+live only on the matrix.
 
 Root extraction works on the primitive integer multiple of the
 polynomial. Its rational roots come from p-adic lifting (Loos 1983):
@@ -270,19 +271,20 @@ def charpoly(a):
     """Exact monic characteristic polynomial det(λI − A), computed once
     per matrix: ``a`` keeps it.
 
-    Faddeev–LeVerrier recursion on the integer numerators N of A = N/d
-    (``matrices._charpoly_numerators``): B₁ = N, c_{n−1} = −tr(B₁), then
-    B_k = N·(B_{k−1} + c_{n−k+1}·I) and c_{n−k} = −tr(B_k)/k, each
-    division exact; the coefficient of λ^k is c_k·d^k/dⁿ.
+    Samuelson–Berkowitz recurrence on the integer numerators N of
+    A = N/d (``matrices._charpoly_numerators``): from the trailing 1×1
+    block up, the coefficients of det(λI − N₁) times the Toeplitz matrix
+    of (1, −a, −R·C, −R·N₁·C, …) give those of the block [[a, R], [C, N₁]],
+    without a division; the coefficient of λ^k is c_k·d^k/dⁿ.
     """
     p = getattr(a, "_charpoly", None)
     if p is None:
-        p = _faddeev_leverrier(a)
+        p = _characteristic_polynomial(a)
         a._remember("_charpoly", p)
     return p
 
 
-def _faddeev_leverrier(a):
+def _characteristic_polynomial(a):
     if not a.is_square:
         raise NotSquare("characteristic polynomial needs a square matrix")
     return Polynomial._make(*_charpoly_numerators(a))

@@ -33,8 +33,8 @@ from the library's ``primitive_scale`` and ``Vector.scaled``, before
 ``matrices`` scaled a chain on its integer planes. ``faddeev_leverrier``
 is the Faddeev–LeVerrier recursion that ``exacteig.spectra`` ran on
 Gaussian-rational scalars with the library's ``matmul``, ``trace`` and
-``subtract_scalar_diag``, before it ran on integer numerators; its
-operation tally is the library's by construction.
+``subtract_scalar_diag``, before it ran on integer numerators and then
+gave way to the Samuelson–Berkowitz recurrence.
 """
 
 from fractions import Fraction

@@ -409,9 +409,9 @@ class TestProductEigenvectors:
 
     def test_a_resolved_spectrum_is_not_recomputed(self, monkeypatch,
                                                    corpus, fresh):
-        original = exacteig.spectra._faddeev_leverrier
+        original = exacteig.spectra._characteristic_polynomial
         computed = []
-        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+        monkeypatch.setattr(exacteig.spectra, "_characteristic_polynomial",
                             lambda a: computed.append(a) or original(a))
         for i, entry in enumerate(corpus[:100]):
             a = fresh(entry.matrix)

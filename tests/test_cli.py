@@ -567,9 +567,9 @@ class TestCharpolyCount:
     def computed(self, monkeypatch):
         """The matrices whose characteristic polynomial was computed, not
         read off the matrix."""
-        original = exacteig.spectra._faddeev_leverrier
+        original = exacteig.spectra._characteristic_polynomial
         computed = []
-        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+        monkeypatch.setattr(exacteig.spectra, "_characteristic_polynomial",
                             lambda a: computed.append(a) or original(a))
         return computed
 

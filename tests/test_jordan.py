@@ -97,12 +97,14 @@ class TestPowerRanks:
         assert all(r > 2 for _, r in seq[:-1])
 
     def test_non_eigenvalue_rejected(self):
-        with pytest.raises(NotInSpectrum):
-            shifted_power_ranks(DEFECTIVE_TRIO, to_scalar(7))
+        for call in (shifted_power_ranks, build_chains):
+            with pytest.raises(NotInSpectrum):
+                call(DEFECTIVE_TRIO, to_scalar(7))
 
 
 class TestCharpolyCount:
-    """Rank sequences need no characteristic polynomial: the only one a
+    """Rank sequences need no characteristic polynomial, and chains read
+    their multiplicity off the one the matrix keeps: the only one a
     Jordan decomposition computes is the spectrum check's."""
 
     CASES = [
@@ -129,6 +131,16 @@ class TestCharpolyCount:
         monkeypatch.setattr(exacteig, "charpoly", counting)
         return calls
 
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The matrices whose characteristic polynomial was computed, not
+        read off the matrix."""
+        original = exacteig.spectra._characteristic_polynomial
+        computed = []
+        monkeypatch.setattr(exacteig.spectra, "_characteristic_polynomial",
+                            lambda a: computed.append(a) or original(a))
+        return computed
+
     @pytest.mark.parametrize("matrix,spec", CASES)
     def test_jordan_form_computes_one(self, charpoly_calls, fresh, matrix,
                                       spec):
@@ -136,12 +148,8 @@ class TestCharpolyCount:
         assert len(charpoly_calls) == 1
 
     @pytest.mark.parametrize("matrix,spec", CASES)
-    def test_a_second_call_computes_none(self, monkeypatch, fresh, matrix,
+    def test_a_second_call_computes_none(self, computed, fresh, matrix,
                                          spec):
-        original = exacteig.spectra._faddeev_leverrier
-        computed = []
-        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
-                            lambda a: computed.append(a) or original(a))
         a = fresh(matrix)
         first = jordan_form(a, spec)
         p = charpoly(a)
@@ -151,12 +159,17 @@ class TestCharpolyCount:
         assert len(computed) == 1
 
     @pytest.mark.parametrize("matrix,spec", CASES)
-    def test_chains_and_ranks_compute_none(self, charpoly_calls, matrix,
-                                           spec):
+    def test_ranks_compute_none(self, charpoly_calls, matrix, spec):
         for value, _ in spec.pairs:
-            build_chains(matrix, value)
             shifted_power_ranks(matrix, value)
         assert charpoly_calls == []
+
+    @pytest.mark.parametrize("matrix,spec", CASES)
+    def test_chains_compute_one(self, computed, fresh, matrix, spec):
+        a = fresh(matrix)
+        for value, _ in spec.pairs:
+            build_chains(a, value)
+        assert computed == [a]
 
 
 def logged_as(names, name, original):
@@ -177,9 +190,9 @@ class TestEliminationCount:
     index + 1 null-space eliminations (index when the null space fills
     the space) and no separate rank pass. Chains start from ker κ: when
     it is a line, λ has one block, and the chain is read off the null
-    space of κ^bound, formed by squaring (bound is the verified
-    multiplicity m, or n for build_chains); otherwise build_chains adds
-    one selection per level where chains start beside a nonempty
+    space of κ^m, formed by squaring (m is the multiplicity, verified,
+    or read off the charpoly by build_chains); otherwise build_chains
+    adds one selection per level where chains start beside a nonempty
     context. Given the verified multiplicity, jordan_form and
     ode_general_solution make index null-space eliminations and
     index − 1 products for an eigenvalue whose eigenspace is not a
@@ -203,7 +216,7 @@ class TestEliminationCount:
     # per eigenvalue, ascending: (index + 1, build_chains' eliminations)
     @pytest.mark.parametrize("matrix,spec,powers,chains", [
         (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [3, 4], [2, 2]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [2, 2]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [3, 2], [2, 1]),
         (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [3], [5]),
     ], ids=["two-chains", "trio", "one-eigenvalue"])
     def test_per_eigenvalue(self, eliminations, matrix, spec, powers,

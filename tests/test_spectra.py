@@ -312,9 +312,9 @@ class TestPerMatrixFacts:
 
     @pytest.fixture
     def computed(self, monkeypatch):
-        original = exacteig.spectra._faddeev_leverrier
+        original = exacteig.spectra._characteristic_polynomial
         calls = []
-        monkeypatch.setattr(exacteig.spectra, "_faddeev_leverrier",
+        monkeypatch.setattr(exacteig.spectra, "_characteristic_polynomial",
                             lambda a: calls.append(a) or original(a))
         return calls
 

@@ -476,22 +476,17 @@ def is_diagonalizable(a, s):
     the nonzero product as an explicit witness of a too-small eigenspace.
     ``verify_spectrum`` checks ``s`` first, so a wrong spectrum raises
     WrongSpectrum instead of giving a wrong verdict. When ``eigensystem``
-    has kept a complete eigenbasis of ``a`` for ``s``, that answers True
-    and no product is formed.
+    has kept a complete eigenbasis of ``a``, that answers True and no
+    product is formed.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     s = verify_spectrum(a, s)
-    if _complete_eigenbasis(a, s) is not None:
+    if _complete_eigenbasis(a) is not None:
         return True, None
-    return _vanishing_product(a, s, [None] * len(s.pairs))
-
-
-def _vanishing_product(a, s, shifted):
-    """``is_diagonalizable``, sharing ``shifted`` (see ``_shifted``)."""
-    product = _shifted(a, s, shifted, 0)
-    for k in range(1, len(shifted)):
-        product = matmul(product, _shifted(a, s, shifted, k))
+    product = subtract_scalar_diag(a, s.pairs[0][0])
+    for value, _ in s.pairs[1:]:
+        product = matmul(product, subtract_scalar_diag(a, value))
     if product.is_zero():
         return True, None
     return False, product
@@ -536,8 +531,8 @@ class EigenSystem:
 def eigensystem(a, s):
     """Assemble all eigenspaces via the product method, after one check
     of the spectrum (``verify_spectrum``). ``a`` keeps the vectors as the
-    columns of one matrix, with each eigenspace's size: the P that
-    ``diagonalize`` and ``jordan_form`` take when it is square, and else
+    columns of one matrix, with each eigenspace's size: the P of
+    ``diagonalize``, and of ``jordan_form`` when it is square, and else
     the kernels that Jordan chains start from."""
     s = verify_spectrum(a, s)
     shifted = [None] * len(s.pairs)
@@ -545,22 +540,30 @@ def eigensystem(a, s):
     for k, (value, mult) in enumerate(s.pairs):
         vectors = _eigenbasis(a, s, shifted, k)
         spaces.append(Eigenspace(value, mult, tuple(vectors)))
-    a._keep("_eigenvectors", s, Matrix.from_columns(
+    a._remember("_eigenvectors", (Matrix.from_columns(
         [v for space in spaces for v in space.vectors]),
-        tuple(space.geom_mult for space in spaces))
+        tuple(space.geom_mult for space in spaces)))
     return EigenSystem(tuple(spaces))
 
 
-def _complete_eigenbasis(a, s):
-    """The eigenvector matrix kept for ``s`` if square (complete), or None."""
-    kept = a._kept("_eigenvectors", s)
+def _all_eigenvectors(a, s):
+    """The matrix of every eigenvector of ``a`` that ``eigensystem``
+    keeps, found by it for the verified spectrum ``s`` when not kept."""
+    if getattr(a, "_eigenvectors", None) is None:
+        eigensystem(a, s)
+    return a._eigenvectors[0]
+
+
+def _complete_eigenbasis(a):
+    """The eigenvector matrix kept on ``a`` if square (complete), or None."""
+    kept = getattr(a, "_eigenvectors", None)
     return kept[0] if kept is not None and kept[0].is_square else None
 
 
 def _kept_kernels(a, s):
     """Per eigenvalue of ``s``, the ``nullspace_basis`` of A − λI that
     ``eigensystem`` kept, or None for each when it kept none."""
-    kept = a._kept("_eigenvectors", s)
+    kept = getattr(a, "_eigenvectors", None)
     if kept is None:
         return [None] * len(s.pairs)
     p, sizes = kept

@@ -13,17 +13,17 @@ comparing coefficients of the basis functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial
 
-from .charmatrix import (_complete_eigenbasis, _eigenbasis, _kept_kernels,
-                         _vanishing_product)
+from .charmatrix import _all_eigenvectors, is_diagonalizable
 from .errors import (
     InternalInconsistency,
     NotDiagonalizable,
     NotSquare,
     RealifyOnComplexMatrix,
 )
-from .jordan import _chains, _kept_chains
+from .jordan import _jordan_basis
 from .matrices import Matrix, Vector, _power, inverse, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
@@ -57,41 +57,30 @@ def diagonalize(a, s=None):
     With no spectrum given the eigenvalues are computed (raising
     IrrationalSpectrum when they escape exact representation). Raises
     NotDiagonalizable — carrying the nonzero shifted-matrix product as
-    a witness — when some eigenspace is too small. When ``eigensystem``
-    has found every eigenspace of ``a`` complete, P is the one it kept,
-    and neither the witness nor an eigenbasis is computed again. The
+    a witness — when some eigenspace is too small: the verdict of
+    ``is_diagonalizable`` comes first, which is cheaper than the
+    eigenbases on a defective matrix. P is the eigenvector matrix that
+    ``eigensystem`` keeps on ``a``, found by it when not kept. The
     reconstruction is verified exactly before returning.
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
     s = resolve_spectrum(a, s)
-    p = _complete_eigenbasis(a, s) or _eigenvector_matrix(a, s)
+    ok, witness = is_diagonalizable(a, s)
+    if not ok:
+        raise NotDiagonalizable(
+            "an eigenspace is smaller than its algebraic multiplicity",
+            witness=witness)
+    p = _all_eigenvectors(a, s)
+    if not p.is_square:
+        raise InternalInconsistency(
+            "diagonalizable matrix yielded a short eigenbasis")
     order = s.expanded()
     d = Matrix.diagonal(order)
     p_inv = inverse(p)
     if matmul(matmul(p, d), p_inv) != a:
         raise InternalInconsistency("decomposition check P*D*P^-1 == A failed")
     return Diagonalization(p, d, p_inv, order)
-
-
-def _eigenvector_matrix(a, s):
-    """P of ``diagonalize`` computed afresh: the witness product first,
-    which is cheaper than the eigenbases on a defective matrix, then one
-    eigenbasis per eigenvalue."""
-    shifted = [None] * len(s.pairs)
-    ok, witness = _vanishing_product(a, s, shifted)
-    if not ok:
-        raise NotDiagonalizable(
-            "an eigenspace is smaller than its algebraic multiplicity",
-            witness=witness)
-    columns = []
-    for k, (_, mult) in enumerate(s.pairs):
-        vectors = _eigenbasis(a, s, shifted, k)
-        if len(vectors) != mult:
-            raise InternalInconsistency(
-                "diagonalizable matrix yielded a short eigenbasis")
-        columns.extend(vectors)
-    return Matrix.from_columns(columns)
 
 
 def matrix_power(a, exponent, s=None):
@@ -155,12 +144,11 @@ def ode_general_solution(a, s=None, realify=None):
     RealifyOnComplexMatrix. Always returns exactly n terms, labelled
     c1..cn.
 
-    After ``jordan_form`` on ``a`` the chains are the columns of the P
-    it verified, so P·J·P⁻¹ = A makes every term a solution and the
-    terms independent. Otherwise they are built as ``jordan_form``
-    builds them, for the eigenvalues the terms use only, and are not
-    verified through a decomposition, which would add an inverse and two
-    products to every call (see README, Quick start).
+    The chains are the columns of the Jordan basis P that ``jordan_form``
+    takes, cut by its block sizes: ``a`` finds P once, for either call,
+    and keeps it. They are not verified through P·J·P⁻¹ = A here, which
+    would add an inverse and two products to every call (see README,
+    Quick start); ``jordan_form`` on ``a`` verifies the same P.
     """
     if not a.is_square:
         raise NotSquare("the system matrix must be square")
@@ -170,18 +158,16 @@ def ode_general_solution(a, s=None, realify=None):
         raise RealifyOnComplexMatrix(
             "cannot realify solutions of a matrix with nonreal entries")
     s = resolve_spectrum(a, s)
-    chains = _kept_chains(a, s)
-    if chains is None:  # only the chains that the terms use
-        chains = [(value, chain.vectors) for (value, mult), kernel
-                  in zip(s.pairs, _kept_kernels(a, s))
-                  if not (realify and value.im < 0)
-                  for chain in _chains(a, value, mult, kernel)]
+    p, sizes = _jordan_basis(a, s)
+    order = s.expanded()
     terms = []
-    for value, vectors in chains:
+    for start, size in zip(accumulate(sizes, initial=0), sizes):
+        value = order[start]
         trig = realify and value.im
         if trig and value.im < 0:
             continue  # covered by its conjugate partner
-        for k in range(1, len(vectors) + 1):
+        vectors = [p.column(j) for j in range(start, start + size)]
+        for k in range(1, size + 1):
             poly = tuple((vectors[i - 1], k - i, factorial(k - i))
                          for i in range(1, k + 1))
             if not trig:
@@ -189,7 +175,8 @@ def ode_general_solution(a, s=None, realify=None):
                     f"c{len(terms) + 1}", poly, value))
                 continue
             # the realified pair splits the plain term's vectors
-            lead = tuple((vec.re, p, d) for vec, p, d in poly)
+            lead = tuple((vec.re, power, divisor)
+                         for vec, power, divisor in poly)
             partners = tuple(vec.im for vec, _, _ in poly)
             for kind in ("cos", "sin"):
                 terms.append(OdeSolutionTerm(

@@ -16,8 +16,9 @@ Chains are then built top-down: a chain of length m starts with a
 level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
 an ordinary eigenvector x₁, from the ker κ that ``eigensystem`` kept.
 Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
-alone. Everything runs in exact arithmetic, and P·J·P⁻¹ = A is verified
-before any result is returned.
+alone. Everything runs in exact arithmetic. A matrix finds its Jordan
+basis once and keeps it, for ``jordan_form``, which verifies
+P·J·P⁻¹ = A before it returns, and ``ode_general_solution`` alike.
 """
 
 from __future__ import annotations
@@ -203,20 +204,12 @@ def jordan_form(a, s=None):
     (raising IrrationalSpectrum when it escapes exact representation).
     Eigenvalues appear along J in ascending order; within one eigenvalue
     the blocks come largest first, with ones on the superdiagonal. The
-    columns of P are the chain vectors x₁…x_m per block. When
-    ``eigensystem`` has found every eigenspace of ``a`` complete, P is
-    the eigenvector matrix it kept: the chains all have size 1, and their
-    canonical vectors are the eigenbasis vectors. The identity
-    P·J·P⁻¹ = A is verified exactly before returning, and ``a`` then
-    keeps P with its block sizes, from which ``ode_general_solution``
-    reads the chains.
+    columns of P are the chain vectors x₁…x_m per block, which ``a``
+    keeps (see ``_jordan_basis``). The identity P·J·P⁻¹ = A is verified
+    exactly before returning, on every call.
     """
     s = resolve_spectrum(a, s)
-    p = _complete_eigenbasis(a, s)
-    if p is not None:
-        sizes = (1,) * a.rows
-    else:
-        p, sizes = _jordan_basis(a, s)
+    p, sizes = _jordan_basis(a, s)
     starts = set(accumulate(sizes, initial=0))
     j = Matrix.diagonal(s.expanded(),
                         [k for k in range(a.rows) if k not in starts])
@@ -228,36 +221,28 @@ def jordan_form(a, s=None):
     if matmul(matmul(p, j), p_inv) != a:
         raise InternalInconsistency(
             "decomposition check P*J*P^-1 == A failed")
-    a._keep("_jordan", s, p, sizes)
     return JordanForm(p, j, p_inv)
 
 
 def _jordan_basis(a, s):
-    """(P, block sizes in the order of P's columns) of ``jordan_form``
-    from the chains of every eigenvalue of the verified spectrum ``s``."""
-    columns, sizes = [], []
-    for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
-        chains = _chains(a, value, mult, kernel)
-        if sum(c.size for c in chains) != mult:
-            raise InternalInconsistency(
-                "chain sizes do not add up to the algebraic multiplicity")
-        for chain in chains:
-            columns += chain.vectors
-            sizes.append(chain.size)
-    return Matrix.from_columns(columns), tuple(sizes)
-
-
-def _kept_chains(a, s):
-    """Every Jordan chain of ``a`` as (λ, vectors x₁…x_m), read off the
-    columns of the P that ``jordan_form`` verified for ``s`` and cut by
-    its block sizes; λ is the diagonal entry of J at the chain's first
-    column. None when ``a`` keeps no such P."""
-    kept = a._kept("_jordan", s)
-    if kept is None:
-        return None
-    p, sizes = kept
-    order = s.expanded()
-    starts = accumulate(sizes[:-1], initial=0)
-    return [(order[start], tuple(p.column(j)
-                                 for j in range(start, start + size)))
-            for start, size in zip(starts, sizes)]
+    """(P, block sizes in the order of P's columns) for the verified
+    spectrum ``s``, found once per matrix, which keeps them. A complete
+    eigenbasis that ``eigensystem`` kept is P, with 1×1 blocks; else P
+    holds the chains of every eigenvalue, started from the kernels that
+    ``eigensystem`` kept when it kept them."""
+    if getattr(a, "_jordan", None) is None:
+        p, sizes = _complete_eigenbasis(a), [1] * a.rows
+        if p is None:
+            columns, sizes = [], []
+            for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
+                chains = _chains(a, value, mult, kernel)
+                if sum(c.size for c in chains) != mult:
+                    raise InternalInconsistency(
+                        "chain sizes do not add up to the algebraic "
+                        "multiplicity")
+                for chain in chains:
+                    columns += chain.vectors
+                    sizes.append(chain.size)
+            p = Matrix.from_columns(columns)
+        a._remember("_jordan", (p, tuple(sizes)))
+    return a._jordan

@@ -338,11 +338,11 @@ def _complex_product(left_re, left_im, right_re, right_im):
 # the characteristic polynomial and a key of the last spectrum verified
 # against it. Both hold for the transpose too.
 _FACTS = ("_charpoly", "_verified")
-# Facts of the eigen-structure, each kept with the key of the verified
-# spectrum it was computed for: the matrix of all eigenvectors with the
-# size of each eigenspace (``eigensystem``; it is square when every
-# eigenspace is complete) and the verified Jordan P with its block sizes
-# (``jordan_form``). They do not hold for the transpose.
+# Facts of the eigen-structure, found behind the verified spectrum, the
+# only one the matrix has: the matrix of all eigenvectors with the size
+# of each eigenspace (``eigensystem``; it is square when every eigenspace
+# is complete) and the Jordan P with its block sizes (``jordan_form`` and
+# ``ode_general_solution``). They do not hold for the transpose.
 _STRUCTURE = ("_eigenvectors", "_jordan")
 
 
@@ -351,8 +351,9 @@ class Matrix:
     common denominator over integer real and imaginary planes.
 
     The slots of ``_FACTS`` and ``_STRUCTURE`` stay unset until a fact is
-    first computed (read them with a default); they take no part in
-    ``==`` or ``hash``, and ``transpose`` hands on those of ``_FACTS``."""
+    first computed, are written by ``_remember`` and read with a default;
+    they take no part in ``==`` or ``hash``, and ``transpose`` hands on
+    those of ``_FACTS``."""
 
     __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS, *_STRUCTURE)
 
@@ -397,7 +398,10 @@ class Matrix:
     def diagonal(cls, values, ones=()):
         """The matrix of ``values`` on the diagonal, with a one above
         the diagonal in each column of ``ones``."""
-        den, vre, vim = _planes([to_scalar(v) for v in values])
+        values = [to_scalar(v) for v in values]
+        if not values:
+            raise DimensionMismatch("matrix needs at least one row and column")
+        den, vre, vim = _planes(values)
         n = len(vre)
         re, im = [0] * (n * n), [0] * (n * n)
         re[::n + 1], im[::n + 1] = vre, vim
@@ -468,19 +472,9 @@ class Matrix:
         return flipped
 
     def _remember(self, name, value):
-        """Record the fact ``name``, one of ``_FACTS``, of these entries."""
+        """Record the fact ``name``, one of ``_FACTS`` or ``_STRUCTURE``,
+        of these entries."""
         object.__setattr__(self, name, value)
-
-    def _keep(self, name, s, *value):
-        """Keep the fact ``name``, one of ``_STRUCTURE``, for the verified
-        spectrum ``s``, in place of the one kept for any spectrum."""
-        object.__setattr__(self, name, (s._key, *value))
-
-    def _kept(self, name, s):
-        """The values of the fact ``name`` kept for the spectrum ``s``, or
-        None when none is kept for it."""
-        fact = getattr(self, name, None)
-        return fact[1:] if fact is not None and fact[0] == s._key else None
 
     def is_zero(self):
         return not any(self._re) and not self._im

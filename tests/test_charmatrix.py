@@ -27,10 +27,12 @@ from exacteig import (
     format_scalar,
     intersection_eigenvectors,
     is_diagonalizable,
+    jordan_form,
     matmul,
     matvec,
     normalize_eigenvector,
     nullspace_basis,
+    ode_general_solution,
     oracle_eigenvectors,
     parse_scalar,
     product_eigenvectors,
@@ -84,6 +86,7 @@ from worked import (
     SYMMETRIC_PAIR_SPANS,
     THREE_DISTINCT,
     THREE_DISTINCT_SHIFTED_BY_2,
+    THREE_DISTINCT_SPECTRUM,
     TRIANGULAR_PAIR,
     TRIANGULAR_PAIR_SPANS,
     TRIPLE_EIGENVALUE,
@@ -711,6 +714,41 @@ class TestEveryEntryPointChecksItsSpectrum:
         combined_characteristic_matrix(a, [2, 5])
         no_deflation()
         assert verify_spectrum(a, SHORTCUT_SPECTRUM) == SHORTCUT_SPECTRUM
+
+    @pytest.fixture
+    def structure_reads(self, monkeypatch):
+        """Names of the eigen-structure facts read or written on any
+        matrix, watched through the slots of ``Matrix``."""
+        seen = []
+        for name in ("_eigenvectors", "_jordan"):
+            slot = vars(Matrix)[name]
+            monkeypatch.setattr(Matrix, name, property(
+                lambda self, _name=name, _slot=slot: (
+                    seen.append(_name) or _slot.__get__(self, Matrix)),
+                lambda self, value, _name=name, _slot=slot: (
+                    seen.append(_name) or _slot.__set__(self, value))))
+        return seen
+
+    @pytest.mark.parametrize("entry", [
+        eigensystem, is_diagonalizable, diagonalize, jordan_form,
+        ode_general_solution])
+    @pytest.mark.parametrize("matrix,right,wrong", [
+        (THREE_DISTINCT, THREE_DISTINCT_SPECTRUM, {1: 1, 2: 1, 4: 1}),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, {1: 2, -2: 1}),
+    ], ids=["diagonalizable", "defective"])
+    def test_kept_eigen_structure_answers_no_wrong_spectrum(
+            self, fresh, structure_reads, entry, matrix, right, wrong):
+        # the kept facts carry no spectrum: the check before them guards
+        a = fresh(matrix)
+        eigensystem(a, right)
+        jordan_form(a, right)
+        structure_reads.clear()
+        with pytest.raises(WrongSpectrum):
+            entry(a, wrong)
+        assert structure_reads == []
+        # the right spectrum reads the kept basis, so the watch sees reads
+        jordan_form(a, right)
+        assert "_jordan" in structure_reads
 
 
 class TestEigensystem:

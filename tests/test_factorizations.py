@@ -14,6 +14,7 @@ import exacteig.spectra
 from exacteig import (
     GaussianRational,
     GeneratorConfig,
+    InternalInconsistency,
     IrrationalSpectrum,
     Matrix,
     NotDiagonalizable,
@@ -394,8 +395,8 @@ def calls(monkeypatch):
     names = []
     modules = [module for module in vars(exacteig).values()
                if getattr(module, "__name__", "").startswith("exacteig.")]
-    for name in ("_eigenbasis", "_vanishing_product", "_chains",
-                 "nullspace_basis", "_eliminate"):
+    for name in ("_eigenbasis", "_chains", "nullspace_basis",
+                 "_eliminate"):
         original = next(getattr(module, name) for module in modules
                         if hasattr(module, name))
 
@@ -445,8 +446,8 @@ class TestKeptEigenStructure:
         calls.clear()
         with pytest.raises(NotDiagonalizable):
             diagonalize(a, spec)
-        # the witness comes first, before any eigenbasis
-        assert calls == ["_vanishing_product"]
+        # the witness product alone: no eigenbasis, chain or elimination
+        assert calls == []
 
     @pytest.mark.parametrize("matrix,spec", [
         *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
@@ -491,22 +492,27 @@ class TestKeptEigenStructure:
         assert calls == []
         assert kept == ode_general_solution(_copy(matrix), spec)
 
-    @pytest.mark.parametrize("matrix,spec,built", [
-        (SPIRAL, SPIRAL_SPECTRUM, ["i"]),
-        (ROTATION, ROTATION_SPECTRUM, ["i"]),
-        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM,
-         ["-1", "0", "1", "2-i", "2+i"]),
-    ])
-    def test_without_jordan_form_only_the_terms_chains_are_built(
-            self, monkeypatch, matrix, spec, built):
-        original = exacteig.factorizations._chains
-        values = []
-        monkeypatch.setattr(
-            exacteig.factorizations, "_chains",
-            lambda a, value, *rest: values.append(format_scalar(value))
-            or original(a, value, *rest))
-        ode_general_solution(_copy(matrix), spec)
-        assert values == built
+    @pytest.mark.parametrize("matrix,spec", ALL_CASES)
+    def test_jordan_form_after_ode_makes_one_elimination(
+            self, calls, matrix, spec):
+        a = _copy(matrix)
+        ode_general_solution(a, spec)
+        assert getattr(a, "_jordan", None) is not None
+        calls.clear()
+        kept = jordan_form(a, spec)
+        # the inverse alone eliminates
+        assert calls == ["_eliminate"]
+        assert kept == jordan_form(_copy(matrix), spec)
+
+    @pytest.mark.parametrize("matrix,spec", DEFECTIVE)
+    def test_jordan_form_verifies_the_basis_an_ode_kept(self, matrix, spec):
+        a = _copy(matrix)
+        ode_general_solution(a, spec)
+        # 1×1 blocks make J diagonal, which no defective A is similar to
+        p, _ = a._jordan
+        a._remember("_jordan", (p, (1,) * a.rows))
+        with pytest.raises(InternalInconsistency, match="P\\*J\\*P"):
+            jordan_form(a, spec)
 
     @given(corpus_recipe())
     def test_kept_and_cold_paths_agree(self, case):
@@ -515,7 +521,12 @@ class TestKeptEigenStructure:
         eigensystem(kept, s)
         warm = [jordan_form(kept, s), _diagonalized(kept, s),
                 ode_general_solution(kept, s)]
-        assert kept._kept("_jordan", s) is not None
+        assert getattr(kept, "_jordan", None) is not None
+        # the ODE keeps its basis unverified, and jordan_form verifies it
+        ode_first = _copy(a)
+        ode = ode_general_solution(ode_first, s)
+        late = [jordan_form(ode_first, s), _diagonalized(ode_first, s), ode]
         cold = [jordan_form(_copy(a), s), _diagonalized(_copy(a), s),
                 ode_general_solution(_copy(a), s)]
         assert json.dumps(_text(warm)) == json.dumps(_text(cold))
+        assert json.dumps(_text(late)) == json.dumps(_text(cold))

@@ -103,6 +103,12 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             m([[1, 2], [3]])
 
+    def test_empty_rejected(self):
+        # every constructor refuses a 0×0 matrix, as Matrix([]) does
+        for build in (Matrix, Matrix.from_rows, Matrix.diagonal):
+            with pytest.raises(DimensionMismatch, match="at least one"):
+                build([])
+
     def test_row_and_column_access(self):
         a = m([[1, 2], [3, 4]])
         assert a.row(0).entries == (to_scalar(1), to_scalar(2))

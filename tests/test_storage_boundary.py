@@ -3,7 +3,8 @@ operation counter, are decisions of ``exacteig/matrices.py`` alone: no
 other module of the package may reach into them, and no function takes
 a counter as a parameter. Likewise the integer numerators of a
 polynomial, and the spectrum recorded on it, are read by
-``exacteig/spectra.py`` alone."""
+``exacteig/spectra.py`` alone, and each eigen-structure fact of a matrix
+is named only by ``matrices.py`` and the one module that finds it."""
 
 import importlib
 import inspect
@@ -65,6 +66,18 @@ def test_only_spectra_reads_the_polynomial_fields():
     hits = "\n".join(references(PACKAGE / "spectra.py", POLYNOMIAL_STORAGE))
     for name in POLYNOMIAL_FIELDS:
         assert name in hits
+
+
+def test_the_eigen_structure_is_named_where_it_is_found():
+    # one store, ``Matrix._remember``, and no second API keyed by spectrum
+    assert not hasattr(exacteig.Matrix, "_keep")
+    assert not hasattr(exacteig.Matrix, "_kept")
+    for name, owners in (("_eigenvectors", {"matrices.py", "charmatrix.py"}),
+                         ("_jordan", {"matrices.py", "jordan.py"})):
+        pattern = re.compile(rf"\b{name}\b")
+        naming = {path.name for path in PACKAGE.glob("*.py")
+                  if references(path, pattern)}
+        assert naming == owners, name
 
 
 def package_functions():

@@ -24,7 +24,6 @@ leaves this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    Record,
     _annihilates,
     _tally,
     Vector,
@@ -56,7 +56,7 @@ from .matrices import (
     subtract_scalar_diag,
     trace,
 )
-from .scalars import GaussianRational, format_scalar, to_scalar
+from .scalars import format_scalar, to_scalar
 from .spectra import (Spectrum, charpoly, multiplicity_of, resolve_spectrum,
                       verify_spectrum)
 
@@ -80,13 +80,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacteristicMatrix:
+class CharacteristicMatrix(Record):
     """A − λI together with the shift that produced it."""
 
-    matrix: Matrix
-    eigenvalue: GaussianRational
-    source_dim: int
+    __slots__ = ("matrix", "eigenvalue", "source_dim")
 
 
 def characteristic_matrix(a, lam):
@@ -492,25 +489,21 @@ def is_diagonalizable(a, s):
     return False, product
 
 
-@dataclass(frozen=True)
-class Eigenspace:
+class Eigenspace(Record):
     """One eigenvalue with its algebraic multiplicity and an exact basis
     of its eigenspace (so geometric multiplicity = len(vectors))."""
 
-    eigenvalue: GaussianRational
-    alg_mult: int
-    vectors: tuple
+    __slots__ = ("eigenvalue", "alg_mult", "vectors")
 
     @property
     def geom_mult(self):
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     """Every eigenspace of a matrix, in ascending eigenvalue order."""
 
-    spaces: tuple
+    __slots__ = ("spaces",)
 
     def __iter__(self):
         return iter(self.spaces)

@@ -12,7 +12,6 @@ comparing coefficients of the basis functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial
 
@@ -24,7 +23,8 @@ from .errors import (
     RealifyOnComplexMatrix,
 )
 from .jordan import _jordan_basis
-from .matrices import Matrix, Vector, _power, inverse, matmul, matvec
+from .matrices import (Matrix, Record, Vector, _power, inverse, matmul,
+                       matvec)
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
 
@@ -40,15 +40,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(Record):
     """A = P·D·P⁻¹ with D diagonal; ``eigen_order`` lists the diagonal
     of D (eigenvalues ascending, repeated to multiplicity)."""
 
-    p: Matrix
-    d: Matrix
-    p_inv: Matrix
-    eigen_order: tuple
+    __slots__ = ("p", "d", "p_inv", "eigen_order")
 
 
 def diagonalize(a, s=None):
@@ -99,8 +95,7 @@ def matrix_power(a, exponent, s=None):
 matrix_power_direct = matrix_power
 
 
-@dataclass(frozen=True)
-class TrigPart:
+class TrigPart(Record):
     """Trigonometric half of a realified solution term.
 
     ``kind`` is ``"cos"`` for the cosine-led combination
@@ -109,13 +104,10 @@ class TrigPart:
     vⱼ come from the term's vector polynomial and wⱼ from
     ``partner_vectors`` (aligned index by index)."""
 
-    kind: str
-    beta: Rational
-    partner_vectors: tuple
+    __slots__ = ("kind", "beta", "partner_vectors")
 
 
-@dataclass(frozen=True)
-class OdeSolutionTerm:
+class OdeSolutionTerm(Record):
     """One independent solution of x′ = Ax, as structured data.
 
     Without ``trig_part`` the term means
@@ -126,10 +118,9 @@ class OdeSolutionTerm:
     on :class:`TrigPart`. The general solution is the sum of all terms,
     each multiplied by its free constant ``coefficient_label``."""
 
-    coefficient_label: str
-    vector_polynomial: tuple
-    exponent: GaussianRational
-    trig_part: TrigPart | None = None
+    __slots__ = ("coefficient_label", "vector_polynomial", "exponent",
+                 "trig_part")
+    _defaults = {"trig_part": None}
 
 
 def ode_general_solution(a, s=None, realify=None):

@@ -23,7 +23,6 @@ P·J·P⁻¹ = A before it returns, and ``ode_general_solution`` alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
@@ -36,6 +35,7 @@ from .errors import (
 from .charmatrix import _complete_eigenbasis, _kept_kernels
 from .matrices import (
     Matrix,
+    Record,
     _power,
     _primitive_chain,
     independent_extension,
@@ -45,7 +45,7 @@ from .matrices import (
     nullspace_basis,
     subtract_scalar_diag,
 )
-from .scalars import GaussianRational, to_scalar
+from .scalars import to_scalar
 from .spectra import charpoly, multiplicity_of, resolve_spectrum
 
 __all__ = [
@@ -58,26 +58,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JordanChain:
+class JordanChain(Record):
     """One Jordan chain: vectors[0] is the ordinary eigenvector x₁ and
     each later vector maps to its predecessor under A − λI."""
 
-    eigenvalue: GaussianRational
-    vectors: tuple
+    __slots__ = ("eigenvalue", "vectors")
 
     @property
     def size(self):
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class JordanForm:
+class JordanForm(Record):
     """A = P·J·P⁻¹ with J in Jordan canonical form."""
 
-    p: Matrix
-    j: Matrix
-    p_inv: Matrix
+    __slots__ = ("p", "j", "p_inv")
 
 
 def _null_sequence(a, lam, bound, kernel=None):
@@ -206,7 +201,8 @@ def jordan_form(a, s=None):
     the blocks come largest first, with ones on the superdiagonal. The
     columns of P are the chain vectors x₁…x_m per block, which ``a``
     keeps (see ``_jordan_basis``). The identity P·J·P⁻¹ = A is verified
-    exactly before returning, on every call.
+    exactly before returning, on every call; ``a`` forgets a P that
+    fails it.
     """
     s = resolve_spectrum(a, s)
     p, sizes = _jordan_basis(a, s)
@@ -216,9 +212,11 @@ def jordan_form(a, s=None):
     try:
         p_inv = inverse(p)
     except Singular as exc:
+        a._remember("_jordan", None)
         raise InternalInconsistency(
             "chain vectors are not a basis") from exc
     if matmul(matmul(p, j), p_inv) != a:
+        a._remember("_jordan", None)
         raise InternalInconsistency(
             "decomposition check P*J*P^-1 == A failed")
     return JordanForm(p, j, p_inv)

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
 from operator import mul
@@ -82,16 +81,68 @@ __all__ = [
 ]
 
 
-@dataclass
-class OpCounter:
+class Record:
+    """Base of the immutable records that results come in: the
+    ``__slots__`` are the fields, in order, given by position or keyword;
+    ``_defaults`` fills fields left out, and ``_validate`` checks them.
+    Records of one type with equal fields are equal, with equal hashes."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if (len(args) > len(names) or given.keys() & kwargs.keys()
+                    or values.keys() != set(names)):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self):
+        """Check the fields; records that need no check keep this."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value
+                         in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class OpCounter(Record):
     """Tally of exact scalar field operations: ``with OpCounter() as
     ops:`` counts in ``ops`` what the current thread or asyncio task runs
     until the block ends, and a nested block counts into the inner
-    counter until it ends."""
+    counter until it ends. Unlike other records it is mutable."""
 
-    scalar_mults: int = 0
-    scalar_adds: int = 0
-    scalar_divs: int = 0
+    __slots__ = ("scalar_mults", "scalar_adds", "scalar_divs")
+    _defaults = dict.fromkeys(__slots__, 0)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __enter__(self):
         _active_counters.set(_active_counters.get() + (self,))
@@ -105,11 +156,7 @@ class OpCounter:
         return self.scalar_mults + self.scalar_adds + self.scalar_divs
 
     def as_dict(self):
-        return {
-            "scalar_mults": self.scalar_mults,
-            "scalar_adds": self.scalar_adds,
-            "scalar_divs": self.scalar_divs,
-        }
+        return dict(zip(self.__slots__, self._fields()))
 
 
 _active_counters = ContextVar("exacteig_op_counters", default=())
@@ -148,6 +195,9 @@ class Vector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
+
+    def __reduce__(self):
+        return _view, (self._matrix, self.orientation)
 
     @property
     def entries(self):
@@ -352,8 +402,8 @@ class Matrix:
 
     The slots of ``_FACTS`` and ``_STRUCTURE`` stay unset until a fact is
     first computed, are written by ``_remember`` and read with a default;
-    they take no part in ``==`` or ``hash``, and ``transpose`` hands on
-    those of ``_FACTS``."""
+    they take no part in ``==``, ``hash`` or pickling, and ``transpose``
+    hands on those of ``_FACTS``."""
 
     __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS, *_STRUCTURE)
 
@@ -369,6 +419,10 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix._make, (self.rows, self.cols, self._den, self._re,
+                              self._im)
 
     @classmethod
     def _make(cls, rows, cols, den, re, im):

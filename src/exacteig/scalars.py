@@ -82,6 +82,9 @@ class GaussianRational:
         self._imag = im
         return self
 
+    def __reduce__(self):
+        return GaussianRational._make, (self._real, self._imag)
+
     @property
     def re(self):
         return self._real

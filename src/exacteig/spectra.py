@@ -97,6 +97,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial._make, (self._denom, list(self._reals),
+                                  list(self._imags))
+
     @property
     def coeffs(self):
         den = self._denom
@@ -348,6 +352,9 @@ class Spectrum:
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
+
+    def __reduce__(self):
+        return Spectrum, (self.pairs,)
 
     @property
     def total(self):

@@ -12,8 +12,6 @@ PRNG, so every test corpus is reproducible from its seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     GenerationFailed,
     InvalidSpectrum,
@@ -25,6 +23,7 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
+    Record,
     inverse,
     matmul,
     matvec,
@@ -76,16 +75,14 @@ def residual_check(a, lam, v, side="right"):
     return matvec(a, oriented) == oriented.scaled(lam)
 
 
-@dataclass(frozen=True)
-class SpanBasis:
+class SpanBasis(Record):
     """An explicit basis of a subspace: independent vectors in a common
     ambient dimension. Construction validates both properties, so a
     SpanBasis value can be trusted downstream."""
 
-    vectors: tuple
-    ambient_dim: int
+    __slots__ = ("vectors", "ambient_dim")
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "vectors", tuple(self.vectors))
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
@@ -179,8 +176,7 @@ class SplitMix64:
         return low + self.next_u64() % (high - low + 1)
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     """Recipe for a random matrix with known spectrum.
 
     ``jordan_blocks`` optionally prescribes block sizes per eigenvalue
@@ -189,13 +185,10 @@ class GeneratorConfig:
     to its multiplicity. ``entry_bound`` caps the absolute value of the
     integer entries of the random basis matrix."""
 
-    dim: int
-    spectrum: Spectrum
-    seed: int
-    entry_bound: int = 3
-    jordan_blocks: tuple = None
+    __slots__ = ("dim", "spectrum", "seed", "entry_bound", "jordan_blocks")
+    _defaults = {"entry_bound": 3, "jordan_blocks": None}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if self.entry_bound < 1:

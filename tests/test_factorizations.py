@@ -1,6 +1,5 @@
 """Diagonalization and its payoffs: exact powers and ODE solutions."""
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -40,6 +39,7 @@ from exacteig import (
     to_scalar,
     vector_to_json,
 )
+from exacteig.matrices import Record
 
 from worked import (
     COMPLEX_FIVE,
@@ -317,9 +317,9 @@ def _text(x):
         return format_scalar(x)
     if isinstance(x, Fraction):
         return str(x)
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
         return [type(x).__name__,
-                *(_text(getattr(x, f.name)) for f in dataclasses.fields(x))]
+                *(_text(getattr(x, name)) for name in x.__slots__)]
     if isinstance(x, (list, tuple)):
         return [_text(y) for y in x]
     return x
@@ -513,6 +513,20 @@ class TestKeptEigenStructure:
         a._remember("_jordan", (p, (1,) * a.rows))
         with pytest.raises(InternalInconsistency, match="P\\*J\\*P"):
             jordan_form(a, spec)
+
+    @pytest.mark.parametrize("planted,message", [
+        (Matrix.identity(3), "P\\*J\\*P"),
+        (Matrix.zeros(3, 3), "not a basis")])
+    def test_jordan_form_forgets_a_basis_that_fails(self, planted, message):
+        a = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+        a._remember("_jordan", (planted, (1, 1, 1)))
+        with pytest.raises(InternalInconsistency, match=message):
+            jordan_form(a)
+        assert a._jordan is None
+        terms = ode_general_solution(a)
+        assert len(terms) == 3
+        assert all(ode_term_is_solution(a, term) for term in terms)
+        assert jordan_form(a) == jordan_form(_copy(a))
 
     @given(corpus_recipe())
     def test_kept_and_cold_paths_agree(self, case):

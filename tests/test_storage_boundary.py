@@ -4,11 +4,16 @@ other module of the package may reach into them, and no function takes
 a counter as a parameter. Likewise the integer numerators of a
 polynomial, and the spectrum recorded on it, are read by
 ``exacteig/spectra.py`` alone, and each eigen-structure fact of a matrix
-is named only by ``matrices.py`` and the one module that finds it."""
+is named only by ``matrices.py`` and the one module that finds it.
+Results are records of ``matrices.Record``: importing the package and
+its CLI loads neither ``dataclasses`` nor ``inspect``."""
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import exacteig
@@ -105,3 +110,17 @@ def test_no_function_takes_a_counter():
     takers = [f"{f.__module__}.{f.__qualname__}" for f in functions
               if "counter" in inspect.signature(f).parameters]
     assert takers == []
+
+
+def test_the_import_path_leaves_out_dataclasses():
+    code = ("import sys, exacteig, exacteig.cli; print(sorted("
+            "{'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    # -S: no site hook loads a module on the package's behalf
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    naming = [hit for path in sorted(PACKAGE.glob("*.py"))
+              for hit in references(path, re.compile(r"dataclass"))]
+    assert naming == []

@@ -199,7 +199,6 @@ def _eigenbasis(a, s, shifted, k):
     # an empty product is the identity
     factors = (_product_factors(a, s, shifted, k, with_multiplicity=True)
                or [Matrix.identity(a.rows)])
-    saw_dirty_column = False
     for j in range(a.rows):
         v = factors[-1].column(j)
         for f in reversed(factors[:-1]):
@@ -208,18 +207,14 @@ def _eigenbasis(a, s, shifted, k):
             v = matvec(f, v)
         if v.is_zero():
             continue
-        if _residual_ok(a, target, v):
-            v = normalize_eigenvector(v)
-            if null is not None and v != null[0]:
-                raise InternalInconsistency(
-                    "a product column differs from the kernel vector")
-            return [v]
-        saw_dirty_column = True
-    kappa = _shifted(a, s, shifted, k)
-    if null is None:
-        null = nullspace_basis(kappa)
-    if null and not saw_dirty_column:
-        return _residual_checked(kappa, null)
+        # the product has rank 1, so its first nonzero column decides
+        if not _residual_ok(a, target, v):
+            break
+        v = normalize_eigenvector(v)
+        if null is not None and v != null[0]:
+            raise InternalInconsistency(
+                "a product column differs from the kernel vector")
+        return [v]
     if null:
         raise InternalInconsistency(
             "product columns failed the residual check although the "

@@ -22,9 +22,8 @@ from .errors import (
     NotSquare,
     RealifyOnComplexMatrix,
 )
-from .jordan import _jordan_basis
-from .matrices import (Matrix, Record, Vector, _power, inverse, matmul,
-                       matvec)
+from .jordan import _decomposition, _jordan_basis
+from .matrices import Record, Vector, _power, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
 
@@ -56,8 +55,8 @@ def diagonalize(a, s=None):
     a witness — when some eigenspace is too small: the verdict of
     ``is_diagonalizable`` comes first, which is cheaper than the
     eigenbases on a defective matrix. P is the eigenvector matrix that
-    ``eigensystem`` keeps on ``a``, found by it when not kept. The
-    reconstruction is verified exactly before returning.
+    ``eigensystem`` keeps on ``a``, found by it when not kept; D is J,
+    with 1×1 blocks, verified by the routine of ``jordan_form``.
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
@@ -67,16 +66,8 @@ def diagonalize(a, s=None):
         raise NotDiagonalizable(
             "an eigenspace is smaller than its algebraic multiplicity",
             witness=witness)
-    p = _all_eigenvectors(a, s)
-    if not p.is_square:
-        raise InternalInconsistency(
-            "diagonalizable matrix yielded a short eigenbasis")
-    order = s.expanded()
-    d = Matrix.diagonal(order)
-    p_inv = inverse(p)
-    if matmul(matmul(p, d), p_inv) != a:
-        raise InternalInconsistency("decomposition check P*D*P^-1 == A failed")
-    return Diagonalization(p, d, p_inv, order)
+    _all_eigenvectors(a, s)
+    return Diagonalization(*_decomposition(a, s), s.expanded())
 
 
 def matrix_power(a, exponent, s=None):

@@ -17,8 +17,8 @@ level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
 an ordinary eigenvector x₁, from the ker κ that ``eigensystem`` kept.
 Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
 alone. Everything runs in exact arithmetic. A matrix finds its Jordan
-basis once and keeps it, for ``jordan_form``, which verifies
-P·J·P⁻¹ = A before it returns, and ``ode_general_solution`` alike.
+basis once and keeps it, for ``jordan_form`` and ``diagonalize``, which
+verify it in one routine, and ``ode_general_solution`` alike.
 """
 
 from __future__ import annotations
@@ -200,26 +200,36 @@ def jordan_form(a, s=None):
     Eigenvalues appear along J in ascending order; within one eigenvalue
     the blocks come largest first, with ones on the superdiagonal. The
     columns of P are the chain vectors x₁…x_m per block, which ``a``
-    keeps (see ``_jordan_basis``). The identity P·J·P⁻¹ = A is verified
-    exactly before returning, on every call; ``a`` forgets a P that
-    fails it.
+    keeps (see ``_jordan_basis``). The decomposition is verified exactly
+    before returning, on every call (see ``_decomposition``).
     """
-    s = resolve_spectrum(a, s)
+    return JordanForm(*_decomposition(a, resolve_spectrum(a, s)))
+
+
+def _decomposition(a, s):
+    """(P, J, P⁻¹) for the verified spectrum ``s``, exactly checked, for
+    ``jordan_form`` and ``diagonalize`` (1×1 blocks). P·J·P⁻¹ = A fixes
+    row k of P⁻¹ unless column k of J is zero, where a block of 0 starts:
+    there P⁻¹ₖ·P = eₖ is checked. ``a`` forgets a P that fails."""
     p, sizes = _jordan_basis(a, s)
-    starts = set(accumulate(sizes, initial=0))
-    j = Matrix.diagonal(s.expanded(),
-                        [k for k in range(a.rows) if k not in starts])
+    n, values = a.rows, s.expanded()
+    starts = list(accumulate(sizes[:-1], initial=0))
+    j = Matrix.diagonal(values, set(range(n)).difference(starts))
+    free = [k for k in starts if not values[k]]
     try:
         p_inv = inverse(p)
-    except Singular as exc:
-        a._remember("_jordan", None)
-        raise InternalInconsistency(
-            "chain vectors are not a basis") from exc
-    if matmul(matmul(p, j), p_inv) != a:
-        a._remember("_jordan", None)
-        raise InternalInconsistency(
-            "decomposition check P*J*P^-1 == A failed")
-    return JordanForm(p, j, p_inv)
+    except Singular:
+        failed = "chain vectors are not a basis"
+    else:
+        if matmul(matmul(p, j), p_inv) != a:
+            failed = "decomposition check P*J*P^-1 == A failed"
+        elif any(matvec(p, p_inv.row(k)) != Matrix.identity(n).row(k)
+                 for k in free):
+            failed = "decomposition check P^-1*P == I failed"
+        else:
+            return p, j, p_inv
+    a._remember("_jordan", None)
+    raise InternalInconsistency(failed)
 
 
 def _jordan_basis(a, s):
@@ -227,20 +237,28 @@ def _jordan_basis(a, s):
     spectrum ``s``, found once per matrix, which keeps them. A complete
     eigenbasis that ``eigensystem`` kept is P, with 1×1 blocks; else P
     holds the chains of every eigenvalue, started from the kernels that
-    ``eigensystem`` kept when it kept them."""
+    ``eigensystem`` kept when it kept them. For a real A the chains of
+    the second eigenvalue of a conjugate pair are those of the first
+    conjugated, as conj(A − λI) = A − λ̄I, and re-signed by
+    ``_primitive_chain``: conjugation flips an imaginary leading part."""
     if getattr(a, "_jordan", None) is None:
         p, sizes = _complete_eigenbasis(a), [1] * a.rows
         if p is None:
-            columns, sizes = [], []
+            columns, sizes, conjugates = [], [], {}
             for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
-                chains = _chains(a, value, mult, kernel)
-                if sum(c.size for c in chains) != mult:
+                chains = conjugates.pop(value, None)
+                if chains is None:
+                    chains = [c.vectors
+                              for c in _chains(a, value, mult, kernel)]
+                    if value.im and a.is_real():
+                        conjugates[value.conjugate()] = [
+                            _primitive_chain(c, conjugate=True)
+                            for c in chains]
+                if sum(map(len, chains)) != mult:
                     raise InternalInconsistency(
-                        "chain sizes do not add up to the algebraic "
-                        "multiplicity")
-                for chain in chains:
-                    columns += chain.vectors
-                    sizes.append(chain.size)
+                        "chain sizes do not add up to the multiplicity")
+                columns += [x for chain in chains for x in chain]
+                sizes += map(len, chains)
             p = Matrix.from_columns(columns)
         a._remember("_jordan", (p, tuple(sizes)))
     return a._jordan

@@ -37,6 +37,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
+    InternalInconsistency,
     InvalidSpectrum,
     IrrationalSpectrum,
     NotSquare,
@@ -469,30 +470,26 @@ def find_spectrum(p):
             "nonreal coefficients; supply the spectrum explicitly")
 
     f = p.primitive()
-    found = []
+    found = {}
     for u, v in _root_candidates(f):
         f, mult = _deflated(f, Polynomial._make(1, [-u, v], [0, 0]))
         if mult:
-            found.append((GaussianRational(Fraction(u, v)), mult))
+            found[GaussianRational(Fraction(u, v))] = mult
         if f.degree == 0:
             break
 
-    residual_degree = f.degree
-    if residual_degree == 1:
-        # unreachable in theory (a rational root would have been found);
-        # resolve it anyway rather than trust the theory at runtime
-        found.append((GaussianRational(Fraction(-f._reals[0], f._reals[1])),
-                      1))
-    elif residual_degree == 2:
-        found.extend(_resolve_quadratic(f))
-    elif residual_degree >= 3:
+    if f.degree >= 3:
         raise IrrationalSpectrum(
-            f"residual factor of degree {residual_degree} has no rational "
+            f"residual factor of degree {f.degree} has no rational "
             "roots; supply the spectrum explicitly")
+    if f.degree == 2:
+        found.update(_resolve_quadratic(f))
 
+    # every rational root is a candidate, so a linear residual, or a
+    # double root of the quadratic (one key here), is a bug
+    if sum(found.values()) != p.degree:
+        raise InternalInconsistency("factorization incomplete")
     spectrum = Spectrum(found)
-    if spectrum.total != p.degree:
-        raise IrrationalSpectrum("factorization incomplete")
     object.__setattr__(p, "_factored", spectrum._key)
     return spectrum
 
@@ -586,7 +583,5 @@ def _resolve_quadratic(f):
         raise IrrationalSpectrum(
             f"quadratic {problem}; supply the spectrum explicitly")
     mid, half = Fraction(-c1, 2 * c2), Fraction(root, 2 * c2)
-    if not disc:
-        return [(mid, 2)]
     half = GaussianRational(half) if disc > 0 else GaussianRational(0, half)
     return [(mid + half, 1), (mid - half, 1)]

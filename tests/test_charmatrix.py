@@ -11,6 +11,7 @@ from exacteig import (
     Matrix,
     NotDiagonalizable,
     NotInSpectrum,
+    NotSquare,
     SpanBasis,
     TargetNotInSpectrum,
     SpectrumTooLarge,
@@ -751,7 +752,38 @@ class TestEveryEntryPointChecksItsSpectrum:
         assert "_jordan" in structure_reads
 
 
+class TestEveryEntryPointChecksItsShape:
+    """A matrix that is not square raises NotSquare at every entry point
+    that takes one, before anything else is computed."""
+
+    @pytest.mark.parametrize("name,args", [
+        pytest.param(name, args, id=name) for name, args in [
+            ("characteristic_matrix", (1,)),
+            ("complementary_product", ({1: 1}, 1)),
+            ("two_spectrum_eigenvectors", (1, 2)),
+            ("is_diagonalizable", ({1: 1},)),
+            ("diagonalize", ()),
+            ("matrix_power", (2,)),
+            ("ode_general_solution", ()),
+            ("shifted_power_ranks", (1,)),
+            ("oracle_eigenvectors", (1,)),
+            ("cayley_hamilton_check", ({1: 1},)),
+            ("verify_spectrum", ({1: 1},))]])
+    def test_a_2x3_matrix(self, name, args):
+        with pytest.raises(NotSquare):
+            getattr(exacteig, name)(m([[1, 2, 3], [4, 5, 6]]), *args)
+
+
 class TestEigensystem:
+    def test_a_1x1_matrix(self):
+        # the product complementary to the only eigenvalue has no factor,
+        # so its one column is the identity's
+        assert eigensystem(m([[3]]), {3: 1}).spaces[0].vectors == (v([1]),)
+        assert product_eigenvectors(m([[3]]), {3: 1}, 3) == [v([1])]
+        result = diagonalize(m([[3]]))
+        assert (result.p, result.d, result.p_inv) == (m([[1]]), m([[3]]),
+                                                      m([[1]]))
+
     def test_collects_every_space(self):
         system = eigensystem(TRIPLE_EIGENVALUE, TRIPLE_EIGENVALUE_SPECTRUM)
         assert system.is_complete

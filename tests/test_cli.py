@@ -100,6 +100,26 @@ class TestEigenvectors:
         assert json.loads(via_subcommand)["eigenvalues"][0]["vectors"] \
             == [["2", "-1"]]
 
+    def test_left_oracle_agrees(self, run, write_json):
+        path = write_json(matrix_to_json(SHORTCUT))
+        _, kappa, _ = run("left", path, "--json")
+        code, oracle, _ = run("eigenvectors", path, "--method", "oracle",
+                              "--left", "--json")
+        assert code == 0 and oracle == kappa
+
+    @pytest.mark.parametrize("options,message", [
+        (("--method", "cross"), "--method cross only applies to 3x3 "
+                                "matrices"),
+        (("--method", "intersect", "--left"), "--method intersect does "
+                                              "not support --left"),
+    ], ids=["cross-on-2x2", "left-intersect"])
+    def test_method_that_does_not_apply_is_2(self, run, write_json, options,
+                                             message):
+        path = write_json(matrix_to_json(SHORTCUT))
+        code, out, err = run("eigenvectors", path, *options)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestFactorizationCommands:
     def test_diagonalize_json_reconstructs(self, run, write_json):
@@ -164,6 +184,12 @@ class TestFactorizationCommands:
         assert "diagonalizable: no" in out
         assert "witness" in out
 
+    def test_check_yes(self, run, write_json):
+        path = write_json(matrix_to_json(SHORTCUT))
+        code, out, _ = run("check", path)
+        assert code == 0
+        assert out == "diagonalizable: yes\n"
+
     def test_check_json(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))
         code, out, _ = run("check", path, "--json")
@@ -176,6 +202,16 @@ class TestFactorizationCommands:
         code, out, _ = run("power", path, "--n", "2", "--json")
         assert code == 0
         assert json.loads(out)["entries"] == [["11", "7"], ["14", "18"]]
+
+    def test_power_text(self, run, write_json):
+        path = write_json(matrix_to_json(SHORTCUT))
+        assert run("power", path, "--n", "2") == (0, "[11, 7]\n[14, 18]\n",
+                                                  "")
+
+    def test_negative_power_is_2(self, run, write_json):
+        path = write_json(matrix_to_json(SHORTCUT))
+        assert run("power", path, "--n", "-1") == (
+            2, "", "error: --n must be nonnegative\n")
 
     def test_power_takes_no_spectrum(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))
@@ -202,7 +238,10 @@ class TestFactorizationCommands:
          "c1*([1,0]^T*cos((3/2)t) - [0,-1]^T*sin((3/2)t))*exp((-1/2)t)"
          " + c2*([0,-1]^T*cos((3/2)t) + [1,0]^T*sin((3/2)t))"
          "*exp((-1/2)t)"),
-    ], ids=["1", "-1", "2", "-1/2", "3/2i", "1-2i", "cos-sin"])
+        ([[2, 1, 0], [0, 2, 1], [0, 0, 2]],
+         "c1*[1,0,0]^T*exp(2t) + c2*([1,0,0]^T*t + [0,1,0]^T)*exp(2t)"
+         " + c3*([1,0,0]^T*t^2/2 + [0,1,0]^T*t + [0,0,1]^T)*exp(2t)"),
+    ], ids=["1", "-1", "2", "-1/2", "3/2i", "1-2i", "cos-sin", "jordan-3"])
     def test_ode_rates(self, run, write_json, rows, expected):
         a = Matrix(rows)
         spectrum = ([] if a.is_real() else ["--spectrum", write_json(
@@ -267,6 +306,14 @@ class TestBench:
         code, out, err = run("bench", path, *options)
         assert code == 2 and out == ""
         assert all(flag in err for flag in options if flag.startswith("--"))
+
+    @pytest.mark.parametrize("options,message", [
+        ((), "bench needs a matrix file or --dim"),
+        (("--dim", "1"), "--dim must be at least 2"),
+    ], ids=["no-input", "dim-1"])
+    def test_generated_input_needs_a_dimension_of_2(self, run, options,
+                                                    message):
+        assert run("bench", *options) == (2, "", f"error: {message}\n")
 
     def test_no_speedup_claim_in_output(self, run):
         code, out, _ = run("bench", "--dim", "3", "--seed", "5")

@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import exacteig.factorizations
+import exacteig.jordan
 import exacteig.spectra
 from exacteig import (
     GaussianRational,
@@ -527,6 +528,28 @@ class TestKeptEigenStructure:
         assert len(terms) == 3
         assert all(ode_term_is_solution(a, term) for term in terms)
         assert jordan_form(a) == jordan_form(_copy(a))
+
+    # the first column of J is zero (a block of eigenvalue 0), so
+    # P·J·P⁻¹ = A holds whatever row 0 of P⁻¹ is
+    @pytest.mark.parametrize("call,rows", [
+        (diagonalize, [[1, 1], [0, 0]]),
+        (jordan_form, [[1, 1], [0, 0]]),
+        (jordan_form, [[0, 1], [0, 0]]),
+    ], ids=["diagonalize", "jordan-form", "jordan-cell-at-0"])
+    def test_every_row_of_the_inverse_is_checked(self, monkeypatch, call,
+                                                 rows):
+        def off_in_row_0(p):
+            right = inverse(p)
+            return Matrix([[right.entry(i, j) + (5, -7)[j] * (i == 0)
+                            for j in range(2)] for i in range(2)])
+
+        for module in (exacteig.factorizations, exacteig.jordan):
+            if hasattr(module, "inverse"):
+                monkeypatch.setattr(module, "inverse", off_in_row_0)
+        a = Matrix(rows)
+        with pytest.raises(InternalInconsistency, match="P\\^-1\\*P == I"):
+            call(a)
+        assert a._jordan is None
 
     @given(corpus_recipe())
     def test_kept_and_cold_paths_agree(self, case):

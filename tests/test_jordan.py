@@ -1,25 +1,33 @@
 """Generalized eigenvectors, chain construction, and the full Jordan
 decomposition."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import exacteig
 from exacteig import (
+    GaussianRational,
     GeneratorConfig,
     Matrix,
     NotInSpectrum,
     RankTooLarge,
     Spectrum,
+    SplitMix64,
     build_chains,
     characteristic_matrix,
     charpoly,
     eigensystem,
     generalized_eigenvectors,
     independent_extension,
+    inverse,
     jordan_form,
     matmul,
     matvec,
     ode_general_solution,
+    ode_term_is_solution,
     random_spectral_matrix,
     rank,
     shifted_power_ranks,
@@ -291,6 +299,18 @@ class TestEliminationCount:
         # κ^m and the inverse
         assert len(eliminations) == 2
 
+    # a cold realified ODE: one null space per simple eigenvalue, and
+    # none for the second eigenvalue of a conjugate pair
+    @pytest.mark.parametrize("rows,expected", [
+        ([[1, -2], [2, 1]], 1),
+        ([[1, -2, 0], [2, 1, 0], [0, 0, 3]], 2),
+    ], ids=["pair", "pair-and-real"])
+    def test_a_conjugate_pair_eliminates_once(self, eliminations, rows,
+                                              expected):
+        terms = ode_general_solution(Matrix(rows))
+        assert len(eliminations) == expected
+        assert len(terms) == len(rows)
+
 
 class TestGeneralizedEigenvectors:
     def test_level_one_is_the_eigenspace(self):
@@ -419,3 +439,70 @@ class TestJordanForm:
                               j.entry(i, k) == to_scalar(1)):
                     continue
                 assert j.entry(i, k) == to_scalar(0)
+
+
+@st.composite
+def defective_pair_case(draw):
+    """(B·C·B⁻¹, spectrum) for a real Jordan form C and a seeded
+    unimodular integer B, n ≤ 8: α ± βi in real blocks of sizes 1–3, one
+    of size 2 or more, beside real Jordan blocks."""
+    alpha, beta = draw(st.integers(-3, 3)), draw(st.integers(1, 2))
+    pair = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)
+                .filter(lambda sizes: max(sizes) > 1 and sum(sizes) <= 4))
+    room = 8 - 2 * sum(pair)
+    rest = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)),
+                         max_size=room)
+                .filter(lambda blocks: sum(s for _, s in blocks) <= room))
+    n = 2 * sum(pair) + sum(size for _, size in rest)
+    c = [[0] * n for _ in range(n)]
+    i = 0
+    for size in pair:
+        for k in range(i, i + 2 * size, 2):
+            c[k][k] = c[k + 1][k + 1] = alpha
+            c[k][k + 1], c[k + 1][k] = -beta, beta
+            if k > i:
+                c[k - 2][k] = c[k - 1][k + 1] = 1
+        i += 2 * size
+    for value, size in rest:
+        for k in range(i, i + size):
+            c[k][k] = value
+            if k > i:
+                c[k - 1][k] = 1
+        i += size
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    lower = Matrix([[int(r == q) if r <= q else rng.randint(-2, 2)
+                     for q in range(n)] for r in range(n)])
+    upper = Matrix([[int(r == q) if r >= q else rng.randint(-2, 2)
+                     for q in range(n)] for r in range(n)])
+    b = matmul(lower, upper)
+    counts = Counter({GaussianRational(alpha, beta): sum(pair),
+                      GaussianRational(alpha, -beta): sum(pair)})
+    for value, size in rest:
+        counts[GaussianRational(value)] += size
+    return matmul(matmul(b, Matrix(c)), inverse(b)), Spectrum(counts)
+
+
+# one block of size 2 at 1 ± 2i whose chain for 1 − 2i starts with a
+# purely imaginary component: its plain conjugate has the wrong sign
+SIGN_FLIP = (Matrix([[-32, -14, -1, -4], [55, 23, 1, 7], [-41, -14, 0, -6],
+                     [106, 48, 6, 13]]),
+             Spectrum([("1-2i", 2), ("1+2i", 2)]))
+
+
+class TestConjugateChains:
+    """For a real A, conj(A − λI) = A − λ̄I: ``jordan_form`` conjugates
+    the chains of λ in place of eliminating for λ̄, and re-signs them.
+    They must be the chains that elimination finds for λ̄."""
+
+    @example(SIGN_FLIP)
+    @given(defective_pair_case())
+    def test_conjugates_are_the_eliminated_chains(self, case):
+        a, spec = case
+        eliminated = Matrix.from_columns([
+            x for value in spec.values()
+            for chain in build_chains(a, value) for x in chain.vectors])
+        assert jordan_form(a, spec).p == eliminated
+        for realify in (True, False):
+            terms = ode_general_solution(a, spec, realify)
+            assert len(terms) == a.rows
+            assert all(ode_term_is_solution(a, term) for term in terms)

@@ -19,6 +19,7 @@ from exacteig import (
     DivisionByZero,
     ExactEigError,
     GaussianRational,
+    InternalInconsistency,
     InvalidSpectrum,
     IrrationalSpectrum,
     Matrix,
@@ -210,6 +211,16 @@ class TestFindSpectrum:
 
     def test_zero_root(self):
         assert find_spectrum(poly([0, 0, 1])) == spectrum([(0, 2)])
+
+    # every rational root is a candidate, so a linear residual, or a
+    # quadratic one with a double root, means a candidate went missing
+    @pytest.mark.parametrize("coeffs", [[-2, 1], [1, -2, 1]],
+                             ids=["linear", "double-root"])
+    def test_a_missed_rational_root_is_a_bug(self, monkeypatch, coeffs):
+        monkeypatch.setattr(exacteig.spectra, "_root_candidates",
+                            lambda f: [])
+        with pytest.raises(InternalInconsistency, match="incomplete"):
+            find_spectrum(poly(coeffs))
 
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=4))
     def test_reconstructs_planted_roots(self, roots):

@@ -4,7 +4,9 @@ other module of the package may reach into them, and no function takes
 a counter as a parameter. Likewise the integer numerators of a
 polynomial, and the spectrum recorded on it, are read by
 ``exacteig/spectra.py`` alone, and each eigen-structure fact of a matrix
-is named only by ``matrices.py`` and the one module that finds it.
+is named only by ``matrices.py`` and the one module that finds it. One
+routine in ``jordan.py`` inverts P and checks A = P·J·P⁻¹, for
+``jordan_form`` and ``diagonalize`` alike.
 Results are records of ``matrices.Record``: importing the package and
 its CLI loads neither ``dataclasses`` nor ``inspect``."""
 
@@ -83,6 +85,16 @@ def test_the_eigen_structure_is_named_where_it_is_found():
         naming = {path.name for path in PACKAGE.glob("*.py")
                   if references(path, pattern)}
         assert naming == owners, name
+
+
+def test_only_the_decomposition_and_the_generator_invert():
+    # jordan._decomposition serves jordan_form and diagonalize alike;
+    # the generator inverts the basis it conjugates with
+    calls = re.compile(r"(?<!def )\binverse\(")
+    calling = {path.name: references(path, calls)
+               for path in PACKAGE.glob("*.py") if references(path, calls)}
+    assert set(calling) == {"jordan.py", "verification.py"}
+    assert len(calling["jordan.py"]) == 1
 
 
 def package_functions():

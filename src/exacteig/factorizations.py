@@ -66,7 +66,7 @@ def diagonalize(a, s=None):
         raise NotDiagonalizable(
             "an eigenspace is smaller than its algebraic multiplicity",
             witness=witness)
-    _all_eigenvectors(a, s)
+    _all_eigenvectors(a, s)  # kept: the P that _decomposition takes
     return Diagonalization(*_decomposition(a, s), s.expanded())
 
 

@@ -38,6 +38,7 @@ from .matrices import (
     Record,
     _power,
     _primitive_chain,
+    _unit_rows,
     independent_extension,
     inverse,
     matmul,
@@ -223,8 +224,7 @@ def _decomposition(a, s):
     else:
         if matmul(matmul(p, j), p_inv) != a:
             failed = "decomposition check P*J*P^-1 == A failed"
-        elif any(matvec(p, p_inv.row(k)) != Matrix.identity(n).row(k)
-                 for k in free):
+        elif not _unit_rows(p_inv, p, free):
             failed = "decomposition check P^-1*P == I failed"
         else:
             return p, j, p_inv

@@ -2,8 +2,9 @@
 
 A :class:`Polynomial` holds, like a ``Matrix``, only ints: a positive
 common denominator over Gaussian-integer numerators. One exact division
-on them serves deflation, the root finder's gcd, root confirmation and
-spectrum verification.
+on them serves deflation, evaluation, multiplicity counts and spectrum
+verification. The root finder works on bare integer coefficient lists
+instead and builds no polynomial.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
 Samuelson–Berkowitz recurrence on the integer numerators of A
@@ -16,17 +17,18 @@ found by ``resolve_spectrum``), so a spectrum is deflated once per
 matrix and a repeat check is one comparison. Both facts are exact and
 live only on the matrix.
 
-Root extraction works on the primitive integer multiple of the
-polynomial. Its rational roots come from p-adic lifting (Loos 1983):
-the roots of the square-free part modulo the first prime where they are
-all simple, lifted by Newton–Hensel steps past twice a Cauchy bound on
-the roots, each candidate then confirmed by exact division, which also
-counts its multiplicity. The cost is polynomial in the degree and the
-coefficient digits. A degree-2 residual is resolved by its
-discriminant. Nonreal coefficients and residuals of degree ≥ 3 (even
-ones that split over ℚ(i)) are reported as out of reach and the caller
-must supply the spectrum (which `verify_spectrum` checks by deflating
-the characteristic polynomial by each claimed eigenvalue).
+Root extraction works on the coefficient list of the primitive integer
+multiple of the polynomial. Its rational roots come from p-adic lifting
+(Loos 1983): the roots of the square-free part modulo the first prime
+where they are all simple, lifted by Newton–Hensel steps past twice a
+Cauchy bound on the roots, each candidate then confirmed by exact
+integer quotients, which also count its multiplicity. The cost is
+polynomial in the degree and the coefficient digits. A degree-2
+residual is resolved by its discriminant. Nonreal coefficients and
+residuals of degree ≥ 3 (even ones that split over ℚ(i)) are reported
+as out of reach and the caller must supply the spectrum (which
+`verify_spectrum` checks by deflating the characteristic polynomial by
+each claimed eigenvalue).
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class Polynomial:
     stored canonical like a ``Matrix``: gcd 1 and no trailing zero
     coefficient (the zero polynomial keeps one). Scalars are built only
     when read (``coeffs``, ``leading``, ``p(x)``). ``divmod`` is the one
-    division: ``deflate``, evaluation, the root finder's gcd and root
-    confirmation, and ``verify_spectrum`` use it. ``_factored``, unset
+    division: ``deflate``, evaluation, ``multiplicity_of`` and
+    ``verify_spectrum`` use it; ``find_spectrum`` works on the integer
+    coefficient list and divides that. ``_factored``, unset
     until ``find_spectrum`` factors the polynomial, holds that spectrum's
     key; it takes no part in ``==`` or ``hash``.
     """
@@ -177,20 +180,6 @@ class Polynomial:
                 re[j] += a * c - b * d
                 im[j] += a * d + b * c
         return Polynomial._make(self._denom * other._denom, re, im)
-
-    def primitive(self):
-        """The integer multiple with coprime numerators, the first
-        nonzero part of its leading coefficient positive."""
-        content = gcd(gcd(*self._reals), gcd(*self._imags)) or 1
-        if (self._reals[-1], self._imags[-1]) < (0, 0):
-            content = -content
-        return Polynomial._make(1, [x // content for x in self._reals],
-                                [y // content for y in self._imags])
-
-    def derivative(self):
-        return Polynomial._make(
-            self._denom, [k * x for k, x in enumerate(self._reals)][1:],
-            [k * y for k, y in enumerate(self._imags)][1:])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -449,17 +438,21 @@ def find_spectrum(p):
     """Complete exact factorization of a monic real-rational polynomial
     over ℚ(i), or IrrationalSpectrum when roots escape it.
 
-    The rational roots come from one p-adic search (`_root_candidates`)
-    on the primitive integer multiple of ``p``; each candidate u/v is
-    kept only when an exact division by (vλ − u) confirms it, and the
-    repeated divisions give its multiplicity. The cost is polynomial in
-    the degree and the coefficient digits, so eigenvalue size does not
-    limit it. A remaining quadratic factor is resolved exactly when its
-    discriminant is ±r² for rational r. A nonreal coefficient, or any
-    residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
-    raises IrrationalSpectrum: the caller supplies the spectrum instead.
-    ``p`` records the result; ``verify_spectrum`` then accepts it without
-    dividing for any matrix that holds ``p`` as its characteristic one.
+    The search runs on the integer coefficient list of the primitive
+    multiple of ``p`` and builds no ``Polynomial``; ``divmod`` is left
+    to deflation, evaluation, multiplicity counts and spectrum
+    verification. The rational roots
+    come from one p-adic search (`_root_candidates`); each candidate u/v
+    is kept only when an exact integer quotient by vλ − u confirms it,
+    and the repeated quotients give its multiplicity. The cost is
+    polynomial in the degree and the coefficient digits, so eigenvalue
+    size does not limit it. A remaining quadratic factor is resolved
+    exactly when its discriminant is ±r² for rational r. A nonreal
+    coefficient, or any residual of degree ≥ 3 (even one that happens to
+    factor over ℚ(i)), raises IrrationalSpectrum: the caller supplies the
+    spectrum instead. ``p`` records the result; ``verify_spectrum`` then
+    accepts it without dividing for any matrix that holds ``p`` as its
+    characteristic one.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -469,21 +462,29 @@ def find_spectrum(p):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")
 
-    f = p.primitive()
+    # canonical numerators are primitive: the leading one is the
+    # denominator, and their gcd with it is 1
+    f = list(p._reals)
     found = {}
     for u, v in _root_candidates(f):
-        f, mult = _deflated(f, Polynomial._make(1, [-u, v], [0, 0]))
+        mult = 0
+        while len(f) > 1:
+            division = _divide(f, [-u, v])
+            if division is None or any(division[1]):
+                break
+            f, mult = division[0], mult + 1
         if mult:
             found[GaussianRational(Fraction(u, v))] = mult
-        if f.degree == 0:
+        if len(f) == 1:
             break
 
-    if f.degree >= 3:
+    degree = len(f) - 1
+    if degree >= 3:
         raise IrrationalSpectrum(
-            f"residual factor of degree {f.degree} has no rational "
+            f"residual factor of degree {degree} has no rational "
             "roots; supply the spectrum explicitly")
-    if f.degree == 2:
-        found.update(_resolve_quadratic(f))
+    if degree == 2:
+        found.update(_resolve_quadratic(*f))
 
     # every rational root is a candidate, so a linear residual, or a
     # double root of the quadratic (one key here), is a bug
@@ -496,10 +497,12 @@ def find_spectrum(p):
 
 # -- rational roots by p-adic lifting ----------------------------------------
 #
-# The integer polynomials here are Polynomials with denominator 1 and
-# real coefficients. Loos (1983), "Computing rational zeros of integral
-# polynomials by p-adic expansion"; von zur Gathen & Gerhard, Modern
-# Computer Algebra, ch. 15.
+# The integer polynomials here are lists of int coefficients in ascending
+# order, the last one nonzero. Loos (1983), "Computing rational zeros of
+# integral polynomials by p-adic expansion"; von zur Gathen & Gerhard,
+# Modern Computer Algebra, ch. 15. A primitive f has integer quotients by
+# its primitive factors (Gauss's lemma), so every division the search
+# makes is exact on the integers.
 
 def _root_candidates(f):
     """Every rational root u/v (lowest terms, v > 0) of the primitive
@@ -514,19 +517,17 @@ def _root_candidates(f):
     each root mod p lifts uniquely by Newton–Hensel steps to the modulus
     p^(2^j) > 2B, where the symmetric residue is y itself. Roots mod p
     that do not come from an integer root lift to spurious candidates,
-    which the caller's exact division rejects.
+    which the caller's exact quotient rejects.
     """
-    h = divmod(f, _gcd(f, f.derivative()))[0]
-    *rest, a = h._reals
+    *rest, a = _divide(f, _gcd(f, _derivative(f)))[0]
     g = [1]
     power = 1
     for c in reversed(rest):
         g.append(c * power)
         power *= a
     g.reverse()
-    g = Polynomial._make(1, g, [0] * len(g))
-    slope = g.derivative()
-    bound = 2 * (1 + max(abs(c) for c in g._reals[:-1]))
+    slope = _derivative(g)
+    bound = 2 * (1 + max(map(abs, g[:-1])))
     for prime in _primes():
         roots = [x for x in range(prime) if not _eval_mod(g, x, prime)]
         if all(_eval_mod(slope, x, prime) for x in roots):
@@ -548,21 +549,55 @@ def _root_candidates(f):
 def _eval_mod(g, x, modulus):
     """g(x) mod ``modulus`` by Horner's rule."""
     value = 0
-    for c in reversed(g._reals):
+    for c in reversed(g):
         value = (value * x + c) % modulus
     return value
 
 
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _primitive(f):
+    """The primitive part of the nonzero ``f``, with a positive leading
+    coefficient and no trailing zero."""
+    while not f[-1]:
+        f = f[:-1]
+    content = gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
 def _gcd(f, g):
-    """Primitive greatest common divisor of two nonzero real
-    polynomials, by primitive pseudo-remainder sequence."""
-    g = g.primitive()
-    while g.degree >= 1:
-        rest = divmod(f, g)[1]
-        if rest.is_zero():
+    """Primitive greatest common divisor, with a positive leading
+    coefficient, of the primitive ``f`` and a nonzero ``g`` of lower
+    degree, by primitive pseudo-remainder sequence."""
+    g = _primitive(g)
+    while len(g) > 1:
+        # lead(g)^(deg f − deg g + 1)·f, so that every step divides
+        scale = g[-1] ** (len(f) - len(g) + 1)
+        rest = _divide([scale * c for c in f], g)[1]
+        if not any(rest):
             return g
-        f, g = g, rest.primitive()
-    return Polynomial._make(1, [1], [0])
+        f, g = g, _primitive(rest)
+    return [1]
+
+
+def _divide(f, g):
+    """(quotient, remainder) of the integer lists f by g, or None as soon
+    as a step of the long division is not exact on the integers."""
+    top, lead = len(g) - 1, g[-1]
+    r = list(f)
+    quotient = [0] * (len(f) - top)
+    for k in reversed(range(len(quotient))):
+        x, rest = divmod(r[k + top], lead)
+        if rest:
+            return None
+        quotient[k] = x
+        for i in range(top):
+            r[k + i] -= x * g[i]
+    return quotient, r[:top]
 
 
 def _primes():
@@ -571,10 +606,9 @@ def _primes():
             if all(n % d for d in range(2, isqrt(n) + 1)))
 
 
-def _resolve_quadratic(f):
-    """Roots of the quadratic ``f`` as (value, mult) pairs, when they lie
-    in ℚ(i): (−c₁ ± √D)/(2c₂) from the numerators, D = c₁² − 4c₀c₂."""
-    c0, c1, c2 = f._reals
+def _resolve_quadratic(c0, c1, c2):
+    """Roots of the integer quadratic c₂λ² + c₁λ + c₀ as (value, mult)
+    pairs, when they lie in ℚ(i): (−c₁ ± √D)/(2c₂), D = c₁² − 4c₀c₂."""
     disc = c1 * c1 - 4 * c0 * c2
     root = isqrt(abs(disc))
     if root * root != abs(disc):

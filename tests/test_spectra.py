@@ -222,6 +222,24 @@ class TestFindSpectrum:
         with pytest.raises(InternalInconsistency, match="incomplete"):
             find_spectrum(poly(coeffs))
 
+    @pytest.mark.parametrize("coeffs", [
+        [6, -5, 1], [2, -3, 0, 1], [-3, 1, -3, 1], [2, -2, -1, 1],
+        [-2, -2, 0, 1, 1],
+    ], ids=["rational", "repeated", "gaussian-quadratic",
+            "irrational-quadratic", "cubic-residual"])
+    def test_builds_no_polynomial_but_its_argument(self, monkeypatch,
+                                                    coeffs):
+        p = poly(coeffs)
+        original, stores = exacteig.spectra._store, []
+        monkeypatch.setattr(exacteig.spectra, "_store",
+                            lambda *args: stores.append(args)
+                            or original(*args))
+        try:
+            find_spectrum(p)
+        except IrrationalSpectrum:
+            pass
+        assert stores == []
+
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=4))
     def test_reconstructs_planted_roots(self, roots):
         product = poly([1])
@@ -517,6 +535,10 @@ class TestAgainstReference:
         [0, 0, 4, 0, 1], [-6, 11, -6, 1], [3, -7, 2], [1, 1, 1, 1],
         [-4, -4, -9, 6],       # (x − 2)(x² + x/2 + 1/3): denominators 2, 3
         [1, -7, 12],           # (3x − 1)(4x − 1): 1/4 must not pass as 1/3
+        [-4, 8, -1, -5, 1, 1],  # (x − 1)³(x + 2)²
+        [45, -51, 8, 4],       # (2x − 3)²(x + 5)
+        [-5, 1, -10, 2, -5, 1],  # (x² + 1)²(x − 5): residual of degree 4
+        [-2, 4, -1, -2, 1],    # (x² − 2)(x − 1)²
     ])
     def test_fixed_cases(self, coeffs):
         p = poly(coeffs)
@@ -617,15 +639,6 @@ class TestAgainstScalarReference:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             divmod(poly([1, 2]), poly([0]))
-
-    def test_primitive_and_derivative(self):
-        p = poly(["-3/2", 0, "9/4"])
-        assert p.primitive() == poly([-2, 0, 3])
-        assert poly([-2, 0, -3]).primitive() == poly([2, 0, 3])
-        assert p.derivative() == poly([0, "9/2"])
-        assert poly([5]).derivative() == poly([0])
-        q = Polynomial([parse_scalar("-2i"), 2])
-        assert q.primitive() == Polynomial([parse_scalar("-i"), 1])
 
 
 def _verdict(check, a, s):

@@ -38,7 +38,6 @@ from .matrices import (
     Record,
     _power,
     _primitive_chain,
-    _unit_rows,
     independent_extension,
     inverse,
     matmul,
@@ -217,6 +216,7 @@ def _decomposition(a, s):
     starts = list(accumulate(sizes[:-1], initial=0))
     j = Matrix.diagonal(values, set(range(n)).difference(starts))
     free = [k for k in starts if not values[k]]
+    identity = Matrix.identity(n) if free else None
     try:
         p_inv = inverse(p)
     except Singular:
@@ -224,7 +224,7 @@ def _decomposition(a, s):
     else:
         if matmul(matmul(p, j), p_inv) != a:
             failed = "decomposition check P*J*P^-1 == A failed"
-        elif not _unit_rows(p_inv, p, free):
+        elif any(matvec(p, p_inv.row(k)) != identity.row(k) for k in free):
             failed = "decomposition check P^-1*P == I failed"
         else:
             return p, j, p_inv

@@ -994,20 +994,6 @@ def _annihilates(a, vectors):
     return not any(re) and not any(im)
 
 
-def _unit_rows(a, b, rows):
-    """Whether row k of A·B is the unit row eₖ for every k in ``rows``,
-    read off the planes and counted as the row-by-matrix products."""
-    n = a.cols
-    re, im = _complex_product(
-        [a._re[k * n:(k + 1) * n] for k in rows],
-        None if a.is_real() else [a._im[k * n:(k + 1) * n] for k in rows],
-        _columns_of(b._re, b.cols), _complex_side(b, _columns_of))
-    _tally(mults=len(re) * n, adds=len(re) * (n - 1))
-    one = a._den * b._den
-    return not any(im) and re == [
-        one * (j == k) for k in rows for j in range(b.cols)]
-
-
 def cross3(u, v):
     """Standard determinant-expansion cross product of two length-3
     vectors; exactly orthogonal (bilinear dot) to both inputs."""

@@ -181,6 +181,20 @@ class Polynomial:
                 im[j] += a * d + b * c
         return Polynomial._make(self._denom * other._denom, re, im)
 
+    def primitive(self):
+        """The integer multiple with coprime numerators, the first
+        nonzero part of its leading coefficient positive."""
+        content = gcd(gcd(*self._reals), gcd(*self._imags)) or 1
+        if (self._reals[-1], self._imags[-1]) < (0, 0):
+            content = -content
+        return Polynomial._make(1, [x // content for x in self._reals],
+                                [y // content for y in self._imags])
+
+    def derivative(self):
+        return Polynomial._make(
+            self._denom, [k * x for k, x in enumerate(self._reals)][1:],
+            [k * y for k, y in enumerate(self._imags)][1:])
+
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -531,18 +531,16 @@ class TestKeptEigenStructure:
 
     # the first column of J is zero (a block of eigenvalue 0), so
     # P·J·P⁻¹ = A holds whatever row 0 of P⁻¹ is
-    @pytest.mark.parametrize("call,rows,unit", [
-        (diagonalize, [[1, 1], [0, 0]], 1),
-        (jordan_form, [[1, 1], [0, 0]], 1),
-        (jordan_form, [[0, 1], [0, 0]], 1),
-        (diagonalize, [[1, 1], [0, 0]], GaussianRational(0, 1)),
-    ], ids=["diagonalize", "jordan-form", "jordan-cell-at-0",
-            "diagonalize-imaginary-row"])
+    @pytest.mark.parametrize("call,rows", [
+        (diagonalize, [[1, 1], [0, 0]]),
+        (jordan_form, [[1, 1], [0, 0]]),
+        (jordan_form, [[0, 1], [0, 0]]),
+    ], ids=["diagonalize", "jordan-form", "jordan-cell-at-0"])
     def test_every_row_of_the_inverse_is_checked(self, monkeypatch, call,
-                                                 rows, unit):
+                                                 rows):
         def off_in_row_0(p):
             right = inverse(p)
-            return Matrix([[right.entry(i, j) + unit * (5, -7)[j] * (i == 0)
+            return Matrix([[right.entry(i, j) + (5, -7)[j] * (i == 0)
                             for j in range(2)] for i in range(2)])
 
         for module in (exacteig.factorizations, exacteig.jordan):

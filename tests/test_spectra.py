@@ -640,6 +640,15 @@ class TestAgainstScalarReference:
         with pytest.raises(DivisionByZero):
             divmod(poly([1, 2]), poly([0]))
 
+    def test_primitive_and_derivative(self):
+        p = poly(["-3/2", 0, "9/4"])
+        assert p.primitive() == poly([-2, 0, 3])
+        assert poly([-2, 0, -3]).primitive() == poly([2, 0, 3])
+        assert p.derivative() == poly([0, "9/2"])
+        assert poly([5]).derivative() == poly([0])
+        q = Polynomial([parse_scalar("-2i"), 2])
+        assert q.primitive() == Polynomial([parse_scalar("-i"), 1])
+
 
 def _verdict(check, a, s):
     try:

@@ -173,24 +173,20 @@ def ode_general_solution(a, s=None, realify=None):
 def _coefficient_table(term, n):
     """Map power → (cos-coefficient vector, sin-coefficient vector).
 
-    For a plain term the cosine slot holds the coefficient of
-    t^p·e^{λt} and the sine slot stays zero."""
+    A plain term reads as the cosine half of a pair with zero partner
+    vectors: the cosine slot holds the coefficient of t^p·e^{λt} and the
+    sine slot stays zero."""
     table = {}
     zero = Vector([ZERO] * n)
-    if term.trig_part is None:
-        for vec, power, divisor in term.vector_polynomial:
-            scaled = vec.scaled(Rational(1, divisor))
-            cos_part, sin_part = table.get(power, (zero, zero))
-            table[power] = (cos_part + scaled, sin_part)
-        return table
-    lead = term.vector_polynomial
-    partners = term.trig_part.partner_vectors
+    lead, trig = term.vector_polynomial, term.trig_part
+    partners = trig.partner_vectors if trig else [zero] * len(lead)
+    cosine = trig is None or trig.kind == "cos"
     for (vec, power, divisor), partner in zip(lead, partners):
         inv = Rational(1, divisor)
         v_scaled = vec.scaled(inv)
         w_scaled = partner.scaled(inv)
         cos_part, sin_part = table.get(power, (zero, zero))
-        if term.trig_part.kind == "cos":
+        if cosine:
             table[power] = (cos_part + v_scaled, sin_part - w_scaled)
         else:
             table[power] = (cos_part + w_scaled, sin_part + v_scaled)
@@ -201,28 +197,19 @@ def ode_term_is_solution(a, term):
     """Exact check that a structured term satisfies x′ = Ax.
 
     Differentiates the term symbolically and compares coefficients of
-    the functions t^p·e^{λt} (plain) or t^p·e^{αt}·cos βt / sin βt
-    (realified), which are linearly independent — so the check is
-    equivalent to the identity and still purely rational arithmetic.
+    the functions t^p·e^{αt}·cos βt and t^p·e^{αt}·sin βt, which are
+    linearly independent — so the check is equivalent to the identity
+    and still purely rational arithmetic. A plain term is the case
+    α = λ, β = 0, whose sine equations read 0 = 0.
     """
     n = a.rows
     table = _coefficient_table(term, n)
     if not table:
         return False
     zero = Vector([ZERO] * n)
-    max_power = max(table)
-    lam = term.exponent
-    if term.trig_part is None:
-        for p in range(max_power + 1):
-            cos_p = table.get(p, (zero, zero))[0]
-            cos_up = table.get(p + 1, (zero, zero))[0]
-            derivative = cos_up.scaled(p + 1) + cos_p.scaled(lam)
-            if matvec(a, cos_p) != derivative:
-                return False
-        return True
-    alpha = lam
-    beta = GaussianRational(term.trig_part.beta)
-    for p in range(max_power + 1):
+    alpha = term.exponent
+    beta = GaussianRational(term.trig_part.beta) if term.trig_part else ZERO
+    for p in range(max(table) + 1):
         cos_p, sin_p = table.get(p, (zero, zero))
         cos_up, sin_up = table.get(p + 1, (zero, zero))
         cos_rhs = cos_up.scaled(p + 1) + cos_p.scaled(alpha) + sin_p.scaled(beta)

@@ -460,6 +460,9 @@ class Matrix:
         re, im = [0] * (n * n), [0] * (n * n)
         re[::n + 1], im[::n + 1] = vre, vim
         for k in ones:
+            if not 0 < k < n:
+                raise DimensionMismatch(
+                    f"no column {k} above the diagonal of a {n}x{n} matrix")
             re[k * (n + 1) - n] = den
         return cls._make(n, n, den, re, im)
 

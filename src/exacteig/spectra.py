@@ -1,10 +1,10 @@
 """Characteristic polynomials and exact eigenvalue bookkeeping.
 
 A :class:`Polynomial` holds, like a ``Matrix``, only ints: a positive
-common denominator over Gaussian-integer numerators. One exact division
-on them serves deflation, evaluation, multiplicity counts and spectrum
-verification. The root finder works on bare integer coefficient lists
-instead and builds no polynomial.
+common denominator over Gaussian-integer numerators. One exact
+division on them, deflation by λ − r, serves evaluation, multiplicity
+counts and spectrum verification. The root finder works on bare integer
+coefficient lists instead and builds no polynomial.
 
 The characteristic polynomial is computed monic as det(λI − A) by the
 Samuelson–Berkowitz recurrence on the integer numerators of A
@@ -38,7 +38,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (
-    DivisionByZero,
     InternalInconsistency,
     InvalidSpectrum,
     IrrationalSpectrum,
@@ -75,8 +74,8 @@ class Polynomial:
     Coefficient k is (``_reals[k]`` + ``_imags[k]``·i) / ``_denom``,
     stored canonical like a ``Matrix``: gcd 1 and no trailing zero
     coefficient (the zero polynomial keeps one). Scalars are built only
-    when read (``coeffs``, ``leading``, ``p(x)``). ``divmod`` is the one
-    division: ``deflate``, evaluation, ``multiplicity_of`` and
+    when read (``coeffs``, ``leading``, ``p(x)``). Deflation by λ − r is
+    the one division: ``deflate``, evaluation, ``multiplicity_of`` and
     ``verify_spectrum`` use it; ``find_spectrum`` works on the integer
     coefficient list and divides that. ``_factored``, unset
     until ``find_spectrum`` factors the polynomial, holds that spectrum's
@@ -131,44 +130,8 @@ class Polynomial:
 
     def deflate(self, root):
         """Synthetic division by (λ − root): returns (quotient, remainder)."""
-        quotient, remainder = divmod(self, Polynomial([-to_scalar(root), 1]))
-        return quotient, remainder.coeffs[0]
-
-    def __divmod__(self, other):
-        """(quotient, remainder) of the division by a nonzero ``other``.
-
-        With a real leading numerator l, pseudo-division on the
-        numerators: scaled by |l|^(deg self − deg other + 1), every step
-        divides exactly, and the scale joins the denominator. A nonreal
-        leading coefficient is made real: the quotient by G is the one of
-        F·Ḡ by G·Ḡ, and the remainder R·Ḡ of that division gives R.
-        """
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if other._imags[-1]:
-            conj = Polynomial._make(other._denom, list(other._reals),
-                                    [-y for y in other._imags])
-            norm = other * conj
-            quotient, rest = divmod(self * conj, norm)
-            return quotient, divmod(rest * other, norm)[0]
-        top, d_re, d_im = other.degree, other._reals, other._imags
-        lead, size = d_re[top], max(len(self._reals) - top, 0)
-        scale = abs(lead) ** size
-        r_re = [scale * z for z in self._reals]
-        r_im = [scale * z for z in self._imags]
-        q_re, q_im = [0] * size, [0] * size
-        for k in reversed(range(size)):
-            q_re[k] = x = r_re[k + top] // lead
-            q_im[k] = y = r_im[k + top] // lead
-            for i in range(top):
-                r_re[k + i] -= x * d_re[i] - y * d_im[i]
-                r_im[k + i] -= x * d_im[i] + y * d_re[i]
-        den, dg = self._denom * scale, other._denom
-        return (Polynomial._make(den, [dg * z for z in q_re],
-                                 [dg * z for z in q_im]),
-                Polynomial._make(den, r_re[:top], r_im[:top]))
+        quotient, rest = _deflation(self, to_scalar(root))
+        return quotient, _coefficient(*rest)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -180,20 +143,6 @@ class Polynomial:
                 re[j] += a * c - b * d
                 im[j] += a * d + b * c
         return Polynomial._make(self._denom * other._denom, re, im)
-
-    def primitive(self):
-        """The integer multiple with coprime numerators, the first
-        nonzero part of its leading coefficient positive."""
-        content = gcd(gcd(*self._reals), gcd(*self._imags)) or 1
-        if (self._reals[-1], self._imags[-1]) < (0, 0):
-            content = -content
-        return Polynomial._make(1, [x // content for x in self._reals],
-                                [y // content for y in self._imags])
-
-    def derivative(self):
-        return Polynomial._make(
-            self._denom, [k * x for k, x in enumerate(self._reals)][1:],
-            [k * y for k, y in enumerate(self._imags)][1:])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -298,17 +247,44 @@ def _characteristic_polynomial(a):
     return Polynomial._make(*_charpoly_numerators(a))
 
 
+def _deflation(p, root):
+    """Synthetic division of ``p`` by (λ − ``root``) on the numerators:
+    the quotient, and the remainder p(root) as (re, im, den).
+
+    With root = (u + v·i)/w and the numerators cₖ of p over d, Horner's
+    step x ← cₖ·w^(n−k) + (u + v·i)·x stays in ℤ[i]. Before step k, x
+    over d·w^(n−k−1) is the quotient coefficient of λᵏ; after the last
+    step, x over d·wⁿ is the remainder.
+    """
+    re, im = root.re, root.im
+    w = lcm(re.denominator, im.denominator)
+    u = re.numerator * (w // re.denominator)
+    v = im.numerator * (w // im.denominator)
+    c_re, c_im, n = p._reals, p._imags, len(p._reals) - 1
+    powers = [w ** k for k in range(n + 1)]
+    x, y = c_re[n], c_im[n]
+    q_re, q_im = [0] * n, [0] * n
+    for k in reversed(range(n)):
+        # over the common denominator d·wⁿ
+        q_re[k], q_im[k] = x * powers[k + 1], y * powers[k + 1]
+        scale = powers[n - k]
+        x, y = c_re[k] * scale + u * x - v * y, \
+            c_im[k] * scale + u * y + v * x
+    den = p._denom * powers[n]
+    return Polynomial._make(den, q_re, q_im), (x, y, den)
+
+
 def multiplicity_of(p, value):
     """Exact multiplicity of ``value`` as a root of ``p`` (0 if not a root)."""
-    return _deflated(p, Polynomial([-to_scalar(value), 1]))[1]
+    return _deflated(p, to_scalar(value))[1]
 
 
-def _deflated(p, divisor):
-    """(p / divisorᵏ, k) for the largest k that leaves remainder zero."""
+def _deflated(p, root):
+    """(p / (λ − root)ᵏ, k) for the largest k that leaves remainder zero."""
     count = 0
     while p.degree >= 1:
-        quotient, rest = divmod(p, divisor)
-        if not rest.is_zero():
+        quotient, (x, y, _) = _deflation(p, root)
+        if x or y:
             break
         p, count = quotient, count + 1
     return p, count
@@ -429,7 +405,7 @@ def verify_spectrum(a, claimed):
     p = charpoly(a)
     if getattr(p, "_factored", None) != s._key:
         for value, mult in s.pairs:
-            p, count = _deflated(p, Polynomial([-value, 1]))
+            p, count = _deflated(p, value)
             if count != mult:
                 raise WrongSpectrum(
                     "claimed eigenvalues do not factor the characteristic "
@@ -453,8 +429,8 @@ def find_spectrum(p):
     over ℚ(i), or IrrationalSpectrum when roots escape it.
 
     The search runs on the integer coefficient list of the primitive
-    multiple of ``p`` and builds no ``Polynomial``; ``divmod`` is left
-    to deflation, evaluation, multiplicity counts and spectrum
+    multiple of ``p`` and builds no ``Polynomial``; deflation by λ − r
+    is left to evaluation, multiplicity counts and spectrum
     verification. The rational roots
     come from one p-adic search (`_root_candidates`); each candidate u/v
     is kept only when an exact integer quotient by vλ − u confirms it,

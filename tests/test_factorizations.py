@@ -297,6 +297,18 @@ class TestOdeSolutions:
             TrigPart("cos", good.trig_part.beta + good.trig_part.beta,
                      good.trig_part.partner_vectors))
         assert not ode_term_is_solution(ROTATION, wrong_beta)
+        # negated partners flip the sine half of each term: this pins
+        # the signs of the cos and the sin coefficients
+        assert {t.trig_part.kind for t in terms} == {"cos", "sin"}
+        for term in terms:
+            trig = term.trig_part
+            assert ode_term_is_solution(ROTATION, term)
+            negated = OdeSolutionTerm(
+                term.coefficient_label, term.vector_polynomial,
+                term.exponent,
+                TrigPart(trig.kind, trig.beta,
+                         tuple(-w for w in trig.partner_vectors)))
+            assert not ode_term_is_solution(ROTATION, negated)
 
 
 # -- the eigen-structure a matrix keeps ---------------------------------------

@@ -99,6 +99,12 @@ class TestConstruction:
         assert Matrix.diagonal([half, half, i], [1, 2]) == \
             m([[half, 1, 0], [0, half, 1], [0, 0, i]])
 
+    @pytest.mark.parametrize("column", [0, -1, 3])
+    def test_diagonal_refuses_a_one_off_the_superdiagonal(self, column):
+        # column 0 has no row above the diagonal; -1 and 3 are no column
+        with pytest.raises(DimensionMismatch, match=f"no column {column}"):
+            Matrix.diagonal([1, 2, 3], [column])
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionMismatch):
             m([[1, 2], [3]])

@@ -214,9 +214,8 @@ def _parsed_spectrum(args):
 
 
 def _print_matrix(m, indent=""):
-    for i in range(m.rows):
-        body = ", ".join(format_scalar(m.entry(i, j)) for j in range(m.cols))
-        print(f"{indent}[{body}]")
+    for row in m._texts():
+        print(f"{indent}[{', '.join(row)}]")
 
 
 def _cmd_eigenvectors(args):

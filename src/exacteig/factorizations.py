@@ -200,7 +200,8 @@ def ode_term_is_solution(a, term):
     the functions t^p·e^{αt}·cos βt and t^p·e^{αt}·sin βt, which are
     linearly independent — so the check is equivalent to the identity
     and still purely rational arithmetic. A plain term is the case
-    α = λ, β = 0, whose sine equations read 0 = 0.
+    α = λ, β = 0, whose sine equations read 0 = 0; an equation whose two
+    sides are both zero like that is not formed.
     """
     n = a.rows
     table = _coefficient_table(term, n)
@@ -212,8 +213,11 @@ def ode_term_is_solution(a, term):
     for p in range(max(table) + 1):
         cos_p, sin_p = table.get(p, (zero, zero))
         cos_up, sin_up = table.get(p + 1, (zero, zero))
-        cos_rhs = cos_up.scaled(p + 1) + cos_p.scaled(alpha) + sin_p.scaled(beta)
-        sin_rhs = sin_up.scaled(p + 1) + sin_p.scaled(alpha) - cos_p.scaled(beta)
-        if matvec(a, cos_p) != cos_rhs or matvec(a, sin_p) != sin_rhs:
+        equations = [(cos_p, cos_up.scaled(p + 1) + cos_p.scaled(alpha)
+                      + sin_p.scaled(beta))]
+        if beta or not (sin_p.is_zero() and sin_up.is_zero()):
+            equations.append((sin_p, sin_up.scaled(p + 1)
+                              + sin_p.scaled(alpha) - cos_p.scaled(beta)))
+        if any(matvec(a, x) != rhs for x, rhs in equations):
             return False
     return True

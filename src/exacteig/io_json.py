@@ -6,6 +6,13 @@ every entry a scalar string in the exact grammar of
 spectra as ``{"eigenvalues": [{"value": "...", "multiplicity": k}]}``.
 Schema violations raise :class:`~exacteig.errors.SchemaError` with the
 offending location in the message.
+
+One tokenizer and one formatter, both in :mod:`exacteig.scalars`, serve
+scalars, matrices and vectors alike. A matrix document's entries are
+tokenized straight into the reduced integer parts of each entry, from
+which ``matrices`` builds the planes with one lcm; matrix and vector
+text is written from the planes, each part reduced by one gcd with the
+common denominator. No scalar object is built on either way.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import json
 
 from .errors import DivisionByZero, ParseError, SchemaError
 from .matrices import Matrix
-from .scalars import format_scalar, parse_scalar
+from .scalars import _scalar_parts, format_scalar, parse_scalar
 from .spectra import Spectrum
 
 __all__ = [
@@ -49,22 +56,20 @@ def parse_matrix_json(text):
         raise SchemaError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"entries must be a list of {rows} rows")
-    parsed = []
+    parts = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"row {i} must be a list of {cols} entries")
-        parsed_row = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise SchemaError(
                     f"entry ({i},{j}) must be a scalar string")
             try:
-                parsed_row.append(parse_scalar(cell))
+                parts.append(_scalar_parts(cell))
             except (ParseError, DivisionByZero) as exc:
                 raise SchemaError(
                     f"entry ({i},{j}): {exc}") from exc
-        parsed.append(parsed_row)
-    return Matrix(parsed)
+    return Matrix._from_parts(rows, cols, parts)
 
 
 def matrix_to_json(matrix):
@@ -72,10 +77,7 @@ def matrix_to_json(matrix):
     return {
         "rows": matrix.rows,
         "cols": matrix.cols,
-        "entries": [
-            [format_scalar(matrix.entry(i, j)) for j in range(matrix.cols)]
-            for i in range(matrix.rows)
-        ],
+        "entries": matrix._texts(),
     }
 
 
@@ -120,4 +122,4 @@ def spectrum_to_json(spectrum):
 
 def vector_to_json(vector):
     """Vector → list of scalar strings."""
-    return [format_scalar(e) for e in vector.entries]
+    return vector._texts()

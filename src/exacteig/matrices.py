@@ -12,6 +12,9 @@ A :class:`Vector` is a view of an n×1 or 1×n matrix, so ``row`` and
 ``column`` slice the planes and vector operations run on the matrix
 kernels. Scalars (:class:`GaussianRational`) are built only when they
 are read: by ``entry``, ``row_entries`` and a vector's ``entries``.
+Canonical text is read off the planes without them (``_texts``), and
+``_from_parts`` builds a matrix from the integer parts that the scalar
+tokenizer reads.
 
 Products and sums run on the planes as integer dot products, followed
 by one gcd pass per result, and skip the imaginary products when an
@@ -58,7 +61,7 @@ from .errors import (
     Singular,
     ZeroVector,
 )
-from .scalars import ZERO, GaussianRational, Rational, format_scalar, to_scalar
+from .scalars import ZERO, GaussianRational, Rational, _scalar_text, to_scalar
 
 __all__ = [
     "Matrix",
@@ -236,6 +239,8 @@ class Vector:
                      if x or y), None)
 
     def scaled(self, c):
+        if self.is_zero():
+            return self
         return _view(self._matrix.scaled(c), self.orientation)
 
     def transposed(self):
@@ -257,6 +262,8 @@ class Vector:
             return NotImplemented
         if self.orientation != other.orientation or len(self) != len(other):
             raise DimensionMismatch("vector shapes differ")
+        if other.is_zero():
+            return self
         return _view(self._matrix._combine(other._matrix, sign),
                      self.orientation)
 
@@ -278,8 +285,12 @@ class Vector:
     def __hash__(self):
         return hash((self.orientation, self._matrix))
 
+    def _texts(self):
+        """The canonical text of each entry."""
+        return _entry_texts(self._matrix)
+
     def __repr__(self):
-        body = ", ".join(format_scalar(e) for e in self.entries)
+        body = ", ".join(self._texts())
         tag = "" if self.orientation == "column" else "^T"
         return f"[{body}]{tag}"
 
@@ -320,15 +331,34 @@ def _stacked(vectors):
 
 def _planes(scalars):
     """(den, re, im) of scalars over their least common denominator, the
-    planes as lists.
+    planes as lists."""
+    return _part_planes([(r.numerator, r.denominator, i.numerator,
+                          i.denominator) for r, i in
+                         [(e.re, e.im) for e in scalars]])
+
+
+def _part_planes(parts):
+    """(den, re, im) of the entries with the parts (re_num, re_den,
+    im_num, im_den), each reduced with a positive denominator, over
+    their least common denominator, the planes as lists.
 
     Each part is reduced, so no prime of the denominator divides every
     numerator: the triple is already canonical."""
-    parts = [(e.re, e.im) for e in scalars]
-    den = lcm(*[x.denominator for pair in parts for x in pair])
-    re = [r.numerator * (den // r.denominator) for r, _ in parts]
-    im = [i.numerator * (den // i.denominator) for _, i in parts]
-    return den, re, im
+    den = lcm(*[x for _, b, _, d in parts for x in (b, d)])
+    return (den, [a * (den // b) for a, b, _, _ in parts],
+            [c * (den // d) for _, _, c, d in parts])
+
+
+def _entry_texts(matrix):
+    """The canonical text of each entry of ``matrix``, row-major, read
+    off the planes: each part over the denominator is reduced by its
+    gcd with it."""
+    den = matrix._den
+    texts = []
+    for x, y in zip(matrix._re, matrix._imag()):
+        g, h = gcd(x, den), gcd(y, den)
+        texts.append(_scalar_text(x // g, den // g, y // h, den // h))
+    return texts
 
 
 def _scalar(re, im, den):
@@ -435,6 +465,14 @@ class Matrix:
             im = [y // g for y in im]
         self = object.__new__(cls)
         _init(self, rows, cols, den, re, im)
+        return self
+
+    @classmethod
+    def _from_parts(cls, rows, cols, parts):
+        """The rows × cols matrix whose entries, row-major, have the
+        reduced parts that ``scalars._scalar_parts`` reads."""
+        self = object.__new__(cls)
+        _init(self, rows, cols, *_part_planes(parts))
         return self
 
     @classmethod
@@ -595,10 +633,12 @@ class Matrix:
     def __hash__(self):
         return hash(self._key())
 
+    def _texts(self):
+        """The canonical text of each entry, as a list of rows."""
+        return _rows_of(_entry_texts(self), self.cols)
+
     def __repr__(self):
-        rows = ", ".join(
-            "[" + ", ".join(format_scalar(e) for e in self.row_entries(i))
-            + "]" for i in range(self.rows))
+        rows = ", ".join("[" + ", ".join(row) + "]" for row in self._texts())
         return f"Matrix([{rows}])"
 
 

@@ -30,6 +30,13 @@ writes: fractions in lowest terms with no denominator 1, no leading
 zeros, no ``-0``, no zero part beside a nonzero one, and no coefficient
 1 on ``i``. :func:`parse_scalar` rejects any other spelling of a value
 (``"01"``, ``"2/4"``, ``"1/1"``, ``"0i"``, ``"1i"``, ``"1+0i"``).
+
+One tokenizer, ``_scalar_parts``, reads text into the reduced integer
+parts (re_num, re_den, im_num, im_den) and checks the canonical form on
+them and the text; one formatter, ``_scalar_text``, writes the text of
+such parts. :func:`parse_scalar` and :func:`format_scalar` wrap them,
+and ``matrices`` and ``io_json`` use them to read and write matrices
+and vectors without building a scalar per entry.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import DigitLimitExceeded, DivisionByZero, ParseError
 
@@ -219,14 +227,68 @@ def _int_from_digits(text):
             "conversion") from exc
 
 
-def _rational_from_text(text):
-    if "/" in text:
-        num, den = text.split("/")
-        den = _int_from_digits(den)
-        if not den:
-            raise DivisionByZero("rational with zero denominator")
-        return Fraction(_int_from_digits(num), den)
-    return Fraction(_int_from_digits(text))
+def _rational_parts(text):
+    """(numerator, denominator, canonical) of ``[-]digits[/digits]``:
+    the value reduced, with a positive denominator, and whether ``text``
+    is its canonical form (no leading zero, no ``-0``, and a denominator
+    of at least 2 coprime to the numerator, or none)."""
+    num, slash, den = text.partition("/")
+    digits = num.lstrip("-")
+    canonical = digits[0] != "0" or num == "0"
+    if not slash:
+        return _int_from_digits(num), 1, canonical
+    d = _int_from_digits(den)
+    if not d:
+        raise DivisionByZero("rational with zero denominator")
+    n = _int_from_digits(num)
+    g = gcd(n, d)
+    return n // g, d // g, canonical and g == 1 and d != 1 and den[0] != "0"
+
+
+def _imaginary_parts(text):
+    """(numerator, denominator, canonical) of an imaginary coefficient's
+    text: an optional sign, then a magnitude, which a bare ``i`` leaves
+    out for 1 (``"1i"`` is not canonical)."""
+    magnitude = text.lstrip("+-")
+    if not magnitude:
+        return (-1 if text == "-" else 1), 1, True
+    n, d, canonical = _rational_parts(magnitude)
+    if text[0] == "-":
+        n = -n
+    return n, d, canonical and n != 0 and magnitude != "1"
+
+
+def _scalar_parts(text):
+    """The scalar grammar's tokenizer: (re_num, re_den, im_num, im_den)
+    of canonical scalar text, each part reduced with a positive
+    denominator.
+
+    Raises DivisionByZero on a zero denominator literal such as
+    ``"1/0"``, and ParseError on malformed input, on an integer past the
+    digit limit of int conversion, and on any text that is not the
+    canonical form of its value (``"2/4"``, ``"1i"``), naming that form.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
+    m = _SCALAR_RE.match(text)
+    if m is None:
+        raise ParseError(f"malformed scalar {text!r}")
+    real, imag = m.group("re"), m.group("im1")
+    if real is None:
+        a, b = 0, 1
+        c, d, canonical = _imaginary_parts(m.group("im2"))
+    else:
+        a, b, canonical = _rational_parts(real)
+        if imag is None:
+            c, d = 0, 1
+        else:
+            c, d, imag_canonical = _imaginary_parts(imag)
+            canonical = canonical and a != 0 and imag_canonical
+    if not canonical:
+        raise ParseError(
+            f"non-canonical scalar {text!r}; its canonical form is "
+            f"{_scalar_text(a, b, c, d)!r}")
+    return a, b, c, d
 
 
 def parse_scalar(text):
@@ -236,50 +298,17 @@ def parse_scalar(text):
     ``"1/0"``, and ParseError on malformed input and on any text that is
     not the canonical form of its value (``"2/4"``, ``"1i"``).
     """
-    if not isinstance(text, str):
-        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
-    m = _SCALAR_RE.match(text)
-    if m is None:
-        raise ParseError(f"malformed scalar {text!r}")
-    if m.group("im2") is not None:
-        sign_mag = m.group("im2")
-        re_part = Fraction(0)
-        im_part = _signed_magnitude(sign_mag)
-    else:
-        re_part = _rational_from_text(m.group("re"))
-        im1 = m.group("im1")
-        im_part = _signed_magnitude(im1) if im1 is not None else Fraction(0)
-    z = GaussianRational(re_part, im_part)
-    canonical = format_scalar(z)
-    if canonical != text:
-        raise ParseError(
-            f"non-canonical scalar {text!r}; its canonical form is "
-            f"{canonical!r}")
-    return z
+    a, b, c, d = _scalar_parts(text)
+    return GaussianRational._make(Fraction(a, b), Fraction(c, d))
 
 
-def _signed_magnitude(text):
-    """Imaginary-part coefficient from its text, where a bare sign (or
-    empty string) means magnitude 1."""
-    sign = 1
-    if text.startswith(("+", "-")):
-        if text[0] == "-":
-            sign = -1
-        text = text[1:]
-    if not text:
-        return Fraction(sign)
-    return _rational_from_text(text) * sign
-
-
-def format_rational(r):
-    """Canonical text of a Fraction: ``"3"``, ``"-3/2"``.
+def _rational_text(num, den):
+    """Canonical text of num/den, reduced with den > 0.
 
     Raises DigitLimitExceeded when a part has more digits than Python
     converts to text."""
     try:
-        if r.denominator == 1:
-            return str(r.numerator)
-        return f"{r.numerator}/{r.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError as exc:
         raise DigitLimitExceeded(
             "result has an integer beyond the "
@@ -287,18 +316,36 @@ def format_rational(r):
             "conversion") from exc
 
 
+def _scalar_text(re_num, re_den, im_num, im_den):
+    """The scalar grammar's formatter: canonical text of
+    re_num/re_den + (im_num/im_den)·i, each part reduced with a positive
+    denominator."""
+    if not im_num:
+        return _rational_text(re_num, re_den)
+    if im_den == 1 and (im_num == 1 or im_num == -1):
+        imag = "i"
+    else:
+        imag = _rational_text(abs(im_num), im_den) + "i"
+    if not re_num:
+        return imag if im_num > 0 else "-" + imag
+    sign = "+" if im_num > 0 else "-"
+    return _rational_text(re_num, re_den) + sign + imag
+
+
+def format_rational(r):
+    """Canonical text of a Fraction: ``"3"``, ``"-3/2"``.
+
+    Raises DigitLimitExceeded when a part has more digits than Python
+    converts to text."""
+    return _rational_text(r.numerator, r.denominator)
+
+
 def format_scalar(z):
     """Canonical text of a scalar; exact inverse of :func:`parse_scalar`."""
     z = to_scalar(z)
     re_part, im_part = z.re, z.im
-    if not im_part:
-        return format_rational(re_part)
-    mag = abs(im_part)
-    imag = "i" if mag == 1 else f"{format_rational(mag)}i"
-    if not re_part:
-        return imag if im_part > 0 else f"-{imag}"
-    sign = "+" if im_part > 0 else "-"
-    return f"{format_rational(re_part)}{sign}{imag}"
+    return _scalar_text(re_part.numerator, re_part.denominator,
+                        im_part.numerator, im_part.denominator)
 
 
 def to_scalar(value):

@@ -126,12 +126,13 @@ class Polynomial:
         return self._reals == (0,) and self._imags == (0,)
 
     def __call__(self, x):
-        return self.deflate(x)[1]
+        den, _, _, re, im = _deflation(self, to_scalar(x))
+        return _coefficient(re, im, den)
 
     def deflate(self, root):
         """Synthetic division by (λ − root): returns (quotient, remainder)."""
-        quotient, rest = _deflation(self, to_scalar(root))
-        return quotient, _coefficient(*rest)
+        den, q_re, q_im, re, im = _deflation(self, to_scalar(root))
+        return Polynomial._make(den, q_re, q_im), _coefficient(re, im, den)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -249,7 +250,8 @@ def _characteristic_polynomial(a):
 
 def _deflation(p, root):
     """Synthetic division of ``p`` by (λ − ``root``) on the numerators:
-    the quotient, and the remainder p(root) as (re, im, den).
+    (den, q_re, q_im, re, im), the quotient's numerator lists and the
+    remainder p(root)'s over the common denominator ``den``.
 
     With root = (u + v·i)/w and the numerators cₖ of p over d, Horner's
     step x ← cₖ·w^(n−k) + (u + v·i)·x stays in ℤ[i]. Before step k, x
@@ -270,8 +272,7 @@ def _deflation(p, root):
         scale = powers[n - k]
         x, y = c_re[k] * scale + u * x - v * y, \
             c_im[k] * scale + u * y + v * x
-    den = p._denom * powers[n]
-    return Polynomial._make(den, q_re, q_im), (x, y, den)
+    return p._denom * powers[n], q_re, q_im, x, y
 
 
 def multiplicity_of(p, value):
@@ -280,13 +281,14 @@ def multiplicity_of(p, value):
 
 
 def _deflated(p, root):
-    """(p / (λ − root)ᵏ, k) for the largest k that leaves remainder zero."""
+    """(p / (λ − root)ᵏ, k) for the largest k that leaves remainder zero;
+    the quotient of the division that leaves a remainder is not built."""
     count = 0
     while p.degree >= 1:
-        quotient, (x, y, _) = _deflation(p, root)
+        den, q_re, q_im, x, y = _deflation(p, root)
         if x or y:
             break
-        p, count = quotient, count + 1
+        p, count = Polynomial._make(den, q_re, q_im), count + 1
     return p, count
 
 
@@ -324,11 +326,17 @@ class Spectrum:
                     f"eigenvalue {format_scalar(v1)} listed twice")
         if not cleaned:
             raise InvalidSpectrum("empty spectrum")
-        object.__setattr__(self, "pairs", tuple(cleaned))
-        object.__setattr__(self, "_key", tuple([
-            x for v, m in cleaned for x in (v.re.numerator, v.re.denominator,
-                                            v.im.numerator, v.im.denominator,
-                                            m)]))
+        _set_pairs(self, cleaned)
+
+    @classmethod
+    def _of_distinct(cls, found):
+        """The spectrum of ``found``, a non-empty dict of distinct
+        ``GaussianRational`` eigenvalues to positive int multiplicities,
+        as ``find_spectrum`` builds it: sorted, and not checked again."""
+        self = object.__new__(cls)
+        _set_pairs(self, sorted(found.items(),
+                                key=lambda pair: (pair[0].re, pair[0].im)))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
@@ -374,6 +382,15 @@ class Spectrum:
     def __repr__(self):
         body = ", ".join(f"{format_scalar(v)}:{m}" for v, m in self.pairs)
         return f"{{{body}}}"
+
+
+def _set_pairs(s, pairs):
+    """Store the sorted, checked ``pairs`` in the spectrum ``s``, with
+    their key."""
+    object.__setattr__(s, "pairs", tuple(pairs))
+    object.__setattr__(s, "_key", tuple([
+        x for v, m in pairs for x in (v.re.numerator, v.re.denominator,
+                                      v.im.numerator, v.im.denominator, m)]))
 
 
 def shift_spectrum(s, mu):
@@ -480,7 +497,7 @@ def find_spectrum(p):
     # double root of the quadratic (one key here), is a bug
     if sum(found.values()) != p.degree:
         raise InternalInconsistency("factorization incomplete")
-    spectrum = Spectrum(found)
+    spectrum = Spectrum._of_distinct(found)
     object.__setattr__(p, "_factored", spectrum._key)
     return spectrum
 

@@ -35,8 +35,17 @@ is the Faddeev–LeVerrier recursion that ``exacteig.spectra`` ran on
 Gaussian-rational scalars with the library's ``matmul``, ``trace`` and
 ``subtract_scalar_diag``, before it ran on integer numerators and then
 gave way to the Samuelson–Berkowitz recurrence.
+``parse_scalar`` and ``parse_matrix_json`` are the wire-format route
+that ``exacteig.io_json`` took before one tokenizer read the integer
+parts of each entry: every entry became two ``Fraction``s and a
+``GaussianRational``, was written back to text to check that it was
+canonical, and ``Matrix`` then read the planes off the scalars;
+``format_scalar`` is the scalar-level writer it checked with.
 """
 
+import json
+import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -55,6 +64,9 @@ from exacteig import (
     Spectrum,
     SpectrumTooLarge,
     WrongSpectrum,
+    DivisionByZero,
+    ParseError,
+    SchemaError,
     ZeroVector,
     charpoly,
     format_polynomial,
@@ -798,3 +810,121 @@ def gauss_jordan_inverse(a):
           else [a._den * y for row in im_rows for y in row[n:]])
     den, re, im = _quotient(re, im, d_re, d_im)
     return Matrix._make(n, n, den, re, im)
+
+
+_SCALAR_RE = re.compile(
+    r"""(?:(?P<re>-?[0-9]+(?:/[0-9]+)?)          # real part
+          (?:(?P<im1>[+-](?:[0-9]+(?:/[0-9]+)?)?)i)?  # signed imaginary part
+        |(?P<im2>-?(?:[0-9]+(?:/[0-9]+)?)?)i     # standalone imaginary part
+       )\Z""",
+    re.VERBOSE,
+)
+
+
+def _int_from_digits(text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(
+            f"integer of {len(text.lstrip('-'))} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit of int "
+            "conversion") from exc
+
+
+def _rational_from_text(text):
+    if "/" in text:
+        num, den = text.split("/")
+        den = _int_from_digits(den)
+        if not den:
+            raise DivisionByZero("rational with zero denominator")
+        return Fraction(_int_from_digits(num), den)
+    return Fraction(_int_from_digits(text))
+
+
+def _signed_magnitude(text):
+    sign = 1
+    if text.startswith(("+", "-")):
+        if text[0] == "-":
+            sign = -1
+        text = text[1:]
+    if not text:
+        return Fraction(sign)
+    return _rational_from_text(text) * sign
+
+
+def _format_rational(r):
+    if r.denominator == 1:
+        return str(r.numerator)
+    return f"{r.numerator}/{r.denominator}"
+
+
+def format_scalar(z):
+    """Canonical text of the scalar ``z``, from its two ``Fraction``s."""
+    re_part, im_part = z.re, z.im
+    if not im_part:
+        return _format_rational(re_part)
+    mag = abs(im_part)
+    imag = "i" if mag == 1 else f"{_format_rational(mag)}i"
+    if not re_part:
+        return imag if im_part > 0 else f"-{imag}"
+    sign = "+" if im_part > 0 else "-"
+    return f"{_format_rational(re_part)}{sign}{imag}"
+
+
+def parse_scalar(text):
+    """The scalar of ``text``, checked canonical by writing it back."""
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be a string, got {type(text).__name__}")
+    m = _SCALAR_RE.match(text)
+    if m is None:
+        raise ParseError(f"malformed scalar {text!r}")
+    if m.group("im2") is not None:
+        re_part = Fraction(0)
+        im_part = _signed_magnitude(m.group("im2"))
+    else:
+        re_part = _rational_from_text(m.group("re"))
+        im1 = m.group("im1")
+        im_part = _signed_magnitude(im1) if im1 is not None else Fraction(0)
+    z = GaussianRational(re_part, im_part)
+    canonical = format_scalar(z)
+    if canonical != text:
+        raise ParseError(
+            f"non-canonical scalar {text!r}; its canonical form is "
+            f"{canonical!r}")
+    return z
+
+
+def parse_matrix_json(text):
+    """The matrix document ``text``: each entry through ``parse_scalar``,
+    then ``Matrix`` of the scalars."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError("matrix document must be a JSON object")
+    for key in ("rows", "cols", "entries"):
+        if key not in data:
+            raise SchemaError(f"matrix document is missing {key!r}")
+    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+               for n in (rows, cols)):
+        raise SchemaError("rows and cols must be positive integers")
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise SchemaError(f"entries must be a list of {rows} rows")
+    parsed = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"row {i} must be a list of {cols} entries")
+        parsed_row = []
+        for j, cell in enumerate(row):
+            if not isinstance(cell, str):
+                raise SchemaError(
+                    f"entry ({i},{j}) must be a scalar string")
+            try:
+                parsed_row.append(parse_scalar(cell))
+            except (ParseError, DivisionByZero) as exc:
+                raise SchemaError(
+                    f"entry ({i},{j}): {exc}") from exc
+        parsed.append(parsed_row)
+    return Matrix(parsed)

@@ -310,6 +310,19 @@ class TestOdeSolutions:
                          tuple(-w for w in trig.partner_vectors)))
             assert not ode_term_is_solution(ROTATION, negated)
 
+    def test_checker_keeps_the_sine_equation_of_a_zero_rate(self):
+        # β = 0 with nonzero partners: the sine equations are not 0 = 0,
+        # so A·w = λ·w must hold for the partner w of a power-0 term
+        from exacteig import OdeSolutionTerm, TrigPart
+        good = ode_general_solution(SYMMETRIC_PAIR)[0]
+        (vec, _, _), = good.vector_polynomial
+        other = ode_general_solution(SYMMETRIC_PAIR)[1].vector_polynomial
+        for partner, verdict in ((vec, True), (other[0][0], False)):
+            term = OdeSolutionTerm(
+                good.coefficient_label, good.vector_polynomial,
+                good.exponent, TrigPart("cos", Fraction(0), (partner,)))
+            assert ode_term_is_solution(SYMMETRIC_PAIR, term) is verdict
+
 
 # -- the eigen-structure a matrix keeps ---------------------------------------
 

@@ -123,20 +123,27 @@ def complementary_product(a, s, target, with_multiplicity=False):
     itself contributing multiplicity − 1 factors — when
     ``with_multiplicity`` is set). An empty factor list yields I."""
     s = Spectrum(s)
-    target = to_scalar(target)
-    if not s.multiplicity(target):
-        raise TargetNotInSpectrum(
-            f"{format_scalar(target)} is not in the given spectrum")
+    k = _target_index(s, target)
     if not a.is_square:
         raise NotSquare("complementary product needs a square matrix")
-    factors = _product_factors(a, s, [None] * len(s.pairs),
-                               s.values().index(target), with_multiplicity)
+    factors = _product_factors(a, s, [None] * len(s.pairs), k,
+                               with_multiplicity)
     if not factors:
         return Matrix.identity(a.rows)
     result = factors[0]
     for f in factors[1:]:
         result = matmul(result, f)
     return result
+
+
+def _target_index(s, target):
+    """The position of ``target`` among the eigenvalues of ``s``."""
+    values = s.values()
+    target = to_scalar(target)
+    if target not in values:
+        raise TargetNotInSpectrum(
+            f"{format_scalar(target)} is not in the given spectrum")
+    return values.index(target)
 
 
 def _residual_ok(a, lam, v):
@@ -173,12 +180,7 @@ def product_eigenvectors(a, s, target):
     spectrum raises WrongSpectrum.
     """
     s = verify_spectrum(a, s)
-    values = s.values()
-    target = to_scalar(target)
-    if target not in values:
-        raise TargetNotInSpectrum(
-            f"{format_scalar(target)} is not in the given spectrum")
-    return _eigenbasis(a, s, [None] * len(values), values.index(target))
+    return _eigenbasis(a, s, [None] * len(s.pairs), _target_index(s, target))
 
 
 def _eigenbasis(a, s, shifted, k):
@@ -247,7 +249,7 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
     where the λ₁-eigenvectors are independent columns of A − λ₂I and
     vice versa. The multiplicity of λ₁ is read off the characteristic
     polynomial, and ``verify_spectrum`` then checks that λ₂ takes the
-    rest, so ``a`` keeps the spectrum it verified.
+    rest, so the characteristic polynomial of ``a`` keeps that spectrum.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -298,10 +300,11 @@ def eigenvectors_2x2(a, lam1, lam2):
     no-computation shortcut.
 
     With distinct eigenvalues the λ₁-eigenvector is the first nonzero of
-    the columns (a−λ₂, c) / (b, d−λ₂) and symmetrically for λ₂. A scalar
-    matrix returns the standard basis. A repeated eigenvalue on a
-    non-scalar matrix is defective: the Defective error carries the one
-    normalized eigendirection.
+    the columns (a−λ₂, c) / (b, d−λ₂) and symmetrically for λ₂, read as
+    ``two_spectrum_eigenvectors`` reads them. A scalar matrix returns
+    the standard basis. A repeated eigenvalue on a non-scalar matrix is
+    defective: the Defective error carries the one normalized
+    eigendirection.
     """
     if a.rows != 2 or a.cols != 2:
         if not a.is_square:
@@ -312,28 +315,17 @@ def eigenvectors_2x2(a, lam1, lam2):
     if lam1 + lam2 != trace(a) or lam1 * lam2 != det(a):
         raise WrongSpectrum(
             "claimed eigenvalues do not match the trace and determinant")
+    k2 = subtract_scalar_diag(a, lam2)
     if lam1 == lam2:
-        if subtract_scalar_diag(a, lam1).is_zero():
+        if k2.is_zero():
             return Vector((1, 0)), Vector((0, 1))
-        direction = _nonzero_column(subtract_scalar_diag(a, lam2))
-        if not _residual_ok(a, lam1, direction):
-            raise InternalInconsistency(
-                "defective direction fails the residual check")
+        direction = _independent_columns(k2, a, lam1, 1)[0]
         raise Defective(
             f"repeated eigenvalue {format_scalar(lam1)} with a "
             "one-dimensional eigenspace", eigenvector=direction)
-    v1 = _nonzero_column(subtract_scalar_diag(a, lam2))
-    v2 = _nonzero_column(subtract_scalar_diag(a, lam1))
-    if not (_residual_ok(a, lam1, v1) and _residual_ok(a, lam2, v2)):
-        raise InternalInconsistency("shortcut column is not an eigenvector")
-    return v1, v2
-
-
-def _nonzero_column(shifted):
-    """The first nonzero column of a nonzero 2×2 matrix, normalized; a
-    rank-one matrix has parallel columns, so either gives this vector."""
-    v = shifted.column(0)
-    return normalize_eigenvector(shifted.column(1) if v.is_zero() else v)
+    k1 = subtract_scalar_diag(a, lam1)
+    return (_independent_columns(k2, a, lam1, 1)[0],
+            _independent_columns(k1, a, lam2, 1)[0])
 
 
 def combined_characteristic_matrix(a, column_assignment, s=None):
@@ -345,7 +337,7 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
     the assigned eigenvalue (the other one; itself when the spectrum is
     a single point). Requires every assigned value to be an eigenvalue.
     The spectrum ``s`` is verified when given and found exactly when not
-    (``resolve_spectrum``), and ``a`` keeps it.
+    (``resolve_spectrum``), and ``charpoly(a)`` keeps it.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -440,10 +432,7 @@ def intersection_eigenvectors(a, s, target):
     ``verify_spectrum`` checks ``s`` first (WrongSpectrum).
     """
     s = verify_spectrum(a, s)
-    target = to_scalar(target)
-    if not s.multiplicity(target):
-        raise TargetNotInSpectrum(
-            f"{format_scalar(target)} is not in the given spectrum")
+    target = s.pairs[_target_index(s, target)][0]
     others = [v for v in s.values() if v != target]
     if not others:
         kappa = subtract_scalar_diag(a, target)

@@ -232,18 +232,16 @@ def _run_eigenvectors(args, left, method):
         return _fail(2, "--method cross only applies to 3x3 matrices")
     if left and method not in ("kappa", "oracle"):
         return _fail(2, f"--method {method} does not support --left")
-    s = resolve_spectrum(a, _parsed_spectrum(args))
     if args.target is not None:
         try:
             lam = parse_scalar(args.target)
         except DivisionByZero as exc:
             raise ParseError(f"--target {args.target}: {exc}") from exc
-        if lam not in s:
-            raise TargetNotInSpectrum(
-                f"--target {args.target} is not in the spectrum")
-        targets = [lam]
-    else:
-        targets = list(s.values())
+    s = resolve_spectrum(a, _parsed_spectrum(args))
+    if args.target is not None and lam not in s:
+        raise TargetNotInSpectrum(
+            f"--target {args.target} is not in the spectrum")
+    targets = list(s.values()) if args.target is None else [lam]
     results = []
     for lam in targets:
         results.append((lam, _extract(a, s, lam, method, left)))

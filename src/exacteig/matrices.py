@@ -415,9 +415,9 @@ def _complex_product(left_re, left_im, right_re, right_im):
 
 
 # Facts of a matrix's entries that ``spectra`` computes once per matrix:
-# the characteristic polynomial and a key of the last spectrum verified
-# against it. Both hold for the transpose too.
-_FACTS = ("_charpoly", "_verified")
+# the characteristic polynomial, which records the spectrum verified
+# against it. It holds for the transpose too.
+_FACTS = ("_charpoly",)
 # Facts of the eigen-structure, found behind the verified spectrum, the
 # only one the matrix has: the matrix of all eigenvectors with the size
 # of each eigenspace (``eigensystem``; it is square when every eigenspace

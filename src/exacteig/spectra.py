@@ -12,10 +12,10 @@ Samuelson–Berkowitz recurrence on the integer numerators of A
 Toeplitz product per trailing block, with no division at all, so no
 scalar is built until the polynomial is, and no pivot-driven fraction
 growth occurs. It is computed once per matrix: the ``Matrix`` keeps
-it, together with a key of the last spectrum verified against it (or
-found by ``resolve_spectrum``), so a spectrum is deflated once per
-matrix and a repeat check is one comparison. Both facts are exact and
-live only on the matrix.
+it, and the polynomial keeps a key of the spectrum verified against it
+(or found by ``find_spectrum``), so a spectrum is deflated once per
+matrix and its transpose, and a repeat check is one comparison. Both
+facts are exact and live only on the matrix and its polynomial.
 
 Root extraction works on the coefficient list of the primitive integer
 multiple of the polynomial. Its rational roots come from p-adic lifting
@@ -77,9 +77,9 @@ class Polynomial:
     when read (``coeffs``, ``leading``, ``p(x)``). Deflation by λ − r is
     the one division: ``deflate``, evaluation, ``multiplicity_of`` and
     ``verify_spectrum`` use it; ``find_spectrum`` works on the integer
-    coefficient list and divides that. ``_factored``, unset
-    until ``find_spectrum`` factors the polynomial, holds that spectrum's
-    key; it takes no part in ``==`` or ``hash``.
+    coefficient list and divides that. ``_factored`` holds the key of the
+    spectrum found for, or verified against, the polynomial (unset until
+    then); it takes no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("_denom", "_reals", "_imags", "_factored")
@@ -298,8 +298,8 @@ class Spectrum:
 
     ``_key`` is the same spectrum as one flat tuple of ints: per
     eigenvalue the numerator and denominator of each part, then the
-    multiplicity. A matrix keeps it for the spectrum it verified, which
-    is far smaller than the scalars."""
+    multiplicity. A characteristic polynomial keeps it for the spectrum
+    verified against it, which is far smaller than the scalars."""
 
     __slots__ = ("pairs", "_key")
 
@@ -402,11 +402,11 @@ def shift_spectrum(s, mu):
 def verify_spectrum(a, claimed):
     """Validate a claimed spectrum against a matrix: each claimed
     eigenvalue must divide the characteristic polynomial exactly as often
-    as its multiplicity, no more and no less. ``a`` keeps the last
-    spectrum that passed, so checking that one again costs a comparison
-    after the shape checks. When ``find_spectrum`` factored the
-    characteristic polynomial of ``a`` itself into ``claimed``, ``a``
-    records it without dividing again."""
+    as its multiplicity, no more and no less. The characteristic
+    polynomial records the spectrum that passed, or that
+    ``find_spectrum`` factored it into, so checking that one again, on
+    ``a`` or on any matrix that shares the polynomial, costs a
+    comparison after the shape checks."""
     if not a.is_square:
         raise NotSquare("spectrum verification needs a square matrix")
     s = Spectrum(claimed)
@@ -417,25 +417,23 @@ def verify_spectrum(a, claimed):
     if s.total != n:
         raise InvalidSpectrum(
             f"multiplicities sum to {s.total}, expected {n}")
-    if getattr(a, "_verified", None) == s._key:
-        return s
-    p = charpoly(a)
+    rest = p = charpoly(a)
     if getattr(p, "_factored", None) != s._key:
         for value, mult in s.pairs:
-            p, count = _deflated(p, value)
+            rest, count = _deflated(rest, value)
             if count != mult:
                 raise WrongSpectrum(
                     "claimed eigenvalues do not factor the characteristic "
                     "polynomial")
-    a._remember("_verified", s._key)
+        object.__setattr__(p, "_factored", s._key)
     return s
 
 
 def resolve_spectrum(a, s):
     """The spectrum of ``a``: found exactly when ``s`` is None (raising
     IrrationalSpectrum when it escapes ℚ(i)), else ``s`` verified against
-    ``a``. Either way ``a`` then keeps its characteristic polynomial and
-    the spectrum, so later calls on it compute neither again."""
+    ``a``. Either way ``a`` keeps its characteristic polynomial, which
+    keeps the spectrum, so later calls on ``a`` compute neither again."""
     if s is None:  # found spectra are recorded, so not divided again
         s = find_spectrum(charpoly(a))
     return verify_spectrum(a, s)

@@ -31,7 +31,7 @@ from .matrices import (
     rank,
     subtract_scalar_diag,
 )
-from .scalars import ONE, ZERO, format_scalar, to_scalar
+from .scalars import format_scalar, to_scalar
 from .spectra import Spectrum
 
 __all__ = [
@@ -224,21 +224,15 @@ class GeneratorConfig(Record):
 
 def _canonical_form(config):
     """Diagonal (or block upper-bidiagonal) matrix realizing the
-    configured spectrum and block structure."""
-    n = config.dim
+    configured spectrum and block structure: eigenvalues ascending, and
+    each eigenvalue's blocks largest first."""
     block_map = dict(config.jordan_blocks or ())
-    rows = [[ZERO] * n for _ in range(n)]
-    position = 0
+    values, ones = [], []
     for value, mult in config.spectrum.pairs:
-        sizes = block_map.get(value, (1,) * mult)
-        for size in sorted(sizes, reverse=True):
-            for k in range(size):
-                col = position + k
-                rows[col][col] = value
-                if k:
-                    rows[col - 1][col] = ONE
-            position += size
-    return Matrix.from_rows(rows)
+        for size in sorted(block_map.get(value, (1,) * mult), reverse=True):
+            ones.extend(range(len(values) + 1, len(values) + size))
+            values.extend([value] * size)
+    return Matrix.diagonal(values, ones)
 
 
 _MAX_GENERATION_ATTEMPTS = 64

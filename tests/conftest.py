@@ -37,9 +37,9 @@ class CorpusEntry:
     planned_defective: bool
 
 
-def build_corpus_entry(seed):
-    """One deterministic matrix: dimension, spectrum, and Jordan
-    structure all derived from the seed."""
+def corpus_config(seed):
+    """The generator recipe of one corpus matrix: dimension, spectrum,
+    and Jordan structure all derived from the seed."""
     rng = SplitMix64(seed)
     dim = _DIMS[seed % len(_DIMS)]
     distinct = rng.randint(1, min(3, dim))
@@ -58,11 +58,16 @@ def build_corpus_entry(seed):
             if mult >= 2:
                 blocks = {value: (mult,)}
                 break
-    config = GeneratorConfig(dim=dim, spectrum=spectrum,
-                             seed=rng.next_u64(), entry_bound=2,
-                             jordan_blocks=blocks)
+    return GeneratorConfig(dim=dim, spectrum=spectrum, seed=rng.next_u64(),
+                           entry_bound=2, jordan_blocks=blocks)
+
+
+def build_corpus_entry(seed):
+    """One deterministic matrix, from ``corpus_config(seed)``."""
+    config = corpus_config(seed)
     matrix, _ = random_spectral_matrix(config)
-    return CorpusEntry(seed, matrix, spectrum, blocks is not None)
+    return CorpusEntry(seed, matrix, config.spectrum,
+                       config.jordan_blocks is not None)
 
 
 @pytest.fixture(scope="session")

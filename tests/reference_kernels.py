@@ -41,6 +41,9 @@ parts of each entry: every entry became two ``Fraction``s and a
 ``GaussianRational``, was written back to text to check that it was
 canonical, and ``Matrix`` then read the planes off the scalars;
 ``format_scalar`` is the scalar-level writer it checked with.
+``canonical_form`` is the planted Jordan form that
+``exacteig.verification`` filled in entry by entry, as a table of zero
+and one scalars, before it built the form with ``Matrix.diagonal``.
 """
 
 import json
@@ -928,3 +931,22 @@ def parse_matrix_json(text):
                     f"entry ({i},{j}): {exc}") from exc
         parsed.append(parsed_row)
     return Matrix(parsed)
+
+
+def canonical_form(config):
+    """Diagonal (or block upper-bidiagonal) matrix realizing the
+    configured spectrum and block structure."""
+    n = config.dim
+    block_map = dict(config.jordan_blocks or ())
+    rows = [[ZERO] * n for _ in range(n)]
+    position = 0
+    for value, mult in config.spectrum.pairs:
+        sizes = block_map.get(value, (1,) * mult)
+        for size in sorted(sizes, reverse=True):
+            for k in range(size):
+                col = position + k
+                rows[col][col] = value
+                if k:
+                    rows[col - 1][col] = ONE
+            position += size
+    return Matrix.from_rows(rows)

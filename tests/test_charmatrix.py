@@ -574,6 +574,24 @@ class TestTwoByTwoShortcut:
         with pytest.raises(WrongSpectrum):
             eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(4))
 
+    @pytest.mark.parametrize("a,pair,vectors", [
+        (SHORTCUT, ("2", "5"), ([1, -1], [1, 2])),
+        (TRIANGULAR_PAIR, ("2", "5"), ([7, -3], [1, 0])),
+        (m([[1, -2], [2, 1]]), ("1+2i", "1-2i"), ([1, "-i"], [1, "i"])),
+    ], ids=["shortcut", "zero-column", "gaussian"])
+    def test_exact_vectors(self, a, pair, vectors):
+        # the first nonzero column of A − μI for the other eigenvalue μ,
+        # normalized, in either order of the pair
+        lam1, lam2 = map(to_scalar, pair)
+        expected = tuple(map(v, vectors))
+        assert eigenvectors_2x2(a, lam1, lam2) == expected
+        assert eigenvectors_2x2(a, lam2, lam1) == expected[::-1]
+
+    def test_exact_defective_direction(self):
+        with pytest.raises(Defective) as excinfo:
+            eigenvectors_2x2(DEFECTIVE_PAIR, to_scalar(2), to_scalar(2))
+        assert excinfo.value.eigenvector == v([1, 1])
+
 
 class TestCombinedMatrix:
     def test_two_by_two_assignment(self):

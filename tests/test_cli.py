@@ -596,6 +596,20 @@ class TestCanonicalGrammar:
         assert err == (f"error: --target {text}: rational with zero "
                        "denominator\n")
 
+    @pytest.mark.parametrize("command", ["eigenvectors", "left"])
+    @pytest.mark.parametrize("text,message", [
+        ("1/0", "error: --target 1/0: rational with zero denominator\n"),
+        ("2/4", "error: non-canonical scalar '2/4'; its canonical form "
+                "is '1/2'\n")], ids=["zero-denominator", "non-canonical"])
+    def test_target_is_read_before_the_spectrum(self, run, write_json,
+                                                command, text, message):
+        # the matrix's spectrum escapes Q(i), which alone exits 3
+        matrix = write_json(matrix_to_json(IRRATIONAL_PAIR))
+        code, out, err = run(command, matrix, f"--target={text}")
+        assert (code, out, err) == (2, "", message)
+        code, out, _ = run(command, matrix, "--target=1")
+        assert code == 3 and out == ""
+
 
 class TestCharpolyCount:
     """The CLI passes the parsed spectrum, or None, through to the

@@ -222,6 +222,6 @@ def test_a_copied_matrix_keeps_no_fact():
     assert a._charpoly is not None and a._jordan is not None
     for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert back == a
-        for name in ("_charpoly", "_verified", "_eigenvectors", "_jordan"):
+        for name in ("_charpoly", "_eigenvectors", "_jordan"):
             assert getattr(back, name, None) is None
         assert jordan_form(back, SPECTRUM) == jordan_form(a, SPECTRUM)

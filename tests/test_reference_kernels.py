@@ -15,7 +15,10 @@ planes the scaling by one rational factor. RREF,
 null space and inverse by forward elimination and back-substitution
 must equal the fraction-free Gauss–Jordan ones they replaced, on
 integer, large-integer, rational and Gaussian-rational matrices of
-every shape and on the corpus's shifted matrices.
+every shape and on the corpus's shifted matrices. The planted Jordan
+form built with ``Matrix.diagonal`` must equal the one filled in entry
+by entry, and the generator must conjugate exactly that form, on random
+block structures and on every corpus recipe.
 """
 
 import json
@@ -58,6 +61,8 @@ from exacteig import (
 from exacteig.charmatrix import _kept_kernels
 from exacteig.jordan import _chains
 from exacteig.matrices import _primitive_chain
+from exacteig.verification import _canonical_form
+from conftest import CORPUS_SIZE, corpus_config
 from test_factorizations import _copy, _text
 
 ZERO = GaussianRational()
@@ -354,8 +359,8 @@ def test_corpus_agrees_with_reference(corpus):
 
 
 @st.composite
-def planted_jordan(draw):
-    """(matrix, spectrum) with 1–3 distinct eigenvalues, one of them
+def planted_configs(draw):
+    """Generator configs with 1–3 distinct eigenvalues, one of them
     nonreal Gaussian, each split into random Jordan blocks, n ≤ 8."""
     gaussian = GaussianRational(draw(st.integers(-3, 3)),
                                 draw(st.sampled_from([-2, -1, 1, 2])))
@@ -371,10 +376,33 @@ def planted_jordan(draw):
             budget -= sizes[-1]
         blocks[value] = tuple(sizes)
     spectrum = Spectrum([(v, sum(b)) for v, b in blocks.items()])
-    config = GeneratorConfig(dim=spectrum.total, spectrum=spectrum,
-                             seed=draw(st.integers(0, 2**64 - 1)),
-                             jordan_blocks=blocks)
-    return random_spectral_matrix(config)[0], spectrum
+    return GeneratorConfig(dim=spectrum.total, spectrum=spectrum,
+                           seed=draw(st.integers(0, 2**64 - 1)),
+                           jordan_blocks=blocks)
+
+
+@st.composite
+def planted_jordan(draw):
+    """(matrix, spectrum) of a ``planted_configs`` recipe."""
+    config = draw(planted_configs())
+    return random_spectral_matrix(config)[0], config.spectrum
+
+
+def assert_planted_form_agrees(config):
+    canonical = ref.canonical_form(config)
+    assert _canonical_form(config) == canonical
+    a, p = random_spectral_matrix(config)
+    assert a == matmul(matmul(p, canonical), inverse(p))
+
+
+class TestPlantedFormAgainstReference:
+    @given(planted_configs())
+    def test_planted_structures(self, config):
+        assert_planted_form_agrees(config)
+
+    def test_corpus_recipe(self):
+        for seed in range(CORPUS_SIZE):
+            assert_planted_form_agrees(corpus_config(seed))
 
 
 def assert_jordan_kernels_agree(a, spectrum):

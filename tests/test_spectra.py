@@ -347,9 +347,9 @@ class TestVerifySpectrum:
 
 
 class TestPerMatrixFacts:
-    """A matrix keeps its characteristic polynomial and the last spectrum
-    verified against it; both are exact, so nothing is checked with a
-    tolerance."""
+    """A matrix keeps its characteristic polynomial, and the polynomial
+    the last spectrum verified against it; both are exact, so nothing is
+    checked with a tolerance."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
@@ -405,6 +405,27 @@ class TestPerMatrixFacts:
         monkeypatch.setattr(exacteig.spectra, "_deflated", None)
         assert verify_spectrum(a, DOUBLE_PLUS_SIMPLE_SPECTRUM) == s
         assert len(computed) == 1
+
+    def test_a_supplied_spectrum_is_kept_once(self, fresh, monkeypatch,
+                                              computed):
+        # the polynomial alone keeps the spectrum, and the transpose,
+        # even one taken before the check, shares the polynomial
+        assert {name for name in Matrix.__slots__
+                if name not in ("rows", "cols", "_den", "_re", "_im")} \
+            == {"_charpoly", "_eigenvectors", "_jordan"}
+        a = fresh(THREE_DISTINCT)
+        charpoly(a)
+        early = a.transpose()
+        assert verify_spectrum(a, THREE_DISTINCT_SPECTRUM) \
+            == THREE_DISTINCT_SPECTRUM
+        monkeypatch.setattr(exacteig.spectra, "_deflated", None)
+        for b in (a, a.transpose(), early):
+            assert verify_spectrum(b, THREE_DISTINCT_SPECTRUM) \
+                == THREE_DISTINCT_SPECTRUM
+        for value in THREE_DISTINCT_SPECTRUM.values():
+            assert exacteig.product_eigenvectors(
+                a.transpose(), THREE_DISTINCT_SPECTRUM, value)
+        assert computed == [a]
 
     @pytest.fixture
     def deflations(self, monkeypatch):
@@ -472,7 +493,8 @@ class TestPerMatrixFacts:
 
     def test_a_new_matrix_holds_no_fact(self, fresh):
         a = Matrix([[1, 2], [3, 4]])
-        assert not hasattr(a, "_charpoly") and not hasattr(a, "_verified")
+        assert not any(hasattr(a, name)
+                       for name in ("_charpoly", "_eigenvectors", "_jordan"))
         assert not hasattr(Matrix.identity(3).transpose(), "_charpoly")
         # the eigen-structure is kept for the matrix alone: neither its
         # transpose nor an equal new matrix has it

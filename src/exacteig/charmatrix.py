@@ -18,8 +18,7 @@ The product-method entry points (``product_eigenvectors``,
 ``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
 first, which costs a comparison once the matrix has verified it, and
 build A − λI once per eigenvalue per call. Everything is exact; every
-returned eigenvector is residual-checked against A·v = λ·v before it
-leaves this module.
+returned eigenvector is checked by (A − λI)·v = 0 on the integer planes.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ from .matrices import (
     Matrix,
     Record,
     _annihilates,
-    _tally,
     Vector,
     cross3,
-    det,
     hstack,
     independent_extension,
     matmul,
@@ -54,7 +51,6 @@ from .matrices import (
     nullspace_basis,
     rank,
     subtract_scalar_diag,
-    trace,
 )
 from .scalars import format_scalar, to_scalar
 from .spectra import (Spectrum, charpoly, multiplicity_of, resolve_spectrum,
@@ -146,12 +142,6 @@ def _target_index(s, target):
     return values.index(target)
 
 
-def _residual_ok(a, lam, v):
-    """Exact check A·v = λ·v (or v·A = λ·v for a row vector)."""
-    _tally(mults=len(v))
-    return matvec(a, v) == v.scaled(lam)
-
-
 def _residual_checked(shifted, vectors):
     """``vectors``, checked to satisfy (A − λI)·v = 0 exactly."""
     if not _annihilates(shifted, vectors):
@@ -210,7 +200,7 @@ def _eigenbasis(a, s, shifted, k):
         if v.is_zero():
             continue
         # the product has rank 1, so its first nonzero column decides
-        if not _residual_ok(a, target, v):
+        if not _annihilates(_shifted(a, s, shifted, k), [v]):
             break
         v = normalize_eigenvector(v)
         if null is not None and v != null[0]:
@@ -274,18 +264,16 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
         raise NotDiagonalizable(
             "shifted-matrix product is nonzero: an eigenspace is too small",
             witness=witness)
-    return (
-        _independent_columns(k2, a, lam1, m1),
-        _independent_columns(k1, a, lam2, m2),
-    )
+    return (_independent_columns(k2, k1, m1),
+            _independent_columns(k1, k2, m2))
 
 
-def _independent_columns(source, a, lam, expected):
-    """Collect ``expected`` independent normalized λ-eigenvectors of
-    ``a`` from the columns of ``source``."""
+def _independent_columns(source, shifted, expected):
+    """``expected`` independent normalized eigenvectors among the columns
+    of ``source``, all checked by ``shifted`` = A − λI."""
     columns = [source.column(j) for j in range(source.cols)]
     columns = [v for v in columns if not v.is_zero()]
-    if not all(_residual_ok(a, lam, v) for v in columns):
+    if not _annihilates(shifted, columns):
         raise InternalInconsistency(
             "column of an annihilating factor is not an eigenvector")
     picked = independent_extension([], columns)[:expected]
@@ -299,12 +287,13 @@ def eigenvectors_2x2(a, lam1, lam2):
     """Eigenvectors of a 2×2 matrix by direct column reading — the
     no-computation shortcut.
 
-    With distinct eigenvalues the λ₁-eigenvector is the first nonzero of
-    the columns (a−λ₂, c) / (b, d−λ₂) and symmetrically for λ₂, read as
-    ``two_spectrum_eigenvectors`` reads them. A scalar matrix returns
-    the standard basis. A repeated eigenvalue on a non-scalar matrix is
-    defective: the Defective error carries the one normalized
-    eigendirection.
+    The pair is verified by deflating the characteristic polynomial,
+    which keeps it. With distinct eigenvalues the λ₁-eigenvector is the
+    first nonzero column of A − λ₂I, checked by A − λ₁I, and
+    symmetrically for λ₂, as in ``two_spectrum_eigenvectors``. A scalar
+    matrix returns the standard basis. A repeated eigenvalue on a
+    non-scalar matrix is defective: the Defective error carries the one
+    normalized eigendirection, checked by (A − λI)².
     """
     if a.rows != 2 or a.cols != 2:
         if not a.is_square:
@@ -312,20 +301,19 @@ def eigenvectors_2x2(a, lam1, lam2):
         raise DimensionMismatch("shortcut needs a 2x2 matrix")
     lam1 = to_scalar(lam1)
     lam2 = to_scalar(lam2)
-    if lam1 + lam2 != trace(a) or lam1 * lam2 != det(a):
-        raise WrongSpectrum(
-            "claimed eigenvalues do not match the trace and determinant")
+    verify_spectrum(a, [(lam1, 2)] if lam1 == lam2
+                    else [(lam1, 1), (lam2, 1)])
     k2 = subtract_scalar_diag(a, lam2)
     if lam1 == lam2:
         if k2.is_zero():
             return Vector((1, 0)), Vector((0, 1))
-        direction = _independent_columns(k2, a, lam1, 1)[0]
+        direction = _independent_columns(k2, k2, 1)[0]
         raise Defective(
             f"repeated eigenvalue {format_scalar(lam1)} with a "
             "one-dimensional eigenspace", eigenvector=direction)
     k1 = subtract_scalar_diag(a, lam1)
-    return (_independent_columns(k2, a, lam1, 1)[0],
-            _independent_columns(k1, a, lam2, 1)[0])
+    return (_independent_columns(k2, k1, 1)[0],
+            _independent_columns(k1, k2, 1)[0])
 
 
 def combined_characteristic_matrix(a, column_assignment, s=None):
@@ -380,16 +368,16 @@ def cross_eigenvector_3x3(a, lam):
             raise NotSquare("cross-product extraction needs a 3x3 matrix")
         raise DimensionMismatch("cross-product extraction needs a 3x3 matrix")
     lam = to_scalar(lam)
-    shifted = subtract_scalar_diag(a, lam)
-    if det(shifted):
+    if not multiplicity_of(charpoly(a), lam):
         raise NotInSpectrum(
             f"{format_scalar(lam)} is not an eigenvalue")
+    shifted = subtract_scalar_diag(a, lam)
     rows = [shifted.row(i) for i in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c = cross3(rows[i], rows[j])
         if not c.is_zero():
             v = normalize_eigenvector(c)
-            if not _residual_ok(a, lam, v):
+            if not _annihilates(shifted, [v]):
                 raise InternalInconsistency(
                     "cross product of shifted rows is not an eigenvector")
             return v
@@ -434,8 +422,8 @@ def intersection_eigenvectors(a, s, target):
     s = verify_spectrum(a, s)
     target = s.pairs[_target_index(s, target)][0]
     others = [v for v in s.values() if v != target]
+    kappa = subtract_scalar_diag(a, target)
     if not others:
-        kappa = subtract_scalar_diag(a, target)
         return _residual_checked(kappa, nullspace_basis(kappa))
     current = subtract_scalar_diag(a, others[0])
     for value in others[1:]:
@@ -446,7 +434,7 @@ def intersection_eigenvectors(a, s, target):
         current = Matrix.from_columns(vectors)
     columns = [current.column(j) for j in range(current.cols)]
     clean = [v for v in columns
-             if not v.is_zero() and _residual_ok(a, target, v)]
+             if not v.is_zero() and _annihilates(kappa, [v])]
     return [normalize_eigenvector(v)
             for v in independent_extension([], clean)]
 

@@ -23,7 +23,7 @@ verify it in one routine, and ``ode_general_solution`` alike.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .errors import (
     InternalInconsistency,
@@ -208,26 +208,23 @@ def jordan_form(a, s=None):
 
 def _decomposition(a, s):
     """(P, J, P⁻¹) for the verified spectrum ``s``, exactly checked, for
-    ``jordan_form`` and ``diagonalize`` (1×1 blocks). P·J·P⁻¹ = A fixes
-    row k of P⁻¹ unless column k of J is zero, where a block of 0 starts:
-    there P⁻¹ₖ·P = eₖ is checked. ``a`` forgets a P that fails."""
+    ``jordan_form`` and ``diagonalize`` (1×1 blocks) by P·(J + cI)·P⁻¹ =
+    A + cI, c the least integer ≥ 0 with −c ∉ σ(A): J + cI has no zero
+    column, so this fixes every row of P⁻¹. ``a`` forgets a P that fails."""
     p, sizes = _jordan_basis(a, s)
-    n, values = a.rows, s.expanded()
-    starts = list(accumulate(sizes[:-1], initial=0))
-    j = Matrix.diagonal(values, set(range(n)).difference(starts))
-    free = [k for k in starts if not values[k]]
-    identity = Matrix.identity(n) if free else None
+    starts = accumulate(sizes[:-1], initial=0)
+    j = Matrix.diagonal(s.expanded(), set(range(a.rows)).difference(starts))
     try:
         p_inv = inverse(p)
     except Singular:
         failed = "chain vectors are not a basis"
     else:
-        if matmul(matmul(p, j), p_inv) != a:
-            failed = "decomposition check P*J*P^-1 == A failed"
-        elif any(matvec(p, p_inv.row(k)) != identity.row(k) for k in free):
-            failed = "decomposition check P^-1*P == I failed"
-        else:
+        c = next(c for c in count() if -c not in s.values())
+        jc, ac = ((subtract_scalar_diag(j, -c), subtract_scalar_diag(a, -c))
+                  if c else (j, a))
+        if matmul(matmul(p, jc), p_inv) == ac:
             return p, j, p_inv
+        failed = "decomposition check P*J*P^-1 == A failed"
     a._remember("_jordan", None)
     raise InternalInconsistency(failed)
 

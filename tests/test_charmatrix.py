@@ -574,6 +574,13 @@ class TestTwoByTwoShortcut:
         with pytest.raises(WrongSpectrum):
             eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(4))
 
+    # SHORTCUT has trace 7 and determinant 10: (3, 4) has the trace and
+    # not the determinant, (1, 10) the determinant and not the trace
+    @pytest.mark.parametrize("pair", [(3, 4), (4, 3), (1, 10), (10, 1)])
+    def test_rejects_a_pair_that_matches_one_invariant(self, pair):
+        with pytest.raises(WrongSpectrum):
+            eigenvectors_2x2(SHORTCUT, *map(to_scalar, pair))
+
     @pytest.mark.parametrize("a,pair,vectors", [
         (SHORTCUT, ("2", "5"), ([1, -1], [1, 2])),
         (TRIANGULAR_PAIR, ("2", "5"), ([7, -3], [1, 0])),
@@ -633,7 +640,7 @@ class TestCrossProductRoute:
         assert_same_span([crossed], CROSS_DEMO_SPANS[3], 3)
 
     def test_rejects_non_eigenvalue(self):
-        with pytest.raises(NotInSpectrum):
+        with pytest.raises(NotInSpectrum, match="^7 is not an eigenvalue$"):
             cross_eigenvector_3x3(CROSS_DEMO, to_scalar(7))
 
     def test_parallel_rows_raise(self):
@@ -684,6 +691,69 @@ class TestDiagonalizability:
         assert witness == m([[1, -1], [1, -1]])
 
 
+class TestEveryEigenvectorIsChecked:
+    """Every vector a route returns is checked by (A − λI)·v = 0 on the
+    integer planes: a vector that is no eigenvector, put where the
+    route reads its vectors, raises or, in the intersection route, is
+    dropped. (1, 0) and (1, 0, 0) are no eigenvectors of the matrices
+    used here."""
+
+    NOT_AN_EIGENVECTOR = Matrix([[1, 1], [0, 0]])
+
+    @pytest.mark.parametrize("call", [product_eigenvectors,
+                                      left_product_eigenvectors])
+    def test_the_product_column_of_a_simple_eigenvalue(self, monkeypatch,
+                                                       call):
+        monkeypatch.setattr(exacteig.charmatrix, "_product_factors",
+                            lambda *args, **kwargs: [self.NOT_AN_EIGENVECTOR])
+        assert not residual_check(SHORTCUT, to_scalar(5), v([1, 0]))
+        with pytest.raises(InternalInconsistency, match="no eigenvector"):
+            call(SHORTCUT, SHORTCUT_SPECTRUM, to_scalar(5))
+
+    @pytest.mark.parametrize("call,replaced", [
+        (lambda: two_spectrum_eigenvectors(SHORTCUT, to_scalar(2),
+                                           to_scalar(5)), 0),
+        (lambda: two_spectrum_eigenvectors(SHORTCUT, to_scalar(2),
+                                           to_scalar(5)), 1),
+        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)), 0),
+        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)), 1),
+        (lambda: eigenvectors_2x2(DEFECTIVE_PAIR, to_scalar(2),
+                                  to_scalar(2)), 0),
+    ], ids=["two-spectrum-first", "two-spectrum-second", "2x2-first",
+            "2x2-second", "2x2-defective-direction"])
+    def test_every_column_set(self, monkeypatch, call, replaced):
+        # the columns of one set are replaced; the other set stays
+        original = exacteig.charmatrix._independent_columns
+        sets = []
+
+        def one_replaced(source, shifted, expected):
+            if len(sets) == replaced:
+                source = self.NOT_AN_EIGENVECTOR
+            sets.append(source)
+            return original(source, shifted, expected)
+
+        monkeypatch.setattr(exacteig.charmatrix, "_independent_columns",
+                            one_replaced)
+        with pytest.raises(InternalInconsistency, match="not an eigenvector"):
+            call()
+
+    def test_the_cross_product(self, monkeypatch):
+        monkeypatch.setattr(exacteig.charmatrix, "cross3",
+                            lambda u, w: Vector([1, 0, 0]))
+        with pytest.raises(InternalInconsistency, match="not an eigenvector"):
+            cross_eigenvector_3x3(CROSS_DEMO, to_scalar(0))
+
+    def test_the_intersection_drops_it(self, monkeypatch):
+        expected = intersection_eigenvectors(
+            THREE_DISTINCT, THREE_DISTINCT_SPECTRUM, to_scalar(1))
+        original = exacteig.charmatrix.column_space_intersection
+        monkeypatch.setattr(
+            exacteig.charmatrix, "column_space_intersection",
+            lambda b1, b2: [*original(b1, b2), Vector([1, 0, 0])])
+        assert intersection_eigenvectors(
+            THREE_DISTINCT, THREE_DISTINCT_SPECTRUM, to_scalar(1)) == expected
+
+
 class TestEveryEntryPointChecksItsSpectrum:
     """Entry points that take a spectrum, or find one, check it like the
     product methods do (``verify_spectrum`` or ``resolve_spectrum``): a
@@ -713,6 +783,15 @@ class TestEveryEntryPointChecksItsSpectrum:
         with pytest.raises(WrongSpectrum, match="spectrum is not"):
             two_spectrum_eigenvectors(HALVES, to_scalar(lam1),
                                       to_scalar(lam2))
+
+    @pytest.mark.parametrize("pair", [(2, 5), (5, 2)])
+    def test_eigenvectors_2x2_keeps_the_spectrum(self, fresh, no_deflation,
+                                                 pair):
+        a = fresh(SHORTCUT)
+        eigenvectors_2x2(a, *map(to_scalar, pair))
+        no_deflation()
+        assert verify_spectrum(a, [(pair[0], 1), (pair[1], 1)]) \
+            == SHORTCUT_SPECTRUM
 
     def test_two_spectrum_eigenvectors_keeps_the_spectrum(self, fresh,
                                                           no_deflation):

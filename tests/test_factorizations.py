@@ -414,6 +414,33 @@ def _conjugate_pair_case(draw, n):
             Spectrum(counts))
 
 
+@st.composite
+def _planted_case(draw, with_zero):
+    """(matrix, spectrum, {eigenvalue: block sizes}) with n = 2–6 and
+    integer eigenvalues in −3..3, the Jordan blocks of each drawn at
+    random. With ``with_zero`` 0 is an eigenvalue, so a block of 0
+    starts at one or more columns of J; else it is not one."""
+    n = draw(st.integers(2, 6))
+    candidates = [v for v in range(-3, 4) if v]
+    values = draw(st.lists(st.sampled_from(candidates), min_size=1,
+                           max_size=min(3, n) - with_zero, unique=True))
+    values = [0, *values] if with_zero else values
+    mults = [1] * len(values)
+    for _ in range(n - len(values)):
+        mults[draw(st.integers(0, len(values) - 1))] += 1
+    blocks = {}
+    for value, mult in zip(values, mults):
+        sizes = []
+        while sum(sizes) < mult:
+            sizes.append(draw(st.integers(1, mult - sum(sizes))))
+        blocks[value] = tuple(sorted(sizes, reverse=True))
+    spectrum = Spectrum(list(zip(values, mults)))
+    config = GeneratorConfig(dim=n, spectrum=spectrum,
+                             seed=draw(st.integers(0, 2**64 - 1)),
+                             entry_bound=2, jordan_blocks=blocks)
+    return random_spectral_matrix(config)[0], spectrum, blocks
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Names of the eigen-structure kernels called, in order, counted
@@ -555,7 +582,8 @@ class TestKeptEigenStructure:
         assert jordan_form(a) == jordan_form(_copy(a))
 
     # the first column of J is zero (a block of eigenvalue 0), so
-    # P·J·P⁻¹ = A holds whatever row 0 of P⁻¹ is
+    # P·J·P⁻¹ = A holds whatever row 0 of P⁻¹ is, and the check runs on
+    # P·(J + I)·P⁻¹ = A + I instead
     @pytest.mark.parametrize("call,rows", [
         (diagonalize, [[1, 1], [0, 0]]),
         (jordan_form, [[1, 1], [0, 0]]),
@@ -572,9 +600,37 @@ class TestKeptEigenStructure:
             if hasattr(module, "inverse"):
                 monkeypatch.setattr(module, "inverse", off_in_row_0)
         a = Matrix(rows)
-        with pytest.raises(InternalInconsistency, match="P\\^-1\\*P == I"):
+        with pytest.raises(InternalInconsistency, match="P\\*J\\*P\\^-1 == A"):
             call(a)
         assert a._jordan is None
+
+    @pytest.mark.parametrize("with_zero", [True, False],
+                             ids=["zero-at-block-starts", "no-zero"])
+    @given(data=st.data())
+    def test_every_row_of_the_inverse_is_checked_on_planted_matrices(
+            self, with_zero, data):
+        matrix, spectrum, blocks = data.draw(_planted_case(with_zero))
+        n = matrix.rows
+        offset = Matrix([data.draw(st.lists(
+            st.integers(-3, 3), min_size=n, max_size=n).filter(any))])
+        calls = [jordan_form]
+        if all(size == 1 for sizes in blocks.values() for size in sizes):
+            calls.append(diagonalize)
+        for k in range(n):
+            def off_in_row_k(p):
+                right = inverse(p)
+                return Matrix([[right.entry(i, j)
+                                + offset.entry(0, j) * (i == k)
+                                for j in range(n)] for i in range(n)])
+
+            for call in calls:
+                a = _copy(matrix)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(exacteig.jordan, "inverse", off_in_row_k)
+                    with pytest.raises(InternalInconsistency,
+                                       match="P\\*J\\*P\\^-1 == A"):
+                        call(a, spectrum)
+                assert a._jordan is None
 
     @given(corpus_recipe())
     def test_kept_and_cold_paths_agree(self, case):

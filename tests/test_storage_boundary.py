@@ -6,7 +6,8 @@ polynomial, and the spectrum recorded on it, are read by
 ``exacteig/spectra.py`` alone, and each eigen-structure fact of a matrix
 is named only by ``matrices.py`` and the one module that finds it. One
 routine in ``jordan.py`` inverts P and checks A = P·J·P⁻¹, for
-``jordan_form`` and ``diagonalize`` alike.
+``jordan_form`` and ``diagonalize`` alike, and each fact the package
+certifies has one exact check.
 Results are records of ``matrices.Record``: importing the package and
 its CLI loads neither ``dataclasses`` nor ``inspect``."""
 
@@ -95,6 +96,29 @@ def test_only_the_decomposition_and_the_generator_invert():
                for path in PACKAGE.glob("*.py") if references(path, calls)}
     assert set(calling) == {"jordan.py", "verification.py"}
     assert len(calling["jordan.py"]) == 1
+
+
+def test_an_eigenvector_is_checked_on_the_planes():
+    # (A − λI)·V = 0 through matrices._annihilates, not A·v = λ·v
+    name = re.compile(r"\b_residual_ok\b")
+    assert [hit for path in PACKAGE.glob("*.py")
+            for hit in references(path, name)] == []
+
+
+def test_a_claimed_eigenvalue_is_checked_by_deflation():
+    # the characteristic polynomial, not the trace, determinant or
+    # det(A − λI), decides whether a value is an eigenvalue
+    calls = re.compile(r"(?<![\w.])(?:trace|det)\(")
+    assert references(PACKAGE / "charmatrix.py", calls) == []
+    assert references(PACKAGE / "matrices.py", calls)
+
+
+def test_the_inverse_is_checked_by_one_identity():
+    # P·(J + cI)·P⁻¹ = A + cI fixes every row of P⁻¹: no identity is
+    # built and no row of P⁻¹ is read on its own
+    source = inspect.getsource(exacteig.jordan._decomposition)
+    assert "inverse(p)" in source
+    assert not re.search(r"\bidentity\(|\.row\(", source)
 
 
 def package_functions():

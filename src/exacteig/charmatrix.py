@@ -18,7 +18,8 @@ The product-method entry points (``product_eigenvectors``,
 ``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
 first, which costs a comparison once the matrix has verified it, and
 build A − λI once per eigenvalue per call. Everything is exact; every
-returned eigenvector is checked by (A − λI)·v = 0 on the integer planes.
+returned eigenvector is checked by (A − λI)·v = 0 on the integer planes,
+the |σ(A)| ≤ 2 shortcut's columns all at once by (A − λ₁I)(A − λ₂I) = 0.
 """
 
 from __future__ import annotations
@@ -230,16 +231,31 @@ def left_product_eigenvectors(a, s, target):
             for w in product_eigenvectors(a.transpose(), s, target)]
 
 
+def _eigenmatrices(a, lam1, lam2):
+    """(A − λ₁I, A − λ₂I), one matrix when λ₁ = λ₂, under the premise of
+    the |σ(A)| ≤ 2 shortcut, (A − λ₁I)(A − λ₂I) = 0: the factors commute,
+    so it certifies every column of both. A nonzero product is raised as
+    the NotDiagonalizable witness."""
+    k1 = subtract_scalar_diag(a, lam1)
+    k2 = k1 if lam1 == lam2 else subtract_scalar_diag(a, lam2)
+    witness = matmul(k1, k2)
+    if not witness.is_zero():
+        raise NotDiagonalizable(
+            "shifted-matrix product is nonzero: an eigenspace is too small",
+            witness=witness)
+    return k1, k2
+
+
 def two_spectrum_eigenvectors(a, lam1, lam2):
     """Full eigenbasis split for a matrix whose spectrum is exactly
     {λ₁, λ₂}, read directly off the two shifted matrices.
 
-    Requires (A − λ₁I)(A − λ₂I) = 0; the nonzero product is raised as a
-    NotDiagonalizable witness otherwise. Returns ``(for_lam1, for_lam2)``
-    where the λ₁-eigenvectors are independent columns of A − λ₂I and
-    vice versa. The multiplicity of λ₁ is read off the characteristic
-    polynomial, and ``verify_spectrum`` then checks that λ₂ takes the
-    rest, so the characteristic polynomial of ``a`` keeps that spectrum.
+    Requires (A − λ₁I)(A − λ₂I) = 0, checked once; the nonzero product
+    is raised as a NotDiagonalizable witness otherwise. Returns
+    ``(for_lam1, for_lam2)`` where the λ₁-eigenvectors are independent
+    columns of A − λ₂I and vice versa. The multiplicity of λ₁ is read
+    off the characteristic polynomial, and ``verify_spectrum`` then
+    checks that λ₂ takes the rest, so ``charpoly(a)`` keeps the spectrum.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -257,26 +273,15 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
         verify_spectrum(a, [(lam1, m1), (lam2, m2)])
     except WrongSpectrum:
         raise wrong from None
-    k1 = subtract_scalar_diag(a, lam1)
-    k2 = subtract_scalar_diag(a, lam2)
-    witness = matmul(k1, k2)
-    if not witness.is_zero():
-        raise NotDiagonalizable(
-            "shifted-matrix product is nonzero: an eigenspace is too small",
-            witness=witness)
-    return (_independent_columns(k2, k1, m1),
-            _independent_columns(k1, k2, m2))
+    k1, k2 = _eigenmatrices(a, lam1, lam2)
+    return _independent_columns(k2, m1), _independent_columns(k1, m2)
 
 
-def _independent_columns(source, shifted, expected):
-    """``expected`` independent normalized eigenvectors among the columns
-    of ``source``, all checked by ``shifted`` = A − λI."""
-    columns = [source.column(j) for j in range(source.cols)]
-    columns = [v for v in columns if not v.is_zero()]
-    if not _annihilates(shifted, columns):
-        raise InternalInconsistency(
-            "column of an annihilating factor is not an eigenvector")
-    picked = independent_extension([], columns)[:expected]
+def _independent_columns(source, expected):
+    """``expected`` independent normalized columns of ``source``, a factor
+    that ``_eigenmatrices`` has certified."""
+    picked = independent_extension(
+        [], [source.column(j) for j in range(source.cols)])[:expected]
     if len(picked) < expected:
         raise InternalInconsistency(
             "annihilating factor yielded too few independent columns")
@@ -288,12 +293,12 @@ def eigenvectors_2x2(a, lam1, lam2):
     no-computation shortcut.
 
     The pair is verified by deflating the characteristic polynomial,
-    which keeps it. With distinct eigenvalues the λ₁-eigenvector is the
-    first nonzero column of A − λ₂I, checked by A − λ₁I, and
-    symmetrically for λ₂, as in ``two_spectrum_eigenvectors``. A scalar
-    matrix returns the standard basis. A repeated eigenvalue on a
-    non-scalar matrix is defective: the Defective error carries the one
-    normalized eigendirection, checked by (A − λI)².
+    which keeps it; by Cayley–Hamilton (A − λ₁I)(A − λ₂I) = 0 then
+    holds, and a nonzero product is a fault. With distinct
+    eigenvalues the λ₁-eigenvector is the first nonzero column of
+    A − λ₂I and vice versa. A scalar matrix returns the standard basis;
+    on any other, a repeated eigenvalue raises Defective with the one
+    normalized eigendirection, a column of A − λI.
     """
     if a.rows != 2 or a.cols != 2:
         if not a.is_square:
@@ -303,17 +308,18 @@ def eigenvectors_2x2(a, lam1, lam2):
     lam2 = to_scalar(lam2)
     verify_spectrum(a, [(lam1, 2)] if lam1 == lam2
                     else [(lam1, 1), (lam2, 1)])
-    k2 = subtract_scalar_diag(a, lam2)
+    try:
+        k1, k2 = _eigenmatrices(a, lam1, lam2)
+    except NotDiagonalizable as fault:
+        raise InternalInconsistency(
+            "a verified 2x2 pair leaves a nonzero product") from fault
     if lam1 == lam2:
         if k2.is_zero():
             return Vector((1, 0)), Vector((0, 1))
-        direction = _independent_columns(k2, k2, 1)[0]
-        raise Defective(
-            f"repeated eigenvalue {format_scalar(lam1)} with a "
-            "one-dimensional eigenspace", eigenvector=direction)
-    k1 = subtract_scalar_diag(a, lam1)
-    return (_independent_columns(k2, k1, 1)[0],
-            _independent_columns(k1, k2, 1)[0])
+        raise Defective(f"repeated eigenvalue {format_scalar(lam1)} with a "
+                        "one-dimensional eigenspace",
+                        eigenvector=_independent_columns(k2, 1)[0])
+    return _independent_columns(k2, 1)[0], _independent_columns(k1, 1)[0]
 
 
 def combined_characteristic_matrix(a, column_assignment, s=None):
@@ -325,7 +331,9 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
     the assigned eigenvalue (the other one; itself when the spectrum is
     a single point). Requires every assigned value to be an eigenvalue.
     The spectrum ``s`` is verified when given and found exactly when not
-    (``resolve_spectrum``), and ``charpoly(a)`` keeps it.
+    (``resolve_spectrum``), and ``charpoly(a)`` keeps it. The premise
+    (A − λ₁I)(A − λ₂I) = 0 over the spectrum, λ₁ = λ₂ for one point,
+    certifies the columns; a nonzero product raises NotDiagonalizable.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -339,18 +347,13 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
         raise SpectrumTooLarge(
             "combined matrix requires at most two distinct eigenvalues")
     values = s.values()
-    if len(values) == 2:
-        complement = {values[0]: values[1], values[1]: values[0]}
-    else:
-        complement = {values[0]: values[0]}
-    shifted = {v: subtract_scalar_diag(a, complement[v]) for v in values}
-    columns = []
-    for j, lam in enumerate(assignment):
-        if lam not in complement:
+    for lam in assignment:
+        if lam not in values:
             raise NotInSpectrum(
                 f"assigned value {format_scalar(lam)} is not an eigenvalue")
-        columns.append(shifted[lam].column(j))
-    return Matrix.from_columns(columns)
+    k1, k2 = _eigenmatrices(a, values[0], values[-1])
+    return Matrix.from_columns([(k2 if lam == values[0] else k1).column(j)
+                                for j, lam in enumerate(assignment)])
 
 
 def cross_eigenvector_3x3(a, lam):
@@ -413,11 +416,11 @@ def intersection_eigenvectors(a, s, target):
     """Eigenvectors for ``target`` from the iterated column-space
     intersection of the shifted matrices of the other eigenvalues.
 
-    Equals the eigenspace whenever the matrix is diagonalizable; the
-    final residual filter drops any excess directions a defective input
-    would leave behind. With no other eigenvalue the result is the
-    null-space basis of A − target·I, each vector residual-checked.
-    ``verify_spectrum`` checks ``s`` first (WrongSpectrum).
+    It holds the whole eigenspace on any input (A − μI is invertible on
+    it for μ ≠ λ): the eigenvectors are B·w for w in ker((A − λI)·B), B
+    the intersection basis; with no other eigenvalue, the null-space
+    basis of A − λI. Each is residual-checked. ``verify_spectrum``
+    checks ``s`` first (WrongSpectrum).
     """
     s = verify_spectrum(a, s)
     target = s.pairs[_target_index(s, target)][0]
@@ -427,16 +430,12 @@ def intersection_eigenvectors(a, s, target):
         return _residual_checked(kappa, nullspace_basis(kappa))
     current = subtract_scalar_diag(a, others[0])
     for value in others[1:]:
-        vectors = column_space_intersection(
-            current, subtract_scalar_diag(a, value))
-        if not vectors:
-            return []
-        current = Matrix.from_columns(vectors)
-    columns = [current.column(j) for j in range(current.cols)]
-    clean = [v for v in columns
-             if not v.is_zero() and _annihilates(kappa, [v])]
-    return [normalize_eigenvector(v)
-            for v in independent_extension([], clean)]
+        current = Matrix.from_columns(column_space_intersection(
+            current, subtract_scalar_diag(a, value)))
+    vectors = [matvec(current, w)
+               for w in nullspace_basis(matmul(kappa, current))]
+    return [normalize_eigenvector(v) for v in independent_extension(
+        [], _residual_checked(kappa, vectors))]
 
 
 def is_diagonalizable(a, s):

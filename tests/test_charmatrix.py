@@ -1,18 +1,22 @@
 """Shifted-matrix products and every eigenvector extraction route."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import exacteig
 from exacteig import (
     AllRowsParallel,
     Defective,
+    GaussianRational,
+    GeneratorConfig,
     InternalInconsistency,
     Matrix,
     NotDiagonalizable,
     NotInSpectrum,
     NotSquare,
     SpanBasis,
+    Spectrum,
     TargetNotInSpectrum,
     SpectrumTooLarge,
     Vector,
@@ -38,6 +42,7 @@ from exacteig import (
     parse_scalar,
     product_eigenvectors,
     left_product_eigenvectors,
+    random_spectral_matrix,
     rank,
     residual_check,
     resolve_spectrum,
@@ -621,6 +626,90 @@ class TestCombinedMatrix:
         with pytest.raises(NotInSpectrum):
             combined_characteristic_matrix(SHORTCUT, [2, 9])
 
+    @pytest.mark.parametrize("a,assignment,witness", [
+        (m([[2, 1, 0], [0, 2, 0], [0, 0, 3]]), [2, 2, 3],
+         m([[0, -1, 0], [0, 0, 0], [0, 0, 0]])),
+        (m([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), [1, 1, 1],
+         m([[0, 0, 1], [0, 0, 0], [0, 0, 0]])),
+    ], ids=["two-values", "jordan-block"])
+    def test_defective_input_raises_with_the_witness(self, a, assignment,
+                                                     witness):
+        # the columns (1, −1, 0) and (0, 1, 0) would be no eigenvectors
+        with pytest.raises(NotDiagonalizable) as excinfo:
+            combined_characteristic_matrix(a, assignment)
+        assert excinfo.value.witness == witness
+
+
+@st.composite
+def at_most_two_eigenvalues(draw):
+    """(A, spectrum, defective) planted with one or two distinct integer
+    or Gaussian eigenvalues, n ≤ 6; a defective draw puts a Jordan block
+    of size 2 or 3 on one of them."""
+    values = draw(st.lists(st.one_of(
+        st.builds(GaussianRational, st.integers(-3, 3)),
+        st.builds(GaussianRational, st.integers(-3, 3),
+                  st.sampled_from([-2, -1, 1, 2]))),
+        min_size=1, max_size=2, unique=True))
+    defective = draw(st.booleans())
+    budget = 6 - len(values)
+    blocks = {}
+    for i, value in enumerate(values):
+        sizes = [draw(st.integers(2, 3)) if defective and i == 0 else 1]
+        budget -= sizes[0] - 1
+        while budget and draw(st.booleans()):
+            sizes.append(draw(st.integers(1, min(budget, 3)))
+                         if defective else 1)
+            budget -= sizes[-1]
+        blocks[value] = tuple(sizes)
+    s = Spectrum([(value, sum(sizes)) for value, sizes in blocks.items()])
+    config = GeneratorConfig(dim=s.total, spectrum=s, jordan_blocks=blocks,
+                             seed=draw(st.integers(0, 2**64 - 1)))
+    return random_spectral_matrix(config)[0], s, defective
+
+
+class TestAtMostTwoEigenvalues:
+    """The paper's theorem: with |σ(A)| ≤ 2 the eigenvectors for λ₁ are
+    the nonzero columns of A − λ₂I and vice versa, exactly when
+    (A − λ₁I)(A − λ₂I) = 0. The three readers return eigenvectors on a
+    semisimple matrix and the product as a witness on a defective one."""
+
+    @given(at_most_two_eigenvalues())
+    @example((m([[2, 1, 0], [0, 2, 0], [0, 0, 3]]),
+              spectrum([(2, 2), (3, 1)]), True))
+    @example((m([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), spectrum([(1, 3)]),
+              True))
+    def test_the_three_readers(self, case):
+        a, s, defective = case
+        values = s.values()
+        lam1, lam2 = values[0], values[-1]
+        premise = matmul(subtract_scalar_diag(a, lam1),
+                         subtract_scalar_diag(a, lam2))
+        assignment = [value for value, mult in s.pairs
+                      for _ in range(mult)]
+        if defective and (lam1 != lam2 or not premise.is_zero()):
+            with pytest.raises(NotDiagonalizable) as excinfo:
+                combined_characteristic_matrix(a, assignment, s)
+            assert excinfo.value.witness == premise
+        else:
+            combined = combined_characteristic_matrix(a, assignment, s)
+            for j, value in enumerate(assignment):
+                column = combined.column(j)
+                assert column.is_zero() or residual_check(a, value, column)
+        if lam1 == lam2:
+            return
+        if defective:
+            with pytest.raises(NotDiagonalizable) as excinfo:
+                two_spectrum_eigenvectors(a, lam1, lam2)
+            assert excinfo.value.witness == premise
+            return
+        split = two_spectrum_eigenvectors(a, lam1, lam2)
+        for value, vectors in zip((lam1, lam2), split):
+            assert all(residual_check(a, value, w) for w in vectors)
+            assert_same_span(vectors, oracle_eigenvectors(a, value), a.rows)
+        if a.rows == 2:
+            assert eigenvectors_2x2(a, lam1, lam2) == \
+                tuple(vectors[0] for vectors in split)
+
 
 class TestCrossProductRoute:
     def test_known_kernel_vector(self):
@@ -664,6 +753,16 @@ class TestColumnSpaceIntersection:
         b2 = Matrix.from_columns([[0, 1, 0]])
         assert column_space_intersection(b1, b2) == []
 
+    def test_a_defective_input_keeps_every_eigenvector(self):
+        # P·(J₂(2) ⊕ [3])·P⁻¹ for P = [[1, 2, 0], [1, 1, 1], [0, 1, 2]]:
+        # no basis vector of the intersection is an eigenvector
+        a = m([["8/3", "-2/3", "1/3"], ["1/3", "5/3", "2/3"],
+               ["-2/3", "2/3", "8/3"]])
+        s = spectrum([(2, 2), (3, 1)])
+        for value in s.values():
+            assert intersection_eigenvectors(a, s, value) == \
+                oracle_eigenvectors(a, value)
+
     def test_eigenspace_as_product_intersection(self):
         # intersecting two single-shift column spaces recovers the
         # eigenspace of the remaining eigenvalue
@@ -692,11 +791,13 @@ class TestDiagonalizability:
 
 
 class TestEveryEigenvectorIsChecked:
-    """Every vector a route returns is checked by (A − λI)·v = 0 on the
-    integer planes: a vector that is no eigenvector, put where the
+    """Every vector a route returns is checked on the integer planes: by
+    (A − λI)·v = 0, or, in the readers of the |σ(A)| ≤ 2 shortcut, by
+    the one premise (A − λ₁I)(A − λ₂I) = 0 over the factors they read
+    their columns from. A vector that is no eigenvector, put where the
     route reads its vectors, raises or, in the intersection route, is
-    dropped. (1, 0) and (1, 0, 0) are no eigenvectors of the matrices
-    used here."""
+    dropped, and so does a factor with one wrong entry. (1, 0) and
+    (1, 0, 0) are no eigenvectors of the matrices used here."""
 
     NOT_AN_EIGENVECTOR = Matrix([[1, 1], [0, 0]])
 
@@ -710,32 +811,43 @@ class TestEveryEigenvectorIsChecked:
         with pytest.raises(InternalInconsistency, match="no eigenvector"):
             call(SHORTCUT, SHORTCUT_SPECTRUM, to_scalar(5))
 
-    @pytest.mark.parametrize("call,replaced", [
+    # a verified 2x2 pair leaves the product zero (Cayley–Hamilton), so
+    # there a nonzero one is a fault rather than a witness
+    @pytest.mark.parametrize("call,replaced,error", [
         (lambda: two_spectrum_eigenvectors(SHORTCUT, to_scalar(2),
-                                           to_scalar(5)), 0),
+                                           to_scalar(5)),
+         0, NotDiagonalizable),
         (lambda: two_spectrum_eigenvectors(SHORTCUT, to_scalar(2),
-                                           to_scalar(5)), 1),
-        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)), 0),
-        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)), 1),
+                                           to_scalar(5)),
+         1, NotDiagonalizable),
+        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)),
+         0, InternalInconsistency),
+        (lambda: eigenvectors_2x2(SHORTCUT, to_scalar(2), to_scalar(5)),
+         1, InternalInconsistency),
         (lambda: eigenvectors_2x2(DEFECTIVE_PAIR, to_scalar(2),
-                                  to_scalar(2)), 0),
+                                  to_scalar(2)), 0, InternalInconsistency),
+        (lambda: combined_characteristic_matrix(SHORTCUT, [2, 5]),
+         1, NotDiagonalizable),
     ], ids=["two-spectrum-first", "two-spectrum-second", "2x2-first",
-            "2x2-second", "2x2-defective-direction"])
-    def test_every_column_set(self, monkeypatch, call, replaced):
-        # the columns of one set are replaced; the other set stays
-        original = exacteig.charmatrix._independent_columns
-        sets = []
+            "2x2-second", "2x2-defective-direction", "combined"])
+    def test_every_column_set(self, monkeypatch, call, replaced, error):
+        # entry (0, 0) of one factor A − λI is off by one; the other
+        # factor stays, and every column is read from one of the two
+        original = exacteig.charmatrix.subtract_scalar_diag
+        factors = []
 
-        def one_replaced(source, shifted, expected):
-            if len(sets) == replaced:
-                source = self.NOT_AN_EIGENVECTOR
-            sets.append(source)
-            return original(source, shifted, expected)
+        def one_wrong(a, lam):
+            shifted = original(a, lam)
+            if len(factors) == replaced:
+                shifted = shifted + Matrix.diagonal([1, 0])
+            factors.append(shifted)
+            return shifted
 
-        monkeypatch.setattr(exacteig.charmatrix, "_independent_columns",
-                            one_replaced)
-        with pytest.raises(InternalInconsistency, match="not an eigenvector"):
+        monkeypatch.setattr(exacteig.charmatrix, "subtract_scalar_diag",
+                            one_wrong)
+        with pytest.raises(error, match="product is nonzero|nonzero product"):
             call()
+        assert len(factors) > replaced
 
     def test_the_cross_product(self, monkeypatch):
         monkeypatch.setattr(exacteig.charmatrix, "cross3",

@@ -92,6 +92,21 @@ class TestEigenvectors:
         assert code == 0
         assert json.loads(out) == [["1", "6", "-13"]]
 
+    def test_intersect_returns_the_whole_eigenspace(self, run, write_json):
+        # P·(J₂(2) ⊕ [3])·P⁻¹ for P = [[1, 2, 0], [1, 1, 1], [0, 1, 2]]:
+        # no basis vector of the intersection is an eigenvector
+        path = write_json({"rows": 3, "cols": 3, "entries": [
+            ["8/3", "-2/3", "1/3"], ["1/3", "5/3", "2/3"],
+            ["-2/3", "2/3", "8/3"]]})
+        code, intersect, _ = run("eigenvectors", path, "--method",
+                                 "intersect", "--json")
+        _, oracle, _ = run("eigenvectors", path, "--method", "oracle",
+                           "--json")
+        assert code == 0 and intersect == oracle
+        assert [space["vectors"] for space in json.loads(
+            intersect)["eigenvalues"]] == [[["1", "1", "0"]],
+                                           [["0", "1", "2"]]]
+
     def test_left_subcommand_and_flag_agree(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))
         _, via_subcommand, _ = run("left", path, "--json")

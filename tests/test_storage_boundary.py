@@ -105,6 +105,18 @@ def test_an_eigenvector_is_checked_on_the_planes():
             for hit in references(path, name)] == []
 
 
+def test_the_shortcut_has_one_premise_check():
+    # (A − λ₁I)(A − λ₂I) = 0 in charmatrix._eigenmatrices certifies the
+    # columns of both factors: the column reader checks none again
+    reader = exacteig.charmatrix._independent_columns
+    assert "_annihilates" not in inspect.getsource(reader)
+    assert "shifted" not in inspect.signature(reader).parameters
+    for name in ("two_spectrum_eigenvectors", "eigenvectors_2x2",
+                 "combined_characteristic_matrix"):
+        source = inspect.getsource(getattr(exacteig.charmatrix, name))
+        assert "_eigenmatrices(a, " in source, name
+
+
 def test_a_claimed_eigenvalue_is_checked_by_deflation():
     # the characteristic polynomial, not the trace, determinant or
     # det(A − λI), decides whether a value is an eigenvalue

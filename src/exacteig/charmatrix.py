@@ -54,8 +54,8 @@ from .matrices import (
     subtract_scalar_diag,
 )
 from .scalars import format_scalar, to_scalar
-from .spectra import (Spectrum, charpoly, multiplicity_of, resolve_spectrum,
-                      verify_spectrum)
+from .spectra import (Spectrum, _multiplicities, charpoly, multiplicity_of,
+                      resolve_spectrum, verify_spectrum)
 
 __all__ = [
     "CharacteristicMatrix",
@@ -253,9 +253,9 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
     Requires (A − λ₁I)(A − λ₂I) = 0, checked once; the nonzero product
     is raised as a NotDiagonalizable witness otherwise. Returns
     ``(for_lam1, for_lam2)`` where the λ₁-eigenvectors are independent
-    columns of A − λ₂I and vice versa. The multiplicity of λ₁ is read
-    off the characteristic polynomial, and ``verify_spectrum`` then
-    checks that λ₂ takes the rest, so ``charpoly(a)`` keeps the spectrum.
+    columns of A − λ₂I and vice versa. Deflating the characteristic
+    polynomial once by each eigenvalue finds both multiplicities, which
+    must take the whole degree, so ``charpoly(a)`` keeps the spectrum.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -263,16 +263,10 @@ def two_spectrum_eigenvectors(a, lam1, lam2):
     lam2 = to_scalar(lam2)
     if lam1 == lam2:
         raise WrongSpectrum("the two eigenvalues must be distinct")
-    wrong = WrongSpectrum("matrix spectrum is not {%s, %s}"
-                          % (format_scalar(lam1), format_scalar(lam2)))
-    m1 = multiplicity_of(charpoly(a), lam1)
-    m2 = a.rows - m1
-    if not m1 or not m2:
-        raise wrong
-    try:
-        verify_spectrum(a, [(lam1, m1), (lam2, m2)])
-    except WrongSpectrum:
-        raise wrong from None
+    m1, m2 = _multiplicities(charpoly(a), [lam1, lam2])
+    if not m1 or not m2 or m1 + m2 != a.rows:
+        raise WrongSpectrum("matrix spectrum is not {%s, %s}" % (
+            format_scalar(lam1), format_scalar(lam2)))
     k1, k2 = _eigenmatrices(a, lam1, lam2)
     return _independent_columns(k2, m1), _independent_columns(k1, m2)
 

@@ -55,8 +55,8 @@ def diagonalize(a, s=None):
     a witness — when some eigenspace is too small: the verdict of
     ``is_diagonalizable`` comes first, which is cheaper than the
     eigenbases on a defective matrix. P is the eigenvector matrix that
-    ``eigensystem`` keeps on ``a``, found by it when not kept; D is J,
-    with 1×1 blocks, verified by the routine of ``jordan_form``.
+    ``eigensystem`` keeps on ``a``, found by it when not kept; P, D (J
+    with 1×1 blocks) and P⁻¹ come from the routine of ``jordan_form``.
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
@@ -126,11 +126,8 @@ def ode_general_solution(a, s=None, realify=None):
     RealifyOnComplexMatrix. Always returns exactly n terms, labelled
     c1..cn.
 
-    The chains are the columns of the Jordan basis P that ``jordan_form``
-    takes, cut by its block sizes: ``a`` finds P once, for either call,
-    and keeps it. They are not verified through P·J·P⁻¹ = A here, which
-    would add an inverse and two products to every call (see README,
-    Quick start); ``jordan_form`` on ``a`` verifies the same P.
+    The chains are the columns of the certified Jordan basis P that
+    ``a`` keeps, cut by its block sizes.
     """
     if not a.is_square:
         raise NotSquare("the system matrix must be square")

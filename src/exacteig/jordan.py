@@ -16,22 +16,17 @@ Chains are then built top-down: a chain of length m starts with a
 level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
 an ordinary eigenvector x₁, from the ker κ that ``eigensystem`` kept.
 Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
-alone. Everything runs in exact arithmetic. A matrix finds its Jordan
-basis once and keeps it, for ``jordan_form`` and ``diagonalize``, which
-verify it in one routine, and ``ode_general_solution`` alike.
+alone. Everything runs in exact arithmetic. A matrix finds and certifies
+its Jordan basis once and keeps it, for ``jordan_form``, ``diagonalize``
+and ``ode_general_solution``; the first two check P⁻¹ by P⁻¹·P = I.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, count
+from itertools import accumulate
 
-from .errors import (
-    InternalInconsistency,
-    NotInSpectrum,
-    NotSquare,
-    RankTooLarge,
-    Singular,
-)
+from .errors import (InternalInconsistency, NotInSpectrum, NotSquare,
+                     RankTooLarge)
 from .charmatrix import _complete_eigenbasis, _kept_kernels
 from .matrices import (
     Matrix,
@@ -200,33 +195,30 @@ def jordan_form(a, s=None):
     Eigenvalues appear along J in ascending order; within one eigenvalue
     the blocks come largest first, with ones on the superdiagonal. The
     columns of P are the chain vectors x₁…x_m per block, which ``a``
-    keeps (see ``_jordan_basis``). The decomposition is verified exactly
-    before returning, on every call (see ``_decomposition``).
+    keeps once they are certified (see ``_jordan_basis``); P⁻¹ is
+    checked exactly on every call (see ``_decomposition``).
     """
     return JordanForm(*_decomposition(a, resolve_spectrum(a, s)))
 
 
 def _decomposition(a, s):
-    """(P, J, P⁻¹) for the verified spectrum ``s``, exactly checked, for
-    ``jordan_form`` and ``diagonalize`` (1×1 blocks) by P·(J + cI)·P⁻¹ =
-    A + cI, c the least integer ≥ 0 with −c ∉ σ(A): J + cI has no zero
-    column, so this fixes every row of P⁻¹. ``a`` forgets a P that fails."""
+    """(P, J, P⁻¹) for the verified spectrum ``s``, for ``jordan_form``
+    and ``diagonalize`` (1×1 blocks). P is certified invertible where it
+    is kept, so the one exact check P⁻¹·P = I fixes all of P⁻¹."""
     p, sizes = _jordan_basis(a, s)
-    starts = accumulate(sizes[:-1], initial=0)
-    j = Matrix.diagonal(s.expanded(), set(range(a.rows)).difference(starts))
     try:
         p_inv = inverse(p)
-    except Singular:
-        failed = "chain vectors are not a basis"
-    else:
-        c = next(c for c in count() if -c not in s.values())
-        jc, ac = ((subtract_scalar_diag(j, -c), subtract_scalar_diag(a, -c))
-                  if c else (j, a))
-        if matmul(matmul(p, jc), p_inv) == ac:
-            return p, j, p_inv
-        failed = "decomposition check P*J*P^-1 == A failed"
-    a._remember("_jordan", None)
-    raise InternalInconsistency(failed)
+    except ValueError as singular:  # Singular, on a certified P
+        raise InternalInconsistency("certified P is singular") from singular
+    if matmul(p_inv, p) != Matrix.identity(a.rows):
+        raise InternalInconsistency("inverse check P^-1*P == I failed")
+    return p, _jordan_matrix(s, sizes), p_inv
+
+
+def _jordan_matrix(s, sizes):
+    """J for the spectrum ``s``, with blocks of ``sizes`` along it."""
+    return Matrix.diagonal(s.expanded(), set(range(s.total)).difference(
+        accumulate(sizes[:-1], initial=0)))
 
 
 def _jordan_basis(a, s):
@@ -237,12 +229,15 @@ def _jordan_basis(a, s):
     ``eigensystem`` kept when it kept them. For a real A the chains of
     the second eigenvalue of a conjugate pair are those of the first
     conjugated, as conj(A − λI) = A − λ̄I, and re-signed by
-    ``_primitive_chain``: conjugation flips an imaginary leading part."""
+    ``_primitive_chain``: conjugation flips an imaginary leading part.
+    P is kept once certified invertible (see README) by A·P = P·J, which
+    ``eigensystem`` checked for its basis, and independent bottoms x₁."""
     if getattr(a, "_jordan", None) is None:
         p, sizes = _complete_eigenbasis(a), [1] * a.rows
+        bottoms = kernels = _kept_kernels(a, s)  # all 1×1 on an eigenbasis
         if p is None:
-            columns, sizes, conjugates = [], [], {}
-            for (value, mult), kernel in zip(s.pairs, _kept_kernels(a, s)):
+            columns, sizes, conjugates, bottoms = [], [], {}, []
+            for (value, mult), kernel in zip(s.pairs, kernels):
                 chains = conjugates.pop(value, None)
                 if chains is None:
                     chains = [c.vectors
@@ -256,6 +251,12 @@ def _jordan_basis(a, s):
                         "chain sizes do not add up to the multiplicity")
                 columns += [x for chain in chains for x in chain]
                 sizes += map(len, chains)
+                bottoms.append([chain[0] for chain in chains])
             p = Matrix.from_columns(columns)
+            if matmul(a, p) != matmul(p, _jordan_matrix(s, sizes)):
+                raise InternalInconsistency("basis check A*P == P*J failed")
+        if any(v[0].is_zero() if len(v) == 1 else
+               len(independent_extension([], v)) < len(v) for v in bottoms):
+            raise InternalInconsistency("chain bottoms are dependent")
         a._remember("_jordan", (p, tuple(sizes)))
     return a._jordan

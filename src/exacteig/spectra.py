@@ -402,11 +402,9 @@ def shift_spectrum(s, mu):
 def verify_spectrum(a, claimed):
     """Validate a claimed spectrum against a matrix: each claimed
     eigenvalue must divide the characteristic polynomial exactly as often
-    as its multiplicity, no more and no less. The characteristic
-    polynomial records the spectrum that passed, or that
-    ``find_spectrum`` factored it into, so checking that one again, on
-    ``a`` or on any matrix that shares the polynomial, costs a
-    comparison after the shape checks."""
+    as its multiplicity. The polynomial records the spectrum that passed,
+    or that ``find_spectrum`` found, so checking it again, on any matrix
+    that shares the polynomial, costs a comparison after the shape checks."""
     if not a.is_square:
         raise NotSquare("spectrum verification needs a square matrix")
     s = Spectrum(claimed)
@@ -417,16 +415,26 @@ def verify_spectrum(a, claimed):
     if s.total != n:
         raise InvalidSpectrum(
             f"multiplicities sum to {s.total}, expected {n}")
-    rest = p = charpoly(a)
-    if getattr(p, "_factored", None) != s._key:
-        for value, mult in s.pairs:
-            rest, count = _deflated(rest, value)
-            if count != mult:
-                raise WrongSpectrum(
-                    "claimed eigenvalues do not factor the characteristic "
-                    "polynomial")
-        object.__setattr__(p, "_factored", s._key)
+    p = charpoly(a)
+    if getattr(p, "_factored", None) != s._key and _multiplicities(
+            p, s.values()) != [m for _, m in s.pairs]:
+        raise WrongSpectrum(
+            "claimed eigenvalues do not factor the characteristic "
+            "polynomial")
     return s
+
+
+def _multiplicities(p, values):
+    """The multiplicity in ``p`` of each distinct value, deflating p by
+    each once; when they make up its degree, ``p`` records that spectrum."""
+    rest, mults = p, []
+    for value in values:
+        rest, count = _deflated(rest, value)
+        mults.append(count)
+    if all(mults) and sum(mults) == p.degree:
+        object.__setattr__(p, "_factored", Spectrum._of_distinct(
+            dict(zip(values, mults)))._key)
+    return mults
 
 
 def resolve_spectrum(a, s):

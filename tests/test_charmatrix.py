@@ -912,6 +912,16 @@ class TestEveryEntryPointChecksItsSpectrum:
         no_deflation()
         assert verify_spectrum(a, HALVES_SPECTRUM) == HALVES_SPECTRUM
 
+    def test_two_spectrum_eigenvectors_deflates_once_per_value(
+            self, fresh, monkeypatch):
+        original = exacteig.spectra._deflated
+        roots = []
+        monkeypatch.setattr(exacteig.spectra, "_deflated", lambda p, root: (
+            roots.append(root) or original(p, root)))
+        two_spectrum_eigenvectors(fresh(SHORTCUT), to_scalar(2),
+                                  to_scalar(5))
+        assert roots == [2, 5]
+
     def test_combined_characteristic_matrix(self):
         with pytest.raises(WrongSpectrum):
             combined_characteristic_matrix(SHORTCUT, [2, 5], {2: 1, 6: 1})

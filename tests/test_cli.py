@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import exacteig
-from exacteig import Matrix, Spectrum, matrix_to_json, spectrum_to_json
+from exacteig import (Matrix, Singular, Spectrum, matrix_to_json,
+                      spectrum_to_json)
 from exacteig.cli import main
 
 from worked import (
@@ -158,6 +159,17 @@ class TestFactorizationCommands:
         code, out, _ = run("jordan", matrix, "--spectrum", spec, "--json")
         assert code == 0
         assert set(json.loads(out)) == {"P", "J", "P_inv"}
+
+    def test_jordan_exits_6_when_the_basis_will_not_invert(
+            self, run, write_json, monkeypatch):
+        def singular(p):
+            raise Singular("matrix is singular")
+
+        # a certified basis is invertible, so Singular there is a fault
+        monkeypatch.setattr(exacteig.jordan, "inverse", singular)
+        code, out, err = run("jordan", write_json(matrix_to_json(JORDAN_CELL)))
+        assert (code, out) == (6, "")
+        assert "singular" in err
 
     def test_charpoly_text_and_roots(self, run, write_json):
         path = write_json(matrix_to_json(SHORTCUT))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import exacteig.charmatrix
 import exacteig.factorizations
 import exacteig.jordan
 import exacteig.spectra
@@ -16,6 +17,7 @@ from exacteig import (
     GeneratorConfig,
     InternalInconsistency,
     IrrationalSpectrum,
+    JordanChain,
     Matrix,
     NotDiagonalizable,
     RealifyOnComplexMatrix,
@@ -463,6 +465,35 @@ def calls(monkeypatch):
     return names
 
 
+def _repeated(spec):
+    """Eigenvalues of ``spec`` with multiplicity above 1: on a
+    diagonalizable matrix, each has two chains or more, whose bottoms
+    one elimination certifies."""
+    return sum(mult > 1 for _, mult in spec.pairs)
+
+
+# λ = 2 gets the one-vector chains (first) and (second): A·P ≠ P·J on the
+# first matrix, and the bottoms are dependent on the second
+CERTIFICATE_FAULTS = [
+    ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], [1, 0, 0], [0, 1, 0],
+     "A\\*P == P\\*J"),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 0, 0], [1, 0, 0], "dependent"),
+]
+
+
+def _plant_chains_at_2(patch, first, second):
+    """Make ``jordan._chains`` give λ = 2 the chains (first) and
+    (second), and every other eigenvalue its own."""
+    original = exacteig.jordan._chains
+
+    def chains(a, lam, *args):
+        if lam != 2:
+            return original(a, lam, *args)
+        return [JordanChain(lam, (Vector(x),)) for x in (first, second)]
+
+    patch.setattr(exacteig.jordan, "_chains", chains)
+
+
 DEFECTIVE = [
     (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM),
     (TWO_CHAINS, TWO_CHAINS_SPECTRUM),
@@ -475,9 +506,11 @@ ALL_CASES = [*DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM),
 
 class TestKeptEigenStructure:
     """``eigensystem`` keeps a complete eigenbasis as the P that
-    ``diagonalize`` and ``jordan_form`` take, and ``jordan_form`` keeps
-    its verified P, from which ``ode_general_solution`` reads the
-    chains. What they read is what they would compute."""
+    ``diagonalize`` and ``jordan_form`` take, and the Jordan basis P is
+    kept once certified, for ``jordan_form`` and for
+    ``ode_general_solution``, which reads the chains from it. What they
+    read is what they would compute, and a basis that fails its
+    certificate is not kept."""
 
     @pytest.mark.parametrize("matrix,spec", [
         *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
@@ -487,8 +520,8 @@ class TestKeptEigenStructure:
         eigensystem(a, spec)
         calls.clear()
         kept = diagonalize(a, spec)
-        # the inverse alone eliminates
-        assert calls == ["_eliminate"]
+        # the bottoms of each repeated eigenvalue, then the inverse
+        assert calls == ["_eliminate"] * (_repeated(spec) + 1)
         assert kept == diagonalize(_copy(matrix), spec)
 
     @pytest.mark.parametrize("matrix,spec", DEFECTIVE)
@@ -532,7 +565,7 @@ class TestKeptEigenStructure:
         eigensystem(a, spec)
         calls.clear()
         kept = jordan_form(a, spec)
-        assert calls == ["_eliminate"]
+        assert calls == ["_eliminate"] * (_repeated(spec) + 1)
         assert kept == jordan_form(_copy(matrix), spec)
 
     @pytest.mark.parametrize("matrix,spec", ALL_CASES)
@@ -557,33 +590,53 @@ class TestKeptEigenStructure:
         assert calls == ["_eliminate"]
         assert kept == jordan_form(_copy(matrix), spec)
 
+    @pytest.mark.parametrize("call", [ode_general_solution, jordan_form])
     @pytest.mark.parametrize("matrix,spec", DEFECTIVE)
-    def test_jordan_form_verifies_the_basis_an_ode_kept(self, matrix, spec):
-        a = _copy(matrix)
-        ode_general_solution(a, spec)
+    def test_split_chains_fail_the_certificate(self, monkeypatch, call,
+                                               matrix, spec):
         # 1×1 blocks make J diagonal, which no defective A is similar to
-        p, _ = a._jordan
-        a._remember("_jordan", (p, (1,) * a.rows))
-        with pytest.raises(InternalInconsistency, match="P\\*J\\*P"):
-            jordan_form(a, spec)
+        original = exacteig.jordan._chains
+        monkeypatch.setattr(exacteig.jordan, "_chains", lambda *args: [
+            JordanChain(chain.eigenvalue, (x,))
+            for chain in original(*args) for x in chain.vectors])
+        a = _copy(matrix)
+        with pytest.raises(InternalInconsistency, match="A\\*P == P\\*J"):
+            call(a, spec)
+        assert not hasattr(a, "_jordan")
 
-    @pytest.mark.parametrize("planted,message", [
-        (Matrix.identity(3), "P\\*J\\*P"),
-        (Matrix.zeros(3, 3), "not a basis")])
-    def test_jordan_form_forgets_a_basis_that_fails(self, planted, message):
-        a = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
-        a._remember("_jordan", (planted, (1, 1, 1)))
-        with pytest.raises(InternalInconsistency, match=message):
-            jordan_form(a)
-        assert a._jordan is None
+    @pytest.mark.parametrize("call", [ode_general_solution, jordan_form])
+    @pytest.mark.parametrize("rows,first,second,message", CERTIFICATE_FAULTS,
+                             ids=["a-p-is-not-p-j", "dependent-bottoms"])
+    def test_a_basis_that_fails_is_not_kept(self, monkeypatch, call, rows,
+                                            first, second, message):
+        a = Matrix(rows)
+        with monkeypatch.context() as patch:
+            _plant_chains_at_2(patch, first, second)
+            with pytest.raises(InternalInconsistency, match=message):
+                call(a)
+        assert not hasattr(a, "_jordan")
         terms = ode_general_solution(a)
         assert len(terms) == 3
         assert all(ode_term_is_solution(a, term) for term in terms)
         assert jordan_form(a) == jordan_form(_copy(a))
 
+    def test_dependent_kept_eigenvectors_fail_the_certificate(
+            self, monkeypatch):
+        original = exacteig.charmatrix._eigenbasis
+
+        def repeated(*args):
+            vectors = original(*args)
+            return [vectors[0]] * len(vectors)
+
+        monkeypatch.setattr(exacteig.charmatrix, "_eigenbasis", repeated)
+        a = Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+        with pytest.raises(InternalInconsistency, match="dependent"):
+            diagonalize(a)
+        assert not hasattr(a, "_jordan")
+
     # the first column of J is zero (a block of eigenvalue 0), so
-    # P·J·P⁻¹ = A holds whatever row 0 of P⁻¹ is, and the check runs on
-    # P·(J + I)·P⁻¹ = A + I instead
+    # P·J·P⁻¹ = A would hold whatever row 0 of P⁻¹ is; P⁻¹·P = I fixes
+    # every row
     @pytest.mark.parametrize("call,rows", [
         (diagonalize, [[1, 1], [0, 0]]),
         (jordan_form, [[1, 1], [0, 0]]),
@@ -600,9 +653,11 @@ class TestKeptEigenStructure:
             if hasattr(module, "inverse"):
                 monkeypatch.setattr(module, "inverse", off_in_row_0)
         a = Matrix(rows)
-        with pytest.raises(InternalInconsistency, match="P\\*J\\*P\\^-1 == A"):
+        with pytest.raises(InternalInconsistency, match="P\\^-1\\*P == I"):
             call(a)
-        assert a._jordan is None
+        # the certified basis stays kept, and the true inverse passes
+        monkeypatch.undo()
+        assert call(a) == call(Matrix(rows))
 
     @pytest.mark.parametrize("with_zero", [True, False],
                              ids=["zero-at-block-starts", "no-zero"])
@@ -628,9 +683,9 @@ class TestKeptEigenStructure:
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(exacteig.jordan, "inverse", off_in_row_k)
                     with pytest.raises(InternalInconsistency,
-                                       match="P\\*J\\*P\\^-1 == A"):
+                                       match="P\\^-1\\*P == I"):
                         call(a, spectrum)
-                assert a._jordan is None
+                assert a._jordan is not None  # certified, so kept
 
     @given(corpus_recipe())
     def test_kept_and_cold_paths_agree(self, case):

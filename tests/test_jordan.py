@@ -206,8 +206,10 @@ class TestEliminationCount:
     index − 1 products for an eigenvalue whose eigenspace is not a
     line, so a simple eigenvalue costs one elimination and no product,
     and two eliminations (κ and κ^m) and ⌊log₂ m⌋ + popcount(m) − 1
-    products beside a line of multiplicity m ≥ 2. After
-    ``eigensystem`` the kernel is kept, and the elimination of κ goes."""
+    products beside a line of multiplicity m ≥ 2. The certificate of
+    the basis adds two products, A·P and P·J, counted with the last
+    eigenvalue. After ``eigensystem`` the kernel is kept, and the
+    elimination of κ goes."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -260,7 +262,8 @@ class TestEliminationCount:
     @staticmethod
     def per_value(names):
         """(null-space eliminations, products) per eigenvalue: each
-        eigenvalue's calls start at its shift; the check follows."""
+        eigenvalue's calls start at its shift; the certificate and the
+        inverse follow."""
         return [(segment.split().count("nullspace_basis"),
                  segment.split().count("matmul"))
                 for segment in " ".join(names).split("inverse")[0]
@@ -269,11 +272,11 @@ class TestEliminationCount:
     # (null-space eliminations, products) per eigenvalue, ascending
     @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
     @pytest.mark.parametrize("matrix,spec,expected", [
-        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 2)]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 0)]),
-        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 2)]),
-        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0)] * 2),
-        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 5),
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 4)]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 2)]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 4)]),
+        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0), (1, 2)]),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 4 + [(1, 2)]),
     ], ids=["two-chains", "trio", "one-eigenvalue", "double-plus-simple",
             "complex-five"])
     def test_verified_multiplicity(self, calls, fresh, call, matrix, spec,
@@ -295,7 +298,8 @@ class TestEliminationCount:
         calls.clear()
         eliminations.clear()
         jordan_form(a, spec)
-        assert self.per_value(calls) == [(0, 0), (1, products_of_power(m))]
+        assert self.per_value(calls) == [
+            (0, 0), (1, products_of_power(m) + 2)]
         # κ^m and the inverse
         assert len(eliminations) == 2
 

@@ -5,9 +5,10 @@ a counter as a parameter. Likewise the integer numerators of a
 polynomial, and the spectrum recorded on it, are read by
 ``exacteig/spectra.py`` alone, and each eigen-structure fact of a matrix
 is named only by ``matrices.py`` and the one module that finds it. One
-routine in ``jordan.py`` inverts P and checks A = P·J·P⁻¹, for
-``jordan_form`` and ``diagonalize`` alike, and each fact the package
-certifies has one exact check.
+routine in ``jordan.py`` certifies the Jordan basis P before it is
+kept, and one inverts it and checks P⁻¹·P = I, for ``jordan_form`` and
+``diagonalize`` alike; each fact the package certifies has one exact
+check.
 Results are records of ``matrices.Record``: importing the package and
 its CLI loads neither ``dataclasses`` nor ``inspect``."""
 
@@ -126,11 +127,23 @@ def test_a_claimed_eigenvalue_is_checked_by_deflation():
 
 
 def test_the_inverse_is_checked_by_one_identity():
-    # P·(J + cI)·P⁻¹ = A + cI fixes every row of P⁻¹: no identity is
-    # built and no row of P⁻¹ is read on its own
+    # P is certified where it is kept, so it is invertible and
+    # P⁻¹·P = I fixes every entry of P⁻¹: no shift is searched for
     source = inspect.getsource(exacteig.jordan._decomposition)
     assert "inverse(p)" in source
-    assert not re.search(r"\bidentity\(|\.row\(", source)
+    # one product, P⁻¹·P, compared with the identity
+    assert len(re.findall(r"\bmatmul\(", source)) == 1
+    assert re.search(r"matmul\(p_inv, p\) != Matrix\.identity\(", source)
+    assert not re.search(r"\bcount\b|\bsubtract_scalar_diag\b", source)
+
+
+def test_only_the_certified_basis_is_kept():
+    module = inspect.getsource(exacteig.jordan)
+    assert module.count('_remember("_jordan"') == 1
+    basis = inspect.getsource(exacteig.jordan._jordan_basis)
+    remember = basis.index('_remember("_jordan"')
+    assert remember > basis.index("P*J") > basis.index("matmul(a, p)")
+    assert remember > basis.index("independent_extension(")
 
 
 def package_functions():

@@ -437,14 +437,15 @@ def is_diagonalizable(a, s):
     distinct eigenvalue, ascending — vanishes; otherwise (False, P) with
     the nonzero product as an explicit witness of a too-small eigenspace.
     ``verify_spectrum`` checks ``s`` first, so a wrong spectrum raises
-    WrongSpectrum instead of giving a wrong verdict. When ``eigensystem``
-    has kept a complete eigenbasis of ``a``, that answers True and no
-    product is formed.
+    WrongSpectrum instead of giving a wrong verdict. A spectrum of n
+    distinct eigenvalues answers True with no product formed (distinct
+    eigenvalues have independent eigenvectors), and so does a complete
+    eigenbasis of ``a`` that ``eigensystem`` has kept.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
     s = verify_spectrum(a, s)
-    if _complete_eigenbasis(a) is not None:
+    if len(s.pairs) == a.rows or _complete_eigenbasis(a) is not None:
         return True, None
     product = subtract_scalar_diag(a, s.pairs[0][0])
     for value, _ in s.pairs[1:]:

@@ -26,6 +26,7 @@ from collections import Counter
 
 from .charmatrix import (
     cross_eigenvector_3x3,
+    eigensystem,
     intersection_eigenvectors,
     is_diagonalizable,
     left_product_eigenvectors,
@@ -78,9 +79,16 @@ __all__ = ["main"]
 
 
 def main(argv=None):
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    The arguments after the subcommand go straight to its parser, so
+    argv is parsed once. When argv is empty, names no subcommand or
+    leaves arguments over, the whole argv goes through the top parser
+    instead, whose subparsers are those same objects: every usage
+    error and help text is argparse's own.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -191,6 +199,22 @@ def _build_parser():
     return parser
 
 
+def _parse(argv):
+    """The parsed ``argv``, read once by the subparser it names when it
+    names one and leaves nothing over, else by the top parser."""
+    parser = _build_parser()
+    if argv:
+        command = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)
+                       ).choices.get(argv[0])
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -241,10 +265,17 @@ def _run_eigenvectors(args, left, method):
     if args.target is not None and lam not in s:
         raise TargetNotInSpectrum(
             f"--target {args.target} is not in the spectrum")
-    targets = list(s.values()) if args.target is None else [lam]
-    results = []
-    for lam in targets:
-        results.append((lam, _extract(a, s, lam, method, left)))
+    if args.target is None and method == "kappa":
+        # one eigensystem builds each A − μI once for every eigenvalue;
+        # left eigenvectors are those of Aᵀ, transposed
+        spaces = eigensystem(a.transpose() if left else a, s)
+        results = [(space.eigenvalue,
+                    [v.transposed() for v in space.vectors] if left
+                    else space.vectors) for space in spaces]
+    else:
+        targets = list(s.values()) if args.target is None else [lam]
+        results = [(lam, _extract(a, s, lam, method, left))
+                   for lam in targets]
     if args.json:
         if args.target is not None:
             payload = [vector_to_json(v) for v in results[0][1]]

@@ -33,6 +33,7 @@ from .matrices import (
     Record,
     _power,
     _primitive_chain,
+    _times_diagonal,
     independent_extension,
     inverse,
     matmul,
@@ -217,8 +218,14 @@ def _decomposition(a, s):
 
 def _jordan_matrix(s, sizes):
     """J for the spectrum ``s``, with blocks of ``sizes`` along it."""
-    return Matrix.diagonal(s.expanded(), set(range(s.total)).difference(
-        accumulate(sizes[:-1], initial=0)))
+    return Matrix.diagonal(s.expanded(), _block_ones(sizes))
+
+
+def _block_ones(sizes):
+    """The columns of J, blocks of ``sizes`` along it, with a one above
+    the diagonal: all but the first column of each block."""
+    return set(range(sum(sizes))).difference(
+        accumulate(sizes[:-1], initial=0))
 
 
 def _jordan_basis(a, s):
@@ -231,7 +238,9 @@ def _jordan_basis(a, s):
     conjugated, as conj(A − λI) = A − λ̄I, and re-signed by
     ``_primitive_chain``: conjugation flips an imaginary leading part.
     P is kept once certified invertible (see README) by A·P = P·J, which
-    ``eigensystem`` checked for its basis, and independent bottoms x₁."""
+    ``eigensystem`` checked for its basis, and independent bottoms x₁.
+    P·J is read off P's columns: column k is λₖ·pₖ, plus pₖ₋₁ inside a
+    block."""
     if getattr(a, "_jordan", None) is None:
         p, sizes = _complete_eigenbasis(a), [1] * a.rows
         bottoms = kernels = _kept_kernels(a, s)  # all 1×1 on an eigenbasis
@@ -253,7 +262,8 @@ def _jordan_basis(a, s):
                 sizes += map(len, chains)
                 bottoms.append([chain[0] for chain in chains])
             p = Matrix.from_columns(columns)
-            if matmul(a, p) != matmul(p, _jordan_matrix(s, sizes)):
+            if matmul(a, p) != _times_diagonal(p, s.expanded(),
+                                               _block_ones(sizes)):
                 raise InternalInconsistency("basis check A*P == P*J failed")
         if any(v[0].is_zero() if len(v) == 1 else
                len(independent_extension([], v)) < len(v) for v in bottoms):

@@ -672,6 +672,30 @@ def matmul(a, b):
     return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
 
 
+def _times_diagonal(p, values, ones):
+    """P·Matrix.diagonal(values, ones) with no product, on the planes:
+    column k is λₖ·pₖ, plus pₖ₋₁ for each k in ``ones``. It counts one
+    multiplication per entry and one addition per entry of a column in
+    ``ones``."""
+    den, v_re, v_im = _planes(values)
+    re, rows = p._re, p.rows
+    lam_re = v_re * rows  # λₖ beside each entry of column k, row-major
+    if p._im or any(v_im):
+        im, lam_im = p._imag(), v_im * rows
+        out_re = [x * c - y * d for x, y, c, d in zip(re, im, lam_re, lam_im)]
+        out_im = [x * d + y * c for x, y, c, d in zip(re, im, lam_re, lam_im)]
+    else:
+        im, out_re, out_im = None, list(map(mul, re, lam_re)), []
+    cols = p.cols
+    for k in ones:
+        for i in range(k, len(re), cols):
+            out_re[i] += den * re[i - 1]
+            if im is not None:
+                out_im[i] += den * im[i - 1]
+    _tally(mults=len(re), adds=rows * len(ones))
+    return Matrix._make(rows, cols, p._den * den, out_re, out_im)
+
+
 def _power(a, exponent):
     """Aᵏ for k ≥ 0 by binary exponentiation: ⌊log₂ k⌋ squarings and
     popcount(k) − 1 further products."""

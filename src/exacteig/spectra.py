@@ -18,17 +18,19 @@ matrix and its transpose, and a repeat check is one comparison. Both
 facts are exact and live only on the matrix and its polynomial.
 
 Root extraction works on the coefficient list of the primitive integer
-multiple of the polynomial. Its rational roots come from p-adic lifting
-(Loos 1983): the roots of the square-free part modulo the first prime
-where they are all simple, lifted by Newton–Hensel steps past twice a
-Cauchy bound on the roots, each candidate then confirmed by exact
-integer quotients, which also count its multiplicity. The cost is
-polynomial in the degree and the coefficient digits. A degree-2
-residual is resolved by its discriminant. Nonreal coefficients and
-residuals of degree ≥ 3 (even ones that split over ℚ(i)) are reported
-as out of reach and the caller must supply the spectrum (which
-`verify_spectrum` checks by deflating the characteristic polynomial by
-each claimed eigenvalue).
+multiple of the polynomial. While that has degree ≥ 3, its rational
+roots come from p-adic lifting (Loos 1983): the roots of the square-free
+part modulo the first prime where they are all simple, lifted by
+Newton–Hensel steps past twice a Cauchy bound on the roots, each
+candidate then confirmed by exact integer quotients, which also count
+its multiplicity. The cost is polynomial in the degree and the
+coefficient digits. A residual of degree ≤ 2 is solved by formula: a
+linear one as −f₀/f₁, a quadratic one by its discriminant, so a 2×2
+matrix needs no search at all. Nonreal coefficients and residuals of
+degree ≥ 3 (even ones that split over ℚ(i)) are reported as out of
+reach and the caller must supply the spectrum (which `verify_spectrum`
+checks by deflating the characteristic polynomial by each claimed
+eigenvalue).
 """
 
 from __future__ import annotations
@@ -454,18 +456,21 @@ def find_spectrum(p):
     The search runs on the integer coefficient list of the primitive
     multiple of ``p`` and builds no ``Polynomial``; deflation by λ − r
     is left to evaluation, multiplicity counts and spectrum
-    verification. The rational roots
-    come from one p-adic search (`_root_candidates`); each candidate u/v
-    is kept only when an exact integer quotient by vλ − u confirms it,
-    and the repeated quotients give its multiplicity. The cost is
-    polynomial in the degree and the coefficient digits, so eigenvalue
-    size does not limit it. A remaining quadratic factor is resolved
-    exactly when its discriminant is ±r² for rational r. A nonreal
-    coefficient, or any residual of degree ≥ 3 (even one that happens to
-    factor over ℚ(i)), raises IrrationalSpectrum: the caller supplies the
-    spectrum instead. ``p`` records the result; ``verify_spectrum`` then
-    accepts it without dividing for any matrix that holds ``p`` as its
-    characteristic one.
+    verification. While the residual has degree ≥ 3, rational roots
+    come from one p-adic search (`_root_candidates`, which lifts its
+    candidates one at a time); each candidate u/v is kept only when an
+    exact integer quotient by vλ − u confirms it, and the repeated
+    quotients give its multiplicity. The cost is polynomial in the
+    degree and the coefficient digits, so eigenvalue size does not limit
+    it. The search stops at a residual of degree ≤ 2, which is solved
+    exactly by formula: a linear one f₁λ + f₀ has the root −f₀/f₁, a
+    quadratic one is resolved when its discriminant is ±r² for rational
+    r (a zero discriminant gives a double root). A nonreal coefficient,
+    or any residual of degree ≥ 3 left when the candidates run out (even
+    one that happens to factor over ℚ(i)), raises IrrationalSpectrum:
+    the caller supplies the spectrum instead. ``p`` records the result;
+    ``verify_spectrum`` then accepts it without dividing for any matrix
+    that holds ``p`` as its characteristic one.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -479,7 +484,8 @@ def find_spectrum(p):
     # denominator, and their gcd with it is 1
     f = list(p._reals)
     found = {}
-    for u, v in _root_candidates(f):
+    # the search runs while the residual has degree ≥ 3; below, a formula
+    for u, v in _root_candidates(f) if len(f) > 3 else ():
         mult = 0
         while len(f) > 1:
             division = _divide(f, [-u, v])
@@ -488,7 +494,7 @@ def find_spectrum(p):
             f, mult = division[0], mult + 1
         if mult:
             found[GaussianRational(Fraction(u, v))] = mult
-        if len(f) == 1:
+        if len(f) <= 3:
             break
 
     degree = len(f) - 1
@@ -498,9 +504,11 @@ def find_spectrum(p):
             "roots; supply the spectrum explicitly")
     if degree == 2:
         found.update(_resolve_quadratic(*f))
+    elif degree == 1:
+        found[GaussianRational(Fraction(-f[0], f[1]))] = 1
 
-    # every rational root is a candidate, so a linear residual, or a
-    # double root of the quadratic (one key here), is a bug
+    # the search divides out each root it confirms, so a formula root
+    # that overwrites one of its keys, like any lost root, is a bug
     if sum(found.values()) != p.degree:
         raise InternalInconsistency("factorization incomplete")
     spectrum = Spectrum._of_distinct(found)
@@ -520,7 +528,8 @@ def find_spectrum(p):
 def _root_candidates(f):
     """Every rational root u/v (lowest terms, v > 0) of the primitive
     integer polynomial ``f`` of degree ≥ 1, among at most deg f
-    candidates.
+    candidates, yielded one at a time: a candidate is lifted only when
+    the caller asks for it.
 
     The square-free part h of f, with leading coefficient a, maps to the
     monic G(y) = a^(d−1)·h(y/a), whose integer roots y = a·r are the
@@ -545,7 +554,6 @@ def _root_candidates(f):
         roots = [x for x in range(prime) if not _eval_mod(g, x, prime)]
         if all(_eval_mod(slope, x, prime) for x in roots):
             break
-    candidates = []
     for root in roots:
         modulus = prime
         while modulus <= bound:
@@ -555,8 +563,7 @@ def _root_candidates(f):
             root = (root - step) % modulus
         y = root - modulus if 2 * root > modulus else root
         common = gcd(y, a)
-        candidates.append((y // common, a // common))
-    return candidates
+        yield y // common, a // common
 
 
 def _eval_mod(g, x, modulus):
@@ -621,7 +628,8 @@ def _primes():
 
 def _resolve_quadratic(c0, c1, c2):
     """Roots of the integer quadratic c₂λ² + c₁λ + c₀ as (value, mult)
-    pairs, when they lie in ℚ(i): (−c₁ ± √D)/(2c₂), D = c₁² − 4c₀c₂."""
+    pairs, when they lie in ℚ(i): (−c₁ ± √D)/(2c₂), D = c₁² − 4c₀c₂,
+    and the one pair (−c₁/(2c₂), 2) when D = 0."""
     disc = c1 * c1 - 4 * c0 * c2
     root = isqrt(abs(disc))
     if root * root != abs(disc):
@@ -629,6 +637,12 @@ def _resolve_quadratic(c0, c1, c2):
                    else "roots are complex but not Gaussian rational")
         raise IrrationalSpectrum(
             f"quadratic {problem}; supply the spectrum explicitly")
-    mid, half = Fraction(-c1, 2 * c2), Fraction(root, 2 * c2)
-    half = GaussianRational(half) if disc > 0 else GaussianRational(0, half)
-    return [(mid + half, 1), (mid - half, 1)]
+    den = 2 * c2
+    if disc > 0:
+        return [(GaussianRational(Fraction(-c1 + root, den)), 1),
+                (GaussianRational(Fraction(-c1 - root, den)), 1)]
+    mid = Fraction(-c1, den)
+    if not disc:
+        return [(GaussianRational(mid), 2)]
+    return [(GaussianRational(mid, Fraction(root, den)), 1),
+            (GaussianRational(mid, Fraction(-root, den)), 1)]

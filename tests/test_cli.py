@@ -1,15 +1,22 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 import exacteig
-from exacteig import (Matrix, Singular, Spectrum, matrix_to_json,
-                      spectrum_to_json)
+from exacteig import (Matrix, Singular, Spectrum, format_scalar,
+                      left_product_eigenvectors, matrix_to_json,
+                      product_eigenvectors, spectrum_to_json, vector_to_json)
 from exacteig.cli import main
+from test_factorizations import corpus_recipe
 
 from worked import (
     COMPLEX_FIVE,
@@ -713,3 +720,147 @@ class TestParserReuse:
         assert in_sequence == fresh
         assert [code for code, _, _ in in_sequence] == \
             [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 2]
+
+
+TOP_USAGE = (
+    "usage: exacteig [-h]\n"
+    "                {eigenvectors,left,diagonalize,jordan,charpoly,check,"
+    "power,ode,bench}\n"
+    "                ...\n")
+CHARPOLY_USAGE = "usage: exacteig charpoly [-h] [--json] [--no-roots] matrix\n"
+POWER_USAGE = "usage: exacteig power [-h] [--json] --n N matrix\n"
+TOP_HELP = TOP_USAGE + """
+Exact eigenvector extraction over the Gaussian rationals.
+
+positional arguments:
+  {eigenvectors,left,diagonalize,jordan,charpoly,check,power,ode,bench}
+    eigenvectors        eigenvector bases via shifted-matrix products
+    left                left (row) eigenvector bases
+    diagonalize         exact eigendecomposition A = P D P^-1
+    jordan              exact Jordan decomposition A = P J P^-1
+    charpoly            characteristic polynomial (and exact roots)
+    check               diagonalizability verdict with witness
+    power               exact matrix power
+    ode                 general solution of x' = Ax
+    bench               operation-count comparison of extraction methods
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHARPOLY_HELP = CHARPOLY_USAGE + """
+positional arguments:
+  matrix      path to a matrix JSON file
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+  --no-roots  skip root finding
+"""
+
+
+class TestPinnedUsage:
+    """Exit code, stdout and stderr of help and usage errors, as argparse
+    of Python 3.11 prints them 80 columns wide. ``{m}`` and ``{s}`` stand
+    for the paths of SHORTCUT and its spectrum. The arguments after a
+    subcommand go straight to its parser; an empty argv, one that names
+    no subcommand and one with arguments left over go through the top
+    parser, so each text is the one argparse gives for the whole argv."""
+
+    CASES = [
+        ([], 2, "", TOP_USAGE + "exacteig: error: the following arguments "
+         "are required: command\n"),
+        (["--help"], 0, TOP_HELP, ""),
+        (["bogus"], 2, "", TOP_USAGE + "exacteig: error: argument command: "
+         "invalid choice: 'bogus' (choose from 'eigenvectors', 'left', "
+         "'diagonalize', 'jordan', 'charpoly', 'check', 'power', 'ode', "
+         "'bench')\n"),
+        (["charpoly"], 2, "", CHARPOLY_USAGE + "exacteig charpoly: error: "
+         "the following arguments are required: matrix\n"),
+        (["charpoly", "-h"], 0, CHARPOLY_HELP, ""),
+        (["power", "{m}"], 2, "", POWER_USAGE + "exacteig power: error: the "
+         "following arguments are required: --n\n"),
+        (["power", "{m}", "--n", "x"], 2, "", POWER_USAGE + "exacteig power: "
+         "error: argument --n: invalid int value: 'x'\n"),
+        (["eigenvectors", "{m}", "--method", "bogus"], 2, "",
+         "usage: exacteig eigenvectors [-h] [--json] [--spectrum SPECTRUM]\n"
+         "                             [--target TARGET]\n"
+         "                             [--method {kappa,cross,oracle,"
+         "intersect}]\n"
+         "                             [--left]\n"
+         "                             matrix\n"
+         "exacteig eigenvectors: error: argument --method: invalid choice: "
+         "'bogus' (choose from 'kappa', 'cross', 'oracle', 'intersect')\n"),
+        (["charpoly", "{m}", "--spectrum", "{s}"], 2, "", TOP_USAGE +
+         "exacteig: error: unrecognized arguments: --spectrum {s}\n"),
+        (["charpoly", "{m}", "--js"], 0,
+         '{"charpoly":"l^2 - 7*l + 10","coefficients":["10","-7","1"],'
+         '"roots":[{"value":"2","multiplicity":1},'
+         '{"value":"5","multiplicity":1}]}\n', ""),
+        (["--json", "charpoly", "{m}"], 2, "", TOP_USAGE +
+         "exacteig: error: unrecognized arguments: --json\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,out,err", CASES,
+                             ids=[" ".join(c[0]) or "empty" for c in CASES])
+    def test_usage_is_pinned(self, run, write_json, monkeypatch, argv, code,
+                             out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        m = write_json(matrix_to_json(SHORTCUT))
+        s = write_json(spectrum_to_json(SHORTCUT_SPECTRUM))
+
+        def placed(text):
+            return text.replace("{m}", m).replace("{s}", s)
+
+        assert run(*map(placed, argv)) == (code, placed(out), placed(err))
+
+
+class TestWholeEigensystem:
+    """Without --target, eigenvectors and left read one eigensystem (of
+    Aᵀ for left eigenvectors, transposed), and print what the per-target
+    product methods give."""
+
+    @pytest.mark.parametrize("command", [
+        ["eigenvectors"], ["eigenvectors", "--left"], ["left"]],
+        ids=["right", "eigenvectors-left", "left"])
+    @pytest.mark.parametrize("matrix", [CROSS_DEMO, FOUR_BY_FOUR_MIXED],
+                             ids=["simple", "repeated"])
+    def test_each_shift_is_built_once(self, run, write_json, monkeypatch,
+                                      command, matrix):
+        original = exacteig.charmatrix.subtract_scalar_diag
+        shifts = []
+        monkeypatch.setattr(exacteig.charmatrix, "subtract_scalar_diag",
+                            lambda a, lam: shifts.append(lam)
+                            or original(a, lam))
+        code, _, err = run(command[0], write_json(matrix_to_json(matrix)),
+                           *command[1:], "--json")
+        assert code == 0, err
+        assert len(shifts) == len(set(shifts)) == 3
+
+    @pytest.mark.parametrize("command", [
+        ["eigenvectors"], ["eigenvectors", "--left"], ["left"]],
+        ids=["right", "eigenvectors-left", "left"])
+    @given(case=corpus_recipe())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_target_methods(self, command, case):
+        a, s = case
+        per_target = (left_product_eigenvectors if "left" in " ".join(command)
+                      else product_eigenvectors)
+        expected = {"eigenvalues": [
+            {"value": format_scalar(value), "multiplicity": mult,
+             "vectors": [vector_to_json(v)
+                         for v in per_target(a, s, value)]}
+            for value, mult in s.pairs]}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, payload in [("m", matrix_to_json(a)),
+                                  ("s", spectrum_to_json(s))]:
+                paths.append(os.path.join(tmp, f"{name}.json"))
+                with open(paths[-1], "w", encoding="utf-8") as handle:
+                    handle.write(json.dumps(payload))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command[0], paths[0], *command[1:],
+                             "--spectrum", paths[1], "--json"])
+        assert code == 0
+        assert out.getvalue() == json.dumps(
+            expected, separators=(",", ":")) + "\n"

@@ -207,9 +207,9 @@ class TestEliminationCount:
     line, so a simple eigenvalue costs one elimination and no product,
     and two eliminations (κ and κ^m) and ⌊log₂ m⌋ + popcount(m) − 1
     products beside a line of multiplicity m ≥ 2. The certificate of
-    the basis adds two products, A·P and P·J, counted with the last
-    eigenvalue. After ``eigensystem`` the kernel is kept, and the
-    elimination of κ goes."""
+    the basis adds one product, A·P, counted with the last eigenvalue:
+    P·J is read off P's columns. After ``eigensystem`` the kernel is
+    kept, and the elimination of κ goes."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -272,11 +272,11 @@ class TestEliminationCount:
     # (null-space eliminations, products) per eigenvalue, ascending
     @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
     @pytest.mark.parametrize("matrix,spec,expected", [
-        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 4)]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 2)]),
-        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 4)]),
-        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0), (1, 2)]),
-        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 4 + [(1, 2)]),
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 3)]),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 1)]),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 3)]),
+        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0), (1, 1)]),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 4 + [(1, 1)]),
     ], ids=["two-chains", "trio", "one-eigenvalue", "double-plus-simple",
             "complex-five"])
     def test_verified_multiplicity(self, calls, fresh, call, matrix, spec,
@@ -299,7 +299,7 @@ class TestEliminationCount:
         eliminations.clear()
         jordan_form(a, spec)
         assert self.per_value(calls) == [
-            (0, 0), (1, products_of_power(m) + 2)]
+            (0, 0), (1, products_of_power(m) + 1)]
         # κ^m and the inverse
         assert len(eliminations) == 2
 

@@ -224,13 +224,47 @@ class TestFindSpectrum:
     def test_zero_root(self):
         assert find_spectrum(poly([0, 0, 1])) == spectrum([(0, 2)])
 
-    # every rational root is a candidate, so a linear residual, or a
-    # quadratic one with a double root, means a candidate went missing
-    @pytest.mark.parametrize("coeffs", [[-2, 1], [1, -2, 1]],
-                             ids=["linear", "double-root"])
-    def test_a_missed_rational_root_is_a_bug(self, monkeypatch, coeffs):
+    # the search runs only while the residual has degree ≥ 3: a dropped
+    # candidate is found by the formula once the rest falls to degree 2,
+    # and a residual of degree ≥ 3 with no candidate left is refused;
+    # either way no wrong spectrum comes out
+    @pytest.mark.parametrize("coeffs,dropped,expected", [
+        ([-6, 11, -6, 1], [(1, 1)], [(1, 1), (2, 1), (3, 1)]),
+        ([-6, 11, -6, 1], [(2, 1), (3, 1)], [(1, 1), (2, 1), (3, 1)]),
+        ([24, -50, 35, -10, 1], [(1, 1), (4, 1)],
+         [(1, 1), (2, 1), (3, 1), (4, 1)]),
+        ([-6, 11, -6, 1], [(1, 1), (2, 1), (3, 1)], "degree 3"),
+        ([2, -7, 9, -5, 1], [(1, 1)], "degree 3"),
+    ], ids=["cubic-recovered", "cubic-two-dropped", "quartic-recovered",
+            "cubic-refused", "triple-root-refused"])
+    def test_a_dropped_candidate_gives_no_wrong_spectrum(
+            self, monkeypatch, coeffs, dropped, expected):
+        search = exacteig.spectra._root_candidates
+        monkeypatch.setattr(
+            exacteig.spectra, "_root_candidates",
+            lambda f: (c for c in search(f) if c not in dropped))
+        if isinstance(expected, str):
+            with pytest.raises(IrrationalSpectrum, match=expected):
+                find_spectrum(poly(coeffs))
+        else:
+            assert find_spectrum(poly(coeffs)) == spectrum(expected)
+
+    @pytest.mark.parametrize("coeffs", [
+        [-2, 1], [6, -5, 1], [1, -2, 1], [5, -4, 1], [-2, 0, 1]],
+        ids=["linear", "rational", "double-root", "gaussian", "irrational"])
+    def test_no_search_below_degree_three(self, monkeypatch, coeffs):
         monkeypatch.setattr(exacteig.spectra, "_root_candidates",
-                            lambda f: [])
+                            lambda f: pytest.fail("searched below degree 3"))
+        assert _outcome(find_spectrum, poly(coeffs)) == \
+            _outcome(ref.find_spectrum, poly(coeffs))
+
+    # the formula solves every residual of degree ≤ 2, so a root that it
+    # loses leaves the multiplicities short of the degree: a bug
+    @pytest.mark.parametrize("coeffs", [[2, -3, 1], [-8, 14, -7, 1]],
+                             ids=["quadratic", "cubic"])
+    def test_a_lost_root_is_a_bug(self, monkeypatch, coeffs):
+        monkeypatch.setattr(exacteig.spectra, "_resolve_quadratic",
+                            lambda *f: [(to_scalar(2), 1)])
         with pytest.raises(InternalInconsistency, match="incomplete"):
             find_spectrum(poly(coeffs))
 
@@ -573,6 +607,11 @@ class TestAgainstReference:
         [45, -51, 8, 4],       # (2x − 3)²(x + 5)
         [-5, 1, -10, 2, -5, 1],  # (x² + 1)²(x − 5): residual of degree 4
         [-2, 4, -1, -2, 1],    # (x² − 2)(x − 1)²
+        # degree 2, solved by formula with no search
+        [-15, 2, 8],           # (2x + 3)(4x − 5): two rationals
+        [9, -12, 4],           # (2x − 3)²: a rational double root
+        [5, -4, 4],            # 4x² − 4x + 5: the Gaussian pair 1/2 ± i
+        [-1, -1, 1],           # x² − x − 1: an irrational pair
     ])
     def test_fixed_cases(self, coeffs):
         p = poly(coeffs)

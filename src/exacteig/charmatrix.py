@@ -44,6 +44,7 @@ from .matrices import (
     _annihilates,
     Vector,
     cross3,
+    det,
     hstack,
     independent_extension,
     matmul,
@@ -54,8 +55,8 @@ from .matrices import (
     subtract_scalar_diag,
 )
 from .scalars import format_scalar, to_scalar
-from .spectra import (Spectrum, _multiplicities, charpoly, multiplicity_of,
-                      resolve_spectrum, verify_spectrum)
+from .spectra import (Spectrum, _multiplicities, charpoly, resolve_spectrum,
+                      verify_spectrum)
 
 __all__ = [
     "CharacteristicMatrix",
@@ -365,10 +366,10 @@ def cross_eigenvector_3x3(a, lam):
             raise NotSquare("cross-product extraction needs a 3x3 matrix")
         raise DimensionMismatch("cross-product extraction needs a 3x3 matrix")
     lam = to_scalar(lam)
-    if not multiplicity_of(charpoly(a), lam):
+    shifted = subtract_scalar_diag(a, lam)
+    if det(shifted):
         raise NotInSpectrum(
             f"{format_scalar(lam)} is not an eigenvalue")
-    shifted = subtract_scalar_diag(a, lam)
     rows = [shifted.row(i) for i in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         c = cross3(rows[i], rows[j])

@@ -7,22 +7,31 @@ Storage. A :class:`Matrix` holds only Python ints: one positive common
 denominator and two row-major tuples of numerators, a real plane and an
 imaginary plane, so entry (i, j) is (re[k] + im[k]·i) / den with
 k = i·cols + j. The storage is canonical — the gcd of the denominator
-and all numerators is 1 — so ``==`` and ``hash`` are tuple compares.
-A :class:`Vector` is a view of an n×1 or 1×n matrix, so ``row`` and
-``column`` slice the planes and vector operations run on the matrix
-kernels. Scalars (:class:`GaussianRational`) are built only when they
-are read: by ``entry``, ``row_entries`` and a vector's ``entries``.
+and all numerators is 1, and a zero imaginary plane is the empty tuple
+— so ``==`` and ``hash`` are tuple compares. The empty plane is the
+only form a zero imaginary part takes, from parsed input through every
+kernel to output: no kernel builds, multiplies, reduces or scans a
+plane of zeros for a real operand. A :class:`Vector` is a view of an
+n×1 or 1×n matrix, so ``row`` and ``column`` slice the planes and
+vector operations run on the matrix kernels. Scalars
+(:class:`GaussianRational`) are built only when they are read: by
+``entry``, ``row_entries`` and a vector's ``entries``.
 Canonical text is read off the planes without them (``_texts``), and
 ``_from_parts`` builds a matrix from the integer parts that the scalar
 tokenizer reads.
 
 Products and sums run on the planes as integer dot products, followed
-by one gcd pass per result, and skip the imaginary products when an
-imaginary plane is zero. Rank, RREF, null space, determinant and inverse
-run one fraction-free (Bareiss) forward elimination over ℤ[i] on the
-numerators, each row update dividing exactly by the previous pivot;
-RREF, null space and inverse then take the columns they need of d·RREF,
-d the last pivot, by fraction-free back-substitution.
+by one gcd pass per result; a real product of real operands runs on the
+real planes alone, and a complex one skips the products with a zero
+imaginary side. The gcd pass is skipped when the denominator is 1, and
+results that are canonical by construction (the transpose, the
+negation, vectors placed side by side over their least common
+denominator, primitive vectors) take none. Rank, RREF, null space,
+determinant and inverse run one fraction-free (Bareiss) forward
+elimination over ℤ[i] on the numerators, each row update dividing
+exactly by the previous pivot; RREF, null space and inverse then take
+the columns they need of d·RREF, d the last pivot, by fraction-free
+back-substitution.
 
 Inside ``with OpCounter() as ops:`` these kernels, and the few scalar
 steps other modules add, count their scalar operations in ``ops``; the
@@ -192,9 +201,8 @@ class Vector:
             raise DimensionMismatch("empty vector")
         if orientation not in ("column", "row"):
             raise ValueError(f"bad orientation {orientation!r}")
-        matrix = _vector(*_planes(data), orientation)._matrix
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "orientation", orientation)
+        _set_vector(self, _vector(*_planes(data), orientation)._matrix,
+                    orientation)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -235,7 +243,8 @@ class Vector:
 
     def first_nonzero_index(self):
         m = self._matrix
-        return next((k for k, (x, y) in enumerate(zip(m._re, m._imag()))
+        return next((k for k, (x, y) in enumerate(zip(m._re, m._im
+                                                      or repeat(0)))
                      if x or y), None)
 
     def scaled(self, c):
@@ -253,9 +262,9 @@ class Vector:
             raise DimensionMismatch(
                 f"dot of lengths {len(self)} and {len(other)}")
         u, w = self._matrix, other._matrix
-        (re,), (im,) = _complex_product([u._re], [u._im] if u._im else None,
-                                        [w._re], [w._im] if w._im else None)
-        return _scalar(re, im, u._den * w._den)
+        re, im = _complex_product([u._re], u._im and [u._im],
+                                  [w._re], w._im and [w._im])
+        return _scalar(re[0], im[0] if im else 0, u._den * w._den)
 
     def _combine(self, other, sign):
         if not isinstance(other, Vector):
@@ -295,11 +304,20 @@ class Vector:
         return f"[{body}]{tag}"
 
 
+_set_matrix, _set_orientation = (Vector._matrix.__set__,
+                                 Vector.orientation.__set__)
+
+
+def _set_vector(vector, matrix, orientation):
+    """Write the slots of ``vector`` through their descriptors."""
+    _set_matrix(vector, matrix)
+    _set_orientation(vector, orientation)
+
+
 def _view(matrix, orientation):
     """The one-column or one-row ``matrix`` as a Vector."""
     vector = object.__new__(Vector)
-    object.__setattr__(vector, "_matrix", matrix)
-    object.__setattr__(vector, "orientation", orientation)
+    _set_vector(vector, matrix, orientation)
     return vector
 
 
@@ -313,17 +331,45 @@ def _vector(den, re, im, orientation):
 
 def _stacked(vectors):
     """The matrix with ``vectors`` as its rows, read off their planes
-    over the least common denominator."""
+    over the least common denominator. Canonical parts over their least
+    common denominator are canonical: a prime of it divides, to its full
+    power, the denominator of some part, which it scales by a factor
+    prime to it, and that part's numerators are not all divisible by it.
+    So the result takes no gcd pass."""
     width = len(vectors[0])
     if any(len(v) != width for v in vectors):
         raise DimensionMismatch("ragged rows")
     den = lcm(*[v._matrix._den for v in vectors])
+    real = not any(v._matrix._im for v in vectors)
     re, im = [], []
     for v in vectors:
-        f = den // v._matrix._den
-        re += [f * x for x in v._matrix._re]
-        im += [f * y for y in v._matrix._imag()]
-    return Matrix._make(len(vectors), width, den, re, im)
+        m = v._matrix
+        f = den // m._den
+        re += m._re if f == 1 else [f * x for x in m._re]
+        if not real:
+            im += [f * y for y in m._im] if m._im else [0] * width
+    return _canonical(len(vectors), width, den, re, im)
+
+
+def _beside(blocks, rows):
+    """The matrix of the ``(matrix, width)`` blocks side by side, each
+    matrix's planes read as ``width`` columns ``rows`` tall, over the
+    least common denominator in one pass; canonical, as in
+    ``_stacked``."""
+    cols = sum(width for _, width in blocks)
+    den = lcm(*[m._den for m, _ in blocks])
+    re = [0] * (rows * cols)
+    im = [0] * (rows * cols) if any(m._im for m, _ in blocks) else ()
+    j = 0
+    for m, width in blocks:
+        f = den // m._den
+        for c in range(width):
+            part = m._re[c::width]
+            re[j::cols] = part if f == 1 else [f * x for x in part]
+            if m._im:
+                im[j::cols] = [f * y for y in m._im[c::width]]
+            j += 1
+    return _canonical(rows, cols, den, re, im)
 
 
 # -- integer planes ---------------------------------------------------------
@@ -335,6 +381,15 @@ def _planes(scalars):
     return _part_planes([(r.numerator, r.denominator, i.numerator,
                           i.denominator) for r, i in
                          [(e.re, e.im) for e in scalars]])
+
+
+def _scalar_planes(c):
+    """(den, re, im) of the one scalar ``c``: its parts as integers over
+    their least common denominator."""
+    r, i = c.re, c.im
+    b, d = r.denominator, i.denominator
+    den = b if d == 1 else lcm(b, d)
+    return den, r.numerator * (den // b), i.numerator * (den // d)
 
 
 def _part_planes(parts):
@@ -355,7 +410,12 @@ def _entry_texts(matrix):
     gcd with it."""
     den = matrix._den
     texts = []
-    for x, y in zip(matrix._re, matrix._imag()):
+    if not matrix._im:
+        for x in matrix._re:
+            g = gcd(x, den)
+            texts.append(_scalar_text(x // g, den // g, 0, 1))
+        return texts
+    for x, y in zip(matrix._re, matrix._im):
         g, h = gcd(x, den), gcd(y, den)
         texts.append(_scalar_text(x // g, den // g, y // h, den // h))
     return texts
@@ -401,17 +461,18 @@ def _product(left, right):
 
 def _complex_product(left_re, left_im, right_re, right_im):
     """(re, im) planes of the dot products of complex rows, leaving out
-    the products with a zero imaginary side (``None``)."""
+    the products with a zero imaginary side (empty or ``None``); the
+    imaginary plane is ``()`` when both sides are real."""
     re = _product(left_re, right_re)
-    im = None
-    if left_im is not None:
+    im = ()
+    if left_im:
         im = _product(left_im, right_re)
-        if right_im is not None:
+        if right_im:
             re = [x - y for x, y in zip(re, _product(left_im, right_im))]
-    if right_im is not None:
+    if right_im:
         extra = _product(left_re, right_im)
-        im = extra if im is None else [x + y for x, y in zip(im, extra)]
-    return re, im if im is not None else [0] * len(re)
+        im = [x + y for x, y in zip(im, extra)] if im else extra
+    return re, im
 
 
 # Facts of a matrix's entries that ``spectra`` computes once per matrix:
@@ -457,23 +518,20 @@ class Matrix:
     @classmethod
     def _make(cls, rows, cols, den, re, im):
         """Matrix (re + im·i) / den with den > 0, reduced by one gcd pass
-        to the canonical form."""
-        g = gcd(den, *re, *im)
-        if g != 1:
-            den //= g
-            re = [x // g for x in re]
-            im = [y // g for y in im]
-        self = object.__new__(cls)
-        _init(self, rows, cols, den, re, im)
-        return self
+        to the canonical form; a denominator of 1 needs none."""
+        if den != 1:
+            g = gcd(den, *re, *im)
+            if g != 1:
+                den //= g
+                re = [x // g for x in re]
+                im = [y // g for y in im]
+        return _canonical(rows, cols, den, re, im)
 
     @classmethod
     def _from_parts(cls, rows, cols, parts):
         """The rows × cols matrix whose entries, row-major, have the
         reduced parts that ``scalars._scalar_parts`` reads."""
-        self = object.__new__(cls)
-        _init(self, rows, cols, *_part_planes(parts))
-        return self
+        return _canonical(rows, cols, *_part_planes(parts))
 
     @classmethod
     def identity(cls, n):
@@ -483,8 +541,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._make(rows, cols, 1, (0,) * (rows * cols),
-                         (0,) * (rows * cols))
+        return cls._make(rows, cols, 1, (0,) * (rows * cols), ())
 
     @classmethod
     def diagonal(cls, values, ones=()):
@@ -495,8 +552,11 @@ class Matrix:
             raise DimensionMismatch("matrix needs at least one row and column")
         den, vre, vim = _planes(values)
         n = len(vre)
-        re, im = [0] * (n * n), [0] * (n * n)
-        re[::n + 1], im[::n + 1] = vre, vim
+        re, im = [0] * (n * n), ()
+        re[::n + 1] = vre
+        if any(vim):
+            im = [0] * (n * n)
+            im[::n + 1] = vim
         for k in ones:
             if not 0 < k < n:
                 raise DimensionMismatch(
@@ -506,8 +566,14 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns):
-        """Matrix with the given columns: Vectors, or sequences of
-        scalars."""
+        """Matrix with the given columns: Vectors, written side by side
+        in one pass, or sequences of scalars."""
+        columns = list(columns)
+        if columns and all(isinstance(c, Vector) for c in columns):
+            height = len(columns[0])
+            if any(len(c) != height for c in columns):
+                raise DimensionMismatch("ragged rows")
+            return _beside([(c._matrix, 1) for c in columns], height)
         return cls.from_rows(columns).transpose()
 
     @classmethod
@@ -526,7 +592,8 @@ class Matrix:
         return not self._im
 
     def _imag(self):
-        """The imaginary plane, which is stored empty when it is zero."""
+        """The imaginary plane, expanded to zeros when it is stored
+        empty; no kernel calls it on a real operand."""
         return self._im or (0,) * len(self._re)
 
     def _scalars(self, part):
@@ -558,9 +625,9 @@ class Matrix:
                             "column")
 
     def transpose(self):
-        flipped = Matrix._make(self.cols, self.rows, self._den,
-                               _transposed(self._re, self.cols),
-                               _transposed(self._imag(), self.cols))
+        flipped = _canonical(self.cols, self.rows, self._den,
+                             _transposed(self._re, self.cols),
+                             self._im and _transposed(self._im, self.cols))
         for name in _FACTS:
             if hasattr(self, name):
                 flipped._remember(name, getattr(self, name))
@@ -575,14 +642,14 @@ class Matrix:
         return not any(self._re) and not self._im
 
     def scaled(self, c):
-        den, (c_re,), (c_im,) = _planes([to_scalar(c)])
-        re, im = self._re, self._imag()
-        if c_im:
+        den, c_re, c_im = _scalar_planes(to_scalar(c))
+        re, im = self._re, self._im
+        if c_im and im:
             new_re = [x * c_re - y * c_im for x, y in zip(re, im)]
             new_im = [x * c_im + y * c_re for x, y in zip(re, im)]
         else:
             new_re = [x * c_re for x in re]
-            new_im = [y * c_re for y in im]
+            new_im = [x * c_im for x in re] if c_im else [y * c_re for y in im]
         return Matrix._make(self.rows, self.cols, self._den * den,
                             new_re, new_im)
 
@@ -591,10 +658,13 @@ class Matrix:
             raise DimensionMismatch("matrix shapes differ")
         den = lcm(self._den, other._den)
         f, g = den // self._den, sign * (den // other._den)
+        im = ()
+        if self._im or other._im:
+            im = [f * x + g * y for x, y in zip(self._im or repeat(0),
+                                                other._im or repeat(0))]
         return Matrix._make(
             self.rows, self.cols, den,
-            [f * x + g * y for x, y in zip(self._re, other._re)],
-            [f * x + g * y for x, y in zip(self._imag(), other._imag())])
+            [f * x + g * y for x, y in zip(self._re, other._re)], im)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -607,8 +677,8 @@ class Matrix:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix._make(self.rows, self.cols, self._den,
-                            [-x for x in self._re], [-y for y in self._im])
+        return _canonical(self.rows, self.cols, self._den,
+                          [-x for x in self._re], [-y for y in self._im])
 
     def __mul__(self, c):
         if isinstance(c, Matrix):
@@ -642,12 +712,27 @@ class Matrix:
         return f"Matrix([{rows}])"
 
 
+_set_rows, _set_cols, _set_den, _set_re, _set_im = [
+    getattr(Matrix, name).__set__
+    for name in ("rows", "cols", "_den", "_re", "_im")]
+
+
 def _init(matrix, rows, cols, den, re, im):
-    object.__setattr__(matrix, "rows", rows)
-    object.__setattr__(matrix, "cols", cols)
-    object.__setattr__(matrix, "_den", den)
-    object.__setattr__(matrix, "_re", tuple(re))
-    object.__setattr__(matrix, "_im", tuple(im) if any(im) else ())
+    """Write the storage slots of ``matrix`` through their descriptors,
+    a zero imaginary plane as ``()``."""
+    _set_rows(matrix, rows)
+    _set_cols(matrix, cols)
+    _set_den(matrix, den)
+    _set_re(matrix, tuple(re))
+    _set_im(matrix, tuple(im) if im and any(im) else ())
+
+
+def _canonical(rows, cols, den, re, im):
+    """The matrix (re + im·i) / den of planes already in canonical form
+    (den > 0 and no common factor), which takes no gcd pass."""
+    matrix = object.__new__(Matrix)
+    _init(matrix, rows, cols, den, re, im)
+    return matrix
 
 
 def _require_square(a):
@@ -744,47 +829,53 @@ def _charpoly_numerators(a):
     for the Toeplitz product. ``a`` must be square."""
     n, den, re, im = a.rows, a._den, a._re, a._im
     cols_re, cols_im = _columns_of(re, n), _complex_side(a, _columns_of)
-    # the trailing 1×1 block [a] gives (1, −a)
-    p_re, p_im = [1, -re[-1]], [0, -im[-1] if im else 0]
+    # the trailing 1×1 block [a] gives (1, −a); a real A keeps no
+    # imaginary parts (``()``) until the result
+    p_re, p_im = [1, -re[-1]], im and [0, -im[-1]]
     for r in range(n - 2, -1, -1):
         m, diag, end = n - r, r * (n + 1), (r + 1) * n
         # below row r: C, then the columns of N₁; R is row r beside N₁
         right_re = [col[r + 1:] for col in cols_re[r:]]
         right_im = cols_im and [col[r + 1:] for col in cols_im[r:]]
-        v_re, v_im = re[diag + 1:end], cols_im and im[diag + 1:end]
-        t_re, t_im = [1, -re[diag]], [0, -im[diag] if im else 0]
+        v_re, v_im = re[diag + 1:end], im and im[diag + 1:end]
+        t_re, t_im = [1, -re[diag]], im and [0, -im[diag]]
         for k in range(m - 1, 0, -1):
             if k == 1:  # the last step needs R·N₁^(s−1)·C alone
                 right_re, right_im = right_re[:1], right_im and right_im[:1]
             w_re, w_im = _complex_product([v_re], v_im and [v_im],
                                           right_re, right_im)
             t_re.append(-w_re[0])
-            t_im.append(-w_im[0])
-            v_re, v_im = w_re[1:], v_im and w_im[1:]
+            if im:
+                t_im.append(-w_im[0])
+            v_re, v_im = w_re[1:], w_im[1:]
         # row i of the Toeplitz matrix, reversed: t_i … t_0
         rev_re, rev_im = t_re[::-1], t_im[::-1]
         p_re, p_im = _complex_product(
-            [p_re], cols_im and [p_im], [rev_re[m - i:] for i in range(m + 1)],
-            cols_im and [rev_im[m - i:] for i in range(m + 1)])
+            [p_re], im and [p_im], [rev_re[m - i:] for i in range(m + 1)],
+            im and [rev_im[m - i:] for i in range(m + 1)])
     # the sums over m = 2…n of the tally above (at m = 1 it reads 2 and 0)
     squares, cubes = n * (n - 1) * (2 * n - 1) // 6, (n * (n - 1) // 2) ** 2
     _tally(mults=cubes + n * (n + 1) * (n + 5) // 6 - 2,
            adds=cubes - squares + n * (n + 1) * (n + 2) // 6 - n)
     return (den ** n, [x * den ** k for k, x in enumerate(reversed(p_re))],
-            [y * den ** k for k, y in enumerate(reversed(p_im))])
+            [y * den ** k for k, y in enumerate(reversed(p_im))] if im
+            else [0] * (n + 1))
 
 
 def subtract_scalar_diag(a, lam):
     """The characteristic (shifted) matrix A − λI."""
     _require_square(a)
-    lam_den, (lam_re,), (lam_im,) = _planes([to_scalar(lam)])
+    lam_den, lam_re, lam_im = _scalar_planes(to_scalar(lam))
     den = lcm(a._den, lam_den)
-    f, g = den // a._den, den // lam_den
-    re = [f * x for x in a._re]
-    im = [f * y for y in a._imag()]
-    for k in range(0, len(re), a.cols + 1):
-        re[k] -= g * lam_re
-        im[k] -= g * lam_im
+    f, g, step = den // a._den, den // lam_den, a.cols + 1
+    re = list(a._re) if f == 1 else [f * x for x in a._re]
+    shift = g * lam_re
+    re[::step] = [x - shift for x in re[::step]]
+    im = a._im if f == 1 else [f * y for y in a._im]
+    if lam_im:
+        im = list(im) if im else [0] * len(re)
+        shift = g * lam_im
+        im[::step] = [y - shift for y in im[::step]]
     return Matrix._make(a.rows, a.cols, den, re, im)
 
 
@@ -792,8 +883,7 @@ def hstack(a, b):
     """[A | B] with equal row counts."""
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    return Matrix.from_columns(
-        [m.column(j) for m in (a, b) for j in range(m.cols)])
+    return _beside([(a, a.cols), (b, b.cols)], a.rows)
 
 
 # -- fraction-free elimination ------------------------------------------------
@@ -895,7 +985,7 @@ def _gaussian_update(x_re, x_im, y_re, y_im, p, f, q):
 def _back_substitute(re_rows, im_rows, pivots, d, columns):
     """Columns ``columns`` (no pivot column among them) of d·RREF at the
     pivot rows, from what ``_eliminate`` leaves: one (re, im) pair of
-    lists per column.
+    lists per column, im ``()`` for real rows.
 
     With u the echelon rows and p_k = u_{k,P[k]} the pivots, entry k of
     column j is z_k = (d·u_kj − Σ_{k'>k} u_{k,P[k']}·z_{k'}) / p_k, from
@@ -910,9 +1000,8 @@ def _back_substitute(re_rows, im_rows, pivots, d, columns):
     (d_re, d_im), real = d, im_rows is None
     mults = adds = divs = 0
     out = []
-    zeros = [0] * r  # the imaginary part of every column of real rows
     for j in columns:
-        z_re, z_im = [0] * r, zeros if real else [0] * r
+        z_re, z_im = [0] * r, () if real else [0] * r
         out.append((z_re, z_im))
         top = bisect_left(pivots, j)  # z_k = 0 from row ``top`` on
         k = top - 1
@@ -971,14 +1060,19 @@ def rref(a):
     """
     re_rows, im_rows = _integer_rows(a)
     pivots, d, _ = _eliminate(re_rows, im_rows, a.cols)
-    cols, end = a.cols, len(pivots) * a.cols
-    re, im = [0] * (a.rows * cols), [0] * (a.rows * cols)
+    cols, end, real = a.cols, len(pivots) * a.cols, im_rows is None
+    re = [0] * (a.rows * cols)
+    im = () if real else [0] * (a.rows * cols)
     free = [j for j in range(cols) if j not in pivots]
     for j, (z_re, z_im) in zip(free, _back_substitute(
             re_rows, im_rows, pivots, d, free)):
-        re[j:end:cols], im[j:end:cols] = z_re, z_im
+        re[j:end:cols] = z_re
+        if not real:
+            im[j:end:cols] = z_im
     for k, c in enumerate(pivots):
-        re[k * cols + c], im[k * cols + c] = d
+        re[k * cols + c] = d[0]
+        if not real:
+            im[k * cols + c] = d[1]
     _tally(divs=end)
     den, re, im = _quotient(re, im, *d)
     return Matrix._make(a.rows, cols, den, re, im), pivots
@@ -1003,10 +1097,15 @@ def nullspace_basis(a):
     basis = []
     for j, (z_re, z_im) in zip(free, _back_substitute(
             re_rows, im_rows, pivots, d, free)):
-        re, im = [0] * a.cols, [0] * a.cols
-        re[j], im[j] = d
-        for c, x, y in zip(pivots, z_re, z_im):
-            re[c], im[c] = -x, -y
+        re, im = [0] * a.cols, ()
+        re[j] = d[0]
+        for c, x in zip(pivots, z_re):
+            re[c] = -x
+        if im_rows is not None:
+            im = [0] * a.cols
+            im[j] = d[1]
+            for c, y in zip(pivots, z_im):
+                im[c] = -y
         basis.append(_primitive(re, im, "column"))
     return basis
 
@@ -1044,7 +1143,8 @@ def inverse(a):
                                range(n, 2 * n))
     _tally(divs=n * n)
     re = [a._den * x for row in zip(*[z for z, _ in columns]) for x in row]
-    im = [a._den * y for row in zip(*[z for _, z in columns]) for y in row]
+    im = () if im_rows is None else [
+        a._den * y for row in zip(*[z for _, z in columns]) for y in row]
     den, re, im = _quotient(re, im, d_re, d_im)
     return Matrix._make(n, n, den, re, im)
 
@@ -1084,7 +1184,7 @@ def independent_extension(basis, candidates):
     """
     if not candidates:
         return []
-    columns = _stacked([*basis, *candidates]).transpose()
+    columns = Matrix.from_columns([*basis, *candidates])
     re_rows, im_rows = _integer_rows(columns)
     pivots, _, _ = _eliminate(re_rows, im_rows, columns.cols)
     skip = len(basis)
@@ -1107,9 +1207,9 @@ def _primitive_chain(vectors, conjugate=False):
     imaginary part when it is purely imaginary). One scale for all keeps
     a Jordan chain's descent relation."""
     stacked = _stacked(vectors)
-    width, re, im = stacked.cols, stacked._re, stacked._imag()
+    width, re, im = stacked.cols, stacked._re, stacked._im
     im = [-y for y in im] if conjugate else im
-    k = next(i for i in range(width) if re[i] or im[i])
+    k = next(i for i in range(width) if re[i] or im and im[i])
     g = gcd(*re, *im)
     if re[k] < 0 or (not re[k] and im[k] < 0):
         g = -g
@@ -1119,15 +1219,21 @@ def _primitive_chain(vectors, conjugate=False):
 
 
 def _primitive(re, im, orientation):
-    """The Gaussian-integer vector re + im·i (not zero) scaled to its
-    canonical form: multiplying by the conjugate of the first nonzero
-    component makes that component a positive integer, and dividing by
-    the gcd of all integer parts makes the vector primitive."""
-    k = next(i for i, (x, y) in enumerate(zip(re, im)) if x or y)
-    if im[k] or re[k] < 0:
-        _, re, im = _quotient(re, im, re[k], im[k])
+    """The Gaussian-integer vector re + im·i (not zero; im may be ``()``)
+    scaled to its canonical form: multiplying by the conjugate of the
+    first nonzero component makes that component a positive integer, and
+    dividing by the gcd of all integer parts makes the vector primitive,
+    so its denominator is 1."""
+    if im:
+        k = next(i for i, (x, y) in enumerate(zip(re, im)) if x or y)
+        if im[k] or re[k] < 0:
+            _, re, im = _quotient(re, im, re[k], im[k])
+    elif re[next(i for i, x in enumerate(re) if x)] < 0:
+        re = [-x for x in re]
     g = gcd(*re, *im)
-    return _vector(1, [x // g for x in re], [y // g for y in im], orientation)
+    if g != 1:
+        re, im = [x // g for x in re], [y // g for y in im]
+    return _vector(1, re, im, orientation)
 
 
 def normalize_eigenvector(v):
@@ -1142,4 +1248,4 @@ def normalize_eigenvector(v):
     """
     if v.is_zero():
         raise ZeroVector("cannot normalize the zero vector")
-    return _primitive(v._matrix._re, v._matrix._imag(), v.orientation)
+    return _primitive(v._matrix._re, v._matrix._im, v.orientation)

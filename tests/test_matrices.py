@@ -563,10 +563,11 @@ class TestPinnedCounts:
          (78, 43, 2)),
         (lambda a, s: two_spectrum_eigenvectors(a, *s.values()), 4,
          (22, 10, 0)),
-        # membership is read off the characteristic polynomial, which a
-        # fresh matrix computes once: (23, 11, 0) of these
-        (lambda a, s: cross_eigenvector_3x3(a, 2), 1, (38, 20, 0)),
-        (lambda a, s: cross_eigenvector_3x3(a, 5), 3, (38, 20, 0)),
+        # membership is det(A − λI) = 0 on the shifted matrix the cross
+        # products are read from: a fresh matrix computes no
+        # characteristic polynomial
+        (lambda a, s: cross_eigenvector_3x3(a, 2), 1, (15, 9, 0)),
+        (lambda a, s: cross_eigenvector_3x3(a, 5), 3, (31, 17, 2)),
     ])
     def test_characteristic_polynomial_and_checks_are_counted(
             self, call, index, expected, fresh):

@@ -22,6 +22,7 @@ block structures and on every corpus recipe.
 """
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +43,7 @@ from exacteig import (
     det,
     eigensystem,
     generalized_eigenvectors,
+    hstack,
     independent_extension,
     inverse,
     jordan_form,
@@ -60,7 +62,7 @@ from exacteig import (
 )
 from exacteig.charmatrix import _kept_kernels
 from exacteig.jordan import _chains
-from exacteig.matrices import _primitive_chain
+from exacteig.matrices import _annihilates, _primitive_chain
 from exacteig.verification import _canonical_form
 from conftest import CORPUS_SIZE, corpus_config
 from test_factorizations import _copy, _text
@@ -663,3 +665,157 @@ class TestBackSubstitutionAgainstGaussJordan:
             for value in entry.spectrum.values():
                 assert_back_substitution_agrees(
                     subtract_scalar_diag(entry.matrix, value))
+
+
+# -- canonical storage ---------------------------------------------------------
+
+
+@st.composite
+def storage_scalars(draw, gaussian, integral):
+    """A scalar with small parts: a Gaussian one may still come out real,
+    an integral one has denominator 1."""
+    def part():
+        num = draw(st.integers(-9, 9))
+        return Rational(num, 1 if integral else draw(st.integers(1, 6)))
+    return GaussianRational(part(), part() if gaussian else 0)
+
+
+@st.composite
+def storage_operands(draw, rows, cols):
+    """Rows of scalars: real or Gaussian, integral (denominator 1) or
+    rational, or all zero."""
+    if draw(st.integers(0, 5)) == 0:
+        return tuple((ZERO,) * cols for _ in range(rows))
+    scalars = storage_scalars(draw(st.booleans()), draw(st.booleans()))
+    return draw(scalar_rows(rows, cols, scalars))
+
+
+storage_sizes = st.integers(1, 4)
+storage_shapes = st.tuples(storage_sizes, storage_sizes)
+
+
+def assert_canonical(m, expected):
+    """``m`` is stored canonically — den > 0, no common factor, a zero
+    imaginary plane as ``()`` and only then — and holds the scalar rows
+    ``expected``: it equals, and hashes like, a matrix built from them."""
+    assert type(m._re) is tuple and type(m._im) is tuple
+    assert m._den > 0 and gcd(m._den, *m._re, *m._im) == 1
+    assert len(m._im) in (0, len(m._re))
+    assert (m._im == ()) == (not any(m._im))
+    rows = ref.scalar_rows(m)
+    assert rows == tuple(map(tuple, expected))
+    assert (m._im == ()) == all(not e.im for row in rows for e in row)
+    again = Matrix.from_rows(rows)
+    assert m == again and hash(m) == hash(again)
+
+
+def assert_canonical_vector(v, expected, orientation):
+    assert v.orientation == orientation
+    assert_canonical(v._matrix, [expected] if orientation == "row"
+                     else [(e,) for e in expected])
+
+
+class TestCanonicalStorage:
+    """Every kernel returns canonical storage, whatever mix of real and
+    Gaussian, integral and rational operands it is given."""
+
+    @given(st.data(), storage_sizes, storage_sizes, storage_sizes)
+    def test_products(self, data, rows, inner, cols):
+        left = data.draw(storage_operands(rows, inner))
+        right = data.draw(storage_operands(inner, cols))
+        a, b = Matrix(left), Matrix(right)
+        assert_canonical(a, left)
+        assert_canonical(matmul(a, b), ref.matmul(left, right))
+        column, row = b.column(0), a.row(0)
+        assert_canonical_vector(matvec(a, column), ref.matvec(
+            left, column.entries), "column")
+        assert_canonical_vector(matvec(b, row), ref.matvec(
+            right, row.entries, "row"), "row")
+        assert row.dot(column) == ref.vector_dot(row.entries,
+                                                 column.entries)
+
+    @given(st.data(), storage_shapes)
+    def test_entrywise(self, data, shape):
+        left = data.draw(storage_operands(*shape))
+        right = data.draw(storage_operands(*shape))
+        c = data.draw(storage_scalars(data.draw(st.booleans()),
+                                      data.draw(st.booleans())))
+        a, b = Matrix(left), Matrix(right)
+        for got, expected in [
+                (a + b, [[x + y for x, y in zip(u, w)]
+                         for u, w in zip(left, right)]),
+                (a - b, [[x - y for x, y in zip(u, w)]
+                         for u, w in zip(left, right)]),
+                (-a, [[-x for x in u] for u in left]),
+                (a.scaled(c), [[x * c for x in u] for u in left]),
+                (a.transpose(), list(zip(*left))),
+                (Matrix.zeros(*shape), [[ZERO] * shape[1]] * shape[0])]:
+            assert_canonical(got, expected)
+        assert a._texts() == [[ref.format_scalar(e) for e in u]
+                              for u in left]
+
+    @given(st.data(), storage_shapes, storage_sizes)
+    def test_placed_side_by_side(self, data, shape, width):
+        left = data.draw(storage_operands(*shape))
+        right = data.draw(storage_operands(shape[0], width))
+        a, b = Matrix(left), Matrix(right)
+        rows = [a.row(i) for i in range(a.rows)]
+        columns = [a.column(j) for j in range(a.cols)]
+        assert_canonical(Matrix.from_rows(rows), left)
+        assert_canonical(Matrix.from_columns(columns), left)
+        assert_canonical(Matrix.from_columns(columns + [b.column(0)]),
+                         [u + w[:1] for u, w in zip(left, right)])
+        assert_canonical(hstack(a, b), [u + w for u, w in zip(left, right)])
+
+    @given(st.data(), storage_sizes, storage_sizes)
+    def test_square(self, data, n, values):
+        rows = data.draw(storage_operands(n, n))
+        lam = data.draw(storage_scalars(data.draw(st.booleans()),
+                                        data.draw(st.booleans())))
+        a = Matrix(rows)
+        assert_canonical(subtract_scalar_diag(a, lam), [
+            [e - lam if i == j else e for j, e in enumerate(u)]
+            for i, u in enumerate(rows)])
+        diagonal = [rows[k % n][k % n] for k in range(values)]
+        assert_canonical(Matrix.diagonal(diagonal), [
+            [e if i == j else ZERO for j in range(values)]
+            for i, e in enumerate(diagonal)])
+        expected = ref.inverse(rows)
+        if expected is None:
+            with pytest.raises(Singular):
+                inverse(a)
+        else:
+            assert_canonical(inverse(a), expected)
+
+    @given(st.data(), storage_shapes)
+    def test_elimination(self, data, shape):
+        rows = data.draw(storage_operands(*shape))
+        a = Matrix(rows)
+        reduced, pivots = rref(a)
+        expected, expected_pivots = ref.rref(rows)
+        assert pivots == expected_pivots
+        assert_canonical(reduced, expected)
+        basis = nullspace_basis(a)
+        assert len(basis) == len(reference_nullspace(rows))
+        for v, w in zip(basis, reference_nullspace(rows)):
+            assert_canonical_vector(v, w, "column")
+        assert _annihilates(a, basis) is True
+
+    @given(st.data(), storage_sizes, st.integers(1, 3), orientations)
+    def test_vector_scalings(self, data, n, count, orientation):
+        vectors = [Vector(data.draw(storage_operands(1, n))[0], orientation)
+                   for _ in range(count)]
+        assume(not vectors[0].is_zero())
+        assert_canonical_vector(normalize_eigenvector(vectors[0]),
+                                ref.normalize_eigenvector(vectors[0]),
+                                orientation)
+        for got, expected in zip(_primitive_chain(vectors),
+                                 ref.scale_chain_uniformly(vectors)):
+            assert_canonical_vector(got, expected.entries, orientation)
+
+    def test_a_cancelled_imaginary_plane_is_empty(self):
+        i = GaussianRational(0, 1)
+        a = Matrix([[i, 0], [0, i]])
+        assert_canonical(matmul(a, a), [[-1, 0], [0, -1]])
+        assert_canonical(a - a.scaled(1), [[0, 0], [0, 0]])
+        assert_canonical(subtract_scalar_diag(a, i), [[0, 0], [0, 0]])

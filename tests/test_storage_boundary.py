@@ -119,10 +119,15 @@ def test_the_shortcut_has_one_premise_check():
 
 
 def test_a_claimed_eigenvalue_is_checked_by_deflation():
-    # the characteristic polynomial, not the trace, determinant or
-    # det(A − λI), decides whether a value is an eigenvalue
+    # the characteristic polynomial, not the trace or determinant,
+    # decides whether a value is an eigenvalue; the one exception is the
+    # cross-product reader, whose det(A − λI) = 0 runs on the shifted
+    # matrix it reads its rows from
     calls = re.compile(r"(?<![\w.])(?:trace|det)\(")
-    assert references(PACKAGE / "charmatrix.py", calls) == []
+    hits = references(PACKAGE / "charmatrix.py", calls)
+    assert [hit.split(": ", 1)[1] for hit in hits] == ["if det(shifted):"]
+    reader = inspect.getsource(exacteig.charmatrix.cross_eigenvector_3x3)
+    assert "det(shifted)" in reader and "charpoly(" not in reader
     assert references(PACKAGE / "matrices.py", calls)
 
 
@@ -185,3 +190,30 @@ def test_the_import_path_leaves_out_dataclasses():
     naming = [hit for path in sorted(PACKAGE.glob("*.py"))
               for hit in references(path, re.compile(r"dataclass"))]
     assert naming == []
+
+
+def test_a_real_pipeline_builds_no_imaginary_plane(monkeypatch):
+    # the zero imaginary plane is stored as () and no kernel expands it:
+    # the accessor that would build (0, …, 0) is never called on the
+    # real matrices, spectra and vectors of the corpus
+    from conftest import build_corpus_entry
+
+    def expanded(self):
+        raise AssertionError("a zero imaginary plane was built")
+
+    monkeypatch.setattr(exacteig.Matrix, "_imag", expanded)
+    for seed in range(40):
+        entry = build_corpus_entry(seed)
+        a, s = entry.matrix, entry.spectrum
+        assert exacteig.find_spectrum(exacteig.charpoly(a)) == s
+        exacteig.eigensystem(a, s)
+        for value in s.values():
+            exacteig.left_product_eigenvectors(a, s, value)
+            exacteig.oracle_eigenvectors(a, value)
+        try:
+            exacteig.diagonalize(a, s)
+        except exacteig.NotDiagonalizable:
+            assert entry.planned_defective
+        exacteig.jordan_form(a, s)
+        exacteig.matrix_power(a, 5, s)
+        exacteig.matrix_to_json(a)

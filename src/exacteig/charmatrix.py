@@ -232,6 +232,9 @@ def left_product_eigenvectors(a, s, target):
             for w in product_eigenvectors(a.transpose(), s, target)]
 
 
+_TOO_SMALL = "shifted-matrix product is nonzero: an eigenspace is too small"
+
+
 def _eigenmatrices(a, lam1, lam2):
     """(A − λ₁I, A − λ₂I), one matrix when λ₁ = λ₂, under the premise of
     the |σ(A)| ≤ 2 shortcut, (A − λ₁I)(A − λ₂I) = 0: the factors commute,
@@ -241,9 +244,7 @@ def _eigenmatrices(a, lam1, lam2):
     k2 = k1 if lam1 == lam2 else subtract_scalar_diag(a, lam2)
     witness = matmul(k1, k2)
     if not witness.is_zero():
-        raise NotDiagonalizable(
-            "shifted-matrix product is nonzero: an eigenspace is too small",
-            witness=witness)
+        raise NotDiagonalizable(_TOO_SMALL, witness=witness)
     return k1, k2
 
 
@@ -327,8 +328,10 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
     a single point). Requires every assigned value to be an eigenvalue.
     The spectrum ``s`` is verified when given and found exactly when not
     (``resolve_spectrum``), and ``charpoly(a)`` keeps it. The premise
-    (A − λ₁I)(A − λ₂I) = 0 over the spectrum, λ₁ = λ₂ for one point,
-    certifies the columns; a nonzero product raises NotDiagonalizable.
+    (A − λ₁I)(A − λ₂I) = 0 over two eigenvalues, A − λI = 0 over one
+    (the minimal polynomial ``is_diagonalizable`` tests), certifies the
+    columns; a nonzero product raises NotDiagonalizable with it as the
+    witness.
     """
     if not a.is_square:
         raise NotSquare("needs a square matrix")
@@ -346,6 +349,13 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
         if lam not in values:
             raise NotInSpectrum(
                 f"assigned value {format_scalar(lam)} is not an eigenvalue")
+    if len(values) == 1:
+        # one eigenvalue: the premise is A − λI = 0, and then every
+        # column is the zero column of that matrix
+        kappa = subtract_scalar_diag(a, values[0])
+        if not kappa.is_zero():
+            raise NotDiagonalizable(_TOO_SMALL, witness=kappa)
+        return kappa
     k1, k2 = _eigenmatrices(a, values[0], values[-1])
     return Matrix.from_columns([(k2 if lam == values[0] else k1).column(j)
                                 for j, lam in enumerate(assignment)])

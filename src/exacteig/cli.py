@@ -1,5 +1,10 @@
 """Command-line interface.
 
+``eigenvectors`` reads each ``--method`` from one table, which ``bench``
+reads for kappa and oracle; ``left`` is ``eigenvectors --left``, which
+transposes A once, reads right eigenvectors of Aᵀ and transposes them
+back once.
+
 Exit codes are part of the contract:
 
 * 0 — success (including a "not diagonalizable" verdict from ``check``,
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -29,7 +35,6 @@ from .charmatrix import (
     eigensystem,
     intersection_eigenvectors,
     is_diagonalizable,
-    left_product_eigenvectors,
     product_eigenvectors,
 )
 from .errors import (
@@ -77,6 +82,14 @@ from .verification import (
 
 __all__ = ["main"]
 
+# each --method, as (matrix, verified spectrum, λ) → right eigenvectors
+_METHODS = {
+    "kappa": product_eigenvectors,
+    "cross": lambda a, s, lam: [cross_eigenvector_3x3(a, lam)],
+    "oracle": lambda a, s, lam: oracle_eigenvectors(a, lam),
+    "intersect": intersection_eigenvectors,
+}
+
 
 def main(argv=None):
     """Entry point; returns the process exit code.
@@ -122,97 +135,86 @@ def _emit_json(payload, **kwargs):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parsing keeps no
-    state in it between calls."""
+    """The argument parser and its subparsers by name, built once per
+    process: parsing keeps no state in them between calls."""
     parser = argparse.ArgumentParser(
         prog="exacteig",
         description="Exact eigenvector extraction over the Gaussian "
                     "rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, matrix=True, optional_matrix=False):
+    def add(name, help_text, handler, spectrum=True, optional_matrix=False):
         p = sub.add_parser(name, help=help_text)
-        if matrix:
-            if optional_matrix:
-                p.add_argument("matrix", nargs="?", default=None,
-                               help="path to a matrix JSON file")
-            else:
-                p.add_argument("matrix", help="path to a matrix JSON file")
+        p.add_argument("matrix", nargs="?" if optional_matrix else None,
+                       help="path to a matrix JSON file")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
+        if spectrum:
+            p.add_argument("--spectrum", help="path to a spectrum JSON file")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("eigenvectors", "eigenvector bases via shifted-matrix products")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
+    p = add("eigenvectors", "eigenvector bases via shifted-matrix products",
+            _cmd_eigenvectors)
     p.add_argument("--target", help="one eigenvalue to extract (scalar "
                                     "string); default: all")
-    p.add_argument("--method",
-                   choices=("kappa", "cross", "oracle", "intersect"),
-                   default="kappa",
+    p.add_argument("--method", choices=tuple(_METHODS), default="kappa",
                    help="extraction method (default: product-based)")
     p.add_argument("--left", action="store_true",
                    help="left (row) eigenvectors instead of right")
-    p.set_defaults(handler=_cmd_eigenvectors)
 
-    p = add("left", "left (row) eigenvector bases")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
+    p = add("left", "left (row) eigenvector bases", _cmd_eigenvectors)
     p.add_argument("--target", help="one eigenvalue to extract")
-    p.set_defaults(handler=_cmd_left)
+    p.set_defaults(left=True, method="kappa")
 
-    p = add("diagonalize", "exact eigendecomposition A = P D P^-1")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
-    p.set_defaults(handler=_cmd_diagonalize)
+    add("diagonalize", "exact eigendecomposition A = P D P^-1",
+        _cmd_diagonalize)
+    add("jordan", "exact Jordan decomposition A = P J P^-1", _cmd_jordan)
 
-    p = add("jordan", "exact Jordan decomposition A = P J P^-1")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
-    p.set_defaults(handler=_cmd_jordan)
-
-    p = add("charpoly", "characteristic polynomial (and exact roots)")
+    p = add("charpoly", "characteristic polynomial (and exact roots)",
+            _cmd_charpoly, spectrum=False)
     p.add_argument("--no-roots", action="store_true",
                    help="skip root finding")
-    p.set_defaults(handler=_cmd_charpoly)
 
-    p = add("check", "diagonalizability verdict with witness")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
-    p.set_defaults(handler=_cmd_check)
+    add("check", "diagonalizability verdict with witness", _cmd_check)
 
-    p = add("power", "exact matrix power")
+    p = add("power", "exact matrix power", _cmd_power, spectrum=False)
     p.add_argument("--n", type=int, required=True,
                    help="nonnegative integer exponent")
-    p.set_defaults(handler=_cmd_power)
 
-    p = add("ode", "general solution of x' = Ax")
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
+    p = add("ode", "general solution of x' = Ax", _cmd_ode)
     p.add_argument("--no-realify", action="store_true",
                    help="keep complex-eigenvalue solutions complex")
-    p.set_defaults(handler=_cmd_ode)
 
     p = add("bench", "operation-count comparison of extraction methods",
-            optional_matrix=True)
-    p.add_argument("--spectrum", help="path to a spectrum JSON file")
+            _cmd_bench, optional_matrix=True)
     p.add_argument("--dim", type=int,
                    help="dimension of a generated input (no matrix file)")
     p.add_argument("--seed", type=int,
                    help="seed for the generated input (default: 0)")
-    p.set_defaults(handler=_cmd_bench)
 
-    return parser
+    return parser, sub.choices
 
 
 def _parse(argv):
     """The parsed ``argv``, read once by the subparser it names when it
-    names one and leaves nothing over, else by the top parser."""
-    parser = _build_parser()
-    if argv:
-        command = next(action for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction)
-                       ).choices.get(argv[0])
-        if command is not None:
-            args, rest = command.parse_known_args(argv[1:])
-            if not rest:
-                args.command = argv[0]
-                return args
-    return parser.parse_args(argv)
+    names one and leaves nothing over, else by the top parser. argparse
+    reads a token such as ``-i`` or ``-1/2`` as an option, so for the
+    eigenvector commands a ``--target`` value that starts with "-" and a
+    digit or ``i`` is first joined to it as ``--target=VALUE``."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    if command.get_default("handler") is _cmd_eigenvectors:
+        for i in range(len(argv) - 1, 1, -1):
+            if argv[i - 1] == "--target" and re.match(r"-[0-9i]", argv[i]):
+                argv[i - 1:i + 1] = [f"--target={argv[i]}"]
+    args, rest = command.parse_known_args(argv[1:])
+    if rest:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def _read_text(path):
@@ -243,15 +245,9 @@ def _print_matrix(m, indent=""):
 
 
 def _cmd_eigenvectors(args):
-    return _run_eigenvectors(args, left=args.left, method=args.method)
-
-
-def _cmd_left(args):
-    return _run_eigenvectors(args, left=True, method="kappa")
-
-
-def _run_eigenvectors(args, left, method):
-    a = _load_matrix(args)
+    """Eigenvectors by ``--method``; for ``left`` and ``--left`` those of
+    Aᵀ, transposed."""
+    a, method, left = _load_matrix(args), args.method, args.left
     if method == "cross" and (a.rows, a.cols) != (3, 3):
         return _fail(2, "--method cross only applies to 3x3 matrices")
     if left and method not in ("kappa", "oracle"):
@@ -265,17 +261,18 @@ def _run_eigenvectors(args, left, method):
     if args.target is not None and lam not in s:
         raise TargetNotInSpectrum(
             f"--target {args.target} is not in the spectrum")
+    # the transpose takes over the verified spectrum of A
+    b = a.transpose() if left else a
     if args.target is None and method == "kappa":
-        # one eigensystem builds each A − μI once for every eigenvalue;
-        # left eigenvectors are those of Aᵀ, transposed
-        spaces = eigensystem(a.transpose() if left else a, s)
-        results = [(space.eigenvalue,
-                    [v.transposed() for v in space.vectors] if left
-                    else space.vectors) for space in spaces]
+        # one eigensystem builds each B − μI once for every eigenvalue
+        results = [(space.eigenvalue, space.vectors)
+                   for space in eigensystem(b, s)]
     else:
         targets = list(s.values()) if args.target is None else [lam]
-        results = [(lam, _extract(a, s, lam, method, left))
-                   for lam in targets]
+        results = [(lam, _METHODS[method](b, s, lam)) for lam in targets]
+    if left:
+        results = [(lam, [v.transposed() for v in vectors])
+                   for lam, vectors in results]
     if args.json:
         if args.target is not None:
             payload = [vector_to_json(v) for v in results[0][1]]
@@ -287,8 +284,8 @@ def _run_eigenvectors(args, left, method):
                 for lam, vectors in results]}
         _emit_json(payload)
         return 0
+    kind = "left eigenvectors" if left else "eigenvectors"
     for lam, vectors in results:
-        kind = "left eigenvectors" if left else "eigenvectors"
         print(f"eigenvalue {format_scalar(lam)} "
               f"(multiplicity {s.multiplicity(lam)}), {kind}:")
         if not vectors:
@@ -296,21 +293,6 @@ def _run_eigenvectors(args, left, method):
         for v in vectors:
             print(f"  {v!r}")
     return 0
-
-
-def _extract(a, s, lam, method, left):
-    if method == "kappa":
-        if left:
-            return left_product_eigenvectors(a, s, lam)
-        return product_eigenvectors(a, s, lam)
-    if method == "oracle":
-        if left:
-            return [v.transposed()
-                    for v in oracle_eigenvectors(a.transpose(), lam)]
-        return oracle_eigenvectors(a, lam)
-    if method == "cross":
-        return [cross_eigenvector_3x3(a, lam)]
-    return intersection_eigenvectors(a, s, lam)
 
 
 def _cmd_diagonalize(args):
@@ -550,10 +532,7 @@ def build_bench_report(a, s):
     """Per-method scalar-operation counts and wall times for computing
     every eigenspace of ``a``. Reports measurements only; interpreting
     them is left to the reader."""
-    methods = {
-        "kappa": lambda value: product_eigenvectors(a, s, value),
-        "oracle": lambda value: oracle_eigenvectors(a, value),
-    }
+    methods = {name: _METHODS[name] for name in ("kappa", "oracle")}
     totals = {name: Counter() for name in methods}
     per_eigenvalue = []
     for value, _ in s.pairs:
@@ -561,7 +540,7 @@ def build_bench_report(a, s):
         for name, method in methods.items():
             with OpCounter() as ops:
                 started = time.perf_counter_ns()
-                method(value)
+                method(a, s, value)
                 wall = time.perf_counter_ns() - started
             entry[name] = ops.as_dict()
             totals[name].update(entry[name], wall_time_ns=wall)

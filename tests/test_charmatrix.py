@@ -614,9 +614,15 @@ class TestCombinedMatrix:
                                   combined.column(j))
 
     def test_single_point_spectrum(self):
-        combined = combined_characteristic_matrix(
-            DEFECTIVE_TRIO_WITNESS, [0, 0, 0])
-        assert combined.cols == 3
+        # one eigenvalue: the premise is A − λI = 0, not (A − λI)² = 0
+        with pytest.raises(NotDiagonalizable) as excinfo:
+            combined_characteristic_matrix(DEFECTIVE_TRIO_WITNESS, [0, 0, 0])
+        assert excinfo.value.witness == DEFECTIVE_TRIO_WITNESS
+        assert is_diagonalizable(DEFECTIVE_TRIO_WITNESS, spectrum([(0, 3)])) \
+            == (False, DEFECTIVE_TRIO_WITNESS)
+        combined = combined_characteristic_matrix(Matrix.identity(3) * 2,
+                                                  [2, 2, 2])
+        assert combined.is_zero() and combined.cols == 3
 
     def test_rejects_three_distinct(self):
         with pytest.raises(SpectrumTooLarge):
@@ -630,8 +636,9 @@ class TestCombinedMatrix:
         (m([[2, 1, 0], [0, 2, 0], [0, 0, 3]]), [2, 2, 3],
          m([[0, -1, 0], [0, 0, 0], [0, 0, 0]])),
         (m([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), [1, 1, 1],
-         m([[0, 0, 1], [0, 0, 0], [0, 0, 0]])),
-    ], ids=["two-values", "jordan-block"])
+         m([[0, 1, 0], [0, 0, 1], [0, 0, 0]])),
+        (m([[2, 1], [0, 2]]), [2, 2], m([[0, 1], [0, 0]])),
+    ], ids=["two-values", "jordan-block", "jordan-pair"])
     def test_defective_input_raises_with_the_witness(self, a, assignment,
                                                      witness):
         # the columns (1, −1, 0) and (0, 1, 0) would be no eigenvectors
@@ -671,7 +678,8 @@ class TestAtMostTwoEigenvalues:
     """The paper's theorem: with |σ(A)| ≤ 2 the eigenvectors for λ₁ are
     the nonzero columns of A − λ₂I and vice versa, exactly when
     (A − λ₁I)(A − λ₂I) = 0. The three readers return eigenvectors on a
-    semisimple matrix and the product as a witness on a defective one."""
+    semisimple matrix and, on a defective one, raise with the witness
+    ``is_diagonalizable`` gives: the product, or A − λI for one point."""
 
     @given(at_most_two_eigenvalues())
     @example((m([[2, 1, 0], [0, 2, 0], [0, 0, 3]]),
@@ -686,10 +694,10 @@ class TestAtMostTwoEigenvalues:
                          subtract_scalar_diag(a, lam2))
         assignment = [value for value, mult in s.pairs
                       for _ in range(mult)]
-        if defective and (lam1 != lam2 or not premise.is_zero()):
+        if defective:
             with pytest.raises(NotDiagonalizable) as excinfo:
                 combined_characteristic_matrix(a, assignment, s)
-            assert excinfo.value.witness == premise
+            assert excinfo.value.witness == is_diagonalizable(a, s)[1]
         else:
             combined = combined_characteristic_matrix(a, assignment, s)
             for j, value in enumerate(assignment):

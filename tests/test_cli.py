@@ -10,11 +10,13 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exacteig
 from exacteig import (Matrix, Singular, Spectrum, format_scalar,
                       left_product_eigenvectors, matrix_to_json,
-                      product_eigenvectors, spectrum_to_json, vector_to_json)
+                      oracle_eigenvectors, product_eigenvectors,
+                      spectrum_to_json, vector_to_json)
 from exacteig.cli import main
 from test_factorizations import corpus_recipe
 
@@ -57,6 +59,22 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return runner
+
+
+def _main_on(documents, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, where ``documents``
+    maps each placeholder in ``argv`` to the JSON payload of a file that
+    is written for the call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, payload in documents.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(arg, arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEigenvectors:
@@ -129,6 +147,26 @@ class TestEigenvectors:
         code, oracle, _ = run("eigenvectors", path, "--method", "oracle",
                               "--left", "--json")
         assert code == 0 and oracle == kappa
+
+    @pytest.mark.parametrize("command", ["eigenvectors", "left"])
+    @pytest.mark.parametrize("entries,target,vectors", [
+        ([["0", "-1"], ["1", "0"]], "-i",
+         {"eigenvectors": [["1", "i"]], "left": [["1", "-i"]]}),
+        ([["-1/2", "1"], ["0", "3"]], "-1/2",
+         {"eigenvectors": [["1", "0"]], "left": [["7", "-2"]]}),
+        ([["-1", "2"], ["-2", "-1"]], "-1-2i",
+         {"eigenvectors": [["1", "-i"]], "left": [["1", "i"]]}),
+    ], ids=["-i", "-1/2", "-1-2i"])
+    def test_negative_target_as_its_own_argument(self, run, write_json,
+                                                 command, entries, target,
+                                                 vectors):
+        # argparse alone reads "-i" as an option and "--target" as bare
+        path = write_json({"rows": 2, "cols": 2, "entries": entries})
+        code, out, err = run(command, path, "--target", target, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == vectors[command]
+        assert run(command, path, f"--target={target}", "--json") == \
+            (code, out, err)
 
     @pytest.mark.parametrize("options,message", [
         (("--method", "cross"), "--method cross only applies to 3x3 "
@@ -850,17 +888,116 @@ class TestWholeEigensystem:
              "vectors": [vector_to_json(v)
                          for v in per_target(a, s, value)]}
             for value, mult in s.pairs]}
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = []
-            for name, payload in [("m", matrix_to_json(a)),
-                                  ("s", spectrum_to_json(s))]:
-                paths.append(os.path.join(tmp, f"{name}.json"))
-                with open(paths[-1], "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(payload))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main([command[0], paths[0], *command[1:],
-                             "--spectrum", paths[1], "--json"])
+        code, out, _ = _main_on(
+            {"m": matrix_to_json(a), "s": spectrum_to_json(s)},
+            [command[0], "m", *command[1:], "--spectrum", "s", "--json"])
         assert code == 0
-        assert out.getvalue() == json.dumps(
-            expected, separators=(",", ":")) + "\n"
+        assert out == json.dumps(expected, separators=(",", ":")) + "\n"
+
+
+class TestLeftTarget:
+    """With --target, ``left``, ``eigenvectors --left`` and its oracle
+    read the one eigenvalue's right eigenvectors of Aᵀ and print them
+    transposed, as ``left_product_eigenvectors`` and the oracle on Aᵀ
+    give them. The target goes as its own argument, so a negative or
+    non-real one is read too."""
+
+    @pytest.mark.parametrize("command", [
+        ["left"], ["eigenvectors", "--left"],
+        ["eigenvectors", "--left", "--method", "oracle"]],
+        ids=["left", "eigenvectors-left", "eigenvectors-left-oracle"])
+    @given(case=corpus_recipe(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_library(self, command, case, data):
+        a, s = case
+        value, mult = data.draw(st.sampled_from(s.pairs))
+        if "oracle" in command:
+            vectors = [v.transposed()
+                       for v in oracle_eigenvectors(a.transpose(), value)]
+        else:
+            vectors = left_product_eigenvectors(a, s, value)
+        code, out, err = _main_on(
+            {"m": matrix_to_json(a), "s": spectrum_to_json(s)},
+            [command[0], "m", *command[1:], "--spectrum", "s",
+             "--target", format_scalar(value)])
+        assert (code, err) == (0, "")
+        assert out == (f"eigenvalue {format_scalar(value)} (multiplicity "
+                       f"{mult}), left eigenvectors:\n"
+                       + "".join(f"  {v!r}\n" for v in vectors))
+
+
+# canonical scalars, negative and non-real ones among them, and the
+# spellings the grammar refuses
+SCALARS = ["0", "1", "-1", "2", "-3", "1/2", "-2/3", "i", "-i", "2i",
+           "1+i", "-1-2i", "-1/2+i"]
+MALFORMED = ["x", "01", "2/4", "1/0", "1i"]
+
+
+@st.composite
+def cli_calls(draw):
+    """(documents, argv) for one CLI call: a matrix document up to 4x4,
+    non-square at times, triangular at times (its spectrum is then its
+    diagonal), with now and then a malformed entry; an optional spectrum
+    document; and one of the nine subcommands with its flags."""
+    rows = draw(st.integers(1, 4))
+    cols = rows if draw(st.integers(0, 5)) else draw(st.integers(1, 4))
+    triangular = draw(st.booleans())
+    entries = [[("0" if triangular and j < i else draw(st.sampled_from(
+        MALFORMED if not draw(st.integers(0, 30)) else SCALARS)))
+        for j in range(cols)] for i in range(rows)]
+    documents = {"m": {"rows": rows, "cols": cols, "entries": entries}}
+    diagonal = [entries[i][i] for i in range(min(rows, cols))]
+    spectrum = draw(st.sampled_from(["none", "diagonal", "drawn"]))
+    if spectrum == "diagonal":
+        documents["s"] = {"eigenvalues": [
+            {"value": value, "multiplicity": diagonal.count(value)}
+            for value in dict.fromkeys(diagonal)]}
+    elif spectrum == "drawn":
+        documents["s"] = {"eigenvalues": [
+            {"value": draw(st.sampled_from(SCALARS)),
+             "multiplicity": draw(st.integers(0, 3))}
+            for _ in range(draw(st.integers(1, 3)))]}
+    command = draw(st.sampled_from([
+        "eigenvectors", "left", "diagonalize", "jordan", "charpoly",
+        "check", "power", "ode", "bench"]))
+    argv = [command]
+    if command != "bench" or draw(st.booleans()):
+        argv.append("m")
+    if command == "bench":
+        if draw(st.booleans()):
+            argv += ["--dim", str(draw(st.integers(2, 4)))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(0, 9)))]
+    if command in ("eigenvectors", "left") and draw(st.booleans()):
+        argv += ["--target", draw(st.sampled_from(SCALARS + diagonal))]
+    if command == "eigenvectors":
+        argv += ["--method", draw(st.sampled_from(
+            ["kappa", "cross", "oracle", "intersect"]))]
+        if draw(st.booleans()):
+            argv.append("--left")
+    flags = {"charpoly": "--no-roots", "ode": "--no-realify"}
+    if command in flags and draw(st.booleans()):
+        argv.append(flags[command])
+    if command == "power":
+        argv += ["--n", str(draw(st.integers(-1, 5)))]
+    if "s" in documents and command not in ("charpoly", "power"):
+        argv += ["--spectrum", "s"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return documents, argv
+
+
+class TestExitCodeContract:
+    """Every input ends in a documented exit code: main() returns one of
+    0–5 and raises nothing, and a failure prints nothing on stdout and
+    one ``error:`` line on stderr."""
+
+    @given(call=cli_calls())
+    @settings(max_examples=200, deadline=None)
+    def test_every_input_ends_in_a_documented_code(self, call):
+        code, out, err = _main_on(*call)
+        assert 0 <= code <= 5
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 \
+                and err.endswith("\n")

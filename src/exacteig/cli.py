@@ -201,15 +201,20 @@ def _parse(argv):
     names one and leaves nothing over, else by the top parser. argparse
     reads a token such as ``-i`` or ``-1/2`` as an option, so for the
     eigenvector commands a ``--target`` value that starts with "-" and a
-    digit or ``i`` is first joined to it as ``--target=VALUE``."""
+    digit or ``i`` is first joined to the option before it as
+    ``OPTION=VALUE``, when that option is ``--target`` or one of its
+    abbreviations (``--t`` … ``--targe``; no other option of those
+    commands starts with ``--t``)."""
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
     if command.get_default("handler") is _cmd_eigenvectors:
         for i in range(len(argv) - 1, 1, -1):
-            if argv[i - 1] == "--target" and re.match(r"-[0-9i]", argv[i]):
-                argv[i - 1:i + 1] = [f"--target={argv[i]}"]
+            option = argv[i - 1]
+            if (len(option) > 2 and "--target".startswith(option)
+                    and re.match(r"-[0-9i]", argv[i])):
+                argv[i - 1:i + 1] = [f"{option}={argv[i]}"]
     args, rest = command.parse_known_args(argv[1:])
     if rest:
         return parser.parse_args(argv)

@@ -2,8 +2,10 @@
 general solution of x′ = Ax.
 
 Everything is exact. Diagonalization uses the product-extraction
-eigenbasis; powers come from binary exponentiation alone, which needs
-no spectrum and works for every square matrix; ODE solutions are
+eigenbasis; powers come from binary exponentiation, which needs no
+spectrum and works for every square matrix, or, for large exponents
+while a Jordan decomposition of the matrix is held, from that
+decomposition as (P·Jᵏ)·P⁻¹ in one product; ODE solutions are
 returned as structured symbolic terms (vector polynomial ×
 exponential, optionally realified into cosine/sine pairs) together
 with an exact checker that verifies a term satisfies the system by
@@ -22,8 +24,9 @@ from .errors import (
     NotSquare,
     RealifyOnComplexMatrix,
 )
-from .jordan import _decomposition, _jordan_basis
-from .matrices import Record, Vector, _power, matvec
+from .jordan import (_block_ones, _decomposition, _held_decomposition,
+                     _jordan_basis)
+from .matrices import Record, Vector, _power, _times_diagonal, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
 from .spectra import resolve_spectrum
 
@@ -71,19 +74,49 @@ def diagonalize(a, s=None):
 
 
 def matrix_power(a, exponent, s=None):
-    """Aᵏ by binary exponentiation (exact, works for any square A).
+    """Aᵏ, exact, for any square A.
 
-    ``s`` is accepted for call compatibility and ignored: the power
-    needs no spectrum.
+    Binary exponentiation takes ⌊log₂ k⌋ + popcount(k) − 1 products.
+    From ``_ROUTE_PRODUCTS`` of them on, while a ``jordan_form`` or
+    ``diagonalize`` result of ``a`` holds the P⁻¹ checked for the Jordan
+    basis that ``a`` keeps, Aᵏ = (P·Jᵏ)·P⁻¹ is read off that
+    decomposition in one product instead (Higham, *Functions of
+    Matrices*, §1.2), with Jᵏ applied to P's columns on the planes.
+    Its J is that of the spectrum that the kept characteristic
+    polynomial recorded. Every other call is ``matrix_power_direct``, so
+    a fresh matrix needs no spectrum. ``s`` is accepted for call
+    compatibility and ignored.
     """
+    _check_power(a, exponent)
+    if exponent.bit_length() + exponent.bit_count() - 2 >= _ROUTE_PRODUCTS:
+        held = _held_decomposition(a)
+        if held is not None:
+            p, sizes, p_inv = held
+            p_j = _times_diagonal(p, resolve_spectrum(a, None).expanded(),
+                                  _block_ones(sizes), exponent)
+            return matmul(p_j, p_inv)
+    return _power(a, exponent)
+
+
+# The products of binary exponentiation from which a held decomposition
+# is cheaper: in-process timings of both routes on corpus (n = 2-5) and
+# ladder (n = 6-12) recipe matrices, recorded in BENCH_35.json.
+_ROUTE_PRODUCTS = 5
+
+
+def matrix_power_direct(a, exponent):
+    """Aᵏ by binary exponentiation alone (exact, works for any square A,
+    needs no spectrum): ⌊log₂ k⌋ squarings and popcount(k) − 1 further
+    products."""
+    _check_power(a, exponent)
+    return _power(a, exponent)
+
+
+def _check_power(a, exponent):
     if not a.is_square:
         raise NotSquare("matrix power needs a square matrix")
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    return _power(a, exponent)
-
-
-matrix_power_direct = matrix_power
 
 
 class TrigPart(Record):

@@ -19,11 +19,15 @@ Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
 alone. Everything runs in exact arithmetic. A matrix finds and certifies
 its Jordan basis once and keeps it, for ``jordan_form``, ``diagonalize``
 and ``ode_general_solution``; the first two check P⁻¹ by P⁻¹·P = I.
+The matrix refers to the P⁻¹ that passed only weakly, beside the kept
+basis: while a result holds it, later decompositions of the matrix, and
+``matrix_power`` for large exponents, read it without inverting again.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from weakref import ref
 
 from .errors import (InternalInconsistency, NotInSpectrum, NotSquare,
                      RankTooLarge)
@@ -197,7 +201,9 @@ def jordan_form(a, s=None):
     the blocks come largest first, with ones on the superdiagonal. The
     columns of P are the chain vectors x₁…x_m per block, which ``a``
     keeps once they are certified (see ``_jordan_basis``); P⁻¹ is
-    checked exactly on every call (see ``_decomposition``).
+    checked exactly whenever it is inverted, which a result of an
+    earlier call on ``a`` that still holds it spares (see
+    ``_decomposition``).
     """
     return JordanForm(*_decomposition(a, resolve_spectrum(a, s)))
 
@@ -205,15 +211,30 @@ def jordan_form(a, s=None):
 def _decomposition(a, s):
     """(P, J, P⁻¹) for the verified spectrum ``s``, for ``jordan_form``
     and ``diagonalize`` (1×1 blocks). P is certified invertible where it
-    is kept, so the one exact check P⁻¹·P = I fixes all of P⁻¹."""
+    is kept, so the one exact check P⁻¹·P = I fixes all of P⁻¹. ``a``
+    refers to the P⁻¹ that passed only weakly, so while a result holds
+    it, later calls take it without inverting or checking again."""
     p, sizes = _jordan_basis(a, s)
+    held = _held_decomposition(a)
+    if held is not None:
+        return p, _jordan_matrix(s, sizes), held[2]
     try:
         p_inv = inverse(p)
     except ValueError as singular:  # Singular, on a certified P
         raise InternalInconsistency("certified P is singular") from singular
     if matmul(p_inv, p) != Matrix.identity(a.rows):
         raise InternalInconsistency("inverse check P^-1*P == I failed")
+    a._remember("_jordan", (p, sizes, ref(p_inv)))
     return p, _jordan_matrix(s, sizes), p_inv
+
+
+def _held_decomposition(a):
+    """(P, block sizes, P⁻¹) of the Jordan basis that ``a`` keeps, while
+    a result of ``_decomposition`` still holds the P⁻¹ checked for it;
+    else None."""
+    kept = getattr(a, "_jordan", None)
+    p_inv = kept[2]() if kept and kept[2] else None
+    return None if p_inv is None else (*kept[:2], p_inv)
 
 
 def _jordan_matrix(s, sizes):
@@ -268,5 +289,5 @@ def _jordan_basis(a, s):
         if any(v[0].is_zero() if len(v) == 1 else
                len(independent_extension([], v)) < len(v) for v in bottoms):
             raise InternalInconsistency("chain bottoms are dependent")
-        a._remember("_jordan", (p, tuple(sizes)))
-    return a._jordan
+        a._remember("_jordan", (p, tuple(sizes), None))
+    return a._jordan[:2]

@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextvars import ContextVar
 from itertools import repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -97,10 +97,18 @@ class Record:
     """Base of the immutable records that results come in: the
     ``__slots__`` are the fields, in order, given by position or keyword;
     ``_defaults`` fills fields left out, and ``_validate`` checks them.
-    Records of one type with equal fields are equal, with equal hashes."""
+    Records of one type with equal fields are equal, with equal hashes.
+    The fields are written through their slot descriptors, which each
+    subclass lists in ``_setters`` when it is defined."""
 
     __slots__ = ()
     _defaults = {}
+    _setters = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple([getattr(cls, name).__set__
+                              for name in cls.__slots__])
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -112,8 +120,8 @@ class Record:
                 raise TypeError(f"{type(self).__name__} takes the fields "
                                 f"{', '.join(names)}")
             args = [values[name] for name in names]
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for write, value in zip(self._setters, args):
+            write(self, value)
         self._validate()
 
     def _validate(self):
@@ -483,7 +491,8 @@ _FACTS = ("_charpoly",)
 # only one the matrix has: the matrix of all eigenvectors with the size
 # of each eigenspace (``eigensystem``; it is square when every eigenspace
 # is complete) and the Jordan P with its block sizes (``jordan_form`` and
-# ``ode_general_solution``). They do not hold for the transpose.
+# ``ode_general_solution``), beside a weak reference to the P⁻¹ last
+# checked for it, or None. They do not hold for the transpose.
 _STRUCTURE = ("_eigenvectors", "_jordan")
 
 
@@ -494,9 +503,12 @@ class Matrix:
     The slots of ``_FACTS`` and ``_STRUCTURE`` stay unset until a fact is
     first computed, are written by ``_remember`` and read with a default;
     they take no part in ``==``, ``hash`` or pickling, and ``transpose``
-    hands on those of ``_FACTS``."""
+    hands on those of ``_FACTS``. A matrix can be weakly referenced, so
+    that a matrix refers to a result it does not own (the P⁻¹ that
+    ``jordan`` checked) only while something else holds it."""
 
-    __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS, *_STRUCTURE)
+    __slots__ = ("rows", "cols", "_den", "_re", "_im", *_FACTS, *_STRUCTURE,
+                 "__weakref__")
 
     def __init__(self, entries):
         data = [[to_scalar(e) for e in row] for row in entries]
@@ -757,28 +769,83 @@ def matmul(a, b):
     return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
 
 
-def _times_diagonal(p, values, ones):
-    """P·Matrix.diagonal(values, ones) with no product, on the planes:
-    column k is λₖ·pₖ, plus pₖ₋₁ for each k in ``ones``. It counts one
-    multiplication per entry and one addition per entry of a column in
-    ``ones``."""
+def _times_diagonal(p, values, ones, k=1):
+    """P·Jᵏ with no product, on the planes, for J = Matrix.diagonal(values,
+    ones) and k ≥ 1, the values equal along each block of J (a column in
+    ``ones`` continues the block of the column before it): column c is
+    Σᵢ C(k, i)·λ_c^(k−i)·p_(c−i) over i = 0 … min(k, depth), depth the
+    number of columns of its block before c. At k = 1 that is λ_c·p_c,
+    plus p_(c−1) for each c in ``ones``, for any values. It counts one
+    multiplication per entry and term with i < k, and one addition per
+    entry and term after the first; the powers λᵏ⁻ⁱ and binomials, one
+    set per eigenvalue, are coefficients and are not counted."""
     den, v_re, v_im = _planes(values)
-    re, rows = p._re, p.rows
-    lam_re = v_re * rows  # λₖ beside each entry of column k, row-major
+    re, rows, cols = p._re, p.rows, p.cols
+    depth = [0] * cols
+    for c in range(1, cols):
+        if c in ones:
+            depth[c] = min(depth[c - 1] + 1, k)
+    lead_re, lead_im, terms = _power_terms(den, v_re, v_im, depth, k)
+    lam_re = lead_re * rows  # λ_cᵏ beside each entry of column c, row-major
     if p._im or any(v_im):
-        im, lam_im = p._imag(), v_im * rows
+        im, lam_im = p._imag(), lead_im * rows
         out_re = [x * c - y * d for x, y, c, d in zip(re, im, lam_re, lam_im)]
         out_im = [x * d + y * c for x, y, c, d in zip(re, im, lam_re, lam_im)]
     else:
         im, out_re, out_im = None, list(map(mul, re, lam_re)), []
-    cols = p.cols
-    for k in ones:
-        for i in range(k, len(re), cols):
-            out_re[i] += den * re[i - 1]
-            if im is not None:
-                out_im[i] += den * im[i - 1]
-    _tally(mults=len(re), adds=rows * len(ones))
-    return Matrix._make(rows, cols, p._den * den, out_re, out_im)
+    for c, i, f, g in terms:
+        for e in range(c, len(re), cols):
+            if im is None:
+                out_re[e] += f * re[e - i]
+            else:
+                x, y = re[e - i], im[e - i]
+                out_re[e] += f * x - g * y
+                out_im[e] += f * y + g * x
+    _tally(mults=rows * (cols + len(terms) - depth.count(k)),
+           adds=rows * len(terms))
+    return Matrix._make(rows, cols, p._den * den ** k, out_re, out_im)
+
+
+def _power_terms(den, v_re, v_im, depth, k):
+    """The coefficients of P·Jᵏ over den^k, for eigenvalues λ_c =
+    (v_re[c] + v_im[c]·i)/den: the lists of real and imaginary parts of
+    λ_cᵏ, and (c, i, re, im) of C(k, i)·λ_c^(k−i)·den^i for each column c
+    and 1 ≤ i ≤ depth[c]. The powers of each eigenvalue come from one
+    ladder λ^(k−m) … λᵏ, m the furthest any column of it reaches."""
+    if k == 1:
+        return v_re, v_im, [(c, 1, den, 0) for c, d in enumerate(depth) if d]
+    values = list(zip(v_re, v_im))
+    reach = {}
+    for z, d in zip(values, depth):
+        reach[z] = max(reach.get(z, 0), d)
+    ladders = {z: _gaussian_powers(*z, k - m, k) for z, m in reach.items()}
+    terms = []
+    for c, (z, d) in enumerate(zip(values, depth)):
+        for i in range(1, d + 1):
+            scale = comb(k, i) * den ** i
+            f, g = ladders[z][-1 - i]
+            terms.append((c, i, f * scale, g * scale))
+    return ([ladders[z][-1][0] for z in values],
+            [ladders[z][-1][1] for z in values], terms)
+
+
+def _gaussian_powers(x, y, low, high):
+    """(x + y·i)ᵉ for e = low … high, as (re, im) pairs of ints."""
+    if y:
+        px, py, bx, by, e = 1, 0, x, y, low
+        while e:
+            if e & 1:
+                px, py = px * bx - py * by, px * by + py * bx
+            e >>= 1
+            if e:
+                bx, by = bx * bx - by * by, 2 * bx * by
+    else:
+        px, py = x ** low, 0
+    powers = [(px, py)]
+    for _ in range(high - low):
+        px, py = px * x - py * y, px * y + py * x
+        powers.append((px, py))
+    return powers
 
 
 def _power(a, exponent):

@@ -340,6 +340,18 @@ class Spectrum:
                                 key=lambda pair: (pair[0].re, pair[0].im)))
         return self
 
+    @classmethod
+    def _of_key(cls, key):
+        """The spectrum whose ``_key`` is ``key``, one that a polynomial
+        recorded, rebuilt without sorting or checking it again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pairs", tuple([
+            (GaussianRational._make(Fraction(*key[k:k + 2]),
+                                    Fraction(*key[k + 2:k + 4])), key[k + 4])
+            for k in range(0, len(key), 5)]))
+        object.__setattr__(self, "_key", key)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
 
@@ -470,12 +482,16 @@ def find_spectrum(p):
     one that happens to factor over ℚ(i)), raises IrrationalSpectrum:
     the caller supplies the spectrum instead. ``p`` records the result;
     ``verify_spectrum`` then accepts it without dividing for any matrix
-    that holds ``p`` as its characteristic one.
+    that holds ``p`` as its characteristic one, and a later call returns
+    the spectrum that ``p`` recorded, found or verified, without a search.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
+    recorded = getattr(p, "_factored", None)
+    if recorded is not None:
+        return Spectrum._of_key(recorded)
     if any(p._imags):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")

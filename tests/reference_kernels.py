@@ -6,7 +6,9 @@ The matrix kernels are the entry-by-entry Gaussian-rational algorithms
 that ``exacteig.matrices`` used before it moved to integer planes and
 fraction-free elimination. They work on rows of scalars (tuples of
 :class:`GaussianRational`) and share no code with the library's
-kernels, so exact agreement between the two is evidence for both.
+kernels, so exact agreement between the two is evidence for both;
+``reference_power`` is binary exponentiation on those rows, the
+reference for both routes of ``matrix_power``.
 ``find_spectrum`` is the rational-root-theorem search that
 ``exacteig.spectra`` used before p-adic lifting, with its helpers.
 ``is_independent`` is the one-candidate rank test that the library's
@@ -124,6 +126,19 @@ def _dot(u, v):
     for x, y in zip(u[1:], v[1:]):
         acc = acc + x * y
     return acc
+
+
+def reference_power(rows, k):
+    """Aᵏ of a row tuple of scalars by binary exponentiation."""
+    n = len(rows)
+    result = tuple(tuple(GaussianRational(int(i == j)) for j in range(n))
+                   for i in range(n))
+    while k:
+        if k & 1:
+            result = matmul(result, rows)
+        rows = matmul(rows, rows)
+        k >>= 1
+    return result
 
 
 def rref(a):

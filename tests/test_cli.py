@@ -168,6 +168,22 @@ class TestEigenvectors:
         assert run(command, path, f"--target={target}", "--json") == \
             (code, out, err)
 
+    @pytest.mark.parametrize("command", ["eigenvectors", "left"])
+    @pytest.mark.parametrize("option", ["--t", "--ta", "--targ", "--targe"])
+    @pytest.mark.parametrize("entries,target", [
+        ([["0", "-1"], ["1", "0"]], "-i"),
+        ([["-1/2", "1"], ["0", "3"]], "-1/2"),
+    ], ids=["-i", "-1/2"])
+    def test_negative_target_after_an_abbreviation(self, run, write_json,
+                                                   command, option, entries,
+                                                   target):
+        # argparse takes any unambiguous prefix of --target for it
+        path = write_json({"rows": 2, "cols": 2, "entries": entries})
+        joined = run(command, path, f"--target={target}", "--json")
+        assert joined[0] == 0
+        assert run(command, path, option, target, "--json") == joined
+        assert run(command, path, f"{option}={target}", "--json") == joined
+
     @pytest.mark.parametrize("options,message", [
         (("--method", "cross"), "--method cross only applies to 3x3 "
                                 "matrices"),

@@ -209,6 +209,63 @@ class TestMatrixPower:
         with pytest.raises(ValueError):
             matrix_power_direct(SHORTCUT, "2")
 
+    @pytest.fixture
+    def binary(self, monkeypatch):
+        """The exponents binary exponentiation ran for, through either
+        function."""
+        ran = []
+        original = exacteig.factorizations._power
+        monkeypatch.setattr(exacteig.factorizations, "_power",
+                            lambda a, k: ran.append(k) or original(a, k))
+        return ran
+
+    @pytest.mark.parametrize("matrix,spec", [
+        (THREE_DISTINCT, THREE_DISTINCT_SPECTRUM),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
+    def test_a_held_decomposition_serves_large_exponents(
+            self, binary, matrix, spec):
+        # ⌊log₂ k⌋ + popcount(k) − 1 products decide, not k itself: 16
+        # takes 4 and stays binary, 11 takes 5
+        a = _copy(matrix)
+        form = jordan_form(a, spec)
+        threshold = exacteig.factorizations._ROUTE_PRODUCTS
+        running = Matrix.identity(a.rows)
+        for k in range(40):
+            binary.clear()
+            assert matrix_power(a, k) == running
+            products = k.bit_length() + k.bit_count() - 2
+            assert binary == ([] if products >= threshold else [k])
+            running = matmul(running, a)
+        assert exacteig.jordan._held_decomposition(a)[2] is form.p_inv
+
+    def test_direct_is_binary_exponentiation_alone(self, binary):
+        a = _copy(DEFECTIVE_TRIO)
+        form = jordan_form(a, DEFECTIVE_TRIO_SPECTRUM)
+        assert exacteig.jordan._held_decomposition(a)[2] is form.p_inv
+        # two routes: only matrix_power_direct runs binary exponentiation
+        assert matrix_power_direct(a, 100) == matrix_power(a, 100)
+        assert binary == [100]
+
+    def test_a_dropped_decomposition_leaves_binary(self, binary):
+        a = _copy(DEFECTIVE_TRIO)
+        form = jordan_form(a, DEFECTIVE_TRIO_SPECTRUM)
+        routed = matrix_power(a, 100)
+        assert binary == []
+        del form  # the matrix kept only a weak reference to its P⁻¹
+        assert exacteig.jordan._held_decomposition(a) is None
+        assert matrix_power(a, 100) == routed
+        assert binary == [100]
+
+    def test_the_route_ignores_the_spectrum_argument(self):
+        # as binary exponentiation does: J comes from the spectrum that
+        # the characteristic polynomial recorded
+        a = _copy(DEFECTIVE_TRIO)
+        form = jordan_form(a, DEFECTIVE_TRIO_SPECTRUM)
+        assert exacteig.jordan._held_decomposition(a)[2] is form.p_inv
+        assert matrix_power(a, 100, Spectrum([(5, 3)])) == \
+            matrix_power_direct(DEFECTIVE_TRIO, 100)
+
 
 def checked_solution(matrix, spec=None, realify=None):
     terms = ode_general_solution(matrix, spec, realify=realify)
@@ -567,6 +624,28 @@ class TestKeptEigenStructure:
         kept = jordan_form(a, spec)
         assert calls == ["_eliminate"] * (_repeated(spec) + 1)
         assert kept == jordan_form(_copy(matrix), spec)
+
+    @pytest.mark.parametrize("matrix,spec", [
+        *DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
+    def test_a_held_inverse_is_not_inverted_again(
+            self, monkeypatch, calls, matrix, spec):
+        cold = jordan_form(_copy(matrix), spec)
+        inverses = []
+        original = exacteig.jordan.inverse
+        monkeypatch.setattr(exacteig.jordan, "inverse",
+                            lambda p: inverses.append(p) or original(p))
+        a = _copy(matrix)
+        diagonal = diagonalize(a, spec)
+        assert len(inverses) == 1
+        calls.clear()
+        # while the Diagonalization is referenced: no inverse, no check
+        form = jordan_form(a, spec)
+        assert len(inverses) == 1 and calls == []
+        assert form.p_inv is diagonal.p_inv and form == cold
+        del diagonal, form
+        # dropped: the matrix did not own P⁻¹, so it is inverted again
+        assert jordan_form(a, spec) == cold
+        assert len(inverses) == 2 and calls == ["_eliminate"]
 
     @pytest.mark.parametrize("matrix,spec", ALL_CASES)
     def test_ode_after_jordan_form_makes_no_elimination(

@@ -130,7 +130,51 @@ def test_outputs_match_pinned_digests(dim, blocks, seed):
     assert output_digests(matrix, spectrum) == PINNED[f"n{dim}-seed{seed}"]
 
 
+@pytest.mark.parametrize("dim, blocks, seed", LARGE_CASES)
+def test_a_held_decomposition_serves_the_pinned_power(monkeypatch, dim,
+                                                      blocks, seed):
+    # output_digests holds the JordanForm while it takes A¹⁰⁰, which is
+    # then (P·J¹⁰⁰)·P⁻¹: binary exponentiation does not run
+    def binary(*args):
+        raise AssertionError("A^100 was not read off the decomposition")
+
+    monkeypatch.setattr(exacteig.factorizations, "_power", binary)
+    matrix, spectrum = large_case(dim, blocks, seed)
+    assert output_digests(matrix, spectrum) == PINNED[f"n{dim}-seed{seed}"]
+
+
 SRC = str(Path(exacteig.__file__).resolve().parents[1])
+
+# A¹⁰⁰⁰⁰⁰ of the 9×9 case, whose entries reach about 160,000 bits, with
+# its JordanForm held; binary exponentiation takes about 2 s here.
+LARGE_POWER_IN_CHILD = """
+import json, sys, time
+from exacteig import (GeneratorConfig, Spectrum, jordan_form, matmul,
+                      matrix_power, parse_scalar, random_spectral_matrix)
+dim, blocks, seed = json.loads(sys.argv[1])
+values = {parse_scalar(k): tuple(sizes) for k, sizes in blocks.items()}
+spectrum = Spectrum([(v, sum(sizes)) for v, sizes in values.items()])
+matrix, _ = random_spectral_matrix(GeneratorConfig(
+    dim=dim, spectrum=spectrum, seed=seed, entry_bound=2,
+    jordan_blocks=values))
+form = jordan_form(matrix, spectrum)
+start = time.perf_counter()
+power = matrix_power(matrix, 100000)
+elapsed = time.perf_counter() - start
+assert matmul(matrix, power) == matmul(power, matrix)
+print(elapsed)
+"""
+
+
+def test_a_large_exponent_is_read_off_the_decomposition():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", LARGE_POWER_IN_CHILD,
+                           json.dumps(LARGE_CASES[3])], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1.0
 
 # Measured in a fresh interpreter: gc.collect() frees the temporaries
 # parked in CPython's free lists, so that only what the matrix keeps is

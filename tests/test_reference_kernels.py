@@ -22,12 +22,15 @@ block structures and on every corpus recipe.
 """
 
 import json
+from itertools import count
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import exacteig.factorizations
+import exacteig.jordan
 import reference_kernels as ref
 from exacteig import (
     GaussianRational,
@@ -133,18 +136,6 @@ def reference_nullspace(rows):
             v[pivot] = -reduced[k][free]
         basis.append(ref.normalize_eigenvector(v))
     return basis
-
-
-def reference_power(rows, k):
-    n = len(rows)
-    result = tuple(tuple(GaussianRational(int(i == j)) for j in range(n))
-                   for i in range(n))
-    while k:
-        if k & 1:
-            result = ref.matmul(result, rows)
-        rows = ref.matmul(rows, rows)
-        k >>= 1
-    return result
 
 
 def assert_elimination_agrees(rows):
@@ -356,8 +347,8 @@ def test_corpus_agrees_with_reference(corpus):
         expected = ref.inverse(rows)
         if expected is not None:
             assert ref.scalar_rows(inverse(a)) == expected
-        assert ref.scalar_rows(matrix_power(a, 13)) == reference_power(rows,
-                                                                       13)
+        assert ref.scalar_rows(matrix_power(a, 13)) == \
+            ref.reference_power(rows, 13)
 
 
 @st.composite
@@ -405,6 +396,34 @@ class TestPlantedFormAgainstReference:
     def test_corpus_recipe(self):
         for seed in range(CORPUS_SIZE):
             assert_planted_form_agrees(corpus_config(seed))
+
+
+def _binary_forbidden(*args):
+    raise AssertionError("binary exponentiation ran beside a held "
+                         "decomposition")
+
+
+# the least exponent whose binary exponentiation takes enough products
+# for a held decomposition to serve it
+CROSSOVER = next(k for k in count(1) if k.bit_length() + k.bit_count() - 2
+                 >= exacteig.factorizations._ROUTE_PRODUCTS)
+
+
+class TestPowerRouteAgainstReference:
+    @settings(max_examples=10)
+    @given(planted_jordan())
+    def test_planted_structures(self, case):
+        # while the JordanForm is held, Aᵏ = (P·Jᵏ)·P⁻¹ in one product
+        a, spectrum = case
+        rows = ref.scalar_rows(a)
+        form = jordan_form(a, spectrum)
+        assert exacteig.jordan._held_decomposition(a)[2] is form.p_inv
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exacteig.factorizations, "_power",
+                          _binary_forbidden)
+            for k in (CROSSOVER, 100, 1000):
+                assert ref.scalar_rows(matrix_power(a, k)) == \
+                    ref.reference_power(rows, k)
 
 
 def assert_jordan_kernels_agree(a, spectrum):

@@ -211,10 +211,12 @@ class TestFindSpectrum:
         with pytest.raises(IrrationalSpectrum):
             find_spectrum(charpoly(IRRATIONAL_PAIR))
 
-    def test_unfactorable_quartic_rejected(self):
-        # (l^2+1)^2 leaves a degree-4 remainder with no rational root
+    def test_unfactorable_quartic_rejected(self, fresh):
+        # (l^2+1)^2 leaves a degree-4 remainder with no rational root; a
+        # fresh copy, as a polynomial that recorded a verified spectrum
+        # returns that one
         with pytest.raises(IrrationalSpectrum):
-            find_spectrum(charpoly(SPIRAL))
+            find_spectrum(charpoly(fresh(SPIRAL)))
 
     def test_cubic_remainder_rejected(self):
         # l^3 - 2 has no rational root at all
@@ -393,6 +395,27 @@ class TestPerMatrixFacts:
                             lambda a: calls.append(a) or original(a))
         return calls
 
+    def test_a_recorded_spectrum_is_not_searched_again(self, fresh,
+                                                        monkeypatch):
+        # three-digit roots of a cubic: the p-adic search runs once
+        searches = []
+        original = exacteig.spectra._root_candidates
+        monkeypatch.setattr(exacteig.spectra, "_root_candidates",
+                            lambda f: searches.append(f) or original(f))
+        a = fresh(m([[101, 1, 0], [0, 202, 1], [0, 0, -303]]))
+        found = exacteig.resolve_spectrum(a, None)
+        assert found == spectrum([(101, 1), (202, 1), (-303, 1)])
+        assert len(searches) == 1
+        assert exacteig.resolve_spectrum(a, None) == found
+        assert find_spectrum(charpoly(a.transpose())) == found
+        assert len(searches) == 1
+        # a supplied spectrum that the polynomial verified is returned as
+        # well, though the search alone cannot factor (λ² + 1)²
+        b = fresh(SPIRAL)
+        verify_spectrum(b, spectrum([("i", 2), ("-i", 2)]))
+        assert find_spectrum(charpoly(b)) == spectrum([("i", 2), ("-i", 2)])
+        assert len(searches) == 1
+
     def test_charpoly_is_computed_once(self, fresh, computed):
         a = fresh(THREE_DISTINCT)
         assert charpoly(a) is charpoly(a)
@@ -445,7 +468,8 @@ class TestPerMatrixFacts:
         # the polynomial alone keeps the spectrum, and the transpose,
         # even one taken before the check, shares the polynomial
         assert {name for name in Matrix.__slots__
-                if name not in ("rows", "cols", "_den", "_re", "_im")} \
+                if name not in ("rows", "cols", "_den", "_re", "_im",
+                                "__weakref__")} \
             == {"_charpoly", "_eigenvectors", "_jordan"}
         a = fresh(THREE_DISTINCT)
         charpoly(a)

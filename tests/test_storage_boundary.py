@@ -144,11 +144,16 @@ def test_the_inverse_is_checked_by_one_identity():
 
 def test_only_the_certified_basis_is_kept():
     module = inspect.getsource(exacteig.jordan)
-    assert module.count('_remember("_jordan"') == 1
+    assert module.count('_remember("_jordan"') == 2
     basis = inspect.getsource(exacteig.jordan._jordan_basis)
     remember = basis.index('_remember("_jordan"')
     assert remember > basis.index("P*J") > basis.index("matmul(a, p)")
     assert remember > basis.index("independent_extension(")
+    # the other write keeps the same basis, with a weak reference to the
+    # P⁻¹ that passed its check, and comes after that check
+    decomposition = inspect.getsource(exacteig.jordan._decomposition)
+    write = '_remember("_jordan", (p, sizes, ref(p_inv)))'
+    assert decomposition.index(write) > decomposition.index("P^-1*P == I")
 
 
 def package_functions():

@@ -502,8 +502,8 @@ def eigensystem(a, s):
     """Assemble all eigenspaces via the product method, after one check
     of the spectrum (``verify_spectrum``). ``a`` keeps the vectors as the
     columns of one matrix, with each eigenspace's size: the P of
-    ``diagonalize``, and of ``jordan_form`` when it is square, and else
-    the kernels that Jordan chains start from."""
+    ``diagonalize`` and ``jordan_form`` when it is square, and else the
+    kernels that their Jordan chains start from."""
     s = verify_spectrum(a, s)
     shifted = [None] * len(s.pairs)
     spaces = []
@@ -516,14 +516,6 @@ def eigensystem(a, s):
     return EigenSystem(tuple(spaces))
 
 
-def _all_eigenvectors(a, s):
-    """The matrix of every eigenvector of ``a`` that ``eigensystem``
-    keeps, found by it for the verified spectrum ``s`` when not kept."""
-    if getattr(a, "_eigenvectors", None) is None:
-        eigensystem(a, s)
-    return a._eigenvectors[0]
-
-
 def _complete_eigenbasis(a):
     """The eigenvector matrix kept on ``a`` if square (complete), or None."""
     kept = getattr(a, "_eigenvectors", None)
@@ -531,11 +523,11 @@ def _complete_eigenbasis(a):
 
 
 def _kept_kernels(a, s):
-    """Per eigenvalue of ``s``, the ``nullspace_basis`` of A − λI that
-    ``eigensystem`` kept, or None for each when it kept none."""
-    kept = getattr(a, "_eigenvectors", None)
-    if kept is None:
-        return [None] * len(s.pairs)
-    p, sizes = kept
+    """Per eigenvalue of the verified spectrum ``s``, the basis of
+    ker(A − λI) that ``eigensystem`` keeps on ``a``, found by it when
+    not kept."""
+    if getattr(a, "_eigenvectors", None) is None:
+        eigensystem(a, s)
+    p, sizes = a._eigenvectors
     return [[p.column(j) for j in range(start, start + size)]
             for start, size in zip(accumulate(sizes, initial=0), sizes)]

@@ -98,7 +98,10 @@ def main(argv=None):
     argv is parsed once. When argv is empty, names no subcommand or
     leaves arguments over, the whole argv goes through the top parser
     instead, whose subparsers are those same objects: every usage
-    error and help text is argparse's own.
+    error and help text is argparse's own. Every failure ends in its
+    documented exit code with one ``error:`` line on stderr; an
+    exception that no other code covers is a fault of exacteig, exit 6,
+    and its line names the type.
     """
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
@@ -122,6 +125,8 @@ def main(argv=None):
         return _fail(1, str(exc))
     except OSError as exc:
         return _fail(2, str(exc))
+    except Exception as exc:  # a fault of exacteig: no traceback
+        return _fail(6, f"unexpected {type(exc).__name__}: {exc}")
 
 
 def _fail(code, message):

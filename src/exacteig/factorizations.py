@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import factorial
 
-from .charmatrix import _all_eigenvectors, is_diagonalizable
+from .charmatrix import is_diagonalizable
 from .errors import (
     InternalInconsistency,
     NotDiagonalizable,
@@ -57,9 +57,10 @@ def diagonalize(a, s=None):
     NotDiagonalizable — carrying the nonzero shifted-matrix product as
     a witness — when some eigenspace is too small: the verdict of
     ``is_diagonalizable`` comes first, which is cheaper than the
-    eigenbases on a defective matrix. P is the eigenvector matrix that
-    ``eigensystem`` keeps on ``a``, found by it when not kept; P, D (J
-    with 1×1 blocks) and P⁻¹ come from the routine of ``jordan_form``.
+    eigenbases on a defective matrix. P, D (J with 1×1 blocks) and P⁻¹
+    then come from the routine of ``jordan_form``, whose P is the
+    eigenvector matrix that ``eigensystem`` keeps on ``a``, found by it
+    when not kept.
     """
     if not a.is_square:
         raise NotSquare("diagonalization needs a square matrix")
@@ -69,7 +70,6 @@ def diagonalize(a, s=None):
         raise NotDiagonalizable(
             "an eigenspace is smaller than its algebraic multiplicity",
             witness=witness)
-    _all_eigenvectors(a, s)  # kept: the P that _decomposition takes
     return Diagonalization(*_decomposition(a, s), s.expanded())
 
 

@@ -9,16 +9,21 @@ Where the multiplicity is known (verified by ``jordan_form`` and
 ``ode_general_solution``, read off the characteristic polynomial by
 ``build_chains``) the sequence stops at the power whose null space
 reaches it, so κ^(index+1) is never formed and a simple eigenvalue
-costs one null-space elimination; the rank and level kernels, given
-only λ, stop at n or where the null space stops growing.
+costs one null-space elimination, none from a known ker κ; the rank
+and level kernels, given only λ, stop at n or where the null space
+stops growing.
 
 Chains are then built top-down: a chain of length m starts with a
 level-m generalized eigenvector x_m and descends via x_{k−1} = κ·x_k to
-an ordinary eigenvector x₁, from the ker κ that ``eigensystem`` kept.
-Beside a line, λ has one block, of size m = alg_mult(λ), read off κ^m
-alone. Everything runs in exact arithmetic. A matrix finds and certifies
-its Jordan basis once and keeps it, for ``jordan_form``, ``diagonalize``
-and ``ode_general_solution``; the first two check P⁻¹ by P⁻¹·P = I.
+an ordinary eigenvector x₁. Beside a line, λ has one block, of size
+m = alg_mult(λ), read off κ^m alone. Everything runs in exact
+arithmetic. A matrix finds and certifies its Jordan basis once and
+keeps it, for ``jordan_form``, ``diagonalize`` and
+``ode_general_solution``; the first two check P⁻¹ by P⁻¹·P = I. Every
+basis starts from the eigenvectors of ``eigensystem``, the paper's
+products: a complete set of them is P, and otherwise the chains start
+from the ker κ it kept, so A − λI of a simple eigenvalue is never
+eliminated.
 The matrix refers to the P⁻¹ that passed only weakly, beside the kept
 basis: while a result holds it, later decompositions of the matrix, and
 ``matrix_power`` for large exponents, read it without inverting again.
@@ -188,6 +193,8 @@ def _chains(a, lam, bound, kernel=None):
                 f"could not start {starting_here - len(tops)} chain(s) "
                 f"at level {j}")
         chains_top_first.extend([top] for top in tops)
+    if any(raw[-1].is_zero() for raw in chains_top_first):
+        raise InternalInconsistency("a chain ends in the zero vector")
     return [JordanChain(lam, tuple(_primitive_chain(raw[::-1])))
             for raw in chains_top_first]
 
@@ -251,31 +258,21 @@ def _block_ones(sizes):
 
 def _jordan_basis(a, s):
     """(P, block sizes in the order of P's columns) for the verified
-    spectrum ``s``, found once per matrix, which keeps them. A complete
-    eigenbasis that ``eigensystem`` kept is P, with 1×1 blocks; else P
-    holds the chains of every eigenvalue, started from the kernels that
-    ``eigensystem`` kept when it kept them. For a real A the chains of
-    the second eigenvalue of a conjugate pair are those of the first
-    conjugated, as conj(A − λI) = A − λ̄I, and re-signed by
-    ``_primitive_chain``: conjugation flips an imaginary leading part.
-    P is kept once certified invertible (see README) by A·P = P·J, which
-    ``eigensystem`` checked for its basis, and independent bottoms x₁.
-    P·J is read off P's columns: column k is λₖ·pₖ, plus pₖ₋₁ inside a
-    block."""
+    spectrum ``s``, found once per matrix, which keeps them. Every P
+    starts from the eigenvectors that ``eigensystem`` keeps on ``a``,
+    found by it when not kept (``_kept_kernels``): a complete eigenbasis
+    is P, with 1×1 blocks; else P holds the chains of every eigenvalue,
+    each started from its kept kernel. P is kept once certified
+    invertible (see README) by A·P = P·J, which ``eigensystem`` checked
+    for its basis, and independent bottoms x₁. P·J is read off P's
+    columns: column k is λₖ·pₖ, plus pₖ₋₁ inside a block."""
     if getattr(a, "_jordan", None) is None:
-        p, sizes = _complete_eigenbasis(a), [1] * a.rows
         bottoms = kernels = _kept_kernels(a, s)  # all 1×1 on an eigenbasis
+        p, sizes = _complete_eigenbasis(a), [1] * a.rows
         if p is None:
-            columns, sizes, conjugates, bottoms = [], [], {}, []
+            columns, sizes, bottoms = [], [], []
             for (value, mult), kernel in zip(s.pairs, kernels):
-                chains = conjugates.pop(value, None)
-                if chains is None:
-                    chains = [c.vectors
-                              for c in _chains(a, value, mult, kernel)]
-                    if value.im and a.is_real():
-                        conjugates[value.conjugate()] = [
-                            _primitive_chain(c, conjugate=True)
-                            for c in chains]
+                chains = [c.vectors for c in _chains(a, value, mult, kernel)]
                 if sum(map(len, chains)) != mult:
                     raise InternalInconsistency(
                         "chain sizes do not add up to the multiplicity")

@@ -1266,16 +1266,15 @@ def primitive_scale(vectors):
     return Rational(stacked._den, gcd(*stacked._re, *stacked._im))
 
 
-def _primitive_chain(vectors, conjugate=False):
-    """The vectors (or their conjugates) times the one rational c for
-    which, taken together, they have Gaussian-integer components with no
-    common integer factor above 1, signed so that the first nonzero
-    component of the first vector has positive real part (or positive
-    imaginary part when it is purely imaginary). One scale for all keeps
-    a Jordan chain's descent relation."""
+def _primitive_chain(vectors):
+    """The vectors times the one rational c for which, taken together,
+    they have Gaussian-integer components with no common integer factor
+    above 1, signed so that the first nonzero component of the first
+    vector has positive real part (or positive imaginary part when it is
+    purely imaginary). One scale for all keeps a Jordan chain's descent
+    relation. The first vector must not be zero."""
     stacked = _stacked(vectors)
     width, re, im = stacked.cols, stacked._re, stacked._im
-    im = [-y for y in im] if conjugate else im
     k = next(i for i in range(width) if re[i] or im and im[i])
     g = gcd(*re, *im)
     if re[k] < 0 or (not re[k] and im[k] < 0):

@@ -552,6 +552,16 @@ class TestExitCodes:
         code, _, err = run("charpoly", path)
         assert code == 2 and "entry (0,0)" in err and "digit" in err
 
+    def test_an_unexpected_fault_is_6_without_a_traceback(
+            self, run, write_json, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(exacteig.jordan, "inverse", broken)
+        code, out, err = run("jordan", write_json(matrix_to_json(JORDAN_CELL)))
+        assert (code, out) == (6, "")
+        assert err == "error: unexpected RuntimeError: kernel fault\n"
+
     def test_output_past_digit_limit_is_1_naming_it(self, run, write_json):
         path = write_json({"rows": 2, "cols": 2,
                            "entries": [["2", "0"], ["0", "1"]]})

@@ -529,24 +529,29 @@ def _repeated(spec):
     return sum(mult > 1 for _, mult in spec.pairs)
 
 
-# λ = 2 gets the one-vector chains (first) and (second): A·P ≠ P·J on the
-# first matrix, and the bottoms are dependent on the second
+# λ = 2, defective so that the planted chains reach the certificate: the
+# one-vector chains give A·P ≠ P·J on the first matrix; on the second the
+# chains (e₀, e₁) and (e₀) give A·P = P·J with blocks (2, 1) and dependent
+# bottoms
 CERTIFICATE_FAULTS = [
-    ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], [1, 0, 0], [0, 1, 0],
+    ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], [[[1, 0, 0]], [[0, 1, 0]]],
      "A\\*P == P\\*J"),
-    ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 0, 0], [1, 0, 0], "dependent"),
+    ([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+     [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0]]], "dependent"),
 ]
 
 
-def _plant_chains_at_2(patch, first, second):
-    """Make ``jordan._chains`` give λ = 2 the chains (first) and
-    (second), and every other eigenvalue its own."""
+def _plant_chains_at_2(patch, planted):
+    """Make ``jordan._chains`` give λ = 2 the ``planted`` chains, each a
+    list of vectors from the bottom up, and every other eigenvalue its
+    own."""
     original = exacteig.jordan._chains
 
     def chains(a, lam, *args):
         if lam != 2:
             return original(a, lam, *args)
-        return [JordanChain(lam, (Vector(x),)) for x in (first, second)]
+        return [JordanChain(lam, tuple(map(Vector, chain)))
+                for chain in planted]
 
     patch.setattr(exacteig.jordan, "_chains", chains)
 
@@ -684,18 +689,18 @@ class TestKeptEigenStructure:
         assert not hasattr(a, "_jordan")
 
     @pytest.mark.parametrize("call", [ode_general_solution, jordan_form])
-    @pytest.mark.parametrize("rows,first,second,message", CERTIFICATE_FAULTS,
+    @pytest.mark.parametrize("rows,planted,message", CERTIFICATE_FAULTS,
                              ids=["a-p-is-not-p-j", "dependent-bottoms"])
     def test_a_basis_that_fails_is_not_kept(self, monkeypatch, call, rows,
-                                            first, second, message):
+                                            planted, message):
         a = Matrix(rows)
         with monkeypatch.context() as patch:
-            _plant_chains_at_2(patch, first, second)
+            _plant_chains_at_2(patch, planted)
             with pytest.raises(InternalInconsistency, match=message):
                 call(a)
         assert not hasattr(a, "_jordan")
         terms = ode_general_solution(a)
-        assert len(terms) == 3
+        assert len(terms) == a.rows
         assert all(ode_term_is_solution(a, term) for term in terms)
         assert jordan_form(a) == jordan_form(_copy(a))
 
@@ -782,3 +787,32 @@ class TestKeptEigenStructure:
                 ode_general_solution(_copy(a), s)]
         assert json.dumps(_text(warm)) == json.dumps(_text(cold))
         assert json.dumps(_text(late)) == json.dumps(_text(cold))
+
+
+class TestHistoryIndependence:
+    """Every Jordan basis starts from the eigensystem of its matrix, so
+    each call on a fresh copy gives the text of the same call made after
+    ``eigensystem``."""
+
+    CALLS = [jordan_form, ode_general_solution, _diagonalized]
+    IDS = ["jordan-form", "ode", "diagonalize"]
+
+    @staticmethod
+    def cold_and_warm(call, a, s):
+        kept = _copy(a)
+        eigensystem(kept, s)
+        return [json.dumps(_text(call(b, s))) for b in (_copy(a), kept)]
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    @pytest.mark.parametrize("matrix,spec", ALL_CASES)
+    def test_worked_cases(self, call, matrix, spec):
+        cold, warm = self.cold_and_warm(call, matrix, spec)
+        assert cold == warm
+
+    # the first cycle of the corpus: its dimensions repeat every 10
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_corpus_cycle(self, corpus, call, seed):
+        entry = corpus[seed]
+        cold, warm = self.cold_and_warm(call, entry.matrix, entry.spectrum)
+        assert cold == warm

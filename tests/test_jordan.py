@@ -1,6 +1,7 @@
 """Generalized eigenvectors, chain construction, and the full Jordan
 decomposition."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ import exacteig
 from exacteig import (
     GaussianRational,
     GeneratorConfig,
+    InternalInconsistency,
     Matrix,
     NotInSpectrum,
     RankTooLarge,
@@ -25,6 +27,7 @@ from exacteig import (
     inverse,
     jordan_form,
     matmul,
+    matrix_to_json,
     matvec,
     ode_general_solution,
     ode_term_is_solution,
@@ -33,6 +36,7 @@ from exacteig import (
     shifted_power_ranks,
     to_scalar,
 )
+from exacteig.cli import main
 
 from worked import (
     COMPLEX_FIVE,
@@ -150,10 +154,10 @@ class TestCharpolyCount:
         return computed
 
     @pytest.mark.parametrize("matrix,spec", CASES)
-    def test_jordan_form_computes_one(self, charpoly_calls, fresh, matrix,
-                                      spec):
-        jordan_form(fresh(matrix), spec)
-        assert len(charpoly_calls) == 1
+    def test_jordan_form_computes_one(self, computed, fresh, matrix, spec):
+        a = fresh(matrix)
+        jordan_form(a, spec)
+        assert computed == [a]
 
     @pytest.mark.parametrize("matrix,spec", CASES)
     def test_a_second_call_computes_none(self, computed, fresh, matrix,
@@ -201,15 +205,16 @@ class TestEliminationCount:
     space of κ^m, formed by squaring (m is the multiplicity, verified,
     or read off the charpoly by build_chains); otherwise build_chains
     adds one selection per level where chains start beside a nonempty
-    context. Given the verified multiplicity, jordan_form and
-    ode_general_solution make index null-space eliminations and
-    index − 1 products for an eigenvalue whose eigenspace is not a
-    line, so a simple eigenvalue costs one elimination and no product,
-    and two eliminations (κ and κ^m) and ⌊log₂ m⌋ + popcount(m) − 1
-    products beside a line of multiplicity m ≥ 2. The certificate of
-    the basis adds one product, A·P, counted with the last eigenvalue:
-    P·J is read off P's columns. After ``eigensystem`` the kernel is
-    kept, and the elimination of κ goes."""
+    context. jordan_form and ode_general_solution start every basis
+    from the eigenvectors that ``eigensystem`` keeps, found by it when
+    not kept: a complete eigenbasis is P, and no chain is built. Else,
+    given the verified multiplicity and the kept kernel, jordan.py
+    makes index − 1 null-space eliminations and index − 1 products for
+    an eigenvalue whose eigenspace is not a line, none of either for a
+    simple eigenvalue, and one elimination (κ^m) and
+    ⌊log₂ m⌋ + popcount(m) − 1 products beside a line of multiplicity
+    m ≥ 2. The certificate of the basis adds one product, A·P, counted
+    with the last eigenvalue: P·J is read off P's columns."""
 
     @pytest.fixture
     def eliminations(self, monkeypatch):
@@ -269,22 +274,26 @@ class TestEliminationCount:
                 for segment in " ".join(names).split("inverse")[0]
                 .split("subtract_scalar_diag")[1:]]
 
-    # (null-space eliminations, products) per eigenvalue, ascending
+    # (null-space eliminations, products) per eigenvalue of jordan.py,
+    # ascending, and the eliminations of the whole call but the inverse:
+    # eigensystem's, the chains' and the certificate's
     @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
-    @pytest.mark.parametrize("matrix,spec,expected", [
-        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(2, 1), (2, 3)]),
-        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(2, 1), (1, 1)]),
-        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(3, 3)]),
-        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [(1, 0), (1, 1)]),
-        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [(1, 0)] * 4 + [(1, 1)]),
+    @pytest.mark.parametrize("matrix,spec,expected,eliminated", [
+        (TWO_CHAINS, TWO_CHAINS_SPECTRUM, [(1, 1), (1, 3)], 4),
+        (DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM, [(1, 1), (0, 1)], 2),
+        (ONE_EIGENVALUE, ONE_EIGENVALUE_SPECTRUM, [(2, 3)], 6),
+        (DOUBLE_PLUS_SIMPLE, DOUBLE_PLUS_SIMPLE_SPECTRUM, [], 2),
+        (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM, [], 0),
     ], ids=["two-chains", "trio", "one-eigenvalue", "double-plus-simple",
             "complex-five"])
-    def test_verified_multiplicity(self, calls, fresh, call, matrix, spec,
-                                   expected):
+    def test_verified_multiplicity(self, calls, eliminations, fresh, call,
+                                   matrix, spec, expected, eliminated):
         # on a fresh copy: a jordan_form run earlier on the same matrix
         # leaves the ODE no chain to build
         call(fresh(matrix), spec)
         assert self.per_value(calls) == expected
+        inverted = call is jordan_form
+        assert len(eliminations) == eliminated + inverted
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_a_line_after_eigensystem(self, calls, eliminations, fresh, m):
@@ -303,17 +312,64 @@ class TestEliminationCount:
         # κ^m and the inverse
         assert len(eliminations) == 2
 
-    # a cold realified ODE: one null space per simple eigenvalue, and
-    # none for the second eigenvalue of a conjugate pair
-    @pytest.mark.parametrize("rows,expected", [
-        ([[1, -2], [2, 1]], 1),
-        ([[1, -2, 0], [2, 1, 0], [0, 0, 3]], 2),
+    # a cold realified ODE: a simple eigenvalue takes eigensystem's
+    # product column, conjugate or not, so nothing is eliminated
+    @pytest.mark.parametrize("rows", [
+        [[1, -2], [2, 1]],
+        [[1, -2, 0], [2, 1, 0], [0, 0, 3]],
     ], ids=["pair", "pair-and-real"])
-    def test_a_conjugate_pair_eliminates_once(self, eliminations, rows,
-                                              expected):
-        terms = ode_general_solution(Matrix(rows))
-        assert len(eliminations) == expected
+    def test_a_conjugate_pair_eliminates_nothing(self, eliminations, rows):
+        a = Matrix(rows)
+        terms = ode_general_solution(a)
+        assert eliminations == []
         assert len(terms) == len(rows)
+        assert all(ode_term_is_solution(a, term) for term in terms)
+
+
+# λ = 2 with a three-dimensional eigenspace beside 5
+SHORT_KERNEL = (Matrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0],
+                        [1, 1, 1, 5]]),
+                Spectrum([(2, 3), (5, 1)]))
+
+
+class TestShortKernel:
+    """A fault that drops the last of three or more null-space vectors
+    leaves ``eigensystem`` a short ker κ. The chains started from it
+    then end in the zero vector, which is an InternalInconsistency
+    (exit 6 from the CLI), cold or after ``eigensystem``, and no basis
+    is kept."""
+
+    @pytest.fixture(autouse=True)
+    def short(self, monkeypatch):
+        original = exacteig.charmatrix.nullspace_basis
+
+        def dropping(m):
+            basis = original(m)
+            return basis[:-1] if len(basis) >= 3 else basis
+
+        monkeypatch.setattr(exacteig.charmatrix, "nullspace_basis",
+                            dropping)
+
+    @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
+    @pytest.mark.parametrize("warm", [False, True],
+                             ids=["cold", "after-eigensystem"])
+    def test_a_chain_ending_in_zero_is_inconsistent(self, fresh, call,
+                                                    warm):
+        matrix, spec = SHORT_KERNEL
+        a = fresh(matrix)
+        if warm:
+            eigensystem(a, spec)
+        with pytest.raises(InternalInconsistency, match="zero vector"):
+            call(a)
+        assert not hasattr(a, "_jordan")
+
+    def test_the_cli_exits_6(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(matrix_to_json(SHORT_KERNEL[0])))
+        assert main(["jordan", str(path)]) == 6
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "zero vector" in err
 
 
 class TestGeneralizedEigenvectors:
@@ -487,16 +543,19 @@ def defective_pair_case(draw):
 
 
 # one block of size 2 at 1 ± 2i whose chain for 1 − 2i starts with a
-# purely imaginary component: its plain conjugate has the wrong sign
+# purely imaginary component: the conjugate of the chain for 1 + 2i has
+# the wrong sign
 SIGN_FLIP = (Matrix([[-32, -14, -1, -4], [55, 23, 1, 7], [-41, -14, 0, -6],
                      [106, 48, 6, 13]]),
              Spectrum([("1-2i", 2), ("1+2i", 2)]))
 
 
 class TestConjugateChains:
-    """For a real A, conj(A − λI) = A − λ̄I: ``jordan_form`` conjugates
-    the chains of λ in place of eliminating for λ̄, and re-signs them.
-    They must be the chains that elimination finds for λ̄."""
+    """For a real A with a defective conjugate pair, ``jordan_form``
+    builds the chains of λ̄ as it does those of λ, from the kernel that
+    ``eigensystem`` keeps. They must be the chains that elimination
+    finds for λ̄, whose first nonzero component may be purely imaginary
+    and so signed by its imaginary part."""
 
     @example(SIGN_FLIP)
     @given(defective_pair_case())

@@ -8,10 +8,12 @@ is named only by ``matrices.py`` and the one module that finds it. One
 routine in ``jordan.py`` certifies the Jordan basis P before it is
 kept, and one inverts it and checks P⁻¹·P = I, for ``jordan_form`` and
 ``diagonalize`` alike; each fact the package certifies has one exact
-check.
+check. Every P starts from the eigenvectors that ``eigensystem`` keeps,
+read through one call.
 Results are records of ``matrices.Record``: importing the package and
 its CLI loads neither ``dataclasses`` nor ``inspect``."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -154,6 +156,28 @@ def test_only_the_certified_basis_is_kept():
     decomposition = inspect.getsource(exacteig.jordan._decomposition)
     write = '_remember("_jordan", (p, sizes, ref(p_inv)))'
     assert decomposition.index(write) > decomposition.index("P^-1*P == I")
+
+
+def test_one_route_to_the_jordan_basis():
+    # every P starts from the eigenvectors that eigensystem keeps, read
+    # through charmatrix._kept_kernels, which finds them when not kept;
+    # a complete eigenbasis is read only after that call has kept it
+    tree = ast.parse((PACKAGE / "factorizations.py").read_text("utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "charmatrix" and node.level == 1
+                for alias in node.names]
+    assert imported and not [n for n in imported if n.startswith("_")]
+    primitive = exacteig.matrices._primitive_chain
+    assert "conjugate" not in inspect.signature(primitive).parameters
+    basis = inspect.getsource(exacteig.jordan._jordan_basis)
+    assert basis.count("_kept_kernels(a, s)") == 1
+    assert basis.index("_kept_kernels(") < basis.index(
+        "_complete_eigenbasis(")
+    assert not re.search(
+        r"\beigensystem\(|\b_eigenvectors\b|\bnullspace_basis\("
+        r"|\b_eigenbasis\(|\bconjugate", basis)
+    assert not hasattr(exacteig.charmatrix, "_all_eigenvectors")
 
 
 def package_functions():

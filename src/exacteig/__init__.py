@@ -12,218 +12,21 @@ products and fraction-free elimination run on Python ints; single
 scalars are pairs of :class:`fractions.Fraction`.
 """
 
-from .charmatrix import (
-    CharacteristicMatrix,
-    EigenSystem,
-    Eigenspace,
-    characteristic_matrix,
-    column_space_intersection,
-    combined_characteristic_matrix,
-    complementary_product,
-    cross_eigenvector_3x3,
-    eigensystem,
-    eigenvectors_2x2,
-    intersection_eigenvectors,
-    is_diagonalizable,
-    left_product_eigenvectors,
-    product_eigenvectors,
-    two_spectrum_eigenvectors,
-)
-from .errors import (
-    AllRowsParallel,
-    Defective,
-    DigitLimitExceeded,
-    DimensionMismatch,
-    DivisionByZero,
-    ExactEigError,
-    GenerationFailed,
-    InternalInconsistency,
-    InvalidSpectrum,
-    IrrationalSpectrum,
-    NotDiagonalizable,
-    NotInSpectrum,
-    NotSquare,
-    ParseError,
-    RankTooLarge,
-    RealifyOnComplexMatrix,
-    SchemaError,
-    Singular,
-    SpectrumTooLarge,
-    TargetNotInSpectrum,
-    WrongSpectrum,
-    ZeroVector,
-)
-from .factorizations import (
-    Diagonalization,
-    OdeSolutionTerm,
-    TrigPart,
-    diagonalize,
-    matrix_power,
-    matrix_power_direct,
-    ode_general_solution,
-    ode_term_is_solution,
-)
-from .io_json import (
-    matrix_to_json,
-    parse_matrix_json,
-    parse_spectrum_json,
-    spectrum_to_json,
-    vector_to_json,
-)
-from .jordan import (
-    JordanChain,
-    JordanForm,
-    build_chains,
-    generalized_eigenvectors,
-    jordan_form,
-    shifted_power_ranks,
-)
-from .matrices import (
-    Matrix,
-    OpCounter,
-    Vector,
-    cross3,
-    det,
-    hstack,
-    independent_extension,
-    inverse,
-    matmul,
-    matvec,
-    normalize_eigenvector,
-    nullspace_basis,
-    primitive_scale,
-    rank,
-    rref,
-    subtract_scalar_diag,
-    trace,
-)
-from .scalars import (
-    GaussianRational,
-    Rational,
-    format_rational,
-    format_scalar,
-    parse_scalar,
-    to_scalar,
-)
-from .spectra import (
-    Polynomial,
-    Spectrum,
-    charpoly,
-    find_spectrum,
-    format_polynomial,
-    multiplicity_of,
-    resolve_spectrum,
-    shift_spectrum,
-    verify_spectrum,
-)
-from .verification import (
-    GeneratorConfig,
-    SpanBasis,
-    SplitMix64,
-    cayley_hamilton_check,
-    oracle_eigenvectors,
-    random_spectral_matrix,
-    residual_check,
-    span_equal,
-)
+from . import (charmatrix, errors, factorizations, io_json, jordan,
+               matrices, scalars, spectra, verification)
+from .charmatrix import *
+from .errors import *
+from .factorizations import *
+from .io_json import *
+from .jordan import *
+from .matrices import *
+from .scalars import *
+from .spectra import *
+from .verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllRowsParallel",
-    "CharacteristicMatrix",
-    "Defective",
-    "DigitLimitExceeded",
-    "Diagonalization",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "EigenSystem",
-    "Eigenspace",
-    "ExactEigError",
-    "GaussianRational",
-    "GenerationFailed",
-    "GeneratorConfig",
-    "InternalInconsistency",
-    "InvalidSpectrum",
-    "IrrationalSpectrum",
-    "JordanChain",
-    "JordanForm",
-    "Matrix",
-    "NotDiagonalizable",
-    "NotInSpectrum",
-    "NotSquare",
-    "OdeSolutionTerm",
-    "OpCounter",
-    "ParseError",
-    "Polynomial",
-    "RankTooLarge",
-    "Rational",
-    "RealifyOnComplexMatrix",
-    "SchemaError",
-    "Singular",
-    "SpanBasis",
-    "Spectrum",
-    "SpectrumTooLarge",
-    "SplitMix64",
-    "TargetNotInSpectrum",
-    "TrigPart",
-    "Vector",
-    "WrongSpectrum",
-    "ZeroVector",
-    "build_chains",
-    "cayley_hamilton_check",
-    "characteristic_matrix",
-    "charpoly",
-    "column_space_intersection",
-    "combined_characteristic_matrix",
-    "complementary_product",
-    "cross3",
-    "cross_eigenvector_3x3",
-    "det",
-    "diagonalize",
-    "eigensystem",
-    "eigenvectors_2x2",
-    "find_spectrum",
-    "format_polynomial",
-    "format_rational",
-    "format_scalar",
-    "generalized_eigenvectors",
-    "hstack",
-    "independent_extension",
-    "intersection_eigenvectors",
-    "inverse",
-    "is_diagonalizable",
-    "jordan_form",
-    "left_product_eigenvectors",
-    "matmul",
-    "matrix_power",
-    "matrix_power_direct",
-    "matrix_to_json",
-    "matvec",
-    "multiplicity_of",
-    "normalize_eigenvector",
-    "nullspace_basis",
-    "ode_general_solution",
-    "ode_term_is_solution",
-    "oracle_eigenvectors",
-    "parse_matrix_json",
-    "parse_scalar",
-    "parse_spectrum_json",
-    "primitive_scale",
-    "product_eigenvectors",
-    "random_spectral_matrix",
-    "rank",
-    "residual_check",
-    "resolve_spectrum",
-    "rref",
-    "shift_spectrum",
-    "shifted_power_ranks",
-    "span_equal",
-    "spectrum_to_json",
-    "subtract_scalar_diag",
-    "to_scalar",
-    "trace",
-    "two_spectrum_eigenvectors",
-    "vector_to_json",
-    "verify_spectrum",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted({name for module in (
+    charmatrix, errors, factorizations, io_json, jordan, matrices, scalars,
+    spectra, verification) for name in module.__all__})

@@ -72,7 +72,6 @@ __all__ = [
     "intersection_eigenvectors",
     "is_diagonalizable",
     "left_product_eigenvectors",
-    "normalize_eigenvector",
     "product_eigenvectors",
     "two_spectrum_eigenvectors",
 ]

@@ -148,7 +148,8 @@ def _build_parser():
                     "rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler, spectrum=True, optional_matrix=False):
+    def add(name, help_text, handler, spectrum=True, optional_matrix=False,
+            target=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("matrix", nargs="?" if optional_matrix else None,
                        help="path to a matrix JSON file")
@@ -156,20 +157,21 @@ def _build_parser():
                        help="machine-readable output")
         if spectrum:
             p.add_argument("--spectrum", help="path to a spectrum JSON file")
+        if target:
+            p.add_argument("--target", help="one eigenvalue to extract "
+                                            "(scalar string); default: all")
         p.set_defaults(handler=handler)
         return p
 
     p = add("eigenvectors", "eigenvector bases via shifted-matrix products",
-            _cmd_eigenvectors)
-    p.add_argument("--target", help="one eigenvalue to extract (scalar "
-                                    "string); default: all")
+            _cmd_eigenvectors, target=True)
     p.add_argument("--method", choices=tuple(_METHODS), default="kappa",
                    help="extraction method (default: product-based)")
     p.add_argument("--left", action="store_true",
                    help="left (row) eigenvectors instead of right")
 
-    p = add("left", "left (row) eigenvector bases", _cmd_eigenvectors)
-    p.add_argument("--target", help="one eigenvalue to extract")
+    p = add("left", "left (row) eigenvector bases", _cmd_eigenvectors,
+            target=True)
     p.set_defaults(left=True, method="kappa")
 
     add("diagonalize", "exact eigendecomposition A = P D P^-1",

@@ -5,6 +5,31 @@ Every error raised on bad input or a violated contract derives from
 boundaries (the CLI maps subclasses to exit codes).
 """
 
+__all__ = [
+    "AllRowsParallel",
+    "Defective",
+    "DigitLimitExceeded",
+    "DimensionMismatch",
+    "DivisionByZero",
+    "ExactEigError",
+    "GenerationFailed",
+    "InternalInconsistency",
+    "InvalidSpectrum",
+    "IrrationalSpectrum",
+    "NotDiagonalizable",
+    "NotInSpectrum",
+    "NotSquare",
+    "ParseError",
+    "RankTooLarge",
+    "RealifyOnComplexMatrix",
+    "SchemaError",
+    "Singular",
+    "SpectrumTooLarge",
+    "TargetNotInSpectrum",
+    "WrongSpectrum",
+    "ZeroVector",
+]
+
 
 class ExactEigError(Exception):
     """Base class for all exacteig errors."""

@@ -50,14 +50,10 @@ from .errors import DigitLimitExceeded, DivisionByZero, ParseError
 
 __all__ = [
     "GaussianRational",
-    "IMAG_UNIT",
-    "ONE",
     "Rational",
-    "ZERO",
     "format_rational",
     "format_scalar",
     "parse_scalar",
-    "scalar_key",
     "to_scalar",
 ]
 

@@ -462,8 +462,9 @@ def resolve_spectrum(a, s):
 
 
 def find_spectrum(p):
-    """Complete exact factorization of a monic real-rational polynomial
-    over ℚ(i), or IrrationalSpectrum when roots escape it.
+    """Complete exact factorization of a monic polynomial, real-rational
+    from degree 2 on, over ℚ(i), or IrrationalSpectrum when roots escape
+    it.
 
     The search runs on the integer coefficient list of the primitive
     multiple of ``p`` and builds no ``Polynomial``; deflation by λ − r
@@ -477,13 +478,15 @@ def find_spectrum(p):
     it. The search stops at a residual of degree ≤ 2, which is solved
     exactly by formula: a linear one f₁λ + f₀ has the root −f₀/f₁, a
     quadratic one is resolved when its discriminant is ±r² for rational
-    r (a zero discriminant gives a double root). A nonreal coefficient,
-    or any residual of degree ≥ 3 left when the candidates run out (even
-    one that happens to factor over ℚ(i)), raises IrrationalSpectrum:
-    the caller supplies the spectrum instead. ``p`` records the result;
-    ``verify_spectrum`` then accepts it without dividing for any matrix
-    that holds ``p`` as its characteristic one, and a later call returns
-    the spectrum that ``p`` recorded, found or verified, without a search.
+    r (a zero discriminant gives a double root). A ``p`` of degree 1 is
+    λ + f₀ over ℚ(i), with the root −f₀. A nonreal coefficient of a
+    ``p`` of degree ≥ 2, or any residual of degree ≥ 3 left when the
+    candidates run out (even one that happens to factor over ℚ(i)),
+    raises IrrationalSpectrum: the caller supplies the spectrum
+    instead. ``p`` records the result; ``verify_spectrum`` then accepts
+    it without dividing for any matrix that holds ``p`` as its
+    characteristic one, and a later call returns the spectrum that ``p``
+    recorded, found or verified, without a search.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -492,7 +495,7 @@ def find_spectrum(p):
     recorded = getattr(p, "_factored", None)
     if recorded is not None:
         return Spectrum._of_key(recorded)
-    if any(p._imags):
+    if p.degree > 1 and any(p._imags):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")
 
@@ -521,7 +524,9 @@ def find_spectrum(p):
     if degree == 2:
         found.update(_resolve_quadratic(*f))
     elif degree == 1:
-        found[GaussianRational(Fraction(-f[0], f[1]))] = 1
+        # −f₀/f₁: p has a nonreal f₀ only at degree 1, where f₁ is its
+        # denominator
+        found[_coefficient(-f[0], -p._imags[0], f[1])] = 1
 
     # the search divides out each root it confirms, so a formula root
     # that overwrites one of its keys, like any lost root, is a bug

@@ -299,14 +299,18 @@ def find_spectrum(p):
 
     Rational roots come from the rational-root theorem with repeated
     deflation; a remaining quadratic factor is resolved exactly when its
-    discriminant is ±r² for rational r. A nonreal coefficient, or any
-    residual of degree ≥ 3 (even one that happens to factor over ℚ(i)),
-    raises IrrationalSpectrum: the caller supplies the spectrum instead.
+    discriminant is ±r² for rational r. A linear λ + c over ℚ(i) has
+    the root −c. A nonreal coefficient of a polynomial of degree ≥ 2, or
+    any residual of degree ≥ 3 (even one that happens to factor over
+    ℚ(i)), raises IrrationalSpectrum: the caller supplies the spectrum
+    instead.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
+    if p.degree == 1:
+        return Spectrum([(-p.coeffs[0], 1)])
     if any(c.im for c in p.coeffs):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")

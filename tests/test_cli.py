@@ -952,6 +952,45 @@ class TestLeftTarget:
                        + "".join(f"  {v!r}\n" for v in vectors))
 
 
+class TestGaussian1x1:
+    """A 1×1 matrix with a Gaussian entry has a characteristic polynomial
+    of degree 1 with a nonreal coefficient; its one root is the entry,
+    so every command answers without --spectrum."""
+
+    @pytest.mark.parametrize("entry,argv,out", [
+        ("i", ["charpoly"], "l + (-i)\nroots: i (multiplicity 1)\n"),
+        ("i", ["eigenvectors"],
+         "eigenvalue i (multiplicity 1), eigenvectors:\n  [1]\n"),
+        ("i", ["diagonalize", "--json"],
+         '{"P":{"rows":1,"cols":1,"entries":[["1"]]},'
+         '"D":{"rows":1,"cols":1,"entries":[["i"]]},'
+         '"P_inv":{"rows":1,"cols":1,"entries":[["1"]]}}\n'),
+        ("i", ["ode"], "x(t) = c1*[1]^T*exp(it)\n"),
+        ("1+2i", ["charpoly"],
+         "l + (-1-2i)\nroots: 1+2i (multiplicity 1)\n"),
+        ("1+2i", ["eigenvectors"],
+         "eigenvalue 1+2i (multiplicity 1), eigenvectors:\n  [1]\n"),
+        ("1+2i", ["diagonalize", "--json"],
+         '{"P":{"rows":1,"cols":1,"entries":[["1"]]},'
+         '"D":{"rows":1,"cols":1,"entries":[["1+2i"]]},'
+         '"P_inv":{"rows":1,"cols":1,"entries":[["1"]]}}\n'),
+        ("1+2i", ["ode"], "x(t) = c1*[1]^T*exp((1+2i)t)\n"),
+    ])
+    def test_exits_0(self, entry, argv, out):
+        assert _main_on({"m": {"rows": 1, "cols": 1, "entries": [[entry]]}},
+                        [argv[0], "m", *argv[1:]]) == (0, out, "")
+
+
+def test_target_is_declared_once():
+    """``eigenvectors`` and ``left`` describe --target alike."""
+    _, commands = exacteig.cli._build_parser()
+    helps = [[action.help for action in commands[name]._actions
+              if "--target" in action.option_strings]
+             for name in ("eigenvectors", "left")]
+    assert helps == [["one eigenvalue to extract (scalar string); "
+                      "default: all"]] * 2
+
+
 # canonical scalars, negative and non-real ones among them, and the
 # spellings the grammar refuses
 SCALARS = ["0", "1", "-1", "2", "-3", "1/2", "-2/3", "i", "-i", "2i",

@@ -125,6 +125,17 @@ class TestDiagonalize:
         with pytest.raises(IrrationalSpectrum):
             diagonalize(IRRATIONAL_PAIR)
 
+    # a 1×1 matrix is its own spectrum, Gaussian entry or not
+    @pytest.mark.parametrize("entry", ["i", "1+2i"])
+    def test_gaussian_1x1_needs_no_spectrum(self, entry):
+        a, lam = m([[entry]]), parse_scalar(entry)
+        decomposition = diagonalize(a)
+        assert (decomposition.p, decomposition.d, decomposition.p_inv,
+                decomposition.eigen_order) == (m([[1]]), a, m([[1]]), (lam,))
+        assert jordan_form(a).j == a
+        (term,) = checked_solution(a)
+        assert term.exponent == lam and term.trig_part is None
+
 
 # Square matrices of three kinds: integer, Gaussian-integer and rational
 # entries.

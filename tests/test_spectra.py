@@ -31,6 +31,7 @@ from exacteig import (
     matmul,
     multiplicity_of,
     parse_scalar,
+    resolve_spectrum,
     shift_spectrum,
     to_scalar,
     verify_spectrum,
@@ -225,6 +226,25 @@ class TestFindSpectrum:
 
     def test_zero_root(self):
         assert find_spectrum(poly([0, 0, 1])) == spectrum([(0, 2)])
+
+    # λ − r has the root r over ℚ(i), nonreal coefficient or not
+    @pytest.mark.parametrize("root", ["i", "1+2i", "-1/2+3/4i", "-i", "5"])
+    def test_linear_over_gaussian_rationals(self, root):
+        p = poly([-parse_scalar(root), 1])
+        assert find_spectrum(p) == spectrum([(root, 1)])
+        assert ref.find_spectrum(p) == spectrum([(root, 1)])
+
+    @pytest.mark.parametrize("entry", ["i", "1+2i"])
+    def test_a_gaussian_1x1_matrix_resolves(self, entry):
+        assert resolve_spectrum(m([[entry]]), None) == spectrum([(entry, 1)])
+
+    # from degree 2 on a nonreal coefficient is refused as before
+    @pytest.mark.parametrize("coeffs", [[1, "i", 1], ["2i", 0, 0, 1]])
+    def test_nonreal_from_degree_two_is_refused(self, coeffs):
+        with pytest.raises(IrrationalSpectrum) as info:
+            find_spectrum(poly(coeffs))
+        assert str(info.value) == \
+            "nonreal coefficients; supply the spectrum explicitly"
 
     # the search runs only while the residual has degree ≥ 3: a dropped
     # candidate is found by the formula once the rest falls to degree 2,

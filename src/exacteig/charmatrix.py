@@ -16,10 +16,19 @@ must equal the kernel's vector, an exact cross-check of the two.
 
 The product-method entry points (``product_eigenvectors``,
 ``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
-first, which costs a comparison once the matrix has verified it, and
-build A − λI once per eigenvalue per call. Everything is exact; every
-returned eigenvector is checked by (A − λI)·v = 0 on the integer planes,
-the |σ(A)| ≤ 2 shortcut's columns all at once by (A − λ₁I)(A − λ₂I) = 0.
+first, which costs a comparison once the matrix has verified it. They
+form no product matrix: for A = N/d and λ = (u + v·i)/w they build, once
+per eigenvalue per call, the scale-free shift rows w·N − d·(u + v·i)·I
+of d·w·(A − λI) (``matrices._shift_rows``), and push product column j,
+read off the rightmost factor, left through the others as lists of
+integers (``matrices._product_eigenvector``). The zero test, the
+residual test (A − λI)·x = 0 and the normalization are all blind to the
+scale d·w, so the vectors are those of the shifted matrices; A − λI
+itself is built only for a repeated eigenvalue, whose kernel it gives.
+Everything is exact; every returned eigenvector is checked by
+(A − λI)·v = 0 on the integer planes (the shift rows, or the kernel's
+A − λI), the |σ(A)| ≤ 2 shortcut's columns all at once by
+(A − λ₁I)(A − λ₂I) = 0.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from .matrices import (
     Matrix,
     Record,
     _annihilates,
+    _product_eigenvector,
+    _shift_rows,
     Vector,
     cross3,
     det,
@@ -92,17 +103,19 @@ def characteristic_matrix(a, lam):
 
 
 def _shifted(a, s, shifted, k):
-    """A − λI for the k-th eigenvalue λ of ``s``. ``shifted`` holds, by
-    position, the shifted matrices a call has built so far (None for the
-    rest), so the call builds each at most once."""
+    """The shift rows of A − λI (``matrices._shift_rows``) for the k-th
+    eigenvalue λ of ``s``. ``shifted`` holds, by position, the rows a
+    call has built so far (None for the rest), so the call builds each
+    at most once."""
     if shifted[k] is None:
-        shifted[k] = subtract_scalar_diag(a, s.pairs[k][0])
+        shifted[k] = _shift_rows(a, s.pairs[k][0])
     return shifted[k]
 
 
-def _product_factors(a, s, shifted, k, with_multiplicity):
-    """Shifted-matrix factors for the product complementary to the k-th
-    eigenvalue of ``s``, in ascending eigenvalue order."""
+def _product_factors(s, k, with_multiplicity, shift):
+    """The factors of the product complementary to the k-th eigenvalue
+    of ``s``, in ascending eigenvalue order, ``shift(i)`` being the one
+    for the i-th eigenvalue, read once per eigenvalue."""
     factors = []
     for i, (_, mult) in enumerate(s.pairs):
         if i == k:
@@ -110,7 +123,7 @@ def _product_factors(a, s, shifted, k, with_multiplicity):
         else:
             count = mult if with_multiplicity else 1
         if count:
-            factors.extend([_shifted(a, s, shifted, i)] * count)
+            factors.extend([shift(i)] * count)
     return factors
 
 
@@ -123,8 +136,9 @@ def complementary_product(a, s, target, with_multiplicity=False):
     k = _target_index(s, target)
     if not a.is_square:
         raise NotSquare("complementary product needs a square matrix")
-    factors = _product_factors(a, s, [None] * len(s.pairs), k,
-                               with_multiplicity)
+    factors = _product_factors(
+        s, k, with_multiplicity,
+        lambda i: subtract_scalar_diag(a, s.pairs[i][0]))
     if not factors:
         return Matrix.identity(a.rows)
     result = factors[0]
@@ -177,33 +191,24 @@ def product_eigenvectors(a, s, target):
 def _eigenbasis(a, s, shifted, k):
     """``product_eigenvectors`` for the k-th eigenvalue of a verified
     spectrum ``s``, sharing ``shifted`` (see ``_shifted``). A − λI is
-    eliminated at most once."""
+    built as a matrix and eliminated only for a repeated eigenvalue, at
+    most once; the product columns run on the shift rows."""
     target, alg = s.pairs[k]
     null = None
     if alg > 1:
         # the kernel decides first: the product vanishes beside a plane
-        kappa = _shifted(a, s, shifted, k)
+        kappa = subtract_scalar_diag(a, target)
         null = nullspace_basis(kappa)
         if len(null) > 1:
             return _residual_checked(kappa, null)
         if not null:
             raise InternalInconsistency(
                 "a verified eigenvalue has no eigenvector")
-    # an empty product is the identity
-    factors = (_product_factors(a, s, shifted, k, with_multiplicity=True)
-               or [Matrix.identity(a.rows)])
-    for j in range(a.rows):
-        v = factors[-1].column(j)
-        for f in reversed(factors[:-1]):
-            if v.is_zero():
-                break
-            v = matvec(f, v)
-        if v.is_zero():
-            continue
-        # the product has rank 1, so its first nonzero column decides
-        if not _annihilates(_shifted(a, s, shifted, k), [v]):
-            break
-        v = normalize_eigenvector(v)
+    # the product has rank 1, so its first nonzero column decides
+    v, clean = _product_eigenvector(
+        _product_factors(s, k, True, lambda i: _shifted(a, s, shifted, i)),
+        _shifted(a, s, shifted, k))
+    if clean:
         if null is not None and v != null[0]:
             raise InternalInconsistency(
                 "a product column differs from the kernel vector")
@@ -223,12 +228,13 @@ def left_product_eigenvectors(a, s, target):
     polynomials in A and commute, so row i of the product for A is
     column i of the product for Aᵀ, transposed: this reads the same
     vectors, in the same order, as pushing rows through the product.
-    The spectrum is verified against A, and the transpose takes over
-    that check and the characteristic polynomial.
+    The spectrum is verified against A once: the transpose takes over
+    its characteristic polynomial, and the product columns run through
+    the same kernel on the transposed planes.
     """
     s = verify_spectrum(a, s)
-    return [w.transposed()
-            for w in product_eigenvectors(a.transpose(), s, target)]
+    return [w.transposed() for w in _eigenbasis(
+        a.transpose(), s, [None] * len(s.pairs), _target_index(s, target))]
 
 
 _TOO_SMALL = "shifted-matrix product is nonzero: an eigenspace is too small"

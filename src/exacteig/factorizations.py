@@ -28,7 +28,7 @@ from .jordan import (_block_ones, _decomposition, _held_decomposition,
                      _jordan_basis)
 from .matrices import Record, Vector, _power, _times_diagonal, matmul, matvec
 from .scalars import ZERO, GaussianRational, Rational
-from .spectra import resolve_spectrum
+from .spectra import _eigenvalue_parts, resolve_spectrum
 
 __all__ = [
     "Diagonalization",
@@ -83,25 +83,26 @@ def matrix_power(a, exponent, s=None):
     decomposition in one product instead (Higham, *Functions of
     Matrices*, §1.2), with Jᵏ applied to P's columns on the planes.
     Its J is that of the spectrum that the kept characteristic
-    polynomial recorded. Every other call is ``matrix_power_direct``, so
-    a fresh matrix needs no spectrum. ``s`` is accepted for call
-    compatibility and ignored.
+    polynomial recorded, read off its key as ints. Every other call is
+    ``matrix_power_direct``, so a fresh matrix needs no spectrum. ``s``
+    is accepted for call compatibility and ignored.
     """
     _check_power(a, exponent)
     if exponent.bit_length() + exponent.bit_count() - 2 >= _ROUTE_PRODUCTS:
         held = _held_decomposition(a)
         if held is not None:
             p, sizes, p_inv = held
-            p_j = _times_diagonal(p, resolve_spectrum(a, None).expanded(),
+            p_j = _times_diagonal(p, _eigenvalue_parts(a),
                                   _block_ones(sizes), exponent)
             return matmul(p_j, p_inv)
     return _power(a, exponent)
 
 
 # The products of binary exponentiation from which a held decomposition
-# is cheaper: in-process timings of both routes on corpus (n = 2-5) and
-# ladder (n = 6-12) recipe matrices, recorded in BENCH_35.json.
-_ROUTE_PRODUCTS = 5
+# is cheaper at every n: in-process timings of both routes on corpus
+# (n = 2-5) and ladder (n = 6-12) recipe matrices, recorded in
+# BENCH_38.json (at 3 products the route is still slower at n = 2, 3).
+_ROUTE_PRODUCTS = 4
 
 
 def matrix_power_direct(a, exponent):

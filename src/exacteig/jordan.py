@@ -51,7 +51,8 @@ from .matrices import (
     subtract_scalar_diag,
 )
 from .scalars import to_scalar
-from .spectra import charpoly, multiplicity_of, resolve_spectrum
+from .spectra import (_eigenvalue_parts, charpoly, multiplicity_of,
+                      resolve_spectrum)
 
 __all__ = [
     "JordanChain",
@@ -280,7 +281,7 @@ def _jordan_basis(a, s):
                 sizes += map(len, chains)
                 bottoms.append([chain[0] for chain in chains])
             p = Matrix.from_columns(columns)
-            if matmul(a, p) != _times_diagonal(p, s.expanded(),
+            if matmul(a, p) != _times_diagonal(p, _eigenvalue_parts(a),
                                                _block_ones(sizes)):
                 raise InternalInconsistency("basis check A*P == P*J failed")
         if any(v[0].is_zero() if len(v) == 1 else

@@ -33,6 +33,15 @@ exactly by the previous pivot; RREF, null space and inverse then take
 the columns they need of d·RREF, d the last pivot, by fraction-free
 back-substitution.
 
+The product method of ``charmatrix`` runs here on scale-free shift
+rows: for A = N/d and λ = (u + v·i)/w, the numerator rows
+w·N − d·(u + v·i)·I of d·w·(A − λI) (``_shift_rows``), with no gcd
+pass, since every reader of them is blind to the nonzero scale d·w. A
+product column is read off the rightmost factor and pushed left through
+the others as lists of Gaussian integers, and the first nonzero one is
+normalized and checked on the target's rows (``_product_eigenvector``);
+each push and the check count as the matrix-vector products they are.
+
 Inside ``with OpCounter() as ops:`` these kernels, and the few scalar
 steps other modules add, count their scalar operations in ``ops``; the
 benchmark compares extraction methods by these machine-independent
@@ -769,9 +778,11 @@ def matmul(a, b):
     return Matrix._make(a.rows, b.cols, a._den * b._den, re, im)
 
 
-def _times_diagonal(p, values, ones, k=1):
+def _times_diagonal(p, parts, ones, k=1):
     """P·Jᵏ with no product, on the planes, for J = Matrix.diagonal(values,
-    ones) and k ≥ 1, the values equal along each block of J (a column in
+    ones) and k ≥ 1, each value given by its reduced parts (re numerator,
+    re denominator, im numerator, im denominator) in ``parts`` and the
+    values equal along each block of J (a column in
     ``ones`` continues the block of the column before it): column c is
     Σᵢ C(k, i)·λ_c^(k−i)·p_(c−i) over i = 0 … min(k, depth), depth the
     number of columns of its block before c. At k = 1 that is λ_c·p_c,
@@ -779,7 +790,7 @@ def _times_diagonal(p, values, ones, k=1):
     multiplication per entry and term with i < k, and one addition per
     entry and term after the first; the powers λᵏ⁻ⁱ and binomials, one
     set per eigenvalue, are coefficients and are not counted."""
-    den, v_re, v_im = _planes(values)
+    den, v_re, v_im = _part_planes(parts)
     re, rows, cols = p._re, p.rows, p.cols
     depth = [0] * cols
     for c in range(1, cols):
@@ -929,21 +940,32 @@ def _charpoly_numerators(a):
             else [0] * (n + 1))
 
 
-def subtract_scalar_diag(a, lam):
-    """The characteristic (shifted) matrix A − λI."""
+def _shift_planes(a, lam):
+    """(w, re, im): for A = N/d and λ = (u + v·i)/w, the row-major planes
+    of w·N − d·(u + v·i)·I, the numerators of d·w·(A − λI); im is ``()``
+    when A and λ are real."""
     _require_square(a)
-    lam_den, lam_re, lam_im = _scalar_planes(to_scalar(lam))
-    den = lcm(a._den, lam_den)
-    f, g, step = den // a._den, den // lam_den, a.cols + 1
-    re = list(a._re) if f == 1 else [f * x for x in a._re]
-    shift = g * lam_re
+    w, u, v = _scalar_planes(to_scalar(lam))
+    d, step = a._den, a.cols + 1
+    re = list(a._re) if w == 1 else [w * x for x in a._re]
+    shift = d * u
     re[::step] = [x - shift for x in re[::step]]
-    im = a._im if f == 1 else [f * y for y in a._im]
-    if lam_im:
+    im = a._im if w == 1 else [w * y for y in a._im]
+    if v:
         im = list(im) if im else [0] * len(re)
-        shift = g * lam_im
+        shift = d * v
         im[::step] = [y - shift for y in im[::step]]
-    return Matrix._make(a.rows, a.cols, den, re, im)
+    return w, re, im
+
+
+def subtract_scalar_diag(a, lam):
+    """The characteristic (shifted) matrix A − λI, over d·w
+    (``_shift_planes``). When both parts of λ are integers (w = 1) the
+    shift d·λ is a multiple of d, so the gcd of d and the numerators
+    stays 1: the matrix is canonical as built and takes no gcd pass."""
+    w, re, im = _shift_planes(a, lam)
+    make = _canonical if w == 1 else Matrix._make
+    return make(a.rows, a.cols, a._den * w, re, im)
 
 
 def hstack(a, b):
@@ -1218,14 +1240,74 @@ def inverse(a):
 
 def _annihilates(a, vectors):
     """Whether A·v = 0 for all the column vectors v, read off the planes
-    and counted as the products A·v."""
+    and counted as the products A·v; ``a`` is a matrix or the shift rows
+    of one (``_shift_rows``)."""
+    re_rows, im_rows = a if type(a) is tuple else (
+        _rows_of(a._re, a.cols), _complex_side(a, _rows_of))
     ws = [v._matrix for v in vectors]
     re, im = _complex_product(
-        _rows_of(a._re, a.cols), _complex_side(a, _rows_of),
-        [w._re for w in ws], [w._imag() for w in ws]
-        if any(w._im for w in ws) else None)
-    _tally(mults=len(re) * a.cols, adds=len(re) * (a.cols - 1))
+        re_rows, im_rows, [w._re for w in ws],
+        [w._imag() for w in ws] if any(w._im for w in ws) else None)
+    cols = len(re_rows[0])
+    _tally(mults=len(re) * cols, adds=len(re) * (cols - 1))
     return not any(re) and not any(im)
+
+
+# -- the product method on the planes -----------------------------------------
+
+
+def _shift_rows(a, lam):
+    """The rows of the numerators of d·w·(A − λI) (``_shift_planes``), as
+    (real rows, imaginary rows or None when they are zero). They differ
+    from A − λI by the nonzero integer d·w alone, and every reader of a
+    column pushed through them (the zero test, the residual test and
+    ``_primitive``) is blind to a nonzero scale, so they take no gcd
+    pass."""
+    _, re, im = _shift_planes(a, lam)
+    n = a.cols
+    return _rows_of(re, n), _rows_of(im, n) if any(im) else None
+
+
+def _push(factor, re, im):
+    """The shift rows ``factor`` times the Gaussian-integer column
+    re + im·i (im None for a real column), counted as ``matvec`` counts
+    it."""
+    rows = factor[0]
+    out_re, out_im = _complex_product(rows, factor[1], [re], im and [im])
+    _tally(mults=len(rows) * len(re), adds=len(rows) * (len(re) - 1))
+    return out_re, out_im or None
+
+
+def _pushed_column(factors, j):
+    """Column j of the product of the shift rows ``factors``, read off
+    the last factor and pushed right to left through the others until it
+    is zero: (re, im), im None while every factor so far is real."""
+    re_rows, im_rows = factors[-1]
+    re = [row[j] for row in re_rows]
+    im = im_rows and [row[j] for row in im_rows]
+    for factor in reversed(factors[:-1]):
+        if not (any(re) or im and any(im)):
+            break
+        re, im = _push(factor, re, im)
+    return re, im
+
+
+def _product_eigenvector(factors, target):
+    """The first nonzero column of the product of the shift rows
+    ``factors`` (the identity when there are none), normalized, and
+    whether the shift rows ``target`` annihilate it; (None, False) when
+    every column is zero."""
+    n = len(target[0])
+    for j in range(n):
+        if factors:
+            re, im = _pushed_column(factors, j)
+        else:
+            re, im = [0] * n, None
+            re[j] = 1
+        if any(re) or im and any(im):
+            v = _primitive(re, im or (), "column")
+            return v, _annihilates(target, [v])
+    return None, False
 
 
 def cross3(u, v):

@@ -461,6 +461,17 @@ def resolve_spectrum(a, s):
     return verify_spectrum(a, s)
 
 
+def _eigenvalue_parts(a):
+    """The parts (re numerator, re denominator, im numerator, im
+    denominator) of each eigenvalue of ``a``, ascending and repeated to
+    multiplicity: ints read off the key of the spectrum that the kept
+    characteristic polynomial recorded when it was found or verified,
+    with no scalar built."""
+    key = charpoly(a)._factored
+    return [key[k:k + 4] for k in range(0, len(key), 5)
+            for _ in range(key[k + 4])]
+
+
 def find_spectrum(p):
     """Complete exact factorization of a monic polynomial, real-rational
     from degree 2 on, over ℚ(i), or IrrationalSpectrum when roots escape

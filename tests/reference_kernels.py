@@ -46,6 +46,12 @@ canonical, and ``Matrix`` then read the planes off the scalars;
 ``canonical_form`` is the planted Jordan form that
 ``exacteig.verification`` filled in entry by entry, as a table of zero
 and one scalars, before it built the form with ``Matrix.diagonal``.
+``matvec_eigenbasis`` is the product method that
+``exacteig.charmatrix`` ran on ``Matrix`` objects before it pushed
+product columns through the integer shift rows of ``exacteig.matrices``:
+each A − λI built with ``subtract_scalar_diag``, each column pushed by
+the library's ``matvec`` and checked by ``_annihilates`` on the shifted
+matrix, so it counts what the library counts.
 """
 
 import json
@@ -82,9 +88,10 @@ from exacteig import (
     to_scalar,
     trace,
 )
-from exacteig.matrices import (_integer_rows, _primitive, _primitive_chain,
-                               _quotient, _require_square, _stacked, _tally,
-                               rank)
+from exacteig.matrices import (_annihilates, _integer_rows, _primitive,
+                               _primitive_chain, _quotient, _require_square,
+                               _stacked, _tally, rank)
+from exacteig.matrices import normalize_eigenvector as lib_normalize
 from exacteig.matrices import matmul as lib_matmul
 from exacteig.matrices import matvec as lib_matvec
 from exacteig.spectra import Polynomial as LibPolynomial
@@ -969,3 +976,55 @@ def canonical_form(config):
                     rows[col - 1][col] = ONE
             position += size
     return Matrix.from_rows(rows)
+
+
+def matvec_eigenbasis(a, s, target):
+    """``product_eigenvectors(a, s, target)`` for a verified spectrum
+    ``s``, as the library computed it on shifted matrices: a repeated
+    eigenvalue's null-space basis decides first, and else the first
+    nonzero column of the full-multiplicity complementary product,
+    pushed left through the factors by ``matvec``, is checked, normalized
+    and compared with the kernel's line."""
+    s = Spectrum(s)
+    n, k = a.rows, s.values().index(to_scalar(target))
+    shifted = {}
+
+    def shift(i):
+        if i not in shifted:
+            shifted[i] = subtract_scalar_diag(a, s.pairs[i][0])
+        return shifted[i]
+
+    alg = s.pairs[k][1]
+    null = None
+    if alg > 1:
+        kappa = shift(k)
+        null = nullspace_basis(kappa)
+        if len(null) > 1:
+            if not _annihilates(kappa, null):
+                raise InternalInconsistency(
+                    "a null-space vector failed the residual check")
+            return null
+        if not null:
+            raise InternalInconsistency(
+                "a verified eigenvalue has no eigenvector")
+    factors = []
+    for i, (_, mult) in enumerate(s.pairs):
+        factors += [shift(i)] * (mult - 1 if i == k else mult)
+    factors = factors or [Matrix.identity(n)]
+    for j in range(n):
+        v = factors[-1].column(j)
+        for f in reversed(factors[:-1]):
+            if v.is_zero():
+                break
+            v = lib_matvec(f, v)
+        if v.is_zero():
+            continue
+        if not _annihilates(shift(k), [v]):
+            break
+        v = lib_normalize(v)
+        if null is not None and v != null[0]:
+            raise InternalInconsistency(
+                "a product column differs from the kernel vector")
+        return [v]
+    raise InternalInconsistency("no product column passed the residual "
+                                "check")

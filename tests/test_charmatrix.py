@@ -483,7 +483,7 @@ class TestEliminationCount:
         a, s = fresh(DOUBLE_PLUS_SIMPLE), DOUBLE_PLUS_SIMPLE_SPECTRUM
         verify_spectrum(a, s)
         products = []
-        for name in ("matmul", "matvec"):
+        for name in ("matmul", "matvec", "_product_eigenvector"):
             original = getattr(exacteig.charmatrix, name)
             monkeypatch.setattr(
                 exacteig.charmatrix, name,
@@ -813,8 +813,10 @@ class TestEveryEigenvectorIsChecked:
                                       left_product_eigenvectors])
     def test_the_product_column_of_a_simple_eigenvalue(self, monkeypatch,
                                                        call):
+        # the factors are shift rows; those of A − 0·I are A's own
+        wrong = exacteig.matrices._shift_rows(self.NOT_AN_EIGENVECTOR, 0)
         monkeypatch.setattr(exacteig.charmatrix, "_product_factors",
-                            lambda *args, **kwargs: [self.NOT_AN_EIGENVECTOR])
+                            lambda *args, **kwargs: [wrong])
         assert not residual_check(SHORTCUT, to_scalar(5), v([1, 0]))
         with pytest.raises(InternalInconsistency, match="no eigenvector"):
             call(SHORTCUT, SHORTCUT_SPECTRUM, to_scalar(5))
@@ -872,6 +874,73 @@ class TestEveryEigenvectorIsChecked:
             lambda b1, b2: [*original(b1, b2), Vector([1, 0, 0])])
         assert intersection_eigenvectors(
             THREE_DISTINCT, THREE_DISTINCT_SPECTRUM, to_scalar(1)) == expected
+
+
+def _faulty_calls():
+    """Each product-method entry point on THREE_DISTINCT, by name."""
+    calls = {"eigensystem": eigensystem}
+    for value in THREE_DISTINCT_SPECTRUM.values():
+        for name, call in (("right", product_eigenvectors),
+                           ("left", left_product_eigenvectors)):
+            calls[f"{name}-{format_scalar(value)}"] = (
+                lambda a, s, _call=call, _value=value: _call(a, s, _value))
+    return calls
+
+
+FAULTY_CALLS = _faulty_calls()
+
+
+class TestKernelFaults:
+    """The product columns run on integer shift rows in ``matrices``.
+    One wrong entry in the rows of one A − λI, or in a column pushed
+    through them, makes ``eigensystem``, ``product_eigenvectors`` and
+    ``left_product_eigenvectors`` raise InternalInconsistency, and none
+    returns or keeps a vector. Every eigenvalue of THREE_DISTINCT is
+    simple, so the residual test on the rows is the only check its
+    product columns meet."""
+
+    def assert_no_vector(self, fresh, call):
+        a = fresh(THREE_DISTINCT)
+        with pytest.raises(InternalInconsistency, match="no eigenvector"):
+            call(a, THREE_DISTINCT_SPECTRUM)
+        assert getattr(a, "_eigenvectors", None) is None
+
+    @pytest.mark.parametrize("wrong", [0, 1, 2])
+    @pytest.mark.parametrize("call", FAULTY_CALLS.values(),
+                             ids=FAULTY_CALLS.keys())
+    def test_a_wrong_shift_row(self, monkeypatch, fresh, call, wrong):
+        # entry (0, 0) of the rows of the wrong-th eigenvalue is off by one
+        original = exacteig.charmatrix._shift_rows
+        value = THREE_DISTINCT_SPECTRUM.values()[wrong]
+        faults = []
+
+        def one_wrong(a, lam):
+            re, im = original(a, lam)
+            if lam == value:
+                faults.append(lam)
+                re = [[re[0][0] + 1, *re[0][1:]], *re[1:]]
+            return re, im
+
+        monkeypatch.setattr(exacteig.charmatrix, "_shift_rows", one_wrong)
+        self.assert_no_vector(fresh, call)
+        assert faults
+
+    @pytest.mark.parametrize("call", FAULTY_CALLS.values(),
+                             ids=FAULTY_CALLS.keys())
+    def test_a_wrong_pushed_column(self, monkeypatch, fresh, call):
+        # the first entry of every column pushed through a factor is off
+        # by one
+        original = exacteig.matrices._push
+        faults = []
+
+        def one_wrong(factor, re, im):
+            out_re, out_im = original(factor, re, im)
+            faults.append(out_re)
+            return [out_re[0] + 1, *out_re[1:]], out_im
+
+        monkeypatch.setattr(exacteig.matrices, "_push", one_wrong)
+        self.assert_no_vector(fresh, call)
+        assert faults
 
 
 class TestEveryEntryPointChecksItsSpectrum:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -524,6 +525,20 @@ class TestExitCodes:
         code, _, _ = run("power", path)    # missing required --n
         assert code == 2
 
+    @pytest.mark.parametrize("payload,code", [
+        (matrix_to_json(SHORTCUT), 0), ({"rows": 1}, 2)],
+        ids=["valid", "malformed"])
+    def test_python_m_exacteig(self, write_json, payload, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(exacteig.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "exacteig", "charpoly",
+             write_json(payload)], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == code, done.stderr
+        assert ("error:" in done.stderr) == bool(code)
+
     def test_irrational_spectrum_is_3_with_hint(self, run, write_json):
         path = write_json(matrix_to_json(IRRATIONAL_PAIR))
         code, _, err = run("eigenvectors", path)
@@ -890,15 +905,21 @@ class TestWholeEigensystem:
                              ids=["simple", "repeated"])
     def test_each_shift_is_built_once(self, run, write_json, monkeypatch,
                                       command, matrix):
-        original = exacteig.charmatrix.subtract_scalar_diag
-        shifts = []
-        monkeypatch.setattr(exacteig.charmatrix, "subtract_scalar_diag",
-                            lambda a, lam: shifts.append(lam)
-                            or original(a, lam))
+        # the product columns run on the shift rows of A − λI; the
+        # matrix A − λI is built only for a repeated λ, to eliminate
+        shifts, matrices = [], []
+        for name, built in (("_shift_rows", shifts),
+                            ("subtract_scalar_diag", matrices)):
+            original = getattr(exacteig.charmatrix, name)
+            monkeypatch.setattr(
+                exacteig.charmatrix, name,
+                lambda a, lam, _f=original, _built=built:
+                _built.append(lam) or _f(a, lam))
         code, _, err = run(command[0], write_json(matrix_to_json(matrix)),
                            *command[1:], "--json")
         assert code == 0, err
         assert len(shifts) == len(set(shifts)) == 3
+        assert len(matrices) == len(set(matrices)) <= 3
 
     @pytest.mark.parametrize("command", [
         ["eigenvectors"], ["eigenvectors", "--left"], ["left"]],

@@ -236,8 +236,8 @@ class TestMatrixPower:
         (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM)])
     def test_a_held_decomposition_serves_large_exponents(
             self, binary, matrix, spec):
-        # ⌊log₂ k⌋ + popcount(k) − 1 products decide, not k itself: 16
-        # takes 4 and stays binary, 11 takes 5
+        # ⌊log₂ k⌋ + popcount(k) − 1 products decide, not k itself: 8
+        # takes 3 and stays binary, 7 takes 4
         a = _copy(matrix)
         form = jordan_form(a, spec)
         threshold = exacteig.factorizations._ROUTE_PRODUCTS

@@ -184,6 +184,28 @@ class TestProducts:
         assert subtract_scalar_diag(SHORTCUT, to_scalar(2)) == \
             m([[1, 1], [2, 2]])
 
+    @given(st.data(), st.sampled_from(["integer", "rational", "gaussian",
+                                       "gaussian-rational"]))
+    def test_an_integer_shift_takes_no_gcd_pass(self, data, kind):
+        # with an integer λ the shift is built canonical; it equals the
+        # matrix that one gcd pass (Matrix._make) makes of the same planes,
+        # and A − λ·I by the subtraction of two matrices, for any λ
+        n = data.draw(st.integers(1, 4))
+        entries = st.builds(lambda re, im, den: GaussianRational(
+            Rational(re, den), Rational(im, den)), small_entries,
+            st.sampled_from([0, 0, 1, -3]), st.integers(1, 4))
+        a = m(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                 min_size=n, max_size=n)))
+        den = 1 if kind in ("integer", "gaussian") else data.draw(
+            st.integers(2, 6))
+        im = 0 if kind in ("integer", "rational") else data.draw(
+            st.sampled_from([-2, -1, 1, 3]))
+        lam = GaussianRational(Rational(data.draw(small_entries), den),
+                               Rational(im, den))
+        shifted = subtract_scalar_diag(a, lam)
+        assert shifted._key() == Matrix._make(*shifted._key())._key()
+        assert shifted == a - Matrix.diagonal([lam] * n)
+
     def test_hstack(self):
         assert hstack(m([[1], [2]]), m([[3], [4]])) == m([[1, 3], [2, 4]])
 
@@ -199,8 +221,10 @@ class TestProducts:
                                  min_size=rows, max_size=rows)))
         values = data.draw(st.lists(scalars, min_size=n, max_size=n))
         ones = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        parts = [(v.re.numerator, v.re.denominator, v.im.numerator,
+                  v.im.denominator) for v in values]
         with OpCounter() as ops:
-            shifted = matrices._times_diagonal(p, values, ones)
+            shifted = matrices._times_diagonal(p, parts, ones)
         assert shifted == matmul(p, Matrix.diagonal(values, ones))
         assert (ops.scalar_mults, ops.scalar_adds) == \
             (rows * n, rows * len(ones))

@@ -43,6 +43,7 @@ from exacteig import (
     Vector,
     build_chains,
     charpoly,
+    complementary_product,
     det,
     eigensystem,
     generalized_eigenvectors,
@@ -50,22 +51,26 @@ from exacteig import (
     independent_extension,
     inverse,
     jordan_form,
+    left_product_eigenvectors,
     matmul,
     matrix_power,
     matvec,
     normalize_eigenvector,
     nullspace_basis,
     ode_general_solution,
+    product_eigenvectors,
     random_spectral_matrix,
     rank,
     rref,
     shifted_power_ranks,
     subtract_scalar_diag,
     trace,
+    verify_spectrum,
 )
-from exacteig.charmatrix import _kept_kernels
+from exacteig.charmatrix import _kept_kernels, _product_factors
 from exacteig.jordan import _chains
-from exacteig.matrices import _annihilates, _primitive_chain
+from exacteig.matrices import (_annihilates, _primitive_chain,
+                               _pushed_column, _shift_rows)
 from exacteig.verification import _canonical_form
 from conftest import CORPUS_SIZE, corpus_config
 from test_factorizations import _copy, _text
@@ -352,14 +357,19 @@ def test_corpus_agrees_with_reference(corpus):
 
 
 @st.composite
-def planted_configs(draw):
+def planted_configs(draw, dim=8, denominators=(1,)):
     """Generator configs with 1–3 distinct eigenvalues, one of them
-    nonreal Gaussian, each split into random Jordan blocks, n ≤ 8."""
+    nonreal Gaussian, each split into random Jordan blocks, n ≤ ``dim``,
+    each eigenvalue over one of ``denominators``."""
     gaussian = GaussianRational(draw(st.integers(-3, 3)),
                                 draw(st.sampled_from([-2, -1, 1, 2])))
     reals = draw(st.lists(st.integers(-4, 4), max_size=2, unique=True))
     values = [gaussian, *map(GaussianRational, reals)]
-    budget = 8 - len(values)
+    if denominators != (1,):
+        values = [v * Rational(1, draw(st.sampled_from(denominators)))
+                  for v in values]
+        assume(len(set(values)) == len(values))
+    budget = dim - len(values)
     blocks = {}
     for value in values:
         sizes = [draw(st.integers(1, budget + 1))]
@@ -375,9 +385,9 @@ def planted_configs(draw):
 
 
 @st.composite
-def planted_jordan(draw):
+def planted_jordan(draw, **options):
     """(matrix, spectrum) of a ``planted_configs`` recipe."""
-    config = draw(planted_configs())
+    config = draw(planted_configs(**options))
     return random_spectral_matrix(config)[0], config.spectrum
 
 
@@ -444,6 +454,57 @@ class TestJordanKernelsAgainstReference:
     def test_corpus(self, corpus):
         for entry in corpus:
             assert_jordan_kernels_agree(entry.matrix, entry.spectrum)
+
+
+def assert_product_method_agrees(a, s):
+    verify_spectrum(a, s)
+    transposed = a.transpose()
+    for value in s.values():
+        with OpCounter() as new:
+            right = product_eigenvectors(a, s, value)
+        with OpCounter() as old:
+            assert right == ref.matvec_eigenbasis(a, s, value)
+        assert new == old
+        assert left_product_eigenvectors(a, s, value) == [
+            w.transposed()
+            for w in ref.matvec_eigenbasis(transposed, s, value)]
+
+
+class TestProductMethodAgainstReference:
+    """The product method on the shift rows of ``matrices`` against the
+    ``matvec`` route on shifted matrices that it replaced: the same
+    vectors, right and left, with the same operation counts, and each
+    pushed column on the line of the product's column."""
+
+    @given(planted_jordan(dim=6, denominators=(1, 1, 2, 3)))
+    def test_planted_structures(self, case):
+        assert_product_method_agrees(*case)
+
+    def test_corpus(self, corpus):
+        for entry in corpus[:100]:
+            assert_product_method_agrees(entry.matrix, entry.spectrum)
+
+    @given(planted_jordan(dim=6, denominators=(1, 2)))
+    def test_pushed_columns_are_product_columns(self, case):
+        # every column j, zero or not, not only the first nonzero one
+        # that the product method keeps
+        a, s = case
+        for k, value in enumerate(s.values()):
+            factors = _product_factors(
+                s, k, True, lambda i: _shift_rows(a, s.pairs[i][0]))
+            if not factors:  # the product is I
+                continue
+            product = complementary_product(a, s, value,
+                                            with_multiplicity=True)
+            for j in range(a.rows):
+                re, im = _pushed_column(factors, j)
+                pushed = Vector([GaussianRational(x, y) for x, y in
+                                 zip(re, im or [0] * len(re))])
+                column = product.column(j)
+                assert pushed.is_zero() == column.is_zero()
+                if not column.is_zero():
+                    assert normalize_eigenvector(pushed) == \
+                        normalize_eigenvector(column)
 
 
 @st.composite

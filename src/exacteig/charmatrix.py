@@ -17,18 +17,20 @@ must equal the kernel's vector, an exact cross-check of the two.
 The product-method entry points (``product_eigenvectors``,
 ``left_product_eigenvectors``, ``eigensystem``) verify the spectrum
 first, which costs a comparison once the matrix has verified it. They
-form no product matrix: for A = N/d and λ = (u + v·i)/w they build, once
-per eigenvalue per call, the scale-free shift rows w·N − d·(u + v·i)·I
-of d·w·(A − λI) (``matrices._shift_rows``), and push product column j,
-read off the rightmost factor, left through the others as lists of
-integers (``matrices._product_eigenvector``). The zero test, the
-residual test (A − λI)·x = 0 and the normalization are all blind to the
-scale d·w, so the vectors are those of the shifted matrices; A − λI
-itself is built only for a repeated eigenvalue, whose kernel it gives.
-Everything is exact; every returned eigenvector is checked by
-(A − λI)·v = 0 on the integer planes (the shift rows, or the kernel's
-A − λI), the |σ(A)| ≤ 2 shortcut's columns all at once by
-(A − λ₁I)(A − λ₂I) = 0.
+form no product matrix: for A = N/d and λ = (u + v·i)/w they build the
+scale-free shift rows w·N − d·(u + v·i)·I of d·w·(A − λI)
+(``matrices._shift_rows``) of every eigenvalue once per call that forms
+a product, and push product column j, read off the rightmost factor,
+left through the others as lists of integers
+(``matrices._product_eigenvector``). The zero test, the residual test
+(A − λI)·x = 0 and the normalization are all blind to the scale d·w, so
+the vectors are those of the shifted matrices; A − λI itself is built only
+for a repeated eigenvalue, whose kernel it gives. Everything is exact;
+every returned eigenvector is checked by (A − λI)·v = 0 on the integer
+planes (the shift rows, or the kernel's A − λI), the |σ(A)| ≤ 2
+shortcut's columns all at once by (A − λ₁I)(A − λ₂I) = 0. That product,
+``complementary_product`` and the ``is_diagonalizable`` witness are the
+matrix products, all formed by ``_shifted_product``.
 """
 
 from __future__ import annotations
@@ -102,29 +104,28 @@ def characteristic_matrix(a, lam):
     return CharacteristicMatrix(subtract_scalar_diag(a, lam), lam, a.rows)
 
 
-def _shifted(a, s, shifted, k):
-    """The shift rows of A − λI (``matrices._shift_rows``) for the k-th
-    eigenvalue λ of ``s``. ``shifted`` holds, by position, the rows a
-    call has built so far (None for the rest), so the call builds each
-    at most once."""
-    if shifted[k] is None:
-        shifted[k] = _shift_rows(a, s.pairs[k][0])
-    return shifted[k]
-
-
-def _product_factors(s, k, with_multiplicity, shift):
+def _product_factors(s, k, with_multiplicity, shifts):
     """The factors of the product complementary to the k-th eigenvalue
-    of ``s``, in ascending eigenvalue order, ``shift(i)`` being the one
-    for the i-th eigenvalue, read once per eigenvalue."""
+    of ``s`` (of none when k is None), in ascending eigenvalue order,
+    ``shifts[i]`` standing for the i-th: its shift rows, or the value."""
     factors = []
-    for i, (_, mult) in enumerate(s.pairs):
-        if i == k:
-            count = mult - 1 if with_multiplicity else 0
-        else:
-            count = mult if with_multiplicity else 1
-        if count:
-            factors.extend([shift(i)] * count)
+    for i, (shift, (_, mult)) in enumerate(zip(shifts, s.pairs)):
+        # the target contributes one factor fewer than the others
+        factors += [shift] * ((mult if with_multiplicity else 1) - (i == k))
     return factors
+
+
+def _shifted_product(a, values):
+    """The factors A − λI for λ in ``values``, each distinct one built
+    once, and their product in the order given (I when there are
+    none)."""
+    built = {lam: subtract_scalar_diag(a, lam)
+             for lam in dict.fromkeys(values)}
+    factors = [built[lam] for lam in values]
+    product = factors[0] if factors else Matrix.identity(a.rows)
+    for f in factors[1:]:
+        product = matmul(product, f)
+    return factors, product
 
 
 def complementary_product(a, s, target, with_multiplicity=False):
@@ -136,15 +137,8 @@ def complementary_product(a, s, target, with_multiplicity=False):
     k = _target_index(s, target)
     if not a.is_square:
         raise NotSquare("complementary product needs a square matrix")
-    factors = _product_factors(
-        s, k, with_multiplicity,
-        lambda i: subtract_scalar_diag(a, s.pairs[i][0]))
-    if not factors:
-        return Matrix.identity(a.rows)
-    result = factors[0]
-    for f in factors[1:]:
-        result = matmul(result, f)
-    return result
+    return _shifted_product(
+        a, _product_factors(s, k, with_multiplicity, s.values()))[1]
 
 
 def _target_index(s, target):
@@ -185,14 +179,15 @@ def product_eigenvectors(a, s, target):
     spectrum raises WrongSpectrum.
     """
     s = verify_spectrum(a, s)
-    return _eigenbasis(a, s, [None] * len(s.pairs), _target_index(s, target))
+    return _eigenbasis(a, s, _target_index(s, target))
 
 
-def _eigenbasis(a, s, shifted, k):
+def _eigenbasis(a, s, k, shifts=None):
     """``product_eigenvectors`` for the k-th eigenvalue of a verified
-    spectrum ``s``, sharing ``shifted`` (see ``_shifted``). A − λI is
-    built as a matrix and eliminated only for a repeated eigenvalue, at
-    most once; the product columns run on the shift rows."""
+    spectrum ``s``. ``shifts`` holds the shift rows of each of its
+    eigenvalues; when not given, they are built once the kernel has left
+    a product to form. A − λI is built as a matrix and eliminated only
+    for a repeated eigenvalue, at most once."""
     target, alg = s.pairs[k]
     null = None
     if alg > 1:
@@ -204,10 +199,11 @@ def _eigenbasis(a, s, shifted, k):
         if not null:
             raise InternalInconsistency(
                 "a verified eigenvalue has no eigenvector")
+    if shifts is None:
+        shifts = [_shift_rows(a, value) for value in s.values()]
     # the product has rank 1, so its first nonzero column decides
-    v, clean = _product_eigenvector(
-        _product_factors(s, k, True, lambda i: _shifted(a, s, shifted, i)),
-        _shifted(a, s, shifted, k))
+    v, clean = _product_eigenvector(_product_factors(s, k, True, shifts),
+                                    shifts[k])
     if clean:
         if null is not None and v != null[0]:
             raise InternalInconsistency(
@@ -234,23 +230,19 @@ def left_product_eigenvectors(a, s, target):
     """
     s = verify_spectrum(a, s)
     return [w.transposed() for w in _eigenbasis(
-        a.transpose(), s, [None] * len(s.pairs), _target_index(s, target))]
+        a.transpose(), s, _target_index(s, target))]
 
 
-_TOO_SMALL = "shifted-matrix product is nonzero: an eigenspace is too small"
-
-
-def _eigenmatrices(a, lam1, lam2):
-    """(A − λ₁I, A − λ₂I), one matrix when λ₁ = λ₂, under the premise of
-    the |σ(A)| ≤ 2 shortcut, (A − λ₁I)(A − λ₂I) = 0: the factors commute,
-    so it certifies every column of both. A nonzero product is raised as
-    the NotDiagonalizable witness."""
-    k1 = subtract_scalar_diag(a, lam1)
-    k2 = k1 if lam1 == lam2 else subtract_scalar_diag(a, lam2)
-    witness = matmul(k1, k2)
+def _eigenmatrices(a, *values):
+    """The factors A − λI for the one or two ``values`` under the premise
+    of the |σ(A)| ≤ 2 shortcut, that their product is zero: the factors
+    commute, so it certifies every column of each. A nonzero product is
+    raised as the NotDiagonalizable witness."""
+    factors, witness = _shifted_product(a, values)
     if not witness.is_zero():
-        raise NotDiagonalizable(_TOO_SMALL, witness=witness)
-    return k1, k2
+        raise NotDiagonalizable("shifted-matrix product is nonzero: an "
+                                "eigenspace is too small", witness=witness)
+    return factors
 
 
 def two_spectrum_eigenvectors(a, lam1, lam2):
@@ -354,16 +346,10 @@ def combined_characteristic_matrix(a, column_assignment, s=None):
         if lam not in values:
             raise NotInSpectrum(
                 f"assigned value {format_scalar(lam)} is not an eigenvalue")
-    if len(values) == 1:
-        # one eigenvalue: the premise is A − λI = 0, and then every
-        # column is the zero column of that matrix
-        kappa = subtract_scalar_diag(a, values[0])
-        if not kappa.is_zero():
-            raise NotDiagonalizable(_TOO_SMALL, witness=kappa)
-        return kappa
-    k1, k2 = _eigenmatrices(a, values[0], values[-1])
-    return Matrix.from_columns([(k2 if lam == values[0] else k1).column(j)
-                                for j, lam in enumerate(assignment)])
+    factors = _eigenmatrices(a, *values)
+    return Matrix.from_columns([
+        (factors[-1] if lam == values[0] else factors[0]).column(j)
+        for j, lam in enumerate(assignment)])
 
 
 def cross_eigenvector_3x3(a, lam):
@@ -463,12 +449,8 @@ def is_diagonalizable(a, s):
     s = verify_spectrum(a, s)
     if len(s.pairs) == a.rows or _complete_eigenbasis(a) is not None:
         return True, None
-    product = subtract_scalar_diag(a, s.pairs[0][0])
-    for value, _ in s.pairs[1:]:
-        product = matmul(product, subtract_scalar_diag(a, value))
-    if product.is_zero():
-        return True, None
-    return False, product
+    product = _shifted_product(a, s.values())[1]
+    return (True, None) if product.is_zero() else (False, product)
 
 
 class Eigenspace(Record):
@@ -510,11 +492,9 @@ def eigensystem(a, s):
     ``diagonalize`` and ``jordan_form`` when it is square, and else the
     kernels that their Jordan chains start from."""
     s = verify_spectrum(a, s)
-    shifted = [None] * len(s.pairs)
-    spaces = []
-    for k, (value, mult) in enumerate(s.pairs):
-        vectors = _eigenbasis(a, s, shifted, k)
-        spaces.append(Eigenspace(value, mult, tuple(vectors)))
+    shifts = [_shift_rows(a, value) for value in s.values()]
+    spaces = [Eigenspace(value, mult, tuple(_eigenbasis(a, s, k, shifts)))
+              for k, (value, mult) in enumerate(s.pairs)]
     a._remember("_eigenvectors", (Matrix.from_columns(
         [v for space in spaces for v in space.vectors]),
         tuple(space.geom_mult for space in spaces)))

@@ -337,7 +337,7 @@ class Spectrum:
         as ``find_spectrum`` builds it: sorted, and not checked again."""
         self = object.__new__(cls)
         _set_pairs(self, sorted(found.items(),
-                                key=lambda pair: (pair[0].re, pair[0].im)))
+                                key=lambda pair: scalar_key(pair[0])))
         return self
 
     @classmethod

@@ -8,6 +8,7 @@ import exacteig
 from exacteig import (
     AllRowsParallel,
     Defective,
+    DimensionMismatch,
     GaussianRational,
     GeneratorConfig,
     InternalInconsistency,
@@ -545,6 +546,11 @@ class TestTwoSpectrum:
             two_spectrum_eigenvectors(SYMMETRIC_PAIR, to_scalar(1),
                                       to_scalar(4))
 
+    def test_rejects_a_repeated_value(self):
+        with pytest.raises(WrongSpectrum, match="must be distinct"):
+            two_spectrum_eigenvectors(SYMMETRIC_PAIR, to_scalar(1),
+                                      to_scalar(1))
+
     def test_defect_is_detected(self):
         with pytest.raises(NotDiagonalizable) as excinfo:
             two_spectrum_eigenvectors(DEFECTIVE_TRIO, to_scalar(1),
@@ -761,6 +767,11 @@ class TestColumnSpaceIntersection:
         b2 = Matrix.from_columns([[0, 1, 0]])
         assert column_space_intersection(b1, b2) == []
 
+    def test_different_dimensions_are_refused(self):
+        with pytest.raises(DimensionMismatch):
+            column_space_intersection(Matrix.from_columns([[1, 0, 0]]),
+                                      Matrix.from_columns([[1, 0]]))
+
     def test_a_defective_input_keeps_every_eigenvector(self):
         # P·(J₂(2) ⊕ [3])·P⁻¹ for P = [[1, 2, 0], [1, 1, 1], [0, 1, 2]]:
         # no basis vector of the intersection is an eigenvector
@@ -943,6 +954,31 @@ class TestKernelFaults:
         assert faults
 
 
+class TestEmptyKernel:
+    """A fault that leaves A − λI of a repeated eigenvalue with no
+    null-space vector is an InternalInconsistency at every route through
+    the product method, before a product is formed, and no basis is
+    kept. DEFECTIVE_TRIO has −2 with multiplicity 2."""
+
+    @pytest.mark.parametrize("call", [
+        lambda a: eigensystem(a, DEFECTIVE_TRIO_SPECTRUM),
+        lambda a: product_eigenvectors(a, DEFECTIVE_TRIO_SPECTRUM, -2),
+        lambda a: left_product_eigenvectors(a, DEFECTIVE_TRIO_SPECTRUM, -2),
+        jordan_form,
+    ], ids=["eigensystem", "right", "left", "jordan_form"])
+    def test_no_eigenvector_keeps_no_basis(self, monkeypatch, fresh, call):
+        monkeypatch.setattr(exacteig.charmatrix, "nullspace_basis",
+                            lambda kappa: [])
+        monkeypatch.setattr(exacteig.charmatrix, "_product_eigenvector",
+                            None)
+        a = fresh(DEFECTIVE_TRIO)
+        with pytest.raises(InternalInconsistency,
+                           match="a verified eigenvalue has no eigenvector"):
+            call(a)
+        assert getattr(a, "_eigenvectors", None) is None
+        assert not hasattr(a, "_jordan")
+
+
 class TestEveryEntryPointChecksItsSpectrum:
     """Entry points that take a spectrum, or find one, check it like the
     product methods do (``verify_spectrum`` or ``resolve_spectrum``): a
@@ -1057,6 +1093,9 @@ class TestEveryEntryPointChecksItsShape:
             ("characteristic_matrix", (1,)),
             ("complementary_product", ({1: 1}, 1)),
             ("two_spectrum_eigenvectors", (1, 2)),
+            ("eigenvectors_2x2", (1, 2)),
+            ("cross_eigenvector_3x3", (1,)),
+            ("combined_characteristic_matrix", ([1, 2],)),
             ("is_diagonalizable", ({1: 1},)),
             ("diagonalize", ()),
             ("matrix_power", (2,)),
@@ -1068,6 +1107,16 @@ class TestEveryEntryPointChecksItsShape:
     def test_a_2x3_matrix(self, name, args):
         with pytest.raises(NotSquare):
             getattr(exacteig, name)(m([[1, 2, 3], [4, 5, 6]]), *args)
+
+    @pytest.mark.parametrize("call", [
+        lambda: eigenvectors_2x2(CROSS_DEMO, to_scalar(1), to_scalar(2)),
+        lambda: cross_eigenvector_3x3(SHORTCUT, to_scalar(2)),
+        lambda: combined_characteristic_matrix(SHORTCUT, [2, 5, 5]),
+    ], ids=["2x2-shortcut-on-3x3", "cross-product-on-2x2",
+            "combined-assignment-too-long"])
+    def test_a_square_matrix_of_the_wrong_size(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 class TestEigensystem:

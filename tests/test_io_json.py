@@ -116,6 +116,10 @@ class TestSpectrumErrors:
         ({}, "eigenvalues"),
         ({"eigenvalues": [{"value": "1", "multiplicity": True}]},
          "positive integer"),
+        ({"eigenvalues": ["1"]}, "eigenvalue 0 must be an object"),
+        ({"eigenvalues": [{"value": "1", "multiplicity": 1},
+                          {"value": 2, "multiplicity": 1}]},
+         "eigenvalue 1: value must be a string"),
     ])
     def test_schema_violations(self, payload, needle):
         with pytest.raises(SchemaError) as excinfo:

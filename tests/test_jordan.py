@@ -372,6 +372,36 @@ class TestShortKernel:
         assert err.startswith("error: ") and "zero vector" in err
 
 
+class TestLineChainFaults:
+    """Beside a line, the one chain of an eigenvalue of multiplicity m
+    starts at a vector of ker κ^m that κ^(m−1) does not kill. A fault in
+    κ·v that leaves no such start, or in κ^m that yields a chain too
+    short for m, is an InternalInconsistency, cold or after
+    ``eigensystem``, and no basis is kept. DEFECTIVE_TRIO has −2 with
+    multiplicity 2 on a line."""
+
+    @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
+    @pytest.mark.parametrize("warm", [False, True],
+                             ids=["cold", "after-eigensystem"])
+    @pytest.mark.parametrize("patched,fault,message", [
+        # κ·v reads zero, so every chain ends before it is long enough
+        ("matvec", lambda m, x: x.scaled(0),
+         "could not start the chain of a line"),
+        # κ^m is κ itself: its kernel gives a chain of one vector
+        ("_power", lambda shifted, k: shifted,
+         "chain sizes do not add up to the multiplicity"),
+    ], ids=["no-start", "short-chain"])
+    def test_a_fault_keeps_no_basis(self, monkeypatch, fresh, call, warm,
+                                    patched, fault, message):
+        a = fresh(DEFECTIVE_TRIO)
+        if warm:
+            eigensystem(a, DEFECTIVE_TRIO_SPECTRUM)
+        monkeypatch.setattr(exacteig.jordan, patched, fault)
+        with pytest.raises(InternalInconsistency, match=message):
+            call(a)
+        assert not hasattr(a, "_jordan")
+
+
 class TestGeneralizedEigenvectors:
     def test_level_one_is_the_eigenspace(self):
         level1 = generalized_eigenvectors(DEFECTIVE_TRIO, to_scalar(-2), 1)

@@ -168,11 +168,22 @@ class TestProducts:
     def test_matvec(self):
         assert matvec(SHORTCUT, v([1, 2])) == v([5, 10])
 
+    def test_matmul_operator(self):
+        assert SHORTCUT @ SHORTCUT == SHORTCUT_SQUARED
+        with pytest.raises(TypeError):
+            SHORTCUT @ 2
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             matmul(m([[1, 2]]), m([[1, 2]]))
         with pytest.raises(DimensionMismatch):
             matvec(SHORTCUT, v([1, 2, 3]))
+
+    def test_a_row_vector_or_block_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatch, match="row of 3"):
+            matvec(SHORTCUT, Vector([1, 2, 3], "row"))
+        with pytest.raises(DimensionMismatch, match="row counts differ"):
+            hstack(m([[1], [2]]), m([[3]]))
 
     @given(square_matrices)
     def test_identity_is_neutral(self, a):

@@ -489,9 +489,9 @@ class TestProductMethodAgainstReference:
         # every column j, zero or not, not only the first nonzero one
         # that the product method keeps
         a, s = case
+        shifts = [_shift_rows(a, value) for value in s.values()]
         for k, value in enumerate(s.values()):
-            factors = _product_factors(
-                s, k, True, lambda i: _shift_rows(a, s.pairs[i][0]))
+            factors = _product_factors(s, k, True, shifts)
             if not factors:  # the product is I
                 continue
             product = complementary_product(a, s, value,

@@ -163,6 +163,13 @@ class TestFieldLaws:
         assert a ** 1 == a
         assert a ** 3 == a * a * a
 
+    @given(nonzero_scalars)
+    def test_reflected_operators_and_unary_plus(self, a):
+        # an int on the left, then the scalar itself
+        assert 1 - a == ONE - a
+        assert 1 / a == ONE / a
+        assert +a is a
+
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             ONE / ZERO

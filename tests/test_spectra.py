@@ -350,6 +350,14 @@ class TestSpectrumContainer:
         s = spectrum([("2+i", 1), ("2-i", 1), (0, 1)])
         assert s == spectrum([(0, 1), ("2-i", 1), ("2+i", 1)])
 
+    def test_found_values_take_the_same_order(self):
+        found = {to_scalar(z): 1 for z in ("2+i", "-1", "2-i", "1/2")}
+        assert Spectrum._of_distinct(found).pairs == Spectrum(found).pairs
+
+    def test_iteration_yields_the_pairs(self):
+        s = spectrum([(3, 1), (1, 2)])
+        assert list(s) == [(to_scalar(1), 2), (to_scalar(3), 1)]
+
 
 class TestMultiplicity:
     def test_multiplicity_of_roots(self):

@@ -120,6 +120,32 @@ def test_the_shortcut_has_one_premise_check():
         assert "_eigenmatrices(a, " in source, name
 
 
+def test_one_routine_multiplies_shifted_matrices():
+    # the product method indexes one list of shift rows per call, and
+    # every product of A − λI matrices is formed by _shifted_product
+    source = (PACKAGE / "charmatrix.py").read_text(encoding="utf-8")
+    assert not re.search(r"\b_shifted\b|\[None\] \* len\(s\.pairs\)",
+                         source)
+    s = exacteig.Spectrum({1: 2, 2: 1, 3: 1})
+    factors = exacteig.charmatrix._product_factors
+    assert factors(s, 0, True, "abc") == ["a", "b", "c"]
+    assert factors(s, 1, False, "abc") == ["a", "c"]
+    multiplying = {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "matmul"
+            for call in ast.walk(node))}
+    assert multiplying == {"_shifted_product", "intersection_eigenvectors"}
+    for name in ("complementary_product", "is_diagonalizable",
+                 "_eigenmatrices"):
+        assert "_shifted_product(" in inspect.getsource(
+            getattr(exacteig.charmatrix, name)), name
+    combined = inspect.getsource(
+        exacteig.charmatrix.combined_characteristic_matrix)
+    assert "subtract_scalar_diag" not in combined
+
+
 def test_a_claimed_eigenvalue_is_checked_by_deflation():
     # the characteristic polynomial, not the trace or determinant,
     # decides whether a value is an eigenvalue; the one exception is the

@@ -179,15 +179,15 @@ def product_eigenvectors(a, s, target):
     spectrum raises WrongSpectrum.
     """
     s = verify_spectrum(a, s)
-    return _eigenbasis(a, s, _target_index(s, target))
+    return _eigenbasis(a, s, _target_index(s, target), [])
 
 
-def _eigenbasis(a, s, k, shifts=None):
+def _eigenbasis(a, s, k, shifts):
     """``product_eigenvectors`` for the k-th eigenvalue of a verified
-    spectrum ``s``. ``shifts`` holds the shift rows of each of its
-    eigenvalues; when not given, they are built once the kernel has left
-    a product to form. A − λI is built as a matrix and eliminated only
-    for a repeated eigenvalue, at most once."""
+    spectrum ``s``. ``shifts``, one list per call, holds the shift rows
+    of each of its eigenvalues: it is filled the first time the kernel
+    leaves a product to form. A − λI is built as a matrix and eliminated
+    only for a repeated eigenvalue, at most once."""
     target, alg = s.pairs[k]
     null = None
     if alg > 1:
@@ -199,8 +199,8 @@ def _eigenbasis(a, s, k, shifts=None):
         if not null:
             raise InternalInconsistency(
                 "a verified eigenvalue has no eigenvector")
-    if shifts is None:
-        shifts = [_shift_rows(a, value) for value in s.values()]
+    if not shifts:
+        shifts += [_shift_rows(a, value) for value in s.values()]
     # the product has rank 1, so its first nonzero column decides
     v, clean = _product_eigenvector(_product_factors(s, k, True, shifts),
                                     shifts[k])
@@ -230,7 +230,7 @@ def left_product_eigenvectors(a, s, target):
     """
     s = verify_spectrum(a, s)
     return [w.transposed() for w in _eigenbasis(
-        a.transpose(), s, _target_index(s, target))]
+        a.transpose(), s, _target_index(s, target), [])]
 
 
 def _eigenmatrices(a, *values):
@@ -492,7 +492,7 @@ def eigensystem(a, s):
     ``diagonalize`` and ``jordan_form`` when it is square, and else the
     kernels that their Jordan chains start from."""
     s = verify_spectrum(a, s)
-    shifts = [_shift_rows(a, value) for value in s.values()]
+    shifts = []
     spaces = [Eigenspace(value, mult, tuple(_eigenbasis(a, s, k, shifts)))
               for k, (value, mult) in enumerate(s.pairs)]
     a._remember("_eigenvectors", (Matrix.from_columns(

@@ -15,7 +15,8 @@ growth occurs. It is computed once per matrix: the ``Matrix`` keeps
 it, and the polynomial keeps a key of the spectrum verified against it
 (or found by ``find_spectrum``), so a spectrum is deflated once per
 matrix and its transpose, and a repeat check is one comparison. Both
-facts are exact and live only on the matrix and its polynomial.
+facts are exact, live only on the matrix and its polynomial, and only
+skip work: ``find_spectrum`` searches on every call.
 
 Root extraction works on the coefficient list of the primitive integer
 multiple of the polynomial. While that has degree ≥ 3, its rational
@@ -47,7 +48,7 @@ from .errors import (
     SpectrumTooLarge,
     WrongSpectrum,
 )
-from .matrices import _charpoly_numerators
+from .matrices import _charpoly_numerators, _scalar_planes
 from .scalars import (
     GaussianRational,
     format_rational,
@@ -260,10 +261,7 @@ def _deflation(p, root):
     over d·w^(n−k−1) is the quotient coefficient of λᵏ; after the last
     step, x over d·wⁿ is the remainder.
     """
-    re, im = root.re, root.im
-    w = lcm(re.denominator, im.denominator)
-    u = re.numerator * (w // re.denominator)
-    v = im.numerator * (w // im.denominator)
+    w, u, v = _scalar_planes(root)
     c_re, c_im, n = p._reals, p._imags, len(p._reals) - 1
     powers = [w ** k for k in range(n + 1)]
     x, y = c_re[n], c_im[n]
@@ -338,18 +336,6 @@ class Spectrum:
         self = object.__new__(cls)
         _set_pairs(self, sorted(found.items(),
                                 key=lambda pair: scalar_key(pair[0])))
-        return self
-
-    @classmethod
-    def _of_key(cls, key):
-        """The spectrum whose ``_key`` is ``key``, one that a polynomial
-        recorded, rebuilt without sorting or checking it again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "pairs", tuple([
-            (GaussianRational._make(Fraction(*key[k:k + 2]),
-                                    Fraction(*key[k + 2:k + 4])), key[k + 4])
-            for k in range(0, len(key), 5)]))
-        object.__setattr__(self, "_key", key)
         return self
 
     def __setattr__(self, name, value):
@@ -452,11 +438,11 @@ def _multiplicities(p, values):
 
 
 def resolve_spectrum(a, s):
-    """The spectrum of ``a``: found exactly when ``s`` is None (raising
-    IrrationalSpectrum when it escapes ℚ(i)), else ``s`` verified against
-    ``a``. Either way ``a`` keeps its characteristic polynomial, which
-    keeps the spectrum, so later calls on ``a`` compute neither again."""
-    if s is None:  # found spectra are recorded, so not divided again
+    """The spectrum of ``a``: found exactly, by a search on every call,
+    when ``s`` is None (raising IrrationalSpectrum when it escapes ℚ(i)),
+    else ``s`` verified against ``a``. ``a`` keeps its characteristic
+    polynomial, which keeps the spectrum: a repeat check is a comparison."""
+    if s is None:  # a found spectrum is recorded, so not divided again
         s = find_spectrum(charpoly(a))
     return verify_spectrum(a, s)
 
@@ -496,16 +482,13 @@ def find_spectrum(p):
     raises IrrationalSpectrum: the caller supplies the spectrum
     instead. ``p`` records the result; ``verify_spectrum`` then accepts
     it without dividing for any matrix that holds ``p`` as its
-    characteristic one, and a later call returns the spectrum that ``p``
-    recorded, found or verified, without a search.
+    characteristic one. Nothing ``p`` recorded is read back: every call
+    searches, whatever spectrum was verified on ``p`` before.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    recorded = getattr(p, "_factored", None)
-    if recorded is not None:
-        return Spectrum._of_key(recorded)
     if p.degree > 1 and any(p._imags):
         raise IrrationalSpectrum(
             "nonreal coefficients; supply the spectrum explicitly")

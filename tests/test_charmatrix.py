@@ -979,6 +979,60 @@ class TestEmptyKernel:
         assert not hasattr(a, "_jordan")
 
 
+class TestIndependenceFaults:
+    """A fault in ``independent_extension`` that drops the last vector it
+    picks leaves the readers of the |σ(A)| ≤ 2 shortcut fewer columns
+    than the multiplicity asks for, and the column-space intersection a
+    basis short of the rank identity dim(∩) = rank B₁ + rank B₂ −
+    rank [B₁ B₂]. Each is an InternalInconsistency, and no basis is
+    kept."""
+
+    @pytest.fixture(autouse=True)
+    def dropping(self, monkeypatch):
+        original = exacteig.charmatrix.independent_extension
+        monkeypatch.setattr(exacteig.charmatrix, "independent_extension",
+                            lambda basis, vs: original(basis, vs)[:-1])
+
+    @pytest.mark.parametrize("call", [
+        lambda a: two_spectrum_eigenvectors(a, 2, 5),
+        lambda a: eigenvectors_2x2(a, 2, 5),
+    ], ids=["two-spectrum", "2x2"])
+    def test_too_few_columns(self, fresh, call):
+        a = fresh(SHORTCUT)
+        with pytest.raises(InternalInconsistency,
+                           match="too few independent columns"):
+            call(a)
+        assert getattr(a, "_eigenvectors", None) is None
+
+    def test_the_rank_identity(self, fresh):
+        # 1 is the third eigenvalue, so col(A − 2I) ∩ col(A − 3I) is
+        # formed, and it is a line
+        a = fresh(THREE_DISTINCT)
+        with pytest.raises(InternalInconsistency, match="rank identity"):
+            intersection_eigenvectors(a, THREE_DISTINCT_SPECTRUM, 1)
+        assert getattr(a, "_eigenvectors", None) is None
+
+
+class TestZeroProduct:
+    """A fault that pushes every column of the complementary product to
+    zero leaves a simple eigenvalue no product column: the reader of the
+    columns returns none, and every product-method entry point turns
+    that into "a verified eigenvalue has no eigenvector" and keeps no
+    vector."""
+
+    @pytest.mark.parametrize("call", FAULTY_CALLS.values(),
+                             ids=FAULTY_CALLS.keys())
+    def test_no_column_keeps_no_vector(self, monkeypatch, fresh, call):
+        monkeypatch.setattr(exacteig.matrices, "_pushed_column",
+                            lambda factors, j: ([0] * len(factors[0][0]),
+                                                None))
+        a = fresh(THREE_DISTINCT)
+        with pytest.raises(InternalInconsistency,
+                           match="a verified eigenvalue has no eigenvector"):
+            call(a, THREE_DISTINCT_SPECTRUM)
+        assert getattr(a, "_eigenvectors", None) is None
+
+
 class TestEveryEntryPointChecksItsSpectrum:
     """Entry points that take a spectrum, or find one, check it like the
     product methods do (``verify_spectrum`` or ``resolve_spectrum``): a
@@ -1136,6 +1190,11 @@ class TestEigensystem:
             [to_scalar(1), to_scalar(2)]
         space = system.space_for(to_scalar(1))
         assert space.alg_mult == 3 and space.geom_mult == 3
+
+    def test_no_space_outside_the_spectrum(self):
+        system = eigensystem(TRIPLE_EIGENVALUE, TRIPLE_EIGENVALUE_SPECTRUM)
+        with pytest.raises(NotInSpectrum, match="3 has no eigenspace"):
+            system.space_for(3)
 
     def test_incomplete_for_defective(self):
         system = eigensystem(DEFECTIVE_TRIO, DEFECTIVE_TRIO_SPECTRUM)

@@ -358,6 +358,11 @@ class TestOdeSolutions:
             good.exponent + to_scalar(1))
         assert not ode_term_is_solution(SYMMETRIC_PAIR, bad_exponent)
 
+    def test_checker_rejects_an_empty_term(self):
+        from exacteig import OdeSolutionTerm
+        empty = OdeSolutionTerm("c1", (), to_scalar(1))
+        assert ode_term_is_solution(SYMMETRIC_PAIR, empty) is False
+
     def test_checker_rejects_wrong_trig_partner(self):
         terms = ode_general_solution(ROTATION, ROTATION_SPECTRUM)
         from exacteig import OdeSolutionTerm, TrigPart
@@ -575,6 +580,30 @@ DEFECTIVE = [
 ]
 ALL_CASES = [*DIAGONALIZABLE, (COMPLEX_FIVE, COMPLEX_FIVE_SPECTRUM),
              (ROTATION, ROTATION_SPECTRUM), *DEFECTIVE]
+
+
+class TestSolutionCountFault:
+    """Each Jordan block of size k gives k solution terms, and a realified
+    conjugate pair gives the cosine and sine halves of its positive
+    partner, so the terms number n. A fault in the Jordan basis that
+    leaves a block out is an InternalInconsistency, and ``a`` keeps no
+    basis."""
+
+    @pytest.mark.parametrize("matrix,realify", [
+        (DEFECTIVE_TRIO, None), (ROTATION, False), (ROTATION, True)],
+        ids=["defective", "rotation-complex", "rotation-realified"])
+    def test_a_lost_block(self, monkeypatch, fresh, matrix, realify):
+        original = exacteig.factorizations._jordan_basis
+
+        def short(a, s):
+            p, sizes = original(fresh(a), s)
+            return p, sizes[:-1]
+
+        monkeypatch.setattr(exacteig.factorizations, "_jordan_basis", short)
+        a = fresh(matrix)
+        with pytest.raises(InternalInconsistency, match="solution count"):
+            ode_general_solution(a, realify=realify)
+        assert not hasattr(a, "_jordan")
 
 
 class TestKeptEigenStructure:

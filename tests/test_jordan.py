@@ -402,6 +402,31 @@ class TestLineChainFaults:
         assert not hasattr(a, "_jordan")
 
 
+class TestChainStartFaults:
+    """Above ker κ, the chains that start at level j extend the null
+    space below and the chains already running. A fault in the extension
+    that leaves fewer starts than the null-space sizes ask for is an
+    InternalInconsistency, cold or after ``eigensystem``, and no basis is
+    kept. ONE_EIGENVALUE has blocks of sizes 3 and 2, so one chain starts
+    at level 3 beside a plane."""
+
+    @pytest.mark.parametrize("call", [jordan_form, ode_general_solution])
+    @pytest.mark.parametrize("warm", [False, True],
+                             ids=["cold", "after-eigensystem"])
+    def test_a_missing_start_keeps_no_basis(self, monkeypatch, fresh, call,
+                                            warm):
+        a = fresh(ONE_EIGENVALUE)
+        if warm:
+            eigensystem(a, ONE_EIGENVALUE_SPECTRUM)
+        original = exacteig.jordan.independent_extension
+        monkeypatch.setattr(exacteig.jordan, "independent_extension",
+                            lambda basis, vs: original(basis, vs)[:-1])
+        with pytest.raises(InternalInconsistency,
+                           match=r"could not start 1 chain\(s\) at level 3"):
+            call(a)
+        assert not hasattr(a, "_jordan")
+
+
 class TestGeneralizedEigenvectors:
     def test_level_one_is_the_eigenspace(self):
         level1 = generalized_eigenvectors(DEFECTIVE_TRIO, to_scalar(-2), 1)

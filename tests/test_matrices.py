@@ -109,6 +109,22 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             m([[1, 2], [3]])
 
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: Matrix.from_rows([v([1, 2]), v([1, 2, 3])]),
+         DimensionMismatch, "ragged rows"),
+        (lambda: Matrix.from_columns([v([1, 2]), v([1, 2, 3])]),
+         DimensionMismatch, "ragged rows"),
+        (lambda: m([[1, 2], [3, 4]]) + m([[1, 2]]), DimensionMismatch,
+         "matrix shapes differ"),
+        (lambda: m([[1, 2], [3, 4]]) + 1, TypeError, "unsupported operand"),
+        (lambda: m([[1, 2], [3, 4]]) * m([[1, 2], [3, 4]]), TypeError,
+         "unsupported operand"),
+    ], ids=["ragged-vector-rows", "ragged-vector-columns", "sum-of-shapes",
+            "sum-with-int", "star-product"])
+    def test_refused_operands(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_empty_rejected(self):
         # every constructor refuses a 0×0 matrix, as Matrix([]) does
         for build in (Matrix, Matrix.from_rows, Matrix.diagonal):
@@ -156,6 +172,22 @@ class TestVector:
 
     def test_is_zero(self):
         assert v([0, 0]).is_zero() and not v([0, 1]).is_zero()
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: Vector([]), DimensionMismatch, "empty vector"),
+        (lambda: Vector([1], "diagonal"), ValueError, "bad orientation"),
+        (lambda: v([1, 2]).dot(v([1, 2, 3])), DimensionMismatch,
+         "dot of lengths 2 and 3"),
+        (lambda: v([1, 2]) + v([1, 2, 3]), DimensionMismatch,
+         "vector shapes differ"),
+        (lambda: v([1, 2]) + v([1, 2]).transposed(), DimensionMismatch,
+         "vector shapes differ"),
+        (lambda: v([1, 2]) + 1, TypeError, "unsupported operand"),
+    ], ids=["empty", "orientation", "dot-lengths", "sum-lengths",
+            "sum-orientations", "sum-with-int"])
+    def test_refused_shapes(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 class TestProducts:

@@ -198,6 +198,16 @@ def _values():
 VALUES = _values()
 
 
+@pytest.mark.parametrize("value", [
+    DEFECTIVE, DEFECTIVE.row(1), charpoly(DEFECTIVE), SPECTRUM],
+    ids=["Matrix", "Vector", "Polynomial", "Spectrum"])
+def test_a_value_refuses_attribute_assignment(value):
+    for name in (value.__slots__[0], "other"):
+        with pytest.raises(AttributeError,
+                           match=f"{type(value).__name__} is immutable"):
+            setattr(value, name, None)
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 @pytest.mark.parametrize("value", VALUES,
                          ids=[type(v).__name__ for v in VALUES])

@@ -52,7 +52,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", ["", "garbage!", "1+", "i2", "1//2",
                                       "2 + 3", "+-1", "1.5", "\u0663",
-                                      "1+\u0663i", "\uff13/2"])
+                                      "1+\u0663i", "\uff13/2", 3])
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_scalar(text)
@@ -164,6 +164,11 @@ class TestFieldLaws:
         assert a ** 3 == a * a * a
 
     @given(nonzero_scalars)
+    def test_a_negative_power_inverts(self, a):
+        assert a ** -2 == ONE / (a * a)
+        assert a ** -1 * a == ONE
+
+    @given(nonzero_scalars)
     def test_reflected_operators_and_unary_plus(self, a):
         # an int on the left, then the scalar itself
         assert 1 - a == ONE - a
@@ -241,6 +246,13 @@ class TestExactnessBoundary:
             z + 0.5
         with pytest.raises(TypeError):
             z * 0.5
+
+    @pytest.mark.parametrize("operate", [
+        lambda z: z ** 1.5, lambda z: z - "x", lambda z: z / "x",
+    ], ids=["pow-float", "sub-str", "div-str"])
+    def test_foreign_operands_refused(self, operate):
+        with pytest.raises(TypeError):
+            operate(parse_scalar("1+i"))
 
     @pytest.mark.parametrize("text,expected", [
         ("3/2-1/2i", "(3/2-1/2i)"), ("-3/2", "-3/2"), ("i", "(0+1i)"),

@@ -17,6 +17,7 @@ import reference_kernels as ref
 from exacteig import (
     ExactEigError,
     GaussianRational,
+    GeneratorConfig,
     InternalInconsistency,
     InvalidSpectrum,
     IrrationalSpectrum,
@@ -31,6 +32,7 @@ from exacteig import (
     matmul,
     multiplicity_of,
     parse_scalar,
+    random_spectral_matrix,
     resolve_spectrum,
     shift_spectrum,
     to_scalar,
@@ -55,6 +57,7 @@ from worked import (
     SHORTCUT_CHARPOLY_TEXT,
     SHORTCUT_SPECTRUM,
     SPIRAL,
+    SPIRAL_SPECTRUM,
     THREE_DISTINCT,
     THREE_DISTINCT_CHARPOLY_COEFFS,
     THREE_DISTINCT_SPECTRUM,
@@ -212,12 +215,19 @@ class TestFindSpectrum:
         with pytest.raises(IrrationalSpectrum):
             find_spectrum(charpoly(IRRATIONAL_PAIR))
 
-    def test_unfactorable_quartic_rejected(self, fresh):
-        # (l^2+1)^2 leaves a degree-4 remainder with no rational root; a
-        # fresh copy, as a polynomial that recorded a verified spectrum
-        # returns that one
+    def test_unfactorable_quartic_rejected(self):
+        # (l^2+1)^2 leaves a degree-4 remainder with no rational root
         with pytest.raises(IrrationalSpectrum):
-            find_spectrum(charpoly(fresh(SPIRAL)))
+            find_spectrum(charpoly(SPIRAL))
+
+    @pytest.mark.parametrize("coeffs,message", [
+        ([3], "degree must be at least 1"),
+        ([1, 2], "polynomial must be monic"),
+        ([2, -3, 2], "polynomial must be monic"),
+    ], ids=["constant", "linear", "quadratic"])
+    def test_refuses_a_constant_or_non_monic(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            find_spectrum(poly(coeffs))
 
     def test_cubic_remainder_rejected(self):
         # l^3 - 2 has no rational root at all
@@ -332,6 +342,10 @@ class TestSpectrumContainer:
         with pytest.raises(InvalidSpectrum):
             spectrum([(1, 0)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidSpectrum, match="empty spectrum"):
+            Spectrum([])
+
     def test_boolean_multiplicity_rejected(self):
         with pytest.raises(InvalidSpectrum):
             Spectrum([(1, True)])
@@ -423,9 +437,12 @@ class TestPerMatrixFacts:
                             lambda a: calls.append(a) or original(a))
         return calls
 
-    def test_a_recorded_spectrum_is_not_searched_again(self, fresh,
-                                                        monkeypatch):
-        # three-digit roots of a cubic: the p-adic search runs once
+    def test_every_call_without_a_spectrum_searches(self, fresh,
+                                                     monkeypatch,
+                                                     deflations):
+        # three-digit roots of a cubic: each find_spectrum call runs the
+        # p-adic search once, and the recorded spectrum only spares the
+        # deflation that verifies it
         searches = []
         original = exacteig.spectra._root_candidates
         monkeypatch.setattr(exacteig.spectra, "_root_candidates",
@@ -436,13 +453,15 @@ class TestPerMatrixFacts:
         assert len(searches) == 1
         assert exacteig.resolve_spectrum(a, None) == found
         assert find_spectrum(charpoly(a.transpose())) == found
-        assert len(searches) == 1
-        # a supplied spectrum that the polynomial verified is returned as
-        # well, though the search alone cannot factor (λ² + 1)²
+        assert verify_spectrum(a, found) == found
+        assert len(searches) == 3 and deflations == []
+        # a supplied spectrum that the polynomial verified is not returned:
+        # the search alone cannot factor (λ² + 1)²
         b = fresh(SPIRAL)
-        verify_spectrum(b, spectrum([("i", 2), ("-i", 2)]))
-        assert find_spectrum(charpoly(b)) == spectrum([("i", 2), ("-i", 2)])
-        assert len(searches) == 1
+        verify_spectrum(b, SPIRAL_SPECTRUM)
+        with pytest.raises(IrrationalSpectrum):
+            find_spectrum(charpoly(b))
+        assert len(searches) == 4
 
     def test_charpoly_is_computed_once(self, fresh, computed):
         a = fresh(THREE_DISTINCT)
@@ -591,6 +610,101 @@ class TestPerMatrixFacts:
         for other in (b.transpose(), fresh(b)):
             assert not hasattr(other, "_eigenvectors")
             assert not hasattr(other, "_jordan")
+
+
+# Spectra in ℚ(i) that the search cannot find: a nonreal coefficient at
+# degree 2, the defective (λ² + 1)² matrix, the semisimple one, and a
+# quartic that splits into ±i, ±2i with no rational root
+UNSEARCHABLE = [
+    (m([["i", 0], [0, 2]]), spectrum([("i", 1), (2, 1)])),
+    (SPIRAL, SPIRAL_SPECTRUM),
+    (m([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+     SPIRAL_SPECTRUM),
+    (m([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -2], [0, 0, 2, 0]]),
+     spectrum([("i", 1), ("-i", 1), ("2i", 1), ("-2i", 1)])),
+]
+ENTRY_POINTS = [resolve_spectrum, exacteig.diagonalize, exacteig.jordan_form,
+                exacteig.ode_general_solution]
+
+
+def _call_outcome(call, a):
+    """The canonical text of ``call(a, None)``, or the type it raised."""
+    try:
+        return repr(call(a, None))
+    except ExactEigError as exc:
+        return type(exc)
+
+
+def _copy(a):
+    """A new matrix equal to ``a`` that holds no fact yet."""
+    return Matrix.from_rows([a.row_entries(i) for i in range(a.rows)])
+
+
+@st.composite
+def planted_gaussian_cases(draw):
+    """(A, spectrum) planted with 1–3 distinct integer or Gaussian-integer
+    eigenvalues, n ≤ 4, at times one Jordan block over a repeated one."""
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.builds(
+        GaussianRational, st.integers(-3, 3), st.integers(-2, 2)),
+        min_size=1, max_size=min(3, n), unique=True))
+    mults = [1] * len(values)
+    for _ in range(n - len(values)):
+        mults[draw(st.integers(0, len(values) - 1))] += 1
+    s = Spectrum(list(zip(values, mults)))
+    repeated = [(v, k) for v, k in s.pairs if k > 1]
+    blocks = ({repeated[0][0]: (repeated[0][1],)}
+              if repeated and draw(st.booleans()) else None)
+    config = GeneratorConfig(dim=n, spectrum=s, entry_bound=2,
+                             jordan_blocks=blocks,
+                             seed=draw(st.integers(0, 2**64 - 1)))
+    return random_spectral_matrix(config)[0], s
+
+
+class TestKeptFactsChangeNoOutcome:
+    """A spectrum verified on a matrix only spares work: every call
+    without a spectrum searches again, so its result or its exception
+    is the same on a fresh matrix and after any earlier call on it."""
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS,
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", UNSEARCHABLE,
+                             ids=["diag-i-2", "spiral", "rotations",
+                                  "i-2i"])
+    def test_a_verified_spectrum_is_not_found(self, fresh, call, case):
+        matrix, s = case
+        a = fresh(matrix)
+        with pytest.raises(IrrationalSpectrum):
+            call(a, None)
+        assert verify_spectrum(a, s) == s
+        with pytest.raises(IrrationalSpectrum):
+            call(a, None)
+        # passed, the spectrum serves every call; the defective (λ² + 1)²
+        # matrix has no diagonalization
+        if call is exacteig.diagonalize and matrix is SPIRAL:
+            with pytest.raises(exacteig.NotDiagonalizable):
+                call(a, s)
+        else:
+            assert call(a, s)
+
+    def test_the_combined_matrix_needs_its_spectrum(self, fresh):
+        matrix, s = UNSEARCHABLE[0]
+        a = fresh(matrix)
+        verify_spectrum(a, s)
+        with pytest.raises(IrrationalSpectrum):
+            exacteig.combined_characteristic_matrix(a, s.values())
+        assert exacteig.combined_characteristic_matrix(a, s.values(), s) \
+            == m([["-2+i", 0], [0, "2-i"]])
+
+    @given(planted_gaussian_cases(),
+           st.sampled_from([verify_spectrum, exacteig.eigensystem]))
+    def test_an_earlier_call_changes_no_outcome(self, case, earlier):
+        matrix, s = case
+        for call in ENTRY_POINTS:
+            a = _copy(matrix)
+            earlier(a, s)
+            assert _call_outcome(call, a) == \
+                _call_outcome(call, _copy(matrix)), call.__name__
 
 
 # -- the p-adic finder against the divisor-enumeration reference ------------

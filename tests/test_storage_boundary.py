@@ -79,6 +79,21 @@ def test_only_spectra_reads_the_polynomial_fields():
         assert name in hits
 
 
+def test_the_recorded_spectrum_only_skips_work():
+    # find_spectrum writes the key it found and never reads one back, so
+    # no spectrum verified before can stand in for a search
+    assert not hasattr(exacteig.Spectrum, "_of_key")
+    tree = ast.parse(inspect.getsource(exacteig.spectra.find_spectrum))
+    writes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "object.__setattr__"
+              and ast.unparse(node.args[1]) == "'_factored'"]
+    naming = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value == "_factored"
+              or isinstance(node, ast.Attribute) and node.attr == "_factored"]
+    assert len(writes) == 1 and naming == [writes[0].args[1]]
+
+
 def test_the_eigen_structure_is_named_where_it_is_found():
     # one store, ``Matrix._remember``, and no second API keyed by spectrum
     assert not hasattr(exacteig.Matrix, "_keep")

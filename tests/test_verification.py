@@ -93,6 +93,17 @@ class TestSpanBasis:
         with pytest.raises(RankTooLarge):
             SpanBasis((v([1, 0]), v([0, 1]), v([1, 1])), 2)
 
+    @pytest.mark.parametrize("b1,b2,message", [
+        ([], [v([1, 0])], "empty basis"),
+        ([v([1, 0])], [v([1, 0, 0])], "different ambient dimensions"),
+    ], ids=["bare-empty", "ambient-dims"])
+    def test_span_equal_refuses(self, b1, b2, message):
+        with pytest.raises(ValueError, match=message):
+            span_equal(b1, b2)
+
+    def test_empty_spans_are_equal(self):
+        assert span_equal(SpanBasis((), 3), SpanBasis((), 3))
+
     def test_span_equality_is_scale_blind(self):
         assert span_equal(SpanBasis((v([1, 2]),), 2),
                           SpanBasis((v([-3, -6]),), 2))
@@ -147,6 +158,10 @@ class TestSplitMix64:
     def test_randint_degenerate_range(self):
         rng = SplitMix64(7)
         assert rng.randint(5, 5) == 5
+
+    def test_randint_empty_range(self):
+        with pytest.raises(ValueError, match="empty range"):
+            SplitMix64(0).randint(2, 1)
 
 
 class TestGeneratorConfig:
